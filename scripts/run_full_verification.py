@@ -2,7 +2,7 @@
 """Run every verification suite and write JSON + text reports.
 
 Usage:
-    python scripts/run_full_verification.py [--jobs N] [--out-dir reports]
+    python scripts/run_full_verification.py [--out-dir reports]
 """
 import argparse
 import pathlib
@@ -15,14 +15,13 @@ from bszego.suites import run_verify
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--out-dir", default="reports")
     args = ap.parse_args()
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    records = run_verify("all", jobs=args.jobs)
+    records = run_verify("all")
     elapsed = time.time() - t0
     (out / "verification.json").write_text(records_to_json(records))
     (out / "verification.txt").write_text(records_to_text(records))

@@ -5,7 +5,9 @@ Subcommands:
     rule     dump a closed-form quadrature rule as JSON or CSV
     report   re-render a JSON report
 
-Exit codes: 0 all records passed, 1 at least one failure, 2 usage error.
+Exit codes: 0 all records passed, 1 at least one failure, 2 usage error
+(an unknown suite or family, an invalid grid or rule parameter, or a config
+or report file that is missing or not JSON).
 The environment variable BSZEGO_SEED is reserved as a randomness seed for
 property tests; the verification suites use fixed seeds and ignore it.
 """
@@ -17,7 +19,7 @@ import json
 import sys
 from typing import List
 
-from .errors import BszegoError, UnknownSuite
+from .errors import BszegoError
 from .quadrature import rule_cos_plus_cosh, rule_cosh_minus_cos, rule_squared
 from .suites import SUITES, VerificationRecord, run_verify
 from .weight_models import Family
@@ -65,7 +67,9 @@ def records_to_text(records: List[VerificationRecord]) -> str:
         out.write(
             f"[{mark}] {r.theorem_id} {params} "
             f"closed={r.closed_form:.12g} value={r.oracle_value:.12g} "
-            f"err={r.abs_error:.3e} tol={r.tol:.1e}\n"
+            f"err={r.abs_error:.3e} tol={r.tol:.1e}"
+            + (f" raised={r.error}" if r.error else "")
+            + "\n"
         )
     passed = sum(r.passed for r in records)
     out.write(f"{passed}/{len(records)} passed\n")
@@ -86,20 +90,8 @@ def _cmd_verify(args) -> int:
     grids = config.get("grids", {})
     tolerances = config.get("tolerances", {})
     records: List[VerificationRecord] = []
-    try:
-        for s in suites:
-            records.extend(
-                run_verify(
-                    s,
-                    grids=grids,
-                    tolerances=tolerances,
-                    jobs=args.jobs,
-                    tol_override=args.tol,
-                )
-            )
-    except UnknownSuite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for s in suites:
+        records.extend(run_verify(s, grids=grids, tolerances=tolerances, tol_override=args.tol))
     fmt = args.format or config.get("output", {}).get("format", "text")
     rendered = _RENDERERS[fmt](records)
     out_path = args.out or config.get("output", {}).get("path")
@@ -117,14 +109,8 @@ def _cmd_verify(args) -> int:
 def _cmd_rule(args) -> int:
     builder = _RULE_BUILDERS.get(args.family)
     if builder is None:
-        print(f"error: unknown family {args.family!r}; known: {sorted(_RULE_BUILDERS)}",
-              file=sys.stderr)
-        return 2
-    try:
-        rule = builder(args.n, args.m, args.a)
-    except BszegoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown family {args.family!r}; known: {sorted(_RULE_BUILDERS)}")
+    rule = builder(args.n, args.m, args.a)
     if args.format == "json":
         doc = rule.to_json_dict()
         doc["nodes"] = [float(_fmt(x)) for x in doc["nodes"]]
@@ -173,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", help=f"suite name or 'all' (known: {sorted(SUITES)})")
     p_verify.add_argument("--config", help="JSON config with suites/grids/tolerances/output")
-    p_verify.add_argument("--jobs", type=int, default=1, help="concurrent suite workers")
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="ignored, kept for compatibility: suites run one after another")
     p_verify.add_argument("--tol", type=float, help="override tolerance for all suites")
     p_verify.add_argument("--out", help="write the report to this path")
     p_verify.add_argument("--format", choices=["json", "csv", "text"])
@@ -196,9 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (BszegoError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

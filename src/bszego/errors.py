@@ -13,10 +13,6 @@ class SymmetryViolation(BszegoError):
     """Unit-circle samples break the conjugate symmetry a real polynomial requires."""
 
 
-class NonConvergence(BszegoError):
-    """Iterative solver exhausted its budget without meeting the residual target."""
-
-
 class FactorizationResidual(BszegoError):
     """|h(e^{i theta})|^2 does not reproduce rho within tolerance."""
 
@@ -58,7 +54,10 @@ class SlowConvergence(BszegoError):
 
 
 class NoConvergence(BszegoError):
-    """Adaptive integration failed to meet tolerance. Carries the best estimate."""
+    """An iterative solver or adaptive integration missed its target within budget.
+
+    Carries the best estimate and its error estimate where there is one.
+    """
 
     def __init__(self, message, best=None, err_est=None):
         super().__init__(message)

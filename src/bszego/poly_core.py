@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonConvergence, SymmetryViolation
+from .errors import NoConvergence, SymmetryViolation
 
 __all__ = [
     "RealPolynomial",
     "cheb_T",
     "cheb_U",
-    "poly_eval",
     "poly_from_circle_samples",
     "poly_roots",
 ]
@@ -157,11 +156,6 @@ def cheb_U(n: int, x):
     return out if out.shape else out[()]
 
 
-def poly_eval(p: RealPolynomial, z):
-    """Horner evaluation of p at a real or complex point (or array)."""
-    return p(z)
-
-
 def poly_from_circle_samples(values, degree: int, tol: float = 1e-9) -> RealPolynomial:
     """Recover real coefficients from samples at the N-th roots of unity.
 
@@ -252,7 +246,7 @@ def poly_roots(p: RealPolynomial, max_iter: int = 120, rel_residual: float = 1e-
 
     worst = float(np.max(backward_error(z)))
     if not converged and worst > rel_residual / (d + 1):
-        raise NonConvergence(
+        raise NoConvergence(
             f"Aberth backward error {worst:.3e} above {rel_residual:.1e}/(d+1)"
         )
     return np.concatenate([np.asarray(roots, dtype=complex), z])

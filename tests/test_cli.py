@@ -97,11 +97,68 @@ class TestVerifyCommand:
                                "--jobs", "4", "--format", "text")
         assert code == 0
 
-    def test_records_independent_of_worker_count(self):
-        grids = {"tt": {"n": [3, 5], "m": [3, 5]}}
-        a = run_verify("tt", grids=grids, jobs=1)
-        b = run_verify("tt", grids=grids, jobs=4)
-        assert [r.core_dict() for r in a] == [r.core_dict() for r in b]
+    def test_raising_cell_fails_without_traceback(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "suites": ["kernel"],
+            "grids": {"kernel": {"n": [31], "m": [33], "a": [0.5], "n_plus_m_max": 64}},
+        }))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 1
+        assert "raised=RootInDisk" in out
+        assert "0/1 passed" in out
+        assert "Traceback" not in err
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+# each case is a usage error: exit code 2 and one "error:" line, no traceback
+USAGE_ERRORS = {
+    "grid_over_param_cap": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"grids": {"quad_squared": {"n": [40], "m": [30]}},
+                                      "suites": ["quad_squared"]}))],
+    "missing_config": lambda tmp: ["verify", "--config", str(tmp / "absent.json")],
+    "config_not_json": lambda tmp: ["verify", "--config", _write(tmp / "cfg.json", "{suites")],
+    "negative_a": lambda tmp: ["rule", "--n", "1", "--m", "1", "--a", "-1",
+                               "--family", "cos_plus_cosh"],
+    "missing_report": lambda tmp: ["report", "--in", str(tmp / "absent.json")],
+    "unknown_family": lambda tmp: ["rule", "--n", "1", "--m", "1", "--a", "1",
+                                   "--family", "nope"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2(capsys, tmp_path, case):
+    code, out, err = run_cli(capsys, *USAGE_ERRORS[case](tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+class TestFaultIsolation:
+    @pytest.mark.parametrize("grid, error", [
+        ({"n": [31], "m": [33], "a": [0.5], "n_plus_m_max": 64}, "RootInDisk"),
+        ({"n": [1], "m": [1], "a": [1.1434609861934242]}, "FactorizationResidual"),
+    ])
+    def test_raising_kernel_cell_is_one_failed_record(self, grid, error):
+        (r,) = run_verify("kernel", grids={"kernel": grid})
+        assert r.passed is False
+        assert r.error == error
+        assert r.tol == 1e-7
+        assert r.closed_form == 0.0
+        assert math.isinf(r.abs_error) and math.isinf(r.oracle_value)
+        assert "error" not in r.core_dict()
+
+    def test_sweep_goes_on_past_a_raising_cell(self):
+        # the first cell raises FactorizationResidual, the second one passes
+        grid = {"n": [1], "m": [1], "a": [1.1434609861934242, 1.0]}
+        records = run_verify("kernel", grids={"kernel": grid})
+        assert [(r.params["a"], r.passed, r.error) for r in records] == [
+            (1.0, True, None), (1.1434609861934242, False, "FactorizationResidual"),
+        ]
 
 
 class TestReportCommand:

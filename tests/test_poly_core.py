@@ -9,7 +9,6 @@ from bszego.poly_core import (
     RealPolynomial,
     cheb_T,
     cheb_U,
-    poly_eval,
     poly_from_circle_samples,
     poly_roots,
 )
@@ -63,15 +62,15 @@ class TestChebU:
 class TestRealPolynomial:
     def test_constant_eval(self):
         p = RealPolynomial([2.0])
-        assert poly_eval(p, 123.4 + 5j) == 2.0
+        assert p(123.4 + 5j) == 2.0
 
     def test_identity_at_i(self):
         p = RealPolynomial([0.0, 1.0])
-        assert poly_eval(p, 1j) == 1j
+        assert p(1j) == 1j
 
     def test_square_binomial(self):
         p = RealPolynomial([1.0, 2.0, 1.0])  # (1+z)^2
-        assert poly_eval(p, 1.0) == pytest.approx(4.0)
+        assert p(1.0) == pytest.approx(4.0)
 
     def test_zero_normalization(self):
         assert RealPolynomial([0.0, 0.0, 0.0]).degree == -1
