@@ -123,20 +123,24 @@ def _cmd_rule(args) -> int:
     return 0
 
 
+_REPORT_FIELDS = ("theorem_id", "params", "closed_form", "oracle_value", "abs_error", "tol",
+                  "passed")
+
+
 def _cmd_report(args) -> int:
     with open(args.infile) as fh:
         doc = json.load(fh)
-    raw = doc["records"] if isinstance(doc, dict) else doc
-    runtimes = doc.get("runtimes_ms", [0] * len(raw)) if isinstance(doc, dict) else [0] * len(raw)
+    raw = doc.get("records") if isinstance(doc, dict) else doc
+    if not isinstance(raw, list):
+        raise ValueError(f"not a bszego report: {args.infile} holds no list of records")
+    for i, r in enumerate(raw):
+        missing = [k for k in _REPORT_FIELDS if not isinstance(r, dict) or k not in r]
+        if missing:
+            raise ValueError(f"not a bszego report: record {i} lacks {', '.join(missing)}")
+    runtimes = doc.get("runtimes_ms", []) if isinstance(doc, dict) else []
     records = [
         VerificationRecord(
-            theorem_id=r["theorem_id"],
-            params=r["params"],
-            closed_form=r["closed_form"],
-            oracle_value=r["oracle_value"],
-            abs_error=r["abs_error"],
-            tol=r["tol"],
-            passed=r["passed"],
+            **{k: r[k] for k in _REPORT_FIELDS},
             runtime_ms=runtimes[i] if i < len(runtimes) else 0,
         )
         for i, r in enumerate(raw)

@@ -1,13 +1,22 @@
-"""Independent adaptive numerical integration.
+"""Independent numerical integration.
 
-Everything here is deliberately generic: adaptive 15-point Gauss panels with
-bisection refinement, endpoint substitutions for the interval kinds that need
+Everything here is deliberately generic: a nested trapezoid rule for smooth
+periodic integrands, adaptive 15-point Gauss panels with bisection refinement
+for everything else, endpoint substitutions for the interval kinds that need
 them, and series guards near removable singularities. No closed-form result
 from the rest of the package is ever used on this side of a comparison.
 
+After t = ((1-a) + (1+a) cos(theta))/2 the weights ((1-t)(a+t))^(+-1/2) dt
+turn a smooth g(t) into a smooth, even, 2pi-periodic function of theta, and
+for those the trapezoid rule on [0, pi] converges geometrically. Such
+integrals take the trapezoid rule, doubled until two successive rules agree;
+a sample that is not finite, or no agreement by _TRAP_MAX intervals, sends
+them back to adaptive bisection. The plain dt measure (an |sin(theta)| kink),
+finite intervals and infinite ranges always use bisection.
+
 Evaluators may be vector-valued: an evaluator mapping an array of points of
 shape (npts,) to shape (npts,) or (npts, K) integrates K components in one
-adaptive pass, refining on the worst component.
+pass, refining on the worst component.
 """
 from __future__ import annotations
 
@@ -33,6 +42,9 @@ __all__ = [
 
 _GX, _GW = leggauss(15)
 _MAX_DEPTH = 48
+_TRAP_START = 64  # exact for cos(k theta), k < 128: any polynomial in t of degree < 128
+_TRAP_MAX = 2 ** 17
+_TRAP_CHUNK = 4096  # points per evaluator call, bounding (npts, K) arrays
 
 
 @dataclass(frozen=True)
@@ -160,9 +172,61 @@ def _adaptive(f, lo, hi, tol):
     return total, err
 
 
-def integrate(spec: IntegrandSpec, tol: float = 1e-10):
-    """Adaptive integration of spec; returns (value, err_est).
+def _theta_integrand(f, a, p):
+    """theta -> f(t) * ((1-t)(a+t))^(p/2) dt/dtheta on [0, pi]."""
 
+    def g(theta):
+        t = 0.5 * ((1.0 - a) + (1.0 + a) * np.cos(theta))
+        t = np.clip(t, -a, 1.0)
+        vals = np.asarray(f(t))
+        if p == -1:
+            return vals
+        jac = (0.5 * (1.0 + a) * np.sin(theta)) ** (p + 1)
+        if vals.ndim == 2:
+            return vals * jac[:, None]
+        return vals * jac
+
+    return g
+
+
+def _periodic(g, tol):
+    """Trapezoid rule on [0, pi] for an even 2pi-periodic g; returns (value, err_est) or None.
+
+    Starts at _TRAP_START intervals; each doubling samples only the new
+    midpoints. Accepts when max|T_2N - T_N| <= tol * (1 + max|T_2N|) and
+    returns T_2N with that difference as its error estimate. None when a
+    sample is not finite or no doubling up to _TRAP_MAX intervals is accepted.
+    """
+    n = _TRAP_START
+    vals = np.asarray(g(np.linspace(0.0, np.pi, n + 1)))
+    if not np.all(np.isfinite(vals)):
+        return None
+    total = vals.sum(axis=0) - 0.5 * (vals[0] + vals[-1])
+    coarse = total * (np.pi / n)
+    while n < _TRAP_MAX:
+        mids = (np.arange(n) + 0.5) * (np.pi / n)
+        for start in range(0, n, _TRAP_CHUNK):
+            vals = np.asarray(g(mids[start:start + _TRAP_CHUNK]))
+            if not np.all(np.isfinite(vals)):
+                return None
+            total = total + vals.sum(axis=0)
+        n *= 2
+        fine = total * (np.pi / n)
+        diff = np.max(np.abs(np.atleast_1d(fine - coarse)))
+        if diff <= tol * (1.0 + np.max(np.abs(np.atleast_1d(fine)))):
+            return fine, float(diff)
+        coarse = fine
+    return None
+
+
+def integrate(spec: IntegrandSpec, tol: float = 1e-10):
+    """Integrate spec; returns (value, err_est).
+
+    ThetaSubstituted integrals with weight_power -1 or +1 take the doubling
+    trapezoid rule, whose err_est is the change of the last doubling; when a
+    sample is not finite or the doublings reach _TRAP_MAX they fall back to
+    adaptive bisection. Every other kind uses adaptive bisection, whose
+    err_est is the sum of the accepted panels' refinement changes / 15.
     err_est <= tol * (1 + |value|) on success; NoConvergence carries the best
     estimate otherwise.
     """
@@ -170,21 +234,9 @@ def integrate(spec: IntegrandSpec, tol: float = 1e-10):
     f = _guarded(spec.evaluator, spec.singularity_guards)
     iv = spec.interval
     if isinstance(iv, ThetaSubstituted):
-        a = iv.a
-        p = iv.weight_power
-
-        def g(theta):
-            t = 0.5 * ((1.0 - a) + (1.0 + a) * np.cos(theta))
-            t = np.clip(t, -a, 1.0)
-            vals = np.asarray(f(t))
-            if p == -1:
-                return vals
-            jac = (0.5 * (1.0 + a) * np.sin(theta)) ** (p + 1)
-            if vals.ndim == 2:
-                return vals * jac[:, None]
-            return vals * jac
-
-        value, err = _adaptive(g, 0.0, np.pi, tol)
+        g = _theta_integrand(f, iv.a, iv.weight_power)
+        found = _periodic(g, tol) if iv.weight_power in (-1, 1) else None
+        value, err = found if found is not None else _adaptive(g, 0.0, np.pi, tol)
     elif isinstance(iv, FiniteDirect):
         value, err = _adaptive(f, iv.lo, iv.hi, tol)
     elif isinstance(iv, RealLineExpTail):

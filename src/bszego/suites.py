@@ -676,6 +676,23 @@ SUITES: Dict[str, Callable] = {sid: _suite(tol, src) for sid, (_, tol, src) in _
 SUITE_CRITERIA: Dict[str, int] = {sid: crit for sid, (crit, _, _) in _REGISTRY.items()}
 
 
+_SCALAR_GRID_KEYS = ("n_plus_m_max", "R")  # every other grid key is an axis: a list of values
+
+
+def _check_grids(grids):
+    """Reject a malformed grid before any cell runs (ValueError names the suite and the axis)."""
+    if not isinstance(grids, dict):
+        raise ValueError(f"grids must map suite ids to grids, got {grids!r}")
+    for name, grid in grids.items():
+        if not isinstance(grid, dict):
+            raise ValueError(f"grid of suite {name!r} must map axes to values, got {grid!r}")
+        for axis, values in grid.items():
+            if axis not in _SCALAR_GRID_KEYS and not isinstance(values, (list, tuple)):
+                raise ValueError(
+                    f"grid of suite {name!r}: axis {axis!r} needs a list of values, got {values!r}"
+                )
+
+
 def run_verify(
     suite: str = "all",
     grids: Optional[dict] = None,
@@ -685,6 +702,7 @@ def run_verify(
     """Run one suite or all of them, in turn; returns records sorted deterministically."""
     grids = grids or {}
     tolerances = tolerances or {}
+    _check_grids(grids)
     if suite == "all":
         names = sorted(SUITES)
     elif suite in SUITES:

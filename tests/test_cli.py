@@ -127,6 +127,11 @@ USAGE_ERRORS = {
     "missing_report": lambda tmp: ["report", "--in", str(tmp / "absent.json")],
     "unknown_family": lambda tmp: ["rule", "--n", "1", "--m", "1", "--a", "1",
                                    "--family", "nope"],
+    "report_not_a_report": lambda tmp: ["report", "--in", _write(tmp / "r.json", "{}")],
+    "report_record_without_params": lambda tmp: ["report", "--in", _write(
+        tmp / "r.json", json.dumps([{"theorem_id": "x"}]))],
+    "grid_axis_not_a_list": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"grids": {"tt": {"n": 3}}}))],
 }
 
 
@@ -210,6 +215,20 @@ class TestRunVerifyGrids:
         assert all(r.closed_form == math.pi / 4 for r in records)
         values = {round(r.oracle_value, 10) for r in records}
         assert values == {round(math.pi / 4, 10)}
+
+
+    def test_scalar_axis_rejected_before_any_cell_runs(self):
+        # the bad grid belongs to a suite that is not even run
+        with pytest.raises(ValueError, match="'tt'.*'n'"):
+            run_verify("corollary_B", grids={"tt": {"n": 3}})
+        with pytest.raises(ValueError, match="'tt'"):
+            run_verify("tt", grids={"tt": [3]})
+
+    def test_scalar_keys_stay_scalars(self):
+        (r,) = run_verify("tsgf", grids={"tsgf": {"n": [3], "R": 20}})
+        assert r.passed
+        records = run_verify("corollary_C", grids={"corollary_C": {"n_plus_m_max": 4}})
+        assert {(r.params["n"], r.params["m"]) for r in records} == {(1, 1), (1, 3), (2, 2)}
 
 
 class TestRegistry:

@@ -177,3 +177,103 @@ def test_no_convergence_carries_best_estimate():
     with pytest.raises(NoConvergence) as info:
         oracle.integrate(spec, tol=1e-13)
     assert info.value.best is not None
+
+
+# ---------------------------------------------------------------------------
+# the doubling trapezoid path for ThetaSubstituted with weight_power -1, +1
+
+
+def test_trapezoid_agrees_with_bisection_where_the_weight_nearly_vanishes():
+    # moments t^0..t^15 against the quad1 weight at (1, 15, 0.5), where rho dips to 0.011
+    from bszego.weight_models import WeightSpec, weight_base
+
+    base, power = weight_base(WeightSpec(1, 15, 0.5))
+    powers = np.arange(16)
+
+    def f(t):
+        t = np.asarray(t)
+        return t[:, None] ** powers[None, :] * np.asarray(base(t))[:, None]
+
+    mu, err = oracle.integrate(IntegrandSpec(f, ThetaSubstituted(0.5, power)), tol=1e-12)
+    ref, _ = oracle._adaptive(oracle._theta_integrand(f, 0.5, power), 0.0, math.pi, 1e-12)
+    assert np.all(np.abs(mu - ref) <= 1e-12 * (1.0 + np.abs(mu)))
+    assert 0.0 < err <= 1e-12 * (1.0 + np.max(np.abs(mu)))
+
+
+def test_non_finite_sample_falls_back_to_bisection():
+    # NaN at t = 0, the theta = pi/2 node of every trapezoid rule at a = 1;
+    # no Gauss node of the bisection lands there
+    seen = []
+
+    def f(t):
+        t = np.asarray(t)
+        seen.append(t.size)
+        return np.where(np.abs(t) < 1e-15, np.nan, np.exp(t))
+
+    spec = IntegrandSpec(f, ThetaSubstituted(1.0, weight_power=+1))
+    val, err = oracle.integrate(spec, tol=1e-12)
+    ref, ref_err = oracle._adaptive(oracle._theta_integrand(f, 1.0, +1), 0.0, math.pi, 1e-12)
+    assert seen[0] == oracle._TRAP_START + 1  # the trapezoid rule was tried first
+    assert (val, err) == (ref, ref_err)
+    # int_{-1}^{1} e^t sqrt(1 - t^2) dt = pi I_1(1)
+    assert val == pytest.approx(math.pi * 0.5651591039924851, abs=1e-12)
+
+
+def test_plain_dt_never_takes_the_trapezoid(monkeypatch):
+    taken = []
+    periodic = oracle._periodic
+
+    def recording(g, tol):
+        taken.append(tol)
+        return periodic(g, tol)
+
+    monkeypatch.setattr(oracle, "_periodic", recording)
+    spec = IntegrandSpec(lambda t: np.asarray(t) ** 2, ThetaSubstituted(1.0, weight_power=0))
+    val, _ = oracle.integrate(spec, tol=1e-12)
+    assert val == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert taken == []
+    for power in (-1, +1):
+        oracle.integrate(IntegrandSpec(lambda t: np.ones_like(t), ThetaSubstituted(1.0, power)))
+    assert len(taken) == 2
+
+
+def test_trapezoid_samples_in_bounded_chunks():
+    # a pole at t = 1 + 1e-6 keeps the doubling going well past the chunk size
+    delta = 1e-6
+    sizes = []
+
+    def f(t):
+        t = np.asarray(t)
+        sizes.append(t.size)
+        return (1.0 / (1.0 + delta - t))[:, None] * np.stack([np.ones_like(t), t, t * t], axis=-1)
+
+    vals, _ = oracle.integrate(IntegrandSpec(f, ThetaSubstituted(1.0)), tol=1e-11)
+    assert max(sizes) == oracle._TRAP_CHUNK
+    # int_{-1}^{1} dt / ((c - t) sqrt(1 - t^2)) = pi / sqrt(c^2 - 1), c = 1 + delta
+    c = 1.0 + delta
+    i0 = math.pi / math.sqrt(c * c - 1.0)
+    assert vals[0] == pytest.approx(i0, rel=1e-10)
+    assert vals[1] == pytest.approx(c * i0 - math.pi, rel=1e-10)  # t = c - (c - t)
+
+
+def test_oracle_imports_only_stdlib_numpy_and_errors():
+    # the oracle must stay independent of every closed-form module
+    import ast
+    import sys
+    from pathlib import Path
+
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert node.module == "errors" or (
+                    node.module is None and [a.name for a in node.names] == ["errors"]
+                ), ast.dump(node)
+                continue
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        for root in roots:
+            assert root == "numpy" or root in sys.stdlib_module_names, root
