@@ -49,6 +49,14 @@ from .quadrature import (
     weighted_oracle_integral,
     weights_from_moments,
 )
-from .pick_measures import MatchedMeasure, PickFunction, density, matched_measure, moment_match_check
+from .pick_measures import (
+    MatchedMeasure,
+    MatchedPair,
+    PickFunction,
+    density,
+    matched_measure,
+    matched_pair,
+    moment_match_check,
+)
 
 __version__ = "0.1.0"

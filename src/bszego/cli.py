@@ -6,8 +6,11 @@ Subcommands:
     report   re-render a JSON report
 
 Exit codes: 0 all records passed, 1 at least one failure, 2 usage error
-(an unknown suite or family, an invalid grid or rule parameter, or a config
-or report file that is missing or not JSON).
+(an unknown suite or family, an invalid grid or rule parameter, a config
+that is not a JSON object or whose output is not one, whose suites are not a
+list, whose tolerance is not a number or whose output format is unknown, or a
+config or report file that is missing or not JSON). These config errors are
+found before any suite runs.
 The environment variable BSZEGO_SEED is reserved as a randomness seed for
 property tests; the verification suites use fixed seeds and ignore it.
 """
@@ -84,17 +87,24 @@ def _cmd_verify(args) -> int:
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
+    output = config.get("output", {}) if isinstance(config, dict) else None
+    if not isinstance(output, dict):
+        raise ValueError(f"config and its output must be JSON objects: {args.config}")
     suites = [args.suite] if args.suite else config.get("suites", ["all"])
+    if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
+        raise ValueError(f"suites must be a list of suite ids, got {suites!r}")
     if suites == ["all"] or "all" in suites:
         suites = ["all"]
+    fmt = args.format or output.get("format", "text")
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown output format {fmt!r}; known: {sorted(_RENDERERS)}")
     grids = config.get("grids", {})
     tolerances = config.get("tolerances", {})
     records: List[VerificationRecord] = []
     for s in suites:
         records.extend(run_verify(s, grids=grids, tolerances=tolerances, tol_override=args.tol))
-    fmt = args.format or config.get("output", {}).get("format", "text")
     rendered = _RENDERERS[fmt](records)
-    out_path = args.out or config.get("output", {}).get("path")
+    out_path = args.out or output.get("path")
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(rendered)

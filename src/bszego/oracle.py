@@ -14,9 +14,16 @@ a sample that is not finite, or no agreement by _TRAP_MAX intervals, sends
 them back to adaptive bisection. The plain dt measure (an |sin(theta)| kink),
 finite intervals and infinite ranges always use bisection.
 
+Bisection runs one depth level at a time: both halves of every panel still
+open at that depth are evaluated together, so an evaluator is called once per
+level rather than once per panel. Each panel is still accepted or split on
+its own, so the accepted panels are those a depth-first refinement would
+accept, and they are summed in position order.
+
 Evaluators may be vector-valued: an evaluator mapping an array of points of
 shape (npts,) to shape (npts,) or (npts, K) integrates K components in one
-pass, refining on the worst component.
+pass, refining on the worst component. No evaluator call on either path gets
+more than _TRAP_CHUNK points, which bounds the (npts, K) arrays.
 """
 from __future__ import annotations
 
@@ -32,8 +39,6 @@ __all__ = [
     "SingularityGuard",
     "ThetaSubstituted",
     "FiniteDirect",
-    "RealLineExpTail",
-    "RealLineRational",
     "IntegrandSpec",
     "integrate",
     "fourier_coeff",
@@ -44,7 +49,7 @@ _GX, _GW = leggauss(15)
 _MAX_DEPTH = 48
 _TRAP_START = 64  # exact for cos(k theta), k < 128: any polynomial in t of degree < 128
 _TRAP_MAX = 2 ** 17
-_TRAP_CHUNK = 4096  # points per evaluator call, bounding (npts, K) arrays
+_TRAP_CHUNK = 4096  # points per evaluator call on either path, bounding (npts, K) arrays
 
 
 @dataclass(frozen=True)
@@ -73,21 +78,6 @@ class ThetaSubstituted:
 class FiniteDirect:
     lo: float
     hi: float
-
-
-@dataclass(frozen=True)
-class RealLineExpTail:
-    """Integrand decays like exp(-c sqrt|x|) or faster; domain truncated adaptively."""
-
-    lo: float = 0.0
-    two_sided: bool = False
-    block: float = 8.0
-    max_blocks: int = 400
-
-
-@dataclass(frozen=True)
-class RealLineRational:
-    """Integrand decays like |x|^-2; substitution x = s/(1-s^2), s in (-1,1)."""
 
 
 @dataclass(frozen=True)
@@ -123,53 +113,73 @@ def _guarded(evaluator, guards):
     return wrapped
 
 
-def _panel(f, lo, hi):
+def _panels(f, lo, hi):
+    """15-point Gauss values of f on the panels [lo[i], hi[i]]; shape (P,) or (P, K).
+
+    Consecutive panels share one evaluator call of at most _TRAP_CHUNK points.
+    """
     mid = 0.5 * (lo + hi)
     hw = 0.5 * (hi - lo)
-    vals = np.asarray(f(mid + hw * _GX))
-    if vals.ndim == 1:
-        return hw * float(np.dot(_GW, vals))
-    return hw * (_GW @ vals)
+    x = mid[:, None] + hw[:, None] * _GX
+    per = _TRAP_CHUNK // _GX.size
+    sums = []
+    for start in range(0, x.shape[0], per):
+        block = x[start:start + per]
+        vals = np.asarray(f(block.ravel()))
+        if vals.ndim == 1:
+            sums.append(vals.reshape(block.shape) @ _GW)
+        else:
+            sums.append(_GW @ vals.reshape(block.shape + vals.shape[1:]))
+    sums = np.concatenate(sums)
+    return hw * sums if sums.ndim == 1 else hw[:, None] * sums
 
 
 def _adaptive(f, lo, hi, tol):
     """Globally adaptive bisection; returns (value, err_est).
 
-    Panels are accepted when bisecting changes their value by less than their
-    share of the tolerance budget; accepted contributions are summed in
-    position order for run-to-run determinism.
+    Panels are accepted when bisecting changes their value by less than a
+    quarter of their share of the tolerance budget, and split otherwise; a
+    panel at depth _MAX_DEPTH changed by more than its whole share raises
+    NoConvergence. Refinement runs one depth level at a time: both halves of
+    every open panel are evaluated in calls of at most _TRAP_CHUNK points, so
+    the evaluator is called about once per level. The accepted panels are
+    those of a depth-first refinement; their values and their refinement
+    changes / 15 are summed in position order, so value and err_est agree with
+    the depth-first sums to rounding and repeat exactly from run to run.
     """
     width = hi - lo
-    coarse = _panel(f, lo, hi)
-    rough = np.max(np.abs(np.atleast_1d(coarse)))
-    stack = [(lo, hi, coarse, 0)]
-    accepted = []
-    err = 0.0
-    while stack:
-        a, b, ca, depth = stack.pop()
+    a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
+    coarse = _panels(f, a, b)
+    share = tol * max(1.0, np.max(np.abs(coarse)))
+    done_lo, done_val, done_diff = [], [], []
+    for depth in range(_MAX_DEPTH + 1):
         m = 0.5 * (a + b)
-        left = _panel(f, a, m)
-        right = _panel(f, m, b)
-        fine = left + right
-        diff = np.max(np.abs(np.atleast_1d(fine - ca)))
-        budget = tol * max(1.0, rough) * max((b - a) / width, 1e-6)
-        if diff <= 0.25 * budget or depth >= _MAX_DEPTH:
-            if depth >= _MAX_DEPTH and diff > budget:
-                raise NoConvergence(
-                    f"panel [{a}, {b}] not converged at depth {depth}",
-                    best=fine,
-                    err_est=diff,
-                )
-            accepted.append((a, fine))
-            err += diff / 15.0
-        else:
-            stack.append((m, b, right, depth + 1))
-            stack.append((a, m, left, depth + 1))
-    accepted.sort(key=lambda item: item[0])
-    total = accepted[0][1]
-    for _, v in accepted[1:]:
-        total = total + v
-    return total, err
+        half_lo, half_hi = np.stack([a, m], axis=1).ravel(), np.stack([m, b], axis=1).ravel()
+        halves = _panels(f, half_lo, half_hi)
+        fine = halves[0::2] + halves[1::2]
+        diff = np.abs(fine - coarse)
+        if diff.ndim == 2:
+            diff = diff.max(axis=1)
+        budget = share * np.maximum((b - a) / width, 1e-6)
+        if depth == _MAX_DEPTH and np.any(diff > budget):
+            i = int(np.argmax(diff > budget))
+            raise NoConvergence(
+                f"panel [{a[i]}, {b[i]}] not converged at depth {depth}",
+                best=fine[i],
+                err_est=diff[i],
+            )
+        done = (diff <= 0.25 * budget) | (depth == _MAX_DEPTH)
+        done_lo.append(a[done])
+        done_val.append(fine[done])
+        done_diff.append(diff[done])
+        split = np.repeat(~done, 2)
+        if not np.any(split):
+            break
+        a, b, coarse = half_lo[split], half_hi[split], halves[split]
+    order = np.argsort(np.concatenate(done_lo), kind="stable")
+    values = np.concatenate(done_val)[order]
+    errs = np.concatenate(done_diff)[order] / 15.0
+    return np.add.accumulate(values)[-1], np.add.accumulate(errs)[-1]
 
 
 def _theta_integrand(f, a, p):
@@ -239,13 +249,6 @@ def integrate(spec: IntegrandSpec, tol: float = 1e-10):
         value, err = found if found is not None else _adaptive(g, 0.0, np.pi, tol)
     elif isinstance(iv, FiniteDirect):
         value, err = _adaptive(f, iv.lo, iv.hi, tol)
-    elif isinstance(iv, RealLineExpTail):
-        return improper_integral(
-            f, decay="Exponential", tol=tol, lo=iv.lo, two_sided=iv.two_sided,
-            block=iv.block, max_blocks=iv.max_blocks,
-        ), 0.0
-    elif isinstance(iv, RealLineRational):
-        return improper_integral(f, decay="RationalOrder2", tol=tol), 0.0
     else:
         raise TypeError(f"unknown interval kind: {iv!r}")
     scale = 1.0 + np.max(np.abs(np.atleast_1d(value)))

@@ -7,17 +7,24 @@ orthonormal polynomials it yields a density on R whose moments up to 2k-2
 reproduce (kappa_{k-1}/kappa_k times) the moments of the original measure
 on [-a, 1].  Moment 2k-1 is generically not matched: that boundary is part
 of the statement and is probed statistically in the tests.
+
+The construction splits in two.  `matched_pair(spec)` builds everything that
+does not depend on phi: k, the polynomials p_k and p_{k-1}, kappa_{k-1}/kappa_k
+and the base moments mu_0..mu_{2k-1}, which the moment checks read as their
+right-hand side.  `MatchedPair.measure(phi, form)` adds phi and the density
+form to a pair, so many phi can share one pair; `matched_measure(spec, phi,
+form)` does both steps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 import numpy as np
 
 from . import oracle
 from .errors import DegreeThreshold
-from .quadrature import oracle_moments, weighted_oracle_integral
+from .quadrature import oracle_moments
 from .szego_polys import OrthoPoly, explicit_family, szego_orthonormal
 from .weight_models import (
     Family,
@@ -31,10 +38,13 @@ from .poly_core import RealPolynomial
 __all__ = [
     "PickFunction",
     "pick_eval",
+    "MatchedPair",
+    "matched_pair",
     "MatchedMeasure",
     "matched_measure",
     "density",
     "moment_match_check",
+    "moment_match_all",
 ]
 
 
@@ -72,38 +82,53 @@ def pick_eval(phi: PickFunction, x):
 
 
 @dataclass(frozen=True)
-class MatchedMeasure:
-    phi: PickFunction
+class MatchedPair:
+    """The phi-independent part of a matched measure on the base weight."""
+
     k: int
     p_k: OrthoPoly
     p_km1: OrthoPoly
-    form: str  # "measure2": |phi p_k - p_{k-1}|^2;  "measure5": |p_k + phi p_{k-1}|^2
     kappa_ratio: float  # kappa_{k-1} / kappa_k
     base_spec: WeightSpec
+    moments: Tuple[float, ...]  # mu_0..mu_{2k-1} of the base weight
+
+    def measure(self, phi: PickFunction, form: str = "measure2") -> "MatchedMeasure":
+        """This pair with phi and the density form."""
+        if form not in ("measure2", "measure5"):
+            raise ValueError("form must be 'measure2' or 'measure5'")
+        pair = {f.name: getattr(self, f.name) for f in fields(MatchedPair)}
+        return MatchedMeasure(**pair, phi=phi, form=form)
 
 
-def matched_measure(spec: WeightSpec, phi: PickFunction, form: str = "measure2") -> MatchedMeasure:
-    """Build the matched measure for the cos-plus-cosh weight with odd n, m.
+@dataclass(frozen=True)
+class MatchedMeasure(MatchedPair):
+    """A matched pair with phi and the density form."""
+
+    phi: PickFunction
+    form: str  # "measure2": |phi p_k - p_{k-1}|^2;  "measure5": |p_k + phi p_{k-1}|^2
+
+
+def matched_pair(spec: WeightSpec) -> MatchedPair:
+    """Build the polynomial pair for the cos-plus-cosh weight with odd n, m.
 
     p_k is the explicit degree-(m+n)/2 polynomial; p_{k-1} comes from the
     spectral-factor recipe when its degree threshold allows, and from direct
     normalization of the constant when k - 1 = 0 (where the recipe's
-    threshold l < 2k is not available).
+    threshold l < 2k is not available).  The base moments mu_0..mu_{2k-1}
+    come from one oracle pass.
     """
-    if form not in ("measure2", "measure5"):
-        raise ValueError("form must be 'measure2' or 'measure5'")
     if spec.family is not Family.CosPlusCosh or spec.n % 2 == 0 or spec.m % 2 == 0:
         raise ValueError("matched measures are built on the odd/odd cos-plus-cosh weight")
     wspec = spec.with_measure(MeasureFactor.InvSqrtBoth)
     k = (spec.n + spec.m) // 2
     p_k = explicit_family(wspec)
     l = expected_rho_degree(wspec)
+    moments = tuple(float(mu) for mu in oracle_moments(wspec, 2 * k - 1))
     if l < 2 * (k - 1):
         factor = build_szego_factor(wspec)
         p_km1 = szego_orthonormal(factor, k - 1, MeasureFactor.InvSqrtBoth)
     elif k - 1 == 0:
-        mass = float(oracle_moments(wspec, 0)[0])
-        c0 = 1.0 / np.sqrt(mass)
+        c0 = 1.0 / np.sqrt(moments[0])
         p_km1 = OrthoPoly(
             degree=0,
             poly=RealPolynomial([c0]),
@@ -114,15 +139,19 @@ def matched_measure(spec: WeightSpec, phi: PickFunction, form: str = "measure2")
         raise DegreeThreshold(
             f"p_(k-1) not constructible: l = {l} >= 2(k-1) = {2 * (k - 1)}"
         )
-    return MatchedMeasure(
-        phi=phi,
+    return MatchedPair(
         k=k,
         p_k=p_k,
         p_km1=p_km1,
-        form=form,
         kappa_ratio=p_km1.leading_coeff / p_k.leading_coeff,
         base_spec=wspec,
+        moments=moments,
     )
+
+
+def matched_measure(spec: WeightSpec, phi: PickFunction, form: str = "measure2") -> MatchedMeasure:
+    """The matched measure of spec's pair (see `matched_pair`) with phi and the form."""
+    return matched_pair(spec).measure(phi, form)
 
 
 def density(meas: MatchedMeasure, x):
@@ -146,7 +175,7 @@ def moment_match_check(meas: MatchedMeasure, j: int, tol: float = 1e-8):
 
     lhs integrates x^j against the density over R (rational substitution;
     the tails decay at least like x^-2 for j <= 2k-2).  rhs is
-    kappa_{k-1}/kappa_k times the oracle moment of the base measure.
+    kappa_{k-1}/kappa_k times the pair's oracle moment of the base measure.
     For the boundary probe j = 2k-1, where the improper integral need not
     converge, a fixed symmetric truncation is used instead.
     """
@@ -162,7 +191,7 @@ def moment_match_check(meas: MatchedMeasure, j: int, tol: float = 1e-8):
         lhs, _ = oracle.integrate(
             oracle.IntegrandSpec(f, oracle.FiniteDirect(-60.0, 60.0)), tol=tol
         )
-    rhs = meas.kappa_ratio * float(oracle_moments(meas.base_spec, j)[j])
+    rhs = meas.kappa_ratio * meas.moments[j]
     return lhs, rhs
 
 
@@ -175,5 +204,4 @@ def moment_match_all(meas: MatchedMeasure, tol: float = 1e-8):
         return x[:, None] ** powers[None, :] * density(meas, x)[:, None]
 
     lhs = oracle.improper_integral(f, decay="RationalOrder2", tol=tol)
-    mu = oracle_moments(meas.base_spec, 2 * meas.k - 2)
-    return np.asarray(lhs), meas.kappa_ratio * mu
+    return np.asarray(lhs), meas.kappa_ratio * np.asarray(meas.moments[: 2 * meas.k - 1])

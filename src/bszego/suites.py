@@ -33,7 +33,13 @@ from . import oracle
 from . import quadrature as quad
 from . import trig_identities as trig
 from .errors import BszegoError, UnknownSuite
-from .pick_measures import PickFunction, matched_measure, moment_match_all, moment_match_check
+from .pick_measures import (
+    PickFunction,
+    matched_measure,
+    matched_pair,
+    moment_match_all,
+    moment_match_check,
+)
 from .poly_core import RealPolynomial, cheb_T, poly_roots
 from .szego_polys import _sin2n_sinhM_over, szego_orthonormal
 from .weight_models import (
@@ -397,8 +403,8 @@ def _measure3_boundary(n, m):
     # phi with beta > 0 under the measure2 form is excluded: there the
     # linear growth restores the large-semicircle decay and the 2k-1
     # moment genuinely matches, so the boundary is not sharp in that
-    # sub-class.
-    spec = WeightSpec(n, m, 1.0)
+    # sub-class.  The phi-independent pair is built (and validated) once.
+    pair = matched_pair(WeightSpec(n, m, 1.0))
     rng = np.random.default_rng(_SEED + n * 13 + m)
     hits = 0
     total = 30
@@ -412,7 +418,7 @@ def _measure3_boundary(n, m):
         if rng.uniform() < 0.5:
             c = float(rng.uniform(0.2, 2.0))
             terms = ((c, complex(rng.uniform(-1, 1), -float(rng.uniform(0.3, 1.5)))),)
-        meas = matched_measure(spec, PickFunction(beta, gamma, terms), form=form)
+        meas = pair.measure(PickFunction(beta, gamma, terms), form=form)
         lhs, rhs = moment_match_check(meas, 2 * meas.k - 1, tol=1e-8)
         if abs(lhs - rhs) > 1e-4 * max(1e-8, abs(lhs) + abs(rhs)):
             hits += 1
@@ -693,6 +699,15 @@ def _check_grids(grids):
                 )
 
 
+def _check_tolerances(tolerances):
+    """Reject a tolerance that is not a number before any cell runs (ValueError names the suite)."""
+    if not isinstance(tolerances, dict):
+        raise ValueError(f"tolerances must map suite ids to numbers, got {tolerances!r}")
+    for name, tol in tolerances.items():
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+            raise ValueError(f"tolerance of suite {name!r} must be a number, got {tol!r}")
+
+
 def run_verify(
     suite: str = "all",
     grids: Optional[dict] = None,
@@ -703,6 +718,7 @@ def run_verify(
     grids = grids or {}
     tolerances = tolerances or {}
     _check_grids(grids)
+    _check_tolerances(tolerances)
     if suite == "all":
         names = sorted(SUITES)
     elif suite in SUITES:

@@ -132,6 +132,16 @@ USAGE_ERRORS = {
         tmp / "r.json", json.dumps([{"theorem_id": "x"}]))],
     "grid_axis_not_a_list": lambda tmp: ["verify", "--config", _write(
         tmp / "cfg.json", json.dumps({"grids": {"tt": {"n": 3}}}))],
+    "unknown_output_format": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"suites": ["corollary_B"], "output": {"format": "xml"}}))],
+    "tolerance_not_a_number": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"suites": ["corollary_B"],
+                                      "tolerances": {"corollary_B": "1e-8"}}))],
+    "suites_a_string": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"suites": "corollary_B"}))],
+    "config_not_an_object": lambda tmp: ["verify", "--config", _write(tmp / "cfg.json", "[]")],
+    "output_not_an_object": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"suites": ["corollary_B"], "output": "json"}))],
 }
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from bszego import oracle
+from bszego.errors import NoConvergence
 from bszego.oracle import (
     FiniteDirect,
     IntegrandSpec,
-    RealLineRational,
     SingularityGuard,
     ThetaSubstituted,
 )
@@ -164,14 +164,11 @@ def test_guard_boundary_continuity():
 
 
 def test_rational_interval_kind_through_integrate():
-    spec = IntegrandSpec(lambda x: 1.0 / (4.0 + x * x), RealLineRational())
-    val, _ = oracle.integrate(spec, tol=1e-10)
+    val = oracle.improper_integral(lambda x: 1.0 / (4.0 + x * x), decay="RationalOrder2", tol=1e-10)
     assert val == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 def test_no_convergence_carries_best_estimate():
-    from bszego.errors import NoConvergence
-
     # a jump discontinuity defeats bisection refinement at any depth
     spec = IntegrandSpec(lambda x: np.sign(x - 1 / math.e), FiniteDirect(0.0, 1.0))
     with pytest.raises(NoConvergence) as info:
@@ -254,6 +251,97 @@ def test_trapezoid_samples_in_bounded_chunks():
     i0 = math.pi / math.sqrt(c * c - 1.0)
     assert vals[0] == pytest.approx(i0, rel=1e-10)
     assert vals[1] == pytest.approx(c * i0 - math.pi, rel=1e-10)  # t = c - (c - t)
+
+
+# ---------------------------------------------------------------------------
+# level-batched bisection against a depth-first reference
+
+
+def _depth_first(f, lo, hi, tol):
+    """One panel per evaluator call, depth first: the bisection before level batching.
+
+    Returns (value, err_est, accepted panels as (lo, hi) in position order,
+    the number of panels split or accepted at each depth).
+    """
+
+    def panel(a, b):
+        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
+        vals = np.asarray(f(mid + hw * oracle._GX))
+        if vals.ndim == 1:
+            return hw * float(np.dot(oracle._GW, vals))
+        return hw * (oracle._GW @ vals)
+
+    width = hi - lo
+    coarse = panel(lo, hi)
+    rough = np.max(np.abs(np.atleast_1d(coarse)))
+    stack = [(lo, hi, coarse, 0)]
+    accepted = []
+    per_depth = [0] * (oracle._MAX_DEPTH + 1)
+    err = 0.0
+    while stack:
+        a, b, ca, depth = stack.pop()
+        per_depth[depth] += 1
+        m = 0.5 * (a + b)
+        left, right = panel(a, m), panel(m, b)
+        fine = left + right
+        diff = np.max(np.abs(np.atleast_1d(fine - ca)))
+        budget = tol * max(1.0, rough) * max((b - a) / width, 1e-6)
+        if diff <= 0.25 * budget or depth >= oracle._MAX_DEPTH:
+            if depth >= oracle._MAX_DEPTH and diff > budget:
+                raise NoConvergence("not converged", best=fine, err_est=diff)
+            accepted.append((a, b, fine))
+            err += diff / 15.0
+        else:
+            stack.append((m, b, right, depth + 1))
+            stack.append((a, m, left, depth + 1))
+    total = accepted[0][2]
+    for _, _, v in accepted[1:]:
+        total = total + v
+    return total, err, [(a, b) for a, b, _ in accepted], [p for p in per_depth if p]
+
+
+def _recording(f):
+    """f, and the list of the point arrays it is called with."""
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    return g, calls
+
+
+def _kinked(x):
+    # a kink at 0.3, a steep bump at 2 and a fast oscillation: refinement goes
+    # many levels deep, and some levels hold more panels than one call takes
+    x = np.asarray(x)
+    return np.abs(x - 0.3) ** 1.5 + 1.0 / (1e-3 + (x - 2.0) ** 2) + np.cos(1000.0 * x)
+
+
+def _kinked_columns(x):
+    x = np.asarray(x)
+    return np.stack([_kinked(x), np.cos(7.0 * x), x ** 3 * np.exp(-x)], axis=-1)
+
+
+@pytest.mark.parametrize("f", [_kinked, _kinked_columns], ids=["scalar", "npts_by_3"])
+def test_level_batching_accepts_the_depth_first_panels(f):
+    tol = 1e-12
+    g, batched = _recording(f)
+    value, err = oracle._adaptive(g, 0.0, 3.0, tol)
+    h, reference = _recording(f)
+    ref_value, ref_err, panels, per_depth = _depth_first(h, 0.0, 3.0, tol)
+    # the same panels were split, so both evaluated the same points
+    assert len(reference) == 1 + 2 * (2 * len(panels) - 1)
+    assert np.array_equal(np.sort(np.concatenate(batched)), np.sort(np.concatenate(reference)))
+    scale = 1.0 + np.abs(ref_value)
+    assert np.all(np.abs(np.asarray(value) - ref_value) <= 1e-15 * scale)
+    assert abs(err - ref_err) <= 1e-15 * np.max(scale)
+    # no call above the chunk bound, at most (levels x chunks) calls after the first
+    assert max(c.size for c in batched) <= oracle._TRAP_CHUNK
+    halves_per_call = oracle._TRAP_CHUNK // oracle._GX.size
+    chunks = -(-2 * max(per_depth) // halves_per_call)
+    assert chunks > 1
+    assert len(batched) <= 1 + len(per_depth) * chunks
 
 
 def test_oracle_imports_only_stdlib_numpy_and_errors():

@@ -1,17 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from bszego import suites, weight_models
 from bszego.pick_measures import (
     MatchedMeasure,
     PickFunction,
     density,
     matched_measure,
+    matched_pair,
     moment_match_all,
     moment_match_check,
     pick_eval,
 )
+from bszego.quadrature import oracle_moments
+from bszego.szego_polys import OrthoPoly
 from bszego.weight_models import Family, MeasureFactor, WeightSpec, xi_eta_eval
 
 
@@ -153,3 +158,47 @@ class TestMomentMatching:
         meas = matched_measure(cpc(1, 1), PickFunction(0.0, 1j))
         with pytest.raises(ValueError):
             moment_match_check(meas, 2)
+
+
+class TestMatchedPair:
+    def test_measure_is_its_pair_with_phi_and_form(self):
+        spec, phi = cpc(3, 5), PickFunction(0.5, 1.0 + 1.0j, ((1.0, -1j),))
+        pair = matched_pair(spec)
+        assert pair.moments == tuple(oracle_moments(pair.base_spec, 2 * pair.k - 1))
+        for form in ("measure2", "measure5"):
+            got, want = matched_measure(spec, phi, form), pair.measure(phi, form)
+            assert type(got) is type(want) is MatchedMeasure
+            for field in dataclasses.fields(MatchedMeasure):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(a, OrthoPoly):
+                    assert (a.degree, a.leading_coeff, a.weight) == (b.degree, b.leading_coeff, b.weight)
+                    assert np.array_equal(a.poly.coeffs, b.poly.coeffs)
+                else:
+                    assert a == b, field.name
+            assert (got.phi, got.form) == (phi, form)
+        with pytest.raises(ValueError):
+            pair.measure(phi, "measure3")
+        with pytest.raises(ValueError):
+            matched_pair(cpc(2, 4))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)])
+    def test_boundary_cell_builds_one_pair(self, monkeypatch, n, m):
+        # the factor (and its root check) is built once for the cell's 30
+        # draws; every draw is still checked, and each breaks moment 2k-1
+        roots, checks = [], []
+        poly_roots, check = weight_models.poly_roots, suites.moment_match_check
+
+        def counted_roots(*args, **kwargs):
+            roots.append(args)
+            return poly_roots(*args, **kwargs)
+
+        def recorded_check(meas, j, tol):
+            lhs, rhs = check(meas, j, tol=tol)
+            checks.append(abs(lhs - rhs) > 1e-4 * max(1e-8, abs(lhs) + abs(rhs)))
+            return lhs, rhs
+
+        monkeypatch.setattr(weight_models, "poly_roots", counted_roots)
+        monkeypatch.setattr(suites, "moment_match_check", recorded_check)
+        assert suites._measure3_boundary(n, m) == 0.0
+        assert len(roots) == (0 if n + m == 2 else 1)  # k = 1 normalises a constant instead
+        assert len(checks) == 30 and all(checks)
