@@ -9,8 +9,8 @@ Exit codes: 0 all records passed, 1 at least one failure, 2 usage error
 (an unknown suite or family, an invalid grid or rule parameter, a config
 that is not a JSON object or whose output is not one, whose suites are not a
 list, whose tolerance is not a number or whose output format is unknown, or a
-config or report file that is missing or not JSON). These config errors are
-found before any suite runs.
+config or report file that is missing or not JSON). These config errors,
+an unknown suite id among them, are found before any suite runs.
 The environment variable BSZEGO_SEED is reserved as a randomness seed for
 property tests; the verification suites use fixed seeds and ignore it.
 """
@@ -22,7 +22,7 @@ import json
 import sys
 from typing import List
 
-from .errors import BszegoError
+from .errors import BszegoError, UnknownSuite
 from .quadrature import rule_cos_plus_cosh, rule_cosh_minus_cos, rule_squared
 from .suites import SUITES, VerificationRecord, run_verify
 from .weight_models import Family
@@ -95,6 +95,9 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"suites must be a list of suite ids, got {suites!r}")
     if suites == ["all"] or "all" in suites:
         suites = ["all"]
+    unknown = [s for s in suites if s != "all" and s not in SUITES]
+    if unknown:
+        raise UnknownSuite(f"unknown suite {unknown[0]!r}; known: {sorted(SUITES)}")
     fmt = args.format or output.get("format", "text")
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown output format {fmt!r}; known: {sorted(_RENDERERS)}")

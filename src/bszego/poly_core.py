@@ -195,6 +195,11 @@ def poly_roots(p: RealPolynomial, max_iter: int = 120, rel_residual: float = 1e-
     |p(z)| / sum |c_i| |z|^i, which reduces to |p(z)| <= rel_residual *
     max|coeff| for roots of modest modulus but stays meaningful for roots
     far outside the unit circle where absolute polynomial values blow up.
+
+    Each step makes one Horner pass over a stacked table whose rows are p,
+    p' (padded with a top zero) and |c|, evaluated at z, z and |z|. The
+    pass at the new iterates then gives both the next Aberth correction and
+    the backward error of those iterates, so no step evaluates p twice.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -204,32 +209,40 @@ def poly_roots(p: RealPolynomial, max_iter: int = 120, rel_residual: float = 1e-
         coeffs = coeffs[1:]
         zero_roots += 1
     d = len(coeffs) - 1
-    roots = [0.0 + 0.0j] * zero_roots
+    roots = np.zeros(zero_roots, dtype=complex)
     if d == 0:
-        return np.asarray(roots)
+        return roots
     monic = coeffs / coeffs[-1]
     radius = max(abs(monic[0]) ** (1.0 / d), 1e-3)
     angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d + 0.42
     z = radius * np.exp(1j * angles)
 
-    dcoef = monic[1:] * np.arange(1, d + 1)
-    abs_monic = np.abs(monic)
+    table = np.zeros((3, d + 1), dtype=complex)
+    table[0] = monic
+    table[1, :d] = monic[1:] * np.arange(1, d + 1)
+    table[2] = np.abs(monic)
+    points = np.empty((3, d), dtype=complex)
+    acc = np.empty((3, d), dtype=complex)
 
-    def horner(c, x):
-        acc = np.full_like(x, c[-1])
-        for ck in c[-2::-1]:
-            acc = acc * x + ck
-        return acc
-
-    def backward_error(x):
-        return np.abs(horner(monic, x)) / horner(abs_monic, np.abs(x).astype(complex)).real
-
-    converged = False
-    for _ in range(max_iter):
-        pv = horner(monic, z)
-        dv = horner(dcoef, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
+    for it in range(max_iter + 1):
+        points[0] = z
+        points[1] = z
+        points[2] = np.abs(z)
+        acc[...] = table[:, -1:]
+        for k in range(d - 1, -1, -1):
+            acc *= points
+            acc += table[:, k : k + 1]
+        worst = float(np.max(np.abs(acc[0]) / acc[2].real))
+        if it and worst < 1e-15:
+            break
+        if it == max_iter:
+            if worst > rel_residual / (d + 1):
+                raise NoConvergence(
+                    f"Aberth backward error {worst:.3e} above {rel_residual:.1e}/(d+1)"
+                )
+            break
+        dv = np.where(acc[1] == 0, 1e-300, acc[1])
+        w = acc[0] / dv
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         s = np.sum(1.0 / diff, axis=1)
@@ -238,15 +251,5 @@ def poly_roots(p: RealPolynomial, max_iter: int = 120, rel_residual: float = 1e-
         step = w / denom
         z = z - step
         if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(z))):
-            converged = True
             break
-        if np.max(backward_error(z)) < 1e-15:
-            converged = True
-            break
-
-    worst = float(np.max(backward_error(z)))
-    if not converged and worst > rel_residual / (d + 1):
-        raise NoConvergence(
-            f"Aberth backward error {worst:.3e} above {rel_residual:.1e}/(d+1)"
-        )
-    return np.concatenate([np.asarray(roots, dtype=complex), z])
+    return np.concatenate([roots, z])

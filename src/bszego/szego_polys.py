@@ -55,9 +55,9 @@ class OrthoPoly:
     def __post_init__(self):
         if not self.leading_coeff > 0:
             raise ValueError("leading coefficient must be positive")
-        if self.known_roots is not None:
+        if self.known_roots:
             scale = np.max(np.abs(self.poly.coeffs))
-            worst = max(abs(float(self.poly(r))) for r in self.known_roots)
+            worst = float(np.max(np.abs(self.poly(np.asarray(self.known_roots, dtype=float)))))
             if worst > 1e-9 * scale:
                 raise ValueError(f"claimed root fails evaluation check: {worst:.3e}")
 
@@ -90,6 +90,44 @@ def szego_factor_poly_values(factor: SzegoFactor, k: int, measure_factor: Measur
     raise ValueError(f"no construction for measure factor {measure_factor}")
 
 
+def _trimseq(c):
+    """Drop trailing exact zeros, keeping at least one coefficient."""
+    nz = np.flatnonzero(c)
+    return c[: nz[-1] + 1] if nz.size else c[:1]
+
+
+def _add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    out = p.copy()
+    out[: len(q)] += q
+    return _trimseq(out)
+
+
+def _cheb_to_power(c, a):
+    """Power coefficients in t of the Chebyshev series c on the domain [-a, 1].
+
+    numpy's Chebyshev(c, domain=[-a, 1]).convert(kind=Polynomial) runs
+    Clenshaw's recurrence on Polynomial objects. This runs the same recurrence
+    on plain arrays, with the same operations in the same order and the same
+    trimming of exact trailing zeros, so the result is bit-identical:
+    x = off + scl t maps [-a, 1] onto [-1, 1], and u - v is u + (-v) in IEEE
+    arithmetic.
+    """
+    off, scl = np.polynomial.polyutils.mapparms(np.array([-a, 1.0]), np.array([-1.0, 1.0]))
+    x = np.array([off, scl])
+    if len(c) == 1:
+        c0, c1 = c[:1], np.zeros(1)
+    elif len(c) == 2:
+        c0, c1 = c[:1], c[1:]
+    else:
+        x2 = 2.0 * x
+        c0, c1 = c[-2:-1], c[-1:]
+        for j in range(len(c) - 3, -1, -1):
+            c0, c1 = _add(c[j : j + 1], -c1), _add(c0, _trimseq(np.convolve(c1, x2)))
+    return _add(c0, _trimseq(np.convolve(c1, x)))
+
+
 def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor) -> OrthoPoly:
     """Orthonormal polynomial of degree k for the factor's weight.
 
@@ -108,8 +146,7 @@ def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor
     nodes_t = 0.5 * ((1.0 - a) + (1.0 + a) * nodes_x)
     vals = szego_factor_poly_values(factor, k, measure_factor, nodes_t)
     cheb = np.polynomial.chebyshev.chebfit(nodes_x, vals, k)
-    series = np.polynomial.Chebyshev(cheb, domain=[-a, 1.0])
-    coeffs = series.convert(kind=np.polynomial.Polynomial).coef
+    coeffs = _cheb_to_power(cheb, a)
     poly = RealPolynomial(coeffs).trimmed(1e-12)
     if poly.degree != k:
         poly = RealPolynomial(coeffs)  # keep full length if trailing term is tiny but real

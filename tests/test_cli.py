@@ -142,6 +142,8 @@ USAGE_ERRORS = {
     "config_not_an_object": lambda tmp: ["verify", "--config", _write(tmp / "cfg.json", "[]")],
     "output_not_an_object": lambda tmp: ["verify", "--config", _write(
         tmp / "cfg.json", json.dumps({"suites": ["corollary_B"], "output": "json"}))],
+    "unknown_suite_in_list": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"suites": ["corollary_B", "nope"]}))],
 }
 
 
@@ -151,6 +153,16 @@ def test_usage_errors_exit_2(capsys, tmp_path, case):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_unknown_suite_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setitem(SUITES, "corollary_B", lambda grid, tol: ran.append(grid) or [])
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"suites": ["corollary_B", "nope"]}))
+    code, out, err = run_cli(capsys, "verify", "--config", cfg)
+    assert code == 2
+    assert err.startswith("error: unknown suite 'nope'")
+    assert ran == [] and out == ""
 
 
 class TestFaultIsolation:

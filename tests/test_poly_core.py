@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bszego.errors import SymmetryViolation
+from bszego.errors import NoConvergence, SymmetryViolation
 from bszego.poly_core import (
     RealPolynomial,
     cheb_T,
@@ -177,3 +177,112 @@ class TestRoots:
         roots = poly_roots(p)
         assert len(roots) == 20
         assert np.max(np.abs(p(roots))) <= 1e-8 * np.max(np.abs(coeffs))
+
+
+def _reference_roots(p, max_iter=120, rel_residual=1e-8):
+    """Aberth iteration as written before the stacked Horner pass: one Horner
+    pass per row, and a separate backward-error pass after every step."""
+    coeffs = p.coeffs
+    zero_roots = 0
+    while coeffs[0] == 0.0:
+        coeffs = coeffs[1:]
+        zero_roots += 1
+    d = len(coeffs) - 1
+    roots = [0.0 + 0.0j] * zero_roots
+    if d == 0:
+        return np.asarray(roots)
+    monic = coeffs / coeffs[-1]
+    radius = max(abs(monic[0]) ** (1.0 / d), 1e-3)
+    angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d + 0.42
+    z = radius * np.exp(1j * angles)
+    dcoef = monic[1:] * np.arange(1, d + 1)
+    abs_monic = np.abs(monic)
+
+    def horner(c, x):
+        acc = np.full_like(x, c[-1])
+        for ck in c[-2::-1]:
+            acc = acc * x + ck
+        return acc
+
+    def backward_error(x):
+        return np.abs(horner(monic, x)) / horner(abs_monic, np.abs(x).astype(complex)).real
+
+    converged = False
+    for _ in range(max_iter):
+        pv = horner(monic, z)
+        dv = horner(dcoef, z)
+        dv = np.where(dv == 0, 1e-300, dv)
+        w = pv / dv
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        s = np.sum(1.0 / diff, axis=1)
+        denom = 1.0 - w * s
+        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+        step = w / denom
+        z = z - step
+        if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(z))):
+            converged = True
+            break
+        if np.max(backward_error(z)) < 1e-15:
+            converged = True
+            break
+    worst = float(np.max(backward_error(z)))
+    if not converged and worst > rel_residual / (d + 1):
+        raise NoConvergence(f"Aberth backward error {worst:.3e} above {rel_residual:.1e}/(d+1)")
+    return np.concatenate([np.asarray(roots, dtype=complex), z])
+
+
+def _seeded_factor_polys(count=24, seed=7):
+    """Spectral factors h of seeded draws over both base families, n + m <= 64,
+    a log-uniform in [0.5, 2]; built from the circle samples without the
+    validation, so factors that build_szego_factor rejects are included."""
+    from bszego.weight_models import (
+        Family, WeightSpec, _theta_grid_samples, expected_rho_degree,
+    )
+
+    rng = np.random.default_rng(seed)
+    polys = []
+    while len(polys) < count:
+        family = (Family.CosPlusCosh, Family.CoshMinusCosOverT)[len(polys) % 2]
+        total = int(rng.integers(2, 65))
+        n = int(rng.integers(1, total))
+        a = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
+        spec = WeightSpec(n, total - n, a, family)
+        deg = expected_rho_degree(spec)
+        N = 1
+        while N < 2 * (deg + 1):
+            N *= 2
+        try:
+            h = poly_from_circle_samples(_theta_grid_samples(spec, N), deg)
+        except SymmetryViolation:
+            continue
+        if h.degree >= 1:
+            polys.append(pytest.param(h, id=f"{family.value}-{spec.n}-{spec.m}-deg{h.degree}"))
+    return polys
+
+
+class TestRootsBitIdentity:
+    """The stacked Horner pass does the floating-point operations of the
+    per-row passes: iterates, stopping tests and errors are unchanged."""
+
+    @pytest.mark.parametrize("h", _seeded_factor_polys())
+    def test_seeded_factors(self, h):
+        assert np.array_equal(poly_roots(h), _reference_roots(h))
+
+    def test_zero_root_deflation(self):
+        rng = np.random.default_rng(3)
+        p = RealPolynomial(np.concatenate([[0.0, 0.0, 0.0], rng.uniform(-1, 1, 12)]))
+        roots = poly_roots(p)
+        assert np.array_equal(roots, _reference_roots(p))
+        assert np.count_nonzero(roots == 0) == 3
+        only_zeros = RealPolynomial([0.0, 0.0, 2.0])
+        assert np.array_equal(poly_roots(only_zeros), _reference_roots(only_zeros))
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 3])
+    def test_no_convergence_within_budget(self, max_iter):
+        p = RealPolynomial(np.random.default_rng(40).uniform(-1, 1, 41))
+        with pytest.raises(NoConvergence) as ours:
+            poly_roots(p, max_iter=max_iter)
+        with pytest.raises(NoConvergence) as reference:
+            _reference_roots(p, max_iter=max_iter)
+        assert str(ours.value) == str(reference.value)

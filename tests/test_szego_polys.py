@@ -7,6 +7,7 @@ from bszego.errors import DegreeThreshold, ParityError
 from bszego.quadrature import weighted_oracle_integral
 from bszego.szego_polys import (
     OrthoPoly,
+    _cheb_to_power,
     explicit_eval,
     explicit_family,
     kernel_eval,
@@ -157,6 +158,25 @@ class TestExplicitFamilies:
              -math.sin(math.pi / 6) ** 2, -math.sin(math.pi / 3) ** 2]
         )
         assert np.allclose(sorted(p.known_roots), expected, atol=1e-15)
+
+    def test_degree_zero(self):
+        # M = m + m' = 2 leaves no root: the polynomial is the constant 4/a sqrt(2/pi)
+        spec = WeightSpec(1, 1, 2.0, Family.ProductCoshMinusCos, MeasureFactor.SqrtBoth,
+                          m_prime=1)
+        p = explicit_family(spec)
+        assert p.degree == 0 and p.known_roots == ()
+        (constant,) = p.poly.coeffs
+        assert constant == explicit_eval(spec, np.asarray([0.731579]))[0]
+        assert constant == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-14)
+
+    def test_wrong_claimed_root_rejected(self):
+        spec = spec_cpc(3, 5, 2.0)
+        p = explicit_family(spec)
+        roots = list(p.known_roots)
+        OrthoPoly(p.degree, p.poly, p.leading_coeff, spec, known_roots=tuple(roots))
+        roots[1] += 1e-3
+        with pytest.raises(ValueError, match="claimed root"):
+            OrthoPoly(p.degree, p.poly, p.leading_coeff, spec, known_roots=tuple(roots))
 
     def test_parity_errors(self):
         with pytest.raises(ParityError):
@@ -330,3 +350,26 @@ class TestMomentStatements:
 
         val = math.sqrt(spec.a) * weighted_oracle_integral(spec, f)
         assert val == pytest.approx(math.pi / 2, abs=1e-8)
+
+
+class TestChebyshevToPower:
+    """_cheb_to_power runs numpy's Clenshaw conversion on plain arrays."""
+
+    @pytest.mark.parametrize("k", range(34))
+    def test_bit_identical_to_numpy_convert(self, k):
+        rng = np.random.default_rng(100 + k)
+        for a in (0.5, 1.0, 2.0, float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))):
+            c = rng.standard_normal(k + 1) * 10.0 ** rng.uniform(-6, 6, k + 1)
+            if k >= 4:
+                c[-2] = 0.0  # an exact zero inside the recurrence
+            reference = np.polynomial.Chebyshev(c, domain=[-a, 1.0]).convert(
+                kind=np.polynomial.Polynomial).coef
+            assert np.array_equal(_cheb_to_power(c, a), reference)
+
+    def test_trailing_zeros_trimmed_like_numpy(self):
+        for c in ([0.0], [-0.0], [1.5, 0.0], [2.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
+            c = np.asarray(c)
+            reference = np.polynomial.Chebyshev(c, domain=[-0.7, 1.0]).convert(
+                kind=np.polynomial.Polynomial).coef
+            ours = _cheb_to_power(c, 0.7)
+            assert ours.tobytes() == reference.tobytes()
