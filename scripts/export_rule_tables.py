@@ -10,7 +10,10 @@ import argparse
 import pathlib
 import sys
 
-from bszego.quadrature import rule_cos_plus_cosh, rule_cosh_minus_cos, rule_squared
+# Import bszego from this checkout's src, so the script runs without installing.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from bszego.quadrature import rule_cos_plus_cosh, rule_cosh_minus_cos, rule_squared  # noqa: E402
 
 COMBOS = [
     ("cos_plus_cosh", rule_cos_plus_cosh, [(1, 1), (3, 5), (5, 7), (9, 11)]),

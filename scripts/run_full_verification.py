@@ -9,8 +9,11 @@ import pathlib
 import sys
 import time
 
-from bszego.cli import records_to_json, records_to_text
-from bszego.suites import run_verify
+# Import bszego from this checkout's src, so the script runs without installing.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from bszego.cli import records_to_json, records_to_text  # noqa: E402
+from bszego.suites import run_verify  # noqa: E402
 
 
 def main() -> int:

@@ -197,11 +197,9 @@ def moment_match_check(meas: MatchedMeasure, j: int, tol: float = 1e-8):
 
 def moment_match_all(meas: MatchedMeasure, tol: float = 1e-8):
     """All matched moments j = 0..2k-2 in one adaptive pass; returns (lhs, rhs) arrays."""
-    powers = np.arange(2 * meas.k - 1)
 
     def f(x):
-        x = np.asarray(x)
-        return x[:, None] ** powers[None, :] * density(meas, x)[:, None]
+        return np.vander(x, 2 * meas.k - 1, increasing=True) * density(meas, x)[:, None]
 
     lhs = oracle.improper_integral(f, decay="RationalOrder2", tol=tol)
     return np.asarray(lhs), meas.kappa_ratio * np.asarray(meas.moments[: 2 * meas.k - 1])

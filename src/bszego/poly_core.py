@@ -200,6 +200,9 @@ def poly_roots(p: RealPolynomial, max_iter: int = 120, rel_residual: float = 1e-
     p' (padded with a top zero) and |c|, evaluated at z, z and |z|. The
     pass at the new iterates then gives both the next Aberth correction and
     the backward error of those iterates, so no step evaluates p twice.
+
+    Iterates that overflow make that backward error NaN; the pass that sees
+    a non-finite backward error raises NoConvergence at once.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -233,10 +236,12 @@ def poly_roots(p: RealPolynomial, max_iter: int = 120, rel_residual: float = 1e-
             acc *= points
             acc += table[:, k : k + 1]
         worst = float(np.max(np.abs(acc[0]) / acc[2].real))
+        if not np.isfinite(worst):
+            raise NoConvergence(f"Aberth backward error is {worst} after {it} steps")
         if it and worst < 1e-15:
             break
         if it == max_iter:
-            if worst > rel_residual / (d + 1):
+            if not worst <= rel_residual / (d + 1):
                 raise NoConvergence(
                     f"Aberth backward error {worst:.3e} above {rel_residual:.1e}/(d+1)"
                 )

@@ -199,11 +199,15 @@ def weighted_oracle_integral(spec: WeightSpec, f, tol: float = 1e-11, guards=())
 
 
 def oracle_moments(spec: WeightSpec, degree_max: int, tol: float = 1e-11) -> np.ndarray:
-    """Weighted moments mu_j = int t^j w(t) dt for j = 0..degree_max, one pass."""
-    powers = np.arange(degree_max + 1)
+    """Weighted moments mu_j = int t^j w(t) dt for j = 0..degree_max, one pass.
+
+    The integrand is one monomial table per evaluator call, built by
+    cumulative products (``np.vander``); t^j then carries at most j
+    rounding errors.
+    """
 
     def f(t):
-        return np.asarray(t)[:, None] ** powers[None, :]
+        return np.vander(t, degree_max + 1, increasing=True)
 
     return np.asarray(weighted_oracle_integral(spec, f, tol=tol))
 

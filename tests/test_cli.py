@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -275,3 +276,17 @@ class TestRegistry:
         assert doc["summary"]["total"] == len(records)
         assert len(doc["runtimes_ms"]) == len(records)
         assert "runtime" not in json.dumps(doc["records"])
+
+
+class TestCoreDict:
+    @pytest.mark.parametrize("error", [None, "RootInDisk"])
+    def test_equals_asdict_without_runtime_and_error(self, error):
+        rec = VerificationRecord(
+            theorem_id="demo", params={"n": 3, "m": 5, "a": 0.5}, closed_form=1.5,
+            oracle_value=1.25, abs_error=0.25, tol=1e-8, passed=False, runtime_ms=7, error=error,
+        )
+        want = {k: v for k, v in dataclasses.asdict(rec).items() if k not in ("runtime_ms", "error")}
+        got = rec.core_dict()
+        assert got == want
+        assert list(got) == list(want)
+        assert got["params"] is not rec.params

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bszego import suites, weight_models
+from bszego import oracle, suites, weight_models
 from bszego.pick_measures import (
     MatchedMeasure,
     PickFunction,
@@ -202,3 +202,20 @@ class TestMatchedPair:
         assert suites._measure3_boundary(n, m) == 0.0
         assert len(roots) == (0 if n + m == 2 else 1)  # k = 1 normalises a constant instead
         assert len(checks) == 30 and all(checks)
+
+
+class TestMomentTable:
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)])
+    @pytest.mark.parametrize("phi, form", [("i", "measure2"), ("pole", "measure5")])
+    def test_moment_match_all_matches_pow_table(self, n, m, phi, form):
+        # the cumulative-product monomial table against the elementwise pow
+        # table it replaced, on the matched pairs the measure3 cells build
+        meas = matched_measure(WeightSpec(n, m, 1.0), suites._PHI_SET[phi], form=form)
+        lhs, _ = moment_match_all(meas, tol=1e-9)
+        powers = np.arange(2 * meas.k - 1)
+
+        def f(x):
+            return np.asarray(x)[:, None] ** powers[None, :] * density(meas, x)[:, None]
+
+        want = np.asarray(oracle.improper_integral(f, decay="RationalOrder2", tol=1e-9))
+        assert np.max(np.abs(lhs - want)) <= 1e-12

@@ -286,3 +286,13 @@ class TestRootsBitIdentity:
         with pytest.raises(NoConvergence) as reference:
             _reference_roots(p, max_iter=max_iter)
         assert str(ours.value) == str(reference.value)
+
+
+class TestRootsNonFinite:
+    """Iterates that overflow raise NoConvergence instead of returning NaN roots."""
+
+    @pytest.mark.parametrize("coeffs", [[1.0, 1e200, 1.0], [1.0, 1.0, 1e-300]])
+    def test_overflow_raises(self, coeffs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NoConvergence, match="not finite|nan"):
+                poly_roots(RealPolynomial(coeffs))

@@ -27,7 +27,7 @@ from bszego.quadrature import (
 )
 from bszego.szego_polys import explicit_family
 from bszego.weight_models import Family, MeasureFactor, WeightSpec
-from bszego import oracle
+from bszego import oracle, suites
 
 
 class TestAlphaBeta:
@@ -457,3 +457,60 @@ class TestLimitSeries:
 
         want = oracle.improper_integral(f, "Exponential", tol=1e-9, two_sided=True, block=30.0)
         assert series == pytest.approx(want / (2 * math.pi**6), abs=1e-6 * (1 + abs(series)))
+
+
+def _loop_exactness(rule, seed, signed=False):
+    """The rule-exactness check as written before the matrix form: 100
+    consecutive seeded draws, one np.polyval per polynomial."""
+    degree = rule.exact_degree - 1 if signed else rule.exact_degree
+    mu = oracle_moments(rule.spec, degree, tol=1e-12)
+    nodes = np.asarray(rule.nodes)
+    weights = np.asarray(rule.weights)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        c = rng.uniform(-1.0, 1.0, degree + 1)
+        vals = np.polyval(c[::-1], nodes)
+        got = float(weights @ (nodes * vals if signed else vals))
+        want = float(c @ mu)
+        worst = max(worst, abs(got - want) / (1.0 + abs(want)))
+    return worst
+
+
+class TestMonomialTables:
+    """Power-moment integrands are cumulative-product Vandermonde tables,
+    and the rule-exactness check is two matrix products."""
+
+    @pytest.mark.parametrize("builder, n, m, a, seed, signed, bound", [
+        (rule_cos_plus_cosh, 3, 5, 0.5, suites._SEED + 3 * 37 + 5, False, 1e-14),
+        (rule_cos_plus_cosh, 7, 9, 1.0, suites._SEED + 7 * 37 + 9, False, 1e-14),
+        # nodes up to -2 and degree 15: |t|^15 reaches 3.3e4, and the
+        # returned error is itself rounding noise (2.3e-13 in either form)
+        (rule_cos_plus_cosh, 1, 15, 2.0, suites._SEED + 1 * 37 + 15, False, 1e-13),
+        (rule_squared, 2, 3, 1.0, suites._SEED + 2 * 101 + 3, False, 1e-14),
+        (rule_squared, 5, 5, 2.0, suites._SEED + 5 * 101 + 5, False, 1e-14),
+        (rule_cosh_minus_cos, 3, 4, 0.5, suites._SEED + 3 * 11 + 4, True, 1e-14),
+        (rule_cosh_minus_cos, 7, 6, 1.0, suites._SEED + 7 * 11 + 6, True, 1e-14),
+    ])
+    def test_exactness_matches_loop_form(self, builder, n, m, a, seed, signed, bound):
+        # oracle_moments is deterministic, so both forms see the same mu
+        rule = builder(n, m, a)
+        got = suites._exactness(rule, seed, signed=signed)
+        assert got == pytest.approx(_loop_exactness(rule, seed, signed=signed), rel=0, abs=bound)
+
+    @pytest.mark.parametrize("d", [0, 1, 5, 15, 30])
+    def test_one_draw_is_the_stacked_draws(self, d):
+        one = np.random.default_rng(d + 11).uniform(-1.0, 1.0, (100, d + 1))
+        rng = np.random.default_rng(d + 11)
+        stacked = np.stack([rng.uniform(-1.0, 1.0, d + 1) for _ in range(100)])
+        assert np.array_equal(one, stacked)
+
+    @pytest.mark.parametrize("n, m, a", [(3, 5, 0.5), (1, 15, 2.0)])
+    def test_oracle_moments_match_pow_table(self, n, m, a):
+        rule = rule_cos_plus_cosh(n, m, a)
+        powers = np.arange(rule.exact_degree + 1)
+        want = np.asarray(weighted_oracle_integral(
+            rule.spec, lambda t: np.asarray(t)[:, None] ** powers[None, :], tol=1e-12
+        ))
+        got = oracle_moments(rule.spec, rule.exact_degree, tol=1e-12)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
