@@ -6,11 +6,13 @@ Subcommands:
     report   re-render a JSON report
 
 Exit codes: 0 all records passed, 1 at least one failure, 2 usage error
-(an unknown suite or family, an invalid grid or rule parameter, a config
-that is not a JSON object or whose output is not one, whose suites are not a
-list, whose tolerance is not a number or whose output format is unknown, or a
-config or report file that is missing or not JSON). These config errors,
-an unknown suite id among them, are found before any suite runs.
+(an unknown suite or family, an invalid grid or rule parameter, an `a` so far
+out of scale that a rule builder overflows, a config that is not a JSON
+object or whose output is not one, whose suites are not a list or whose
+output format is unknown, a tolerance that is not a finite non-negative
+number, or a config or report file that is missing or not JSON). These
+config and tolerance errors, an unknown suite id among them, are found
+before any suite runs.
 The environment variable BSZEGO_SEED is reserved as a randomness seed for
 property tests; the verification suites use fixed seeds and ignore it.
 """
@@ -123,7 +125,10 @@ def _cmd_rule(args) -> int:
     builder = _RULE_BUILDERS.get(args.family)
     if builder is None:
         raise ValueError(f"unknown family {args.family!r}; known: {sorted(_RULE_BUILDERS)}")
-    rule = builder(args.n, args.m, args.a)
+    try:
+        rule = builder(args.n, args.m, args.a)
+    except ArithmeticError as exc:  # a far out of scale: sinh overflows or underflows to 0
+        raise ValueError(f"rule parameters out of floating-point range: {exc}") from exc
     if args.format == "json":
         doc = rule.to_json_dict()
         doc["nodes"] = [float(_fmt(x)) for x in doc["nodes"]]

@@ -41,14 +41,16 @@ from .pick_measures import (
     moment_match_check,
 )
 from .poly_core import RealPolynomial, cheb_T
-from .szego_polys import _sin2n_sinhM_over, szego_orthonormal
+from .szego_polys import szego_orthonormal
 from .weight_models import (
     Family,
     MeasureFactor,
     WeightSpec,
     build_szego_factor,
+    continued_block,
     expected_rho_degree,
     rho_eval,
+    series_guard,
     xi_eta_eval,
 )
 
@@ -191,11 +193,8 @@ def _orthogonality_rows(spec, scale, j_sin, cos_measure, j_cos):
 
     def f_sin(t):
         t = np.asarray(t)
-        small = np.abs(t) < 1e-6
-        eta_t = np.empty_like(t)
-        eta_t[~small] = xi_eta_eval(spec, t[~small])[1] / t[~small]
-        eta_t[small] = c * (1.0 + slope * t[small])
         eta = xi_eta_eval(spec, t)[1]
+        eta_t = series_guard(t, eta, t, c, c * slope)
         return np.column_stack([eta_t, eta[:, None] * np.vander(t, j_sin + 1, increasing=True)])
 
     vals = scale * np.asarray(quad.weighted_oracle_integral(spec, f_sin, tol=1e-11))
@@ -235,8 +234,9 @@ def _square(n, m, a):
 
     def f(t):
         t = np.asarray(t)
-        over_t = _sin2n_sinhM_over(t, n, 2 * m, a, 1, c0, slope)
-        plain = _sin2n_sinhM_over(t, n, 2 * m, a, 0, 0.0, 0.0)
+        _, S, _, Sh = continued_block(t, 2 * n, 2 * m, a)
+        plain = np.sign(t) * S * Sh  # sin(2n asin sqrt t) sinh(2m asinh sqrt(t/a))
+        over_t = series_guard(t, plain, t, c0, c0 * slope)
         return np.column_stack([over_t, plain[:, None] * np.vander(t, m + n - 1, increasing=True)])
 
     vals = np.asarray(quad.weighted_oracle_integral(spec, f, tol=1e-11))
@@ -699,13 +699,20 @@ def _check_grids(grids):
                 )
 
 
-def _check_tolerances(tolerances):
-    """Reject a tolerance that is not a number before any cell runs (ValueError names the suite)."""
+def _check_tolerances(tolerances, tol_override):
+    """Reject, before any cell runs, a tolerance that checks nothing: not a
+    number, NaN (fails every record), +inf (passes every record) or negative
+    (fails every record).  The ValueError names the suite or the override."""
     if not isinstance(tolerances, dict):
         raise ValueError(f"tolerances must map suite ids to numbers, got {tolerances!r}")
-    for name, tol in tolerances.items():
+    named = [(f"suite {name!r}", tol) for name, tol in tolerances.items()]
+    if tol_override is not None:
+        named.append(("the override", tol_override))
+    for name, tol in named:
         if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-            raise ValueError(f"tolerance of suite {name!r} must be a number, got {tol!r}")
+            raise ValueError(f"tolerance of {name} must be a number, got {tol!r}")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance of {name} must be finite and non-negative, got {tol!r}")
 
 
 def run_verify(
@@ -718,7 +725,7 @@ def run_verify(
     grids = grids or {}
     tolerances = tolerances or {}
     _check_grids(grids)
-    _check_tolerances(tolerances)
+    _check_tolerances(tolerances, tol_override)
     if suite == "all":
         names = sorted(SUITES)
     elif suite in SUITES:

@@ -30,7 +30,16 @@ import numpy as np
 
 from .errors import DegreeThreshold, ParityError
 from .poly_core import RealPolynomial
-from .weight_models import Family, MeasureFactor, SzegoFactor, WeightSpec, expected_rho_degree, xi_eta_eval
+from .weight_models import (
+    Family,
+    MeasureFactor,
+    SzegoFactor,
+    WeightSpec,
+    continued_block,
+    expected_rho_degree,
+    series_guard,
+    xi_eta_eval,
+)
 
 __all__ = [
     "OrthoPoly",
@@ -40,8 +49,6 @@ __all__ = [
     "kernel_eval",
     "leading_ratio_check",
 ]
-
-_SERIES_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -160,37 +167,13 @@ def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor
     )
 
 
-def _sin2n_sinhM_over(t, n, M, a, t_power, series_const, series_slope):
-    """sin(2n asin sqrt t) sinh(M asinh sqrt(t/a)) / t^t_power with continuation.
-
-    For t < 0 the product continues to -sinh(2n asinh sqrt(-t)) sin(M asin sqrt(-t/a)).
-    A two-term series handles |t| < 1e-6 when t_power = 1.
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    small = np.abs(t) < (_SERIES_RADIUS if t_power else -1.0)
-    pos = (t >= 0) & ~small
-    tp = t[pos]
-    out[pos] = (
-        np.sin(2.0 * n * np.arcsin(np.sqrt(tp)))
-        * np.sinh(M * np.arcsinh(np.sqrt(tp / a)))
-        / tp ** t_power
-    )
-    neg = (t < 0) & ~small
-    tn = t[neg]
-    out[neg] = (
-        -np.sinh(2.0 * n * np.arcsinh(np.sqrt(-tn)))
-        * np.sin(M * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0))))
-        / tn ** t_power
-    )
-    if np.any(small):
-        ts = t[small]
-        out[small] = series_const * (1.0 + series_slope * ts)
-    return out
-
-
 def explicit_eval(spec: WeightSpec, t):
-    """Closed-form values of the family's distinguished orthonormal polynomial."""
+    """Closed-form values of the family's distinguished orthonormal polynomial.
+
+    Every family is a product of the factors of `continued_block`, at (n, m)
+    or (2n, 2m) or (2n, m + m'), divided by t or sqrt|t| through
+    `series_guard` where the quotient has a removable singularity at t = 0.
+    """
     t = np.asarray(t, dtype=float)
     n, m, a = spec.n, spec.m, spec.a
     fam, mf = spec.family, spec.measure_factor
@@ -201,61 +184,28 @@ def explicit_eval(spec: WeightSpec, t):
     if fam is Family.CosPlusCosh and mf is MeasureFactor.SqrtBoth:
         eta = xi_eta_eval(spec, t)[1]
         return (2.0 / math.sqrt(math.pi)) * eta / np.sqrt((1.0 - t) * (a + t))
-    if fam is Family.SquaredCosPlusCosh:
-        val = _sin2n_sinhM_over(t, n, 2 * m, a, 0, 0.0, 0.0)
-        return c2pi * val / np.sqrt((1.0 - t) * (a + t))
     if fam is Family.CoshMinusCosOverT:
-        out = np.empty_like(t)
-        small = np.abs(t) < _SERIES_RADIUS
-        pos = (t >= 0) & ~small
-        neg = (t < 0) & ~small
-        tp, tn, ts = t[pos], t[neg], t[small]
+        C, S, Ch, Sh = continued_block(t, n, m, a)
         if n % 2 == 1:
-            out[pos] = (
-                np.sin(n * np.arcsin(np.sqrt(tp)))
-                * np.cosh(m * np.arcsinh(np.sqrt(tp / a))) / np.sqrt(tp)
-            )
-            out[neg] = (
-                np.sinh(n * np.arcsinh(np.sqrt(-tn)))
-                * np.cos(m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))) / np.sqrt(-tn)
-            )
-            out[small] = n * (1.0 + ts * ((1.0 - n * n) / 6.0 + m * m / (2.0 * a)))
+            c0, slope = n, (1.0 - n * n) / 6.0 + m * m / (2.0 * a)
+            num = S * Ch
         else:
-            out[pos] = (
-                np.cos(n * np.arcsin(np.sqrt(tp)))
-                * np.sinh(m * np.arcsinh(np.sqrt(tp / a))) / np.sqrt(tp)
-            )
-            out[neg] = (
-                np.cosh(n * np.arcsinh(np.sqrt(-tn)))
-                * np.sin(m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))) / np.sqrt(-tn)
-            )
-            out[small] = (m / math.sqrt(a)) * (
-                1.0 + ts * ((m * m - 1.0) / (6.0 * a) - n * n / 2.0)
-            )
-        return (2.0 / math.sqrt(math.pi)) * out
-    M = (m + spec.m_prime) if spec.m_prime is not None else None
-    if fam is Family.ProductCosPlusCosh:
-        val = _sin2n_sinhM_over(t, n, M, a, 0, 0.0, 0.0)
-        return c2pi * val / np.sqrt((1.0 - t) * (a + t))
+            c0, slope = m / math.sqrt(a), (m * m - 1.0) / (6.0 * a) - n * n / 2.0
+            num = C * Sh
+        return (2.0 / math.sqrt(math.pi)) * series_guard(t, num, np.sqrt(np.abs(t)), c0, c0 * slope)
+    # the squared family is the cos-plus-cosh product with m' = m
+    M = 2 * m if fam is Family.SquaredCosPlusCosh else m + (spec.m_prime or 0)
+    _, S, Ch, Sh = continued_block(t, 2 * n, M, a)
+    if fam in (Family.SquaredCosPlusCosh, Family.ProductCosPlusCosh):
+        return c2pi * (np.sign(t) * S * Sh) / np.sqrt((1.0 - t) * (a + t))
     if fam is Family.ProductCoshMinusCos:
+        c0 = 2.0 * n * M / math.sqrt(a)
         slope = (1.0 - 4.0 * n * n) / 6.0 + (M * M - 1.0) / (6.0 * a)
-        val = _sin2n_sinhM_over(t, n, M, a, 1, 2.0 * n * M / math.sqrt(a), slope)
+        val = series_guard(t, np.sign(t) * S * Sh, t, c0, c0 * slope)
         return c2pi * val / np.sqrt((1.0 - t) * (a + t))
     if fam is Family.MixedPlusMinus:
-        out = np.empty_like(t)
-        small = np.abs(t) < _SERIES_RADIUS
-        pos = (t >= 0) & ~small
-        neg = (t < 0) & ~small
-        tp, tn, ts = t[pos], t[neg], t[small]
-        out[pos] = (
-            np.sin(2.0 * n * np.arcsin(np.sqrt(tp)))
-            * np.cosh(M * np.arcsinh(np.sqrt(tp / a))) / np.sqrt(tp)
-        )
-        out[neg] = (
-            np.sinh(2.0 * n * np.arcsinh(np.sqrt(-tn)))
-            * np.cos(M * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))) / np.sqrt(-tn)
-        )
-        out[small] = 2.0 * n * (1.0 + ts * ((1.0 - 4.0 * n * n) / 6.0 + M * M / (2.0 * a)))
+        c0, slope = 2.0 * n, (1.0 - 4.0 * n * n) / 6.0 + M * M / (2.0 * a)
+        out = series_guard(t, S * Ch, np.sqrt(np.abs(t)), c0, c0 * slope)
         return c2pi * out / np.sqrt(1.0 - t)
     raise ParityError(f"no explicit polynomial for {fam} with {mf}")
 

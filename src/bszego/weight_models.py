@@ -13,11 +13,17 @@ the defining trigonometric expression on the unit circle.
 
 Negative t is always handled by the explicit real continuations
 asin(sqrt(t)) = i asinh(sqrt(-t)) and asinh(sqrt(t/a)) = i asin(sqrt(-t/a)),
-never by complex square roots.
+never by complex square roots.  They are written once, in `continued_block`,
+which returns the four factors cos, sin, cosh, sinh of the block on both sides
+of t = 0; `series_guard` swaps a quotient by t or sqrt|t| for its two-term
+Taylor series near t = 0.  Every closed form in the package (rho, xi/eta, the
+explicit orthonormal polynomials, the circle samples of the factor) is built
+from these two.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +39,8 @@ __all__ = [
     "SzegoFactor",
     "rho_eval",
     "xi_eta_eval",
+    "continued_block",
+    "series_guard",
     "expected_rho_degree",
     "build_szego_factor",
     "squared_factor",
@@ -80,8 +88,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be positive integers")
-        if not self.a > 0:
-            raise ValueError("a must be positive")
+        if not (self.a > 0 and math.isfinite(self.a)):
+            raise ValueError(f"a must be positive and finite, got {self.a!r}")
         if self.n + self.m > _PARAM_CAP:
             raise ValueError(f"n + m capped at {_PARAM_CAP} to control interpolation error")
         if self.family in _PRODUCT_FAMILIES:
@@ -115,23 +123,50 @@ def _rho_cpc(t, n, m, a):
     return cheb_T(n, 1.0 - 2.0 * t) + cheb_T(m, 1.0 + 2.0 * t / a)
 
 
+def continued_block(t, n, m, a):
+    """The factors (C, S, Ch, Sh) of the block, continued to t < 0.
+
+    For t >= 0, with A = n asin sqrt t and B = m asinh sqrt(t/a), they are
+    (cos A, sin A, cosh B, sinh B).  For t < 0, with Q = n asinh sqrt(-t) and
+    P = m asin sqrt(min(-t/a, 1)), they are (cosh Q, sinh Q, cos P, sin P).
+    So cos(n asin sqrt t) cosh(m asinh sqrt(t/a)) = C Ch on both sides,
+    sin(n asin sqrt t) sinh(m asinh sqrt(t/a)) = sign(t) S Sh, and
+    sin(n asin sqrt t)/sqrt t = S/sqrt|t|, likewise for Sh.
+    """
+    t = np.asarray(t, dtype=float)
+    C, S, Ch, Sh = (np.empty_like(t) for _ in range(4))
+    pos = t >= 0.0
+    tp, tn = t[pos], t[~pos]
+    A = n * np.arcsin(np.sqrt(tp))
+    B = m * np.arcsinh(np.sqrt(tp / a))
+    C[pos], S[pos], Ch[pos], Sh[pos] = np.cos(A), np.sin(A), np.cosh(B), np.sinh(B)
+    Q = n * np.arcsinh(np.sqrt(-tn))
+    P = m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))
+    C[~pos], S[~pos], Ch[~pos], Sh[~pos] = np.cosh(Q), np.sinh(Q), np.cos(P), np.sin(P)
+    return C, S, Ch, Sh
+
+
+def series_guard(t, num, den, c0, c1):
+    """num/den, or the two-term Taylor series c0 + c1 t where |t| < 1e-6.
+
+    Near t = 0 the quotient of a removable singularity cancels; the caller
+    supplies its own series coefficients.
+    """
+    t = np.asarray(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(t) < _SERIES_RADIUS, c0 + c1 * t, num / den)
+
+
 def _rho_cmc(t, n, m, a):
     """(cosh(2m asinh sqrt(t/a)) - cos(2n asin sqrt(t))) / t with series fallback.
 
     Direct evaluation cancels catastrophically near t = 0; below |t| < 1e-6 a
     two-term Taylor series keeps the relative error under 1e-12.
     """
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    small = np.abs(t) < _SERIES_RADIUS
-    ts = t[small]
-    out[small] = (
-        2.0 * (m * m / a + n * n)
-        + (2.0 * ts / 3.0) * ((m ** 4 - m * m) / (a * a) - (n ** 4 - n * n))
-    )
-    tb = t[~small]
-    out[~small] = (cheb_T(m, 1.0 + 2.0 * tb / a) - cheb_T(n, 1.0 - 2.0 * tb)) / tb
-    return out
+    diff = cheb_T(m, 1.0 + 2.0 * t / a) - cheb_T(n, 1.0 - 2.0 * t)
+    c0 = 2.0 * (m * m / a + n * n)
+    c1 = (2.0 / 3.0) * ((m ** 4 - m * m) / (a * a) - (n ** 4 - n * n))
+    return series_guard(t, diff, t, c0, c1)
 
 
 def rho_eval(spec: WeightSpec, t):
@@ -167,20 +202,9 @@ def xi_eta_eval(spec: WeightSpec, t):
     Satisfies 2(xi^2 + eta^2) = rho_a identically.
     """
     tt = _check_domain(t, spec.a)
-    n, m, a = spec.n, spec.m, spec.a
-    xi = np.empty_like(tt)
-    eta = np.empty_like(tt)
-    pos = tt >= 0.0
-    tp = tt[pos]
-    A = n * np.arcsin(np.sqrt(tp))
-    B = m * np.arcsinh(np.sqrt(tp / a))
-    xi[pos] = np.cos(A) * np.cosh(B)
-    eta[pos] = np.sin(A) * np.sinh(B)
-    tn = tt[~pos]
-    P = m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))
-    Q = n * np.arcsinh(np.sqrt(-tn))
-    xi[~pos] = np.cos(P) * np.cosh(Q)
-    eta[~pos] = -np.sin(P) * np.sinh(Q)
+    C, S, Ch, Sh = continued_block(tt, spec.n, spec.m, spec.a)
+    xi = C * Ch
+    eta = np.sign(tt) * S * Sh
     if np.ndim(t):
         return xi, eta
     return float(xi[0]), float(eta[0])
@@ -247,23 +271,12 @@ def _theta_grid_samples(spec: WeightSpec, n_samples: int):
         phase = (1j ** (-n)) * np.exp(1j * (n + m) * th / 2.0)
         vals_upper = phase * np.sqrt(2.0) * (xi + 1j * eta)
     elif spec.family is Family.CoshMinusCosOverT:
-        F = np.empty(len(th), dtype=complex)
-        pos = t > _SERIES_RADIUS
-        tp = t[pos]
-        A = n * np.arcsin(np.sqrt(tp))
-        B = m * np.arcsinh(np.sqrt(tp / a))
-        F[pos] = np.sqrt(2.0 / tp) * (np.sin(A) * np.cosh(B) - 1j * np.cos(A) * np.sinh(B))
-        neg = t < -_SERIES_RADIUS
-        tn = t[neg]
-        P = m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))
-        Q = n * np.arcsinh(np.sqrt(-tn))
-        F[neg] = np.sqrt(-2.0 / tn) * (np.cos(P) * np.sinh(Q) - 1j * np.sin(P) * np.cosh(Q))
-        mid = ~(pos | neg)
-        if np.any(mid):
-            tm = t[mid]
-            # sqrt(2/t) sin(n asin sqrt t - i m asinh sqrt(t/a)) is an even
-            # function of sqrt(t): analytic across t = 0 with this limit.
-            F[mid] = np.sqrt(2.0) * ((n - 1j * m / np.sqrt(a)) + tm * 0.0)
+        C, S, Ch, Sh = continued_block(t, n, m, a)
+        # sqrt(2/t) sin(n asin sqrt t - i m asinh sqrt(t/a)) is an even
+        # function of sqrt(t): analytic across t = 0 with this limit.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F = np.sqrt(2.0 / np.abs(t)) * (S * Ch - 1j * C * Sh)
+        F = series_guard(t, F, 1.0, np.sqrt(2.0) * (n - 1j * m / np.sqrt(a)), 0.0)
         phase = (1j ** (1 - n)) * np.exp(1j * (n + m - 1) * th / 2.0)
         vals_upper = phase * F
     else:

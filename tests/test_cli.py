@@ -145,6 +145,28 @@ USAGE_ERRORS = {
         tmp / "cfg.json", json.dumps({"suites": ["corollary_B"], "output": "json"}))],
     "unknown_suite_in_list": lambda tmp: ["verify", "--config", _write(
         tmp / "cfg.json", json.dumps({"suites": ["corollary_B", "nope"]}))],
+    # a tolerance that fails every record (negative, NaN) or passes every one (inf)
+    "tol_negative": lambda tmp: ["verify", "--suite", "corollary_B", "--tol", "-1"],
+    "tol_nan": lambda tmp: ["verify", "--suite", "corollary_B", "--tol", "nan"],
+    "tol_inf": lambda tmp: ["verify", "--suite", "corollary_B", "--tol", "inf"],
+    "tol_minus_inf": lambda tmp: ["verify", "--suite", "corollary_B", "--tol=-inf"],
+    "tolerance_negative": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"suites": ["corollary_B"],
+                                      "tolerances": {"corollary_B": -1}}))],
+    "tolerance_nan": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"suites": ["corollary_B"],
+                                      "tolerances": {"corollary_B": math.nan}}))],
+    "tolerance_inf": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"suites": ["corollary_B"],
+                                      "tolerances": {"corollary_B": math.inf}}))],
+    "rule_a_inf": lambda tmp: ["rule", "--n", "3", "--m", "5", "--a", "inf",
+                               "--family", "cos_plus_cosh"],
+    "rule_a_nan": lambda tmp: ["rule", "--n", "3", "--m", "5", "--a", "nan",
+                               "--family", "cos_plus_cosh"],
+    "rule_a_overflows": lambda tmp: ["rule", "--n", "3", "--m", "5", "--a", "1e300",
+                                     "--family", "cos_plus_cosh"],
+    "rule_a_underflows": lambda tmp: ["rule", "--n", "3", "--m", "4", "--a", "1e30",
+                                      "--family", "squared_cos_plus_cosh"],
 }
 
 
@@ -154,6 +176,20 @@ def test_usage_errors_exit_2(capsys, tmp_path, case):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_bad_tolerance_rejected_before_any_suite_runs(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(SUITES, "corollary_B", lambda grid, tol: ran.append(grid) or [])
+    code, out, err = run_cli(capsys, "verify", "--suite", "corollary_B", "--tol", "nan")
+    assert code == 2
+    assert err.startswith("error: tolerance of the override must be finite")
+    assert ran == [] and out == ""
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "corollary_B", "--tol", "0")
+    assert code in (0, 1) and err == ""
 
 
 def test_unknown_suite_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch):
