@@ -186,75 +186,55 @@ def poly_from_circle_samples(values, degree: int, tol: float = 1e-9) -> RealPoly
     return RealPolynomial(coeffs[: degree + 1].real)
 
 
-def poly_roots(p: RealPolynomial, max_iter: int = 120, rel_residual: float = 1e-8):
-    """All complex roots of p by Aberth-Ehrlich simultaneous iteration.
+def poly_roots(p: RealPolynomial):
+    """All complex roots of p: companion-matrix eigenvalues, Newton-polished.
 
-    Roots at the origin are deflated exactly first. The remaining monic
-    polynomial is seeded on the circle of radius (|c0/cd|)^(1/d) with
-    distinct perturbed angles. Acceptance uses the backward-error residual
-    |p(z)| / sum |c_i| |z|^i, which reduces to |p(z)| <= rel_residual *
-    max|coeff| for roots of modest modulus but stays meaningful for roots
-    far outside the unit circle where absolute polynomial values blow up.
-
-    Each step makes one Horner pass over a stacked table whose rows are p,
-    p' (padded with a top zero) and |c|, evaluated at z, z and |z|. The
-    pass at the new iterates then gives both the next Aberth correction and
-    the backward error of those iterates, so no step evaluates p twice.
-
-    Iterates that overflow make that backward error NaN; the pass that sees
-    a non-finite backward error raises NoConvergence at once.
+    Roots at the origin are deflated exactly first. `np.roots` gives the
+    eigenvalues of the companion matrix of the rest, which is backward stable
+    (Edelman & Murakami, Math. Comp. 64, 1995). Newton steps on the original
+    coefficients then polish them, at most 8, until no root moves by more
+    than 1e-15 (1 + max|z|). A root whose Newton step would land nearer to
+    another root than to where it started stays put, so two roots do not
+    collapse onto one. Each step is one Horner pass over the stacked rows
+    p, p' and |c| at z, z and |z|, which also gives the backward error
+    |p(z)| / sum |c_i| |z|^i; every root is returned at the iterate where
+    that error was least, so the polish never makes a root worse. A
+    non-finite coefficient or root, or a failed eigenvalue solve, raises
+    NoConvergence.
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
-    coeffs = p.coeffs
-    zero_roots = 0
-    while coeffs[0] == 0.0:
-        coeffs = coeffs[1:]
-        zero_roots += 1
+    if not np.all(np.isfinite(p.coeffs)):
+        raise NoConvergence(f"non-finite coefficient in {p}")
+    zero_roots = int(np.flatnonzero(p.coeffs)[0])
+    coeffs = p.coeffs[zero_roots:]
     d = len(coeffs) - 1
-    roots = np.zeros(zero_roots, dtype=complex)
-    if d == 0:
-        return roots
-    monic = coeffs / coeffs[-1]
-    radius = max(abs(monic[0]) ** (1.0 / d), 1e-3)
-    angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d + 0.42
-    z = radius * np.exp(1j * angles)
-
-    table = np.zeros((3, d + 1), dtype=complex)
-    table[0] = monic
-    table[1, :d] = monic[1:] * np.arange(1, d + 1)
-    table[2] = np.abs(monic)
-    points = np.empty((3, d), dtype=complex)
-    acc = np.empty((3, d), dtype=complex)
-
-    for it in range(max_iter + 1):
-        points[0] = z
-        points[1] = z
-        points[2] = np.abs(z)
-        acc[...] = table[:, -1:]
+    try:
+        z = np.roots(coeffs[::-1]).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenvalues failed: {exc}") from exc
+    table = np.zeros((3, d + 1))
+    table[0] = coeffs
+    table[1, :d] = coeffs[1:] * np.arange(1, d + 1)
+    table[2] = np.abs(coeffs)
+    best, best_err, moved = z, np.full(d, np.inf), np.inf
+    for it in range(9):
+        points = np.stack([z, z, np.abs(z)])
+        acc = table[:, -1:] * np.ones_like(points)
         for k in range(d - 1, -1, -1):
             acc *= points
             acc += table[:, k : k + 1]
-        worst = float(np.max(np.abs(acc[0]) / acc[2].real))
-        if not np.isfinite(worst):
-            raise NoConvergence(f"Aberth backward error is {worst} after {it} steps")
-        if it and worst < 1e-15:
+        err = np.abs(acc[0]) / acc[2].real
+        better = err < best_err
+        best, best_err = np.where(better, z, best), np.where(better, err, best_err)
+        if it == 8 or not moved > 1e-15 * (1.0 + np.max(np.abs(z), initial=0.0)):
             break
-        if it == max_iter:
-            if not worst <= rel_residual / (d + 1):
-                raise NoConvergence(
-                    f"Aberth backward error {worst:.3e} above {rel_residual:.1e}/(d+1)"
-                )
-            break
-        dv = np.where(acc[1] == 0, 1e-300, acc[1])
-        w = acc[0] / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = w / denom
+        step = np.divide(acc[0], acc[1], out=np.zeros(d, dtype=complex), where=acc[1] != 0)
+        gap = np.abs((z - step)[:, None] - z[None, :])
+        np.fill_diagonal(gap, np.inf)
+        step = np.where(np.abs(step) < np.min(gap, axis=1, initial=np.inf), step, 0.0)
         z = z - step
-        if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(z))):
-            break
-    return np.concatenate([roots, z])
+        moved = np.max(np.abs(step), initial=0.0)
+    if not np.all(np.isfinite(best)):
+        raise NoConvergence(f"non-finite root among {best}")
+    return np.concatenate([np.zeros(zero_roots, dtype=complex), best])

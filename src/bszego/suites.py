@@ -48,7 +48,6 @@ from .weight_models import (
     WeightSpec,
     build_szego_factor,
     continued_block,
-    expected_rho_degree,
     rho_eval,
     series_guard,
     xi_eta_eval,
@@ -342,15 +341,11 @@ def _fejer_riesz_cells(grid, tol):
 
 def _fejer_riesz(family, n, m, a):
     spec = WeightSpec(n, m, a, Family(family))
-    factor = build_szego_factor(spec)  # raises RootInDisk for a root inside the disk
-    theta = np.linspace(0.0, np.pi, 512)
+    # raises on a wrong degree, h(0) <= 0, a residual above 1e-9 max rho or a root in the disk
+    factor = build_szego_factor(spec)
+    theta = np.linspace(0.0, np.pi, 512)  # the residual's grid in _validate_factor
     t = np.clip(0.5 * ((1 - a) + (1 + a) * np.cos(theta)), -a, 1.0)
-    rho = rho_eval(spec, t)
-    resid = np.abs(np.abs(factor.h(np.exp(1j * theta))) ** 2 - rho)
-    worst = float(np.max(resid) / np.max(rho))
-    if not factor.h(0.0) > 0 or factor.h.degree != expected_rho_degree(spec):
-        worst = math.inf
-    return worst
+    return factor.max_factorization_residual / float(np.max(rho_eval(spec, t)))
 
 
 @_cells("kernel", {"n": [1, 3, 5, 7, 9, 11], "m": [1, 3, 5, 7, 9, 11], "a": [1.0, 2.0]},

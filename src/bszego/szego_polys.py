@@ -63,10 +63,14 @@ class OrthoPoly:
         if not self.leading_coeff > 0:
             raise ValueError("leading coefficient must be positive")
         if self.known_roots:
-            scale = np.max(np.abs(self.poly.coeffs))
-            worst = float(np.max(np.abs(self.poly(np.asarray(self.known_roots, dtype=float)))))
-            if worst > 1e-9 * scale:
-                raise ValueError(f"claimed root fails evaluation check: {worst:.3e}")
+            # backward error: |p(r)| against sum |c_i| |r|^i, the size of the terms that cancel
+            roots = np.asarray(self.known_roots, dtype=float)
+            err = np.abs(self.poly(roots))
+            scale = RealPolynomial(np.abs(self.poly.coeffs))(np.abs(roots))
+            bad = err > 1e-9 * scale
+            if np.any(bad):
+                worst = float(np.max(err[bad] / scale[bad]))
+                raise ValueError(f"claimed root fails evaluation check: backward error {worst:.3e}")
 
     def __call__(self, t):
         return self.poly(t)
@@ -242,6 +246,8 @@ def _explicit_roots(spec: WeightSpec):
     if fam is Family.CoshMinusCosOverT:
         if mf is not MeasureFactor.InvSqrtBoth:
             raise ParityError("cosh-minus-cos polynomial lives under the inv-sqrt-both measure")
+        if (n + m) % 2 == 0:
+            raise ParityError("cosh-minus-cos explicit form needs n, m of opposite parity")
         if n % 2 == 1:
             return pos_roots(n, (n - 1) // 2) + neg_roots(2 * m, m // 2, odd_numerators=True)
         return (

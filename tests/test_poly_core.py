@@ -179,120 +179,168 @@ class TestRoots:
         assert np.max(np.abs(p(roots))) <= 1e-8 * np.max(np.abs(coeffs))
 
 
-def _reference_roots(p, max_iter=120, rel_residual=1e-8):
-    """Aberth iteration as written before the stacked Horner pass: one Horner
-    pass per row, and a separate backward-error pass after every step."""
-    coeffs = p.coeffs
-    zero_roots = 0
-    while coeffs[0] == 0.0:
-        coeffs = coeffs[1:]
-        zero_roots += 1
-    d = len(coeffs) - 1
-    roots = [0.0 + 0.0j] * zero_roots
-    if d == 0:
-        return np.asarray(roots)
-    monic = coeffs / coeffs[-1]
-    radius = max(abs(monic[0]) ** (1.0 / d), 1e-3)
-    angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d + 0.42
-    z = radius * np.exp(1j * angles)
-    dcoef = monic[1:] * np.arange(1, d + 1)
-    abs_monic = np.abs(monic)
-
-    def horner(c, x):
-        acc = np.full_like(x, c[-1])
-        for ck in c[-2::-1]:
-            acc = acc * x + ck
-        return acc
-
-    def backward_error(x):
-        return np.abs(horner(monic, x)) / horner(abs_monic, np.abs(x).astype(complex)).real
-
-    converged = False
-    for _ in range(max_iter):
-        pv = horner(monic, z)
-        dv = horner(dcoef, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = w / denom
-        z = z - step
-        if np.max(np.abs(step)) < 1e-15 * (1.0 + np.max(np.abs(z))):
-            converged = True
-            break
-        if np.max(backward_error(z)) < 1e-15:
-            converged = True
-            break
-    worst = float(np.max(backward_error(z)))
-    if not converged and worst > rel_residual / (d + 1):
-        raise NoConvergence(f"Aberth backward error {worst:.3e} above {rel_residual:.1e}/(d+1)")
-    return np.concatenate([np.asarray(roots, dtype=complex), z])
-
-
-def _seeded_factor_polys(count=24, seed=7):
-    """Spectral factors h of seeded draws over both base families, n + m <= 64,
-    a log-uniform in [0.5, 2]; built from the circle samples without the
-    validation, so factors that build_szego_factor rejects are included."""
+def _raw_factor(family, n, m, a):
+    """The spectral factor h from the circle samples, without the validation
+    of build_szego_factor, so factors that it rejects are included."""
     from bszego.weight_models import (
         Family, WeightSpec, _theta_grid_samples, expected_rho_degree,
     )
 
+    spec = WeightSpec(n, m, a, Family(family))
+    deg = expected_rho_degree(spec)
+    N = 1
+    while N < 2 * (deg + 1):
+        N *= 2
+    return poly_from_circle_samples(_theta_grid_samples(spec, N), deg)
+
+
+def _seeded_factor_polys(count=24, seed=7):
+    """Spectral factors h of seeded draws over both base families, n + m <= 64,
+    a log-uniform in [0.5, 2]."""
     rng = np.random.default_rng(seed)
     polys = []
     while len(polys) < count:
-        family = (Family.CosPlusCosh, Family.CoshMinusCosOverT)[len(polys) % 2]
+        family = ("cos_plus_cosh", "cosh_minus_cos_over_t")[len(polys) % 2]
         total = int(rng.integers(2, 65))
         n = int(rng.integers(1, total))
         a = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
-        spec = WeightSpec(n, total - n, a, family)
-        deg = expected_rho_degree(spec)
-        N = 1
-        while N < 2 * (deg + 1):
-            N *= 2
         try:
-            h = poly_from_circle_samples(_theta_grid_samples(spec, N), deg)
+            h = _raw_factor(family, n, total - n, a)
         except SymmetryViolation:
             continue
         if h.degree >= 1:
-            polys.append(pytest.param(h, id=f"{family.value}-{spec.n}-{spec.m}-deg{h.degree}"))
+            polys.append(pytest.param(h, id=f"{family}-{n}-{total - n}-deg{h.degree}"))
     return polys
 
 
-class TestRootsBitIdentity:
-    """The stacked Horner pass does the floating-point operations of the
-    per-row passes: iterates, stopping tests and errors are unchanged."""
+def _backward_errors(p, roots):
+    """|p(z)| / sum |c_i| |z|^i at each root: the smallest relative change of
+    the coefficients that makes z an exact root."""
+    return np.abs(p(roots)) / RealPolynomial(np.abs(p.coeffs))(np.abs(roots))
+
+
+def _spread_polys(count=60, seed=11):
+    """Random polynomials of degree 1..63 whose coefficients spread over six
+    decades; on these plain companion eigenvalues reach a backward error of
+    up to about 3e4 eps, so the bound below needs the Newton polish."""
+    rng = np.random.default_rng(seed)
+    polys = []
+    for _ in range(count):
+        d = int(rng.integers(1, 64))
+        polys.append(RealPolynomial(rng.standard_normal(d + 1) * 10.0 ** rng.uniform(-3, 3, d + 1)))
+    return polys
+
+
+EPS = np.finfo(float).eps
+
+
+class TestRootsBackwardError:
+    """Every root is an exact root of p with coefficients changed by at most
+    (d + 1) eps relative, the rounding level of one Horner pass."""
 
     @pytest.mark.parametrize("h", _seeded_factor_polys())
     def test_seeded_factors(self, h):
-        assert np.array_equal(poly_roots(h), _reference_roots(h))
+        assert np.max(_backward_errors(h, poly_roots(h))) <= (h.degree + 1) * EPS
+
+    def test_random_polynomials(self):
+        for p in _spread_polys():
+            assert np.max(_backward_errors(p, poly_roots(p))) <= (p.degree + 1) * EPS
+
+    def test_polish_never_worse_than_eigenvalues(self):
+        for p in _spread_polys() + [h.values[0] for h in _seeded_factor_polys()]:
+            eig = np.roots(p.coeffs[::-1]).astype(complex)
+            assert np.all(_backward_errors(p, poly_roots(p)) <= _backward_errors(p, eig))
+
+
+class TestRootsDistinct:
+    """From eigenvalues in a tight cluster a Newton step can land on a
+    neighbour's root. Such a step is not taken, so no root is lost to a
+    duplicate of another (plain Newton returns 2, 2 and 4 duplicates here)."""
+
+    @pytest.mark.parametrize("family, n, m, a", [
+        ("cos_plus_cosh", 38, 4, 1.227026336634172),
+        ("cosh_minus_cos_over_t", 46, 9, 1.9283496720119073),
+        ("cos_plus_cosh", 3, 51, 0.6618127002082987),
+    ])
+    def test_no_two_roots_collapse(self, family, n, m, a):
+        h = _raw_factor(family, n, m, a)
+        roots = poly_roots(h)
+        gap = np.abs(roots[:, None] - roots[None, :])
+        np.fill_diagonal(gap, np.inf)
+        assert np.all(np.min(gap, axis=1) > 1e-7 * np.abs(roots))
+
+
+class TestRootsBitIdentity:
+    """Exact operations on p leave its roots unchanged bit for bit: a factor
+    z^k is deflated exactly, and scaling by a power of two leaves the
+    companion matrix and every Newton quotient as they were."""
+
+    @pytest.mark.parametrize("h", _seeded_factor_polys())
+    def test_seeded_factors(self, h):
+        roots = poly_roots(h)
+        for k in (-40, 40):
+            assert np.array_equal(poly_roots(RealPolynomial(np.ldexp(h.coeffs, k))), roots)
 
     def test_zero_root_deflation(self):
         rng = np.random.default_rng(3)
-        p = RealPolynomial(np.concatenate([[0.0, 0.0, 0.0], rng.uniform(-1, 1, 12)]))
-        roots = poly_roots(p)
-        assert np.array_equal(roots, _reference_roots(p))
-        assert np.count_nonzero(roots == 0) == 3
-        only_zeros = RealPolynomial([0.0, 0.0, 2.0])
-        assert np.array_equal(poly_roots(only_zeros), _reference_roots(only_zeros))
+        q = rng.uniform(-1, 1, 12)
+        roots = poly_roots(RealPolynomial(np.concatenate([[0.0, 0.0, 0.0], q])))
+        assert np.array_equal(roots, np.concatenate([np.zeros(3), poly_roots(RealPolynomial(q))]))
+        assert np.array_equal(poly_roots(RealPolynomial([0.0, 0.0, 2.0])), np.zeros(2))
 
-    @pytest.mark.parametrize("max_iter", [0, 1, 3])
-    def test_no_convergence_within_budget(self, max_iter):
-        p = RealPolynomial(np.random.default_rng(40).uniform(-1, 1, 41))
-        with pytest.raises(NoConvergence) as ours:
-            poly_roots(p, max_iter=max_iter)
-        with pytest.raises(NoConvergence) as reference:
-            _reference_roots(p, max_iter=max_iter)
-        assert str(ours.value) == str(reference.value)
+
+class TestRootsAgainstMpmath:
+    """The roots of validated factors agree with 40-digit roots of the same
+    float64 coefficients."""
+
+    @pytest.mark.parametrize("spec", [
+        (3, 5, 2.0, "cos_plus_cosh"),
+        (7, 9, 1.0, "cos_plus_cosh"),
+        (15, 17, 1.0, "cos_plus_cosh"),
+        (12, 11, 0.5, "cosh_minus_cos_over_t"),
+    ], ids=str)
+    def test_factor_roots(self, spec):
+        mpmath = pytest.importorskip("mpmath")
+        from bszego.weight_models import Family, WeightSpec, build_szego_factor
+
+        n, m, a, family = spec
+        h = build_szego_factor(WeightSpec(n, m, a, Family(family))).h
+        with mpmath.workdps(40):
+            exact = mpmath.polyroots([mpmath.mpf(c) for c in h.coeffs[::-1]],
+                                     maxsteps=400, extraprec=300)
+            exact = np.array([complex(z) for z in exact])
+        roots = poly_roots(h)
+        assert len(roots) == len(exact) == h.degree
+        gap = np.abs(roots[:, None] - exact[None, :])
+        assert np.max(np.min(gap, axis=1) / np.abs(roots)) <= 1e-11
+        assert np.max(np.min(gap, axis=0) / np.abs(exact)) <= 1e-11
+
+
+class TestRootsExtreme:
+    """Roots 400 and 300 decades apart come out exact."""
+
+    @pytest.mark.parametrize("coeffs, expected", [
+        ([1.0, 1e200, 1.0], [-1e-200, -1e200]),
+        ([1.0, 1.0, 1e-300], [-1.0, -1e300]),
+    ])
+    def test_exact_roots(self, coeffs, expected):
+        with np.errstate(over="ignore"):  # sum |c_i| |z|^i overflows at the large root
+            roots = poly_roots(RealPolynomial(coeffs))
+        roots = roots[np.argsort(np.abs(roots))]
+        assert np.all(roots.imag == 0)
+        assert np.allclose(roots.real, expected, rtol=4 * EPS, atol=0)
 
 
 class TestRootsNonFinite:
-    """Iterates that overflow raise NoConvergence instead of returning NaN roots."""
+    """A coefficient that overflowed to +-inf, or a NaN, raises NoConvergence
+    instead of giving roots (np.roots would return finite ones for an
+    infinite leading coefficient)."""
 
-    @pytest.mark.parametrize("coeffs", [[1.0, 1e200, 1.0], [1.0, 1.0, 1e-300]])
+    @pytest.mark.parametrize("coeffs", [[1.0, np.inf, 1.0], [1.0, 1.0, -np.inf]])
     def test_overflow_raises(self, coeffs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NoConvergence, match="not finite|nan"):
-                poly_roots(RealPolynomial(coeffs))
+        with pytest.raises(NoConvergence, match="non-finite"):
+            poly_roots(RealPolynomial(coeffs))
+
+    def test_nan_raises(self):
+        with pytest.raises(NoConvergence, match="non-finite"):
+            poly_roots(RealPolynomial([np.nan, 1.0, 1.0]))

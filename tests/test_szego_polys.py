@@ -178,6 +178,24 @@ class TestExplicitFamilies:
         with pytest.raises(ValueError, match="claimed root"):
             OrthoPoly(p.degree, p.poly, p.leading_coeff, spec, known_roots=tuple(roots))
 
+    @pytest.mark.parametrize("spec, degree", [
+        (spec_cpc(31, 33, 2.0), 32),
+        (WeightSpec(31, 33, 2.0, Family.SquaredCosPlusCosh, MeasureFactor.SqrtBoth), 63),
+        (WeightSpec(31, 32, 2.0, Family.CoshMinusCosOverT), 31),
+    ], ids=["cos_plus_cosh", "squared_cos_plus_cosh", "cosh_minus_cos_over_t"])
+    def test_high_degree_with_roots_beyond_one_builds(self, spec, degree):
+        # roots reach t = -a = -2, where the terms c_i r^i that cancel in
+        # p(r) are far larger than max|c|; the claimed roots are right
+        p = explicit_family(spec)
+        assert p.degree == len(p.known_roots) == degree
+        t = np.linspace(-1.9, 0.95, 7)
+        prod = np.prod(t[:, None] - np.asarray(p.known_roots), axis=1)
+        assert np.allclose(np.abs(explicit_eval(spec, t) / prod), p.leading_coeff, rtol=1e-9)
+        roots = list(p.known_roots)
+        roots[len(roots) // 2] += 1e-6
+        with pytest.raises(ValueError, match="claimed root"):
+            OrthoPoly(p.degree, p.poly, p.leading_coeff, spec, known_roots=tuple(roots))
+
     def test_parity_errors(self):
         with pytest.raises(ParityError):
             explicit_family(spec_cpc(2, 3, 1.0))
@@ -185,6 +203,13 @@ class TestExplicitFamilies:
             explicit_family(
                 WeightSpec(3, 3, 1.0, Family.CosPlusCosh, MeasureFactor.SqrtBoth)
             )
+
+    @pytest.mark.parametrize("n, m", [(3, 5), (2, 4), (1, 1)])
+    def test_quotient_family_needs_opposite_parity(self, n, m):
+        # at (3, 5, 1) the roots for odd n would give a polynomial 0.86 off
+        # the orthonormal one (relative, in the coefficients)
+        with pytest.raises(ParityError):
+            explicit_family(WeightSpec(n, m, 1.0, Family.CoshMinusCosOverT))
 
     @pytest.mark.parametrize(
         "spec",
