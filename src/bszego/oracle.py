@@ -47,6 +47,9 @@ __all__ = [
 
 _GX, _GW = leggauss(15)
 _MAX_DEPTH = 48
+# Subintervals one bisection call may hold (QUADPACK's `limit`): the default
+# sweep needs 26, Tier-1 12 021 and rules at the n + m <= 64 cap up to 59 002.
+_MAX_PANELS = 2 ** 16
 _TRAP_START = 64  # exact for cos(k theta), k < 128: any polynomial in t of degree < 128
 _TRAP_MAX = 2 ** 17
 _TRAP_CHUNK = 4096  # points per evaluator call on either path, bounding (npts, K) arrays
@@ -116,22 +119,21 @@ def _guarded(evaluator, guards):
 def _panels(f, lo, hi):
     """15-point Gauss values of f on the panels [lo[i], hi[i]]; shape (P,) or (P, K).
 
-    Consecutive panels share one evaluator call of at most _TRAP_CHUNK points.
+    Consecutive panels share one evaluator call of at most _TRAP_CHUNK points,
+    and only that call's points are ever tabulated.
     """
-    mid = 0.5 * (lo + hi)
-    hw = 0.5 * (hi - lo)
-    x = mid[:, None] + hw[:, None] * _GX
     per = _TRAP_CHUNK // _GX.size
     sums = []
-    for start in range(0, x.shape[0], per):
-        block = x[start:start + per]
+    for start in range(0, len(lo), per):
+        mid = 0.5 * (lo[start:start + per] + hi[start:start + per])
+        hw = 0.5 * (hi[start:start + per] - lo[start:start + per])
+        block = mid[:, None] + hw[:, None] * _GX
         vals = np.asarray(f(block.ravel()))
         if vals.ndim == 1:
-            sums.append(vals.reshape(block.shape) @ _GW)
+            sums.append(hw * (vals.reshape(block.shape) @ _GW))
         else:
-            sums.append(_GW @ vals.reshape(block.shape + vals.shape[1:]))
-    sums = np.concatenate(sums)
-    return hw * sums if sums.ndim == 1 else hw[:, None] * sums
+            sums.append(hw[:, None] * (_GW @ vals.reshape(block.shape + vals.shape[1:])))
+    return np.concatenate(sums)
 
 
 def _adaptive(f, lo, hi, tol):
@@ -140,12 +142,13 @@ def _adaptive(f, lo, hi, tol):
     Panels are accepted when bisecting changes their value by less than a
     quarter of their share of the tolerance budget, and split otherwise; a
     panel at depth _MAX_DEPTH changed by more than its whole share raises
-    NoConvergence. Refinement runs one depth level at a time: both halves of
-    every open panel are evaluated in calls of at most _TRAP_CHUNK points, so
-    the evaluator is called about once per level. The accepted panels are
-    those of a depth-first refinement; their values and their refinement
-    changes / 15 are summed in position order, so value and err_est agree with
-    the depth-first sums to rounding and repeat exactly from run to run.
+    NoConvergence, and so does a partition past _MAX_PANELS subintervals.
+    Refinement runs one depth level at a time: both halves of every open
+    panel are evaluated in calls of at most _TRAP_CHUNK points, so the
+    evaluator is called about once per level. The accepted panels are those
+    of a depth-first refinement; their values and their refinement changes
+    / 15 are summed in position order, so value and err_est agree with the
+    depth-first sums to rounding and repeat exactly from run to run.
     """
     width = hi - lo
     a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
@@ -175,6 +178,11 @@ def _adaptive(f, lo, hi, tol):
         split = np.repeat(~done, 2)
         if not np.any(split):
             break
+        if sum(map(len, done_lo)) + np.count_nonzero(split) > _MAX_PANELS:
+            best = sum(v.sum(axis=0) for v in done_val) + fine[~done].sum(axis=0)
+            err = sum(d.sum() for d in done_diff) / 15.0 + diff[~done].sum()
+            raise NoConvergence(f"more than {_MAX_PANELS} panels at depth {depth}",
+                                best=best, err_est=err)
         a, b, coarse = half_lo[split], half_hi[split], halves[split]
     order = np.argsort(np.concatenate(done_lo), kind="stable")
     values = np.concatenate(done_val)[order]

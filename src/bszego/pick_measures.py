@@ -33,7 +33,7 @@ from .weight_models import (
     build_szego_factor,
     expected_rho_degree,
 )
-from .poly_core import RealPolynomial
+from .poly_core import ChebSeries
 
 __all__ = [
     "PickFunction",
@@ -129,12 +129,7 @@ def matched_pair(spec: WeightSpec) -> MatchedPair:
         p_km1 = szego_orthonormal(factor, k - 1, MeasureFactor.InvSqrtBoth)
     elif k - 1 == 0:
         c0 = 1.0 / np.sqrt(moments[0])
-        p_km1 = OrthoPoly(
-            degree=0,
-            poly=RealPolynomial([c0]),
-            leading_coeff=c0,
-            weight=wspec,
-        )
+        p_km1 = OrthoPoly(poly=ChebSeries([c0], wspec.a), weight=wspec)
     else:
         raise DegreeThreshold(
             f"p_(k-1) not constructible: l = {l} >= 2(k-1) = {2 * (k - 1)}"

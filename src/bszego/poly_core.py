@@ -1,4 +1,4 @@
-"""Dense real polynomials and Chebyshev primitives.
+"""Dense real polynomials, Chebyshev series on [-a, 1] and Chebyshev primitives.
 
 Complex points are represented by Python/numpy complex numbers throughout.
 All functions accept scalars or numpy arrays and are pure.
@@ -10,6 +10,7 @@ import numpy as np
 from .errors import NoConvergence, SymmetryViolation
 
 __all__ = [
+    "ChebSeries",
     "RealPolynomial",
     "cheb_T",
     "cheb_U",
@@ -21,7 +22,7 @@ __all__ = [
 class RealPolynomial:
     """Dense polynomial with real coefficients, index = power of t.
 
-    Trailing exact zeros are trimmed on construction; the zero polynomial is
+    Trailing exact zeros are dropped on construction; the zero polynomial is
     stored as the single coefficient [0.0] and reports degree -1.
     """
 
@@ -45,10 +46,6 @@ class RealPolynomial:
     def is_zero(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0.0
 
-    @property
-    def leading(self) -> float:
-        return float(self.coeffs[-1])
-
     def __call__(self, z):
         # Horner evaluation; exact for degree 0, works for real/complex arrays.
         z = np.asarray(z)
@@ -62,24 +59,6 @@ class RealPolynomial:
             return RealPolynomial([0.0])
         k = np.arange(1, len(self.coeffs))
         return RealPolynomial(self.coeffs[1:] * k)
-
-    def shifted_down(self) -> "RealPolynomial":
-        """Divide by t. Requires an exactly-zero constant coefficient."""
-        if self.coeffs[0] != 0.0:
-            raise ValueError("constant term is nonzero, cannot divide by t")
-        if self.degree < 1:
-            return RealPolynomial([0.0])
-        return RealPolynomial(self.coeffs[1:])
-
-    def trimmed(self, rel_tol: float = 0.0) -> "RealPolynomial":
-        """Drop trailing coefficients smaller than rel_tol * max|coeff|."""
-        scale = np.max(np.abs(self.coeffs))
-        if scale == 0.0:
-            return RealPolynomial([0.0])
-        keep = np.nonzero(np.abs(self.coeffs) > rel_tol * scale)[0]
-        if keep.size == 0:
-            return RealPolynomial([0.0])
-        return RealPolynomial(self.coeffs[: keep[-1] + 1])
 
     def __mul__(self, other):
         if isinstance(other, RealPolynomial):
@@ -101,6 +80,48 @@ class RealPolynomial:
 
     def __repr__(self):
         return f"RealPolynomial({self.coeffs.tolist()})"
+
+
+class ChebSeries:
+    """Chebyshev series sum_j c_j T_j(x) on [-a, 1], x = (2t + a - 1)/(1 + a).
+
+    Holds exactly degree + 1 coefficients, none dropped, so series of one
+    degree have arrays of one shape. Evaluation works for every real t.
+    """
+
+    __slots__ = ("coeffs", "a")
+
+    def __init__(self, coeffs, a: float):
+        self.coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
+        self.coeffs.flags.writeable = False
+        self.a = float(a)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def leading(self) -> float:
+        """Coefficient of t^degree: c_k 2^(k-1) (2/(1+a))^k, and c_0 for k = 0."""
+        k, c = self.degree, float(self.coeffs[-1])
+        return c if k == 0 else c * 2.0 ** (k - 1) * (2.0 / (1.0 + self.a)) ** k
+
+    def __call__(self, t):
+        # Clenshaw's recurrence in the operation order of numpy's chebval
+        x = np.asarray(t, dtype=float) * (2.0 / (1.0 + self.a)) + (self.a - 1.0) / (1.0 + self.a)
+        c = self.coeffs if len(self.coeffs) > 1 else np.append(self.coeffs, 0.0)
+        c0, c1, x2 = c[-2], c[-1], x + x
+        for cj in c[-3::-1]:
+            c0, c1 = cj - c1, c1 * x2 + c0
+        out = c1 * x + c0
+        return out if out.shape else out[()]
+
+    def derivative(self) -> "ChebSeries":
+        dc = np.polynomial.chebyshev.chebder(self.coeffs)  # d/dx; dx/dt = 2/(1+a)
+        return ChebSeries(dc * (2.0 / (1.0 + self.a)), self.a)
+
+    def __repr__(self):
+        return f"ChebSeries({self.coeffs.tolist()}, a={self.a})"
 
 
 def cheb_T(n: int, x):

@@ -40,7 +40,7 @@ from .pick_measures import (
     moment_match_all,
     moment_match_check,
 )
-from .poly_core import RealPolynomial, cheb_T
+from .poly_core import ChebSeries, RealPolynomial, cheb_T
 from .szego_polys import szego_orthonormal
 from .weight_models import (
     Family,
@@ -357,13 +357,11 @@ def _kernel(n, m, a):
     pk = szego_orthonormal(factor, k, MeasureFactor.InvSqrtBoth)
     pk1 = szego_orthonormal(factor, k + 1, MeasureFactor.InvSqrtBoth)
     ratio = pk.leading_coeff / pk1.leading_coeff
-    pk0 = float(pk.poly(0.0))
-    pk10 = float(pk1.poly(0.0))
-
-    def kernel_at_zero(t):
-        t = np.asarray(t)
-        return ratio * (pk1.poly(t) * pk0 - pk.poly(t) * pk10) / t
-
+    # K_k(t, 0) = ratio (p_{k+1}(t) p_k(0) - p_k(t) p_{k+1}(0)) / t has degree k: divide the
+    # series by t = (1 + a)/2 (x - x(0)), not its values, which near t = 0 are rounding noise
+    num = pk(0.0) * pk1.poly.coeffs - pk1(0.0) * np.append(pk.poly.coeffs, 0.0)
+    quotient = np.polynomial.chebyshev.chebdiv(num, [(1.0 - a) / (1.0 + a), 1.0])[0]
+    kernel_at_zero = ChebSeries(ratio * 2.0 / (1.0 + a) * quotient, a)
     return 1.0, quad.weighted_oracle_integral(spec, kernel_at_zero, tol=1e-10)
 
 

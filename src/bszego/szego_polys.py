@@ -4,8 +4,12 @@ Two construction routes are provided and cross-checked in the tests:
 
 * the generic recipe from the spectral factor h, evaluated pointwise on the
   circle and interpolated at Chebyshev-spaced nodes, and
-* closed forms whose roots are known exactly, built as
-  leading_coeff * prod (t - root).
+* closed forms whose roots are known exactly, leading_coeff * prod (t - root).
+
+Both routes interpolate at the same k + 1 Chebyshev points of [-a, 1] and
+store the Chebyshev coefficients there (`ChebSeries`), never the power
+coefficients in t, which are ill-conditioned at high degree.  perfbench's
+factor gate reads `OrthoPoly.poly.coeffs`, so it compares these.
 
 With theta the circle variable, x = cos(theta) = (2t - 1 + a)/(1 + a), and
 l = deg rho, the generic recipes and their admissible degrees are
@@ -29,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegreeThreshold, ParityError
-from .poly_core import RealPolynomial
+from .poly_core import ChebSeries
 from .weight_models import (
     Family,
     MeasureFactor,
@@ -53,24 +57,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OrthoPoly:
-    degree: int
-    poly: RealPolynomial
-    leading_coeff: float
+    """An orthonormal polynomial, stored as a Chebyshev series on [-a, 1].
+
+    known_roots, when given, are all roots, in [-a, 1], and the series must
+    match leading_coeff * prod (t - root) within 1e-9 sum |c_j| at the
+    Chebyshev points: far from a moved root, the whole product moves with it.
+    """
+
+    poly: ChebSeries
     weight: WeightSpec
     known_roots: Optional[tuple] = None
+
+    @property
+    def degree(self) -> int:
+        return self.poly.degree
+
+    @property
+    def leading_coeff(self) -> float:
+        return self.poly.leading
 
     def __post_init__(self):
         if not self.leading_coeff > 0:
             raise ValueError("leading coefficient must be positive")
         if self.known_roots:
-            # backward error: |p(r)| against sum |c_i| |r|^i, the size of the terms that cancel
-            roots = np.asarray(self.known_roots, dtype=float)
-            err = np.abs(self.poly(roots))
-            scale = RealPolynomial(np.abs(self.poly.coeffs))(np.abs(roots))
-            bad = err > 1e-9 * scale
-            if np.any(bad):
-                worst = float(np.max(err[bad] / scale[bad]))
-                raise ValueError(f"claimed root fails evaluation check: backward error {worst:.3e}")
+            roots, a = np.asarray(self.known_roots, dtype=float), self.poly.a
+            if np.any((roots < -a) | (roots > 1.0)):
+                raise ValueError(f"claimed root outside [-{a}, 1]")
+            t = _chebyshev_points(self.degree, a)[1]
+            product = self.leading_coeff * np.prod(t[:, None] - roots, axis=1)
+            err = np.max(np.abs(self.poly(t) - product)) / np.sum(np.abs(self.poly.coeffs))
+            if err > 1e-9:
+                raise ValueError(f"claimed roots fail the product-form check: error {err:.3e}")
 
     def __call__(self, t):
         return self.poly(t)
@@ -101,49 +118,25 @@ def szego_factor_poly_values(factor: SzegoFactor, k: int, measure_factor: Measur
     raise ValueError(f"no construction for measure factor {measure_factor}")
 
 
-def _trimseq(c):
-    """Drop trailing exact zeros, keeping at least one coefficient."""
-    nz = np.flatnonzero(c)
-    return c[: nz[-1] + 1] if nz.size else c[:1]
+def _chebyshev_points(k: int, a: float):
+    """The k + 1 Chebyshev points of [-a, 1], as x in [-1, 1] and as t."""
+    x = np.cos(np.pi * (2.0 * np.arange(k + 1) + 1.0) / (2.0 * (k + 1)))
+    return x, 0.5 * ((1.0 - a) + (1.0 + a) * x)
 
 
-def _add(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = p.copy()
-    out[: len(q)] += q
-    return _trimseq(out)
-
-
-def _cheb_to_power(c, a):
-    """Power coefficients in t of the Chebyshev series c on the domain [-a, 1].
-
-    numpy's Chebyshev(c, domain=[-a, 1]).convert(kind=Polynomial) runs
-    Clenshaw's recurrence on Polynomial objects. This runs the same recurrence
-    on plain arrays, with the same operations in the same order and the same
-    trimming of exact trailing zeros, so the result is bit-identical:
-    x = off + scl t maps [-a, 1] onto [-1, 1], and u - v is u + (-v) in IEEE
-    arithmetic.
-    """
-    off, scl = np.polynomial.polyutils.mapparms(np.array([-a, 1.0]), np.array([-1.0, 1.0]))
-    x = np.array([off, scl])
-    if len(c) == 1:
-        c0, c1 = c[:1], np.zeros(1)
-    elif len(c) == 2:
-        c0, c1 = c[:1], c[1:]
-    else:
-        x2 = 2.0 * x
-        c0, c1 = c[-2:-1], c[-1:]
-        for j in range(len(c) - 3, -1, -1):
-            c0, c1 = _add(c[j : j + 1], -c1), _add(c0, _trimseq(np.convolve(c1, x2)))
-    return _add(c0, _trimseq(np.convolve(c1, x)))
+def _chebyshev_interpolant(k: int, a: float, f) -> ChebSeries:
+    """Degree-k interpolant of f at the Chebyshev points of [-a, 1], with the
+    sign that makes its leading coefficient positive."""
+    x, t = _chebyshev_points(k, a)
+    cheb = np.polynomial.chebyshev.chebfit(x, f(t), k)
+    return ChebSeries(-cheb if cheb[-1] < 0 else cheb, a)
 
 
 def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor) -> OrthoPoly:
     """Orthonormal polynomial of degree k for the factor's weight.
 
-    Evaluates the recipe at k+1 Chebyshev nodes of [-a, 1] and interpolates
-    in the Chebyshev basis before converting to power coefficients.
+    Evaluates the recipe at the k + 1 Chebyshev points of [-a, 1] and keeps
+    the interpolant's Chebyshev coefficients there.
     """
     if measure_factor not in _THRESHOLD:
         raise ValueError(f"no construction for measure factor {measure_factor}")
@@ -152,23 +145,10 @@ def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor
         raise DegreeThreshold(
             f"degree k={k} below threshold for l={l}, measure {measure_factor.name}"
         )
-    a = factor.spec.a
-    nodes_x = np.cos(np.pi * (2.0 * np.arange(k + 1) + 1.0) / (2.0 * (k + 1)))
-    nodes_t = 0.5 * ((1.0 - a) + (1.0 + a) * nodes_x)
-    vals = szego_factor_poly_values(factor, k, measure_factor, nodes_t)
-    cheb = np.polynomial.chebyshev.chebfit(nodes_x, vals, k)
-    coeffs = _cheb_to_power(cheb, a)
-    poly = RealPolynomial(coeffs).trimmed(1e-12)
-    if poly.degree != k:
-        poly = RealPolynomial(coeffs)  # keep full length if trailing term is tiny but real
-    if poly.leading < 0:
-        poly = -1.0 * poly
-    return OrthoPoly(
-        degree=poly.degree,
-        poly=poly,
-        leading_coeff=poly.leading,
-        weight=factor.spec.with_measure(measure_factor),
+    poly = _chebyshev_interpolant(
+        k, factor.spec.a, lambda t: szego_factor_poly_values(factor, k, measure_factor, t)
     )
+    return OrthoPoly(poly=poly, weight=factor.spec.with_measure(measure_factor))
 
 
 def explicit_eval(spec: WeightSpec, t):
@@ -273,28 +253,24 @@ def _explicit_roots(spec: WeightSpec):
 def explicit_family(spec: WeightSpec) -> OrthoPoly:
     """The distinguished orthonormal polynomial with closed-form roots.
 
-    The polynomial is assembled from its exact roots; the leading coefficient
-    comes from one evaluation of the closed form at a probe point away from
-    every root.
+    lead * prod (t - root) over the exact roots, interpolated at the same
+    Chebyshev points as `szego_orthonormal`; lead comes from one evaluation
+    of the closed form at a probe point away from every root, and sets c_k,
+    which the fit resolves only to about eps sum |c_j| (1e-4 relative at
+    high degree).
     """
-    roots = sorted(_explicit_roots(spec))
-    degree = len(roots)
+    roots = np.sort(np.asarray(_explicit_roots(spec), dtype=float))
     probe = 0.731579  # interior, irrational-ish, not a root of any family here
-    while any(abs(probe - r) < 1e-3 for r in roots):
+    while np.any(np.abs(probe - roots) < 1e-3):
         probe *= 0.93
-    denom = np.prod([probe - r for r in roots]) if roots else 1.0
-    lead = float(explicit_eval(spec, np.asarray([probe]))[0]) / float(denom)
-    monic = np.polynomial.polynomial.polyfromroots(roots).real if roots else np.array([1.0])
-    poly = RealPolynomial(lead * monic)
-    if poly.leading < 0:
-        poly = -1.0 * poly
-    return OrthoPoly(
-        degree=degree,
-        poly=poly,
-        leading_coeff=poly.leading,
-        weight=spec,
-        known_roots=tuple(roots),
-    )
+    lead = float(explicit_eval(spec, np.asarray([probe]))[0]) / float(np.prod(probe - roots))
+    k = len(roots)
+    poly = _chebyshev_interpolant(k, spec.a, lambda t: lead * np.prod(t[:, None] - roots, axis=1))
+    if k:
+        c = poly.coeffs.copy()
+        c[-1] = abs(lead) * 2.0 ** (1 - k) * (0.5 * (1.0 + spec.a)) ** k
+        poly = ChebSeries(c, spec.a)
+    return OrthoPoly(poly=poly, weight=spec, known_roots=tuple(roots.tolist()))
 
 
 def kernel_eval(p_list: Sequence[OrthoPoly], t: float, u: float) -> float:

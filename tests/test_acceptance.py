@@ -183,3 +183,34 @@ def test_full_sweep_record_counts():
     assert Counter(r.theorem_id for r in records) == _RECORDS_PER_THEOREM
     assert len(records) == 907
     assert all(r.error is None for r in records)
+
+
+def test_cell_whose_integral_never_settles_fails_in_bounded_memory():
+    # the kernel integrand at (1, 31, 1) never settles: bisection must stop at
+    # its panel budget with one NoConvergence record, not grow its point
+    # tables until a MemoryError ends the sweep.  The child interpreter has a
+    # 2 GB address-space limit, so a regression fails instead of exhausting
+    # the host, and it reports its own peak resident set.
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bszego
+
+    code = (
+        "import json, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))\n"
+        "from bszego.suites import run_verify\n"
+        "grid = {'n': [1], 'm': [31], 'a': [1.0], 'n_plus_m_max': 64}\n"
+        "records = run_verify('kernel', grids={'kernel': grid})\n"
+        "print(json.dumps({'records': [[r.passed, r.error] for r in records],\n"
+        "                  'maxrss_kb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bszego.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    doc = json.loads(out.stdout.splitlines()[-1])
+    assert doc["records"] == [[False, "NoConvergence"]]
+    assert doc["maxrss_kb"] < 300 * 1024

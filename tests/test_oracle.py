@@ -344,6 +344,23 @@ def test_level_batching_accepts_the_depth_first_panels(f):
     assert len(batched) <= 1 + len(per_depth) * chunks
 
 
+def test_panel_budget_stops_an_integrand_that_never_settles():
+    # sin(1e8 x) needs panels narrower than about 1e-8 on [0, 1], far more
+    # than the budget: every panel splits at every level until it runs out
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sin(1e8 * x)
+
+    with pytest.raises(NoConvergence, match="panels") as info:
+        oracle._adaptive(f, 0.0, 1.0, 1e-10)
+    assert np.isfinite(info.value.best) and info.value.err_est > 1e-10
+    # each panel ever opened is evaluated twice: at most 2 (2 _MAX_PANELS - 1) halves
+    assert sum(sizes) <= oracle._GX.size * (1 + 4 * oracle._MAX_PANELS)
+    assert max(sizes) <= oracle._TRAP_CHUNK
+
+
 def test_oracle_imports_only_stdlib_numpy_and_errors():
     # the oracle must stay independent of every closed-form module
     import ast

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from bszego.errors import DegreeThreshold, ParityError
+from bszego.poly_core import ChebSeries
 from bszego.quadrature import weighted_oracle_integral
 from bszego.szego_polys import (
     OrthoPoly,
-    _cheb_to_power,
     explicit_eval,
     explicit_family,
     kernel_eval,
@@ -173,10 +173,17 @@ class TestExplicitFamilies:
         spec = spec_cpc(3, 5, 2.0)
         p = explicit_family(spec)
         roots = list(p.known_roots)
-        OrthoPoly(p.degree, p.poly, p.leading_coeff, spec, known_roots=tuple(roots))
+        OrthoPoly(p.poly, spec, known_roots=tuple(roots))
         roots[1] += 1e-3
         with pytest.raises(ValueError, match="claimed root"):
-            OrthoPoly(p.degree, p.poly, p.leading_coeff, spec, known_roots=tuple(roots))
+            OrthoPoly(p.poly, spec, known_roots=tuple(roots))
+
+    def test_claimed_root_outside_the_interval_rejected(self):
+        # t - 1.5 vanishes at its claimed root, which lies beyond t = 1
+        spec = spec_cpc(1, 1, 1.0)
+        OrthoPoly(ChebSeries([-0.5, 1.0], 1.0), spec, known_roots=(0.5,))
+        with pytest.raises(ValueError, match="outside"):
+            OrthoPoly(ChebSeries([-1.5, 1.0], 1.0), spec, known_roots=(1.5,))
 
     @pytest.mark.parametrize("spec, degree", [
         (spec_cpc(31, 33, 2.0), 32),
@@ -191,10 +198,16 @@ class TestExplicitFamilies:
         t = np.linspace(-1.9, 0.95, 7)
         prod = np.prod(t[:, None] - np.asarray(p.known_roots), axis=1)
         assert np.allclose(np.abs(explicit_eval(spec, t) / prod), p.leading_coeff, rtol=1e-9)
+        # the stored series reproduces the closed form on all of [-a, 1], to
+        # rounding relative to its maximum (near t = -a for these weights)
+        t = np.linspace(-spec.a, 1.0, 301)[1:-1]
+        direct = explicit_eval(spec, t)
+        sign = 1.0 if np.dot(direct, p(t)) >= 0 else -1.0
+        assert np.max(np.abs(p(t) - sign * direct)) <= 1e-10 * np.max(np.abs(direct))
         roots = list(p.known_roots)
         roots[len(roots) // 2] += 1e-6
         with pytest.raises(ValueError, match="claimed root"):
-            OrthoPoly(p.degree, p.poly, p.leading_coeff, spec, known_roots=tuple(roots))
+            OrthoPoly(p.poly, spec, known_roots=tuple(roots))
 
     def test_parity_errors(self):
         with pytest.raises(ParityError):
@@ -250,14 +263,7 @@ class TestExplicitFamilies:
 
 class TestKernel:
     def test_degree_zero_kernel_is_product(self):
-        from bszego.poly_core import RealPolynomial
-
-        p0 = OrthoPoly(
-            degree=0,
-            poly=RealPolynomial([math.sqrt(2 / math.pi)]),
-            leading_coeff=math.sqrt(2 / math.pi),
-            weight=spec_cpc(1, 1, 1.0),
-        )
+        p0 = OrthoPoly(poly=ChebSeries([math.sqrt(2 / math.pi)], 1.0), weight=spec_cpc(1, 1, 1.0))
         assert kernel_eval([p0], 0.4, -0.3) == pytest.approx(2 / math.pi, rel=1e-14)
 
     def test_constant_kernel(self):
@@ -342,17 +348,19 @@ class TestLeadingRatio:
 
 class TestInterlacing:
     def test_consecutive_roots_interlace(self):
-        from bszego.poly_core import poly_roots
+        for a in (1.0, 2.0):  # at a = 1 the map from x to t is the identity
+            factor = build_szego_factor(spec_cpc(3, 5, a))
+            r4, r5 = (self._roots(factor, k, a) for k in (4, 5))
+            assert -a < r5[0] and r5[-1] < 1.0
+            for i in range(4):
+                assert r5[i] < r4[i] < r5[i + 1]
 
-        spec = spec_cpc(3, 5, 1.0)
-        factor = build_szego_factor(spec)
-        p4 = szego_orthonormal(factor, 4, MeasureFactor.InvSqrtBoth)
-        p5 = szego_orthonormal(factor, 5, MeasureFactor.InvSqrtBoth)
-        r4 = np.sort(poly_roots(p4.poly).real)
-        r5 = np.sort(poly_roots(p5.poly).real)
-        assert np.max(np.abs(poly_roots(p4.poly).imag)) < 1e-9
-        for i in range(4):
-            assert r5[i] < r4[i] < r5[i + 1]
+    @staticmethod
+    def _roots(factor, k, a):
+        p = szego_orthonormal(factor, k, MeasureFactor.InvSqrtBoth)
+        x = np.polynomial.chebyshev.chebroots(p.poly.coeffs)
+        assert np.max(np.abs(x.imag)) < 1e-9
+        return np.sort(0.5 * ((1.0 - a) + (1.0 + a) * x.real))
 
 
 class TestMomentStatements:
@@ -378,7 +386,7 @@ class TestMomentStatements:
 
 
 class TestChebyshevToPower:
-    """_cheb_to_power runs numpy's Clenshaw conversion on plain arrays."""
+    """ChebSeries against numpy's Chebyshev on [-a, 1] and its conversion to powers of t."""
 
     @pytest.mark.parametrize("k", range(34))
     def test_bit_identical_to_numpy_convert(self, k):
@@ -387,14 +395,30 @@ class TestChebyshevToPower:
             c = rng.standard_normal(k + 1) * 10.0 ** rng.uniform(-6, 6, k + 1)
             if k >= 4:
                 c[-2] = 0.0  # an exact zero inside the recurrence
-            reference = np.polynomial.Chebyshev(c, domain=[-a, 1.0]).convert(
-                kind=np.polynomial.Polynomial).coef
-            assert np.array_equal(_cheb_to_power(c, a), reference)
+            p = ChebSeries(c, a)
+            # beyond [-a, 1] too: matched-measure densities evaluate on all of R
+            t = np.linspace(-a - 3.0, 4.0, 41)
+            x = t * (2.0 / (1.0 + a)) + (a - 1.0) / (1.0 + a)
+            assert np.array_equal(p(t), np.polynomial.chebyshev.chebval(x, c))
+            reference = np.polynomial.Chebyshev(c, domain=[-a, 1.0])
+            power = reference.convert(kind=np.polynomial.Polynomial).coef
+            assert p.degree == len(power) - 1 == k
+            assert p.leading == pytest.approx(power[-1], rel=1e-13)
+            dref = reference.deriv().coef if k else np.zeros(1)
+            assert np.allclose(p.derivative().coeffs, dref, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(dref), initial=0.0))
 
     def test_trailing_zeros_trimmed_like_numpy(self):
+        # numpy's conversion drops exact trailing zeros; the series keeps every
+        # coefficient, and its leading term is the power coefficient of its degree
         for c in ([0.0], [-0.0], [1.5, 0.0], [2.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
             c = np.asarray(c)
-            reference = np.polynomial.Chebyshev(c, domain=[-0.7, 1.0]).convert(
+            p = ChebSeries(c, 0.7)
+            power = np.polynomial.Chebyshev(c, domain=[-0.7, 1.0]).convert(
                 kind=np.polynomial.Polynomial).coef
-            ours = _cheb_to_power(c, 0.7)
-            assert ours.tobytes() == reference.tobytes()
+            padded = np.zeros(len(c))
+            padded[: len(power)] = power
+            assert p.coeffs.tobytes() == c.tobytes() and p.degree == len(c) - 1
+            assert p.leading == padded[-1]
+            t = np.linspace(-0.7, 1.0, 9)
+            assert np.allclose(p(t), np.polynomial.polynomial.polyval(t, padded), rtol=0, atol=1e-15)
