@@ -19,7 +19,7 @@ from .errors import (
     SymmetryViolation,
     UnknownSuite,
 )
-from .poly_core import ChebSeries, RealPolynomial, cheb_T, cheb_U, poly_from_circle_samples, poly_roots
+from .poly_core import ChebSeries, RealPolynomial, cheb_T, cheb_U, poly_from_circle_samples
 from .weight_models import (
     Family,
     MeasureFactor,

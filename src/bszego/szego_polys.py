@@ -125,18 +125,23 @@ def _chebyshev_points(k: int, a: float):
 
 
 def _chebyshev_interpolant(k: int, a: float, f) -> ChebSeries:
-    """Degree-k interpolant of f at the Chebyshev points of [-a, 1], with the
-    sign that makes its leading coefficient positive."""
-    x, t = _chebyshev_points(k, a)
-    cheb = np.polynomial.chebyshev.chebfit(x, f(t), k)
-    return ChebSeries(-cheb if cheb[-1] < 0 else cheb, a)
+    """Degree-k interpolant of f at the Chebyshev points of [-a, 1], the roots of
+    T_{k+1}: by discrete orthogonality c_i = (2/(k+1)) sum_j f(t_j) T_i(x_j), c_0 halved."""
+    t = _chebyshev_points(k, a)[1]
+    i = np.arange(k + 1)
+    V = np.cos(np.outer(2 * i + 1, i) * (np.pi / (2.0 * (k + 1))))  # V[j, i] = T_i(x_j)
+    c = (2.0 / (k + 1)) * (f(t) @ V)
+    c[0] *= 0.5
+    return ChebSeries(c, a)
 
 
 def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor) -> OrthoPoly:
     """Orthonormal polynomial of degree k for the factor's weight.
 
     Evaluates the recipe at the k + 1 Chebyshev points of [-a, 1] and keeps
-    the interpolant's Chebyshev coefficients there.
+    the interpolant's Chebyshev coefficients there.  Only h(0) reaches T_k, so
+    c_k is h(0) times the recipe's constant (times 2, the T_k coefficient of U_k
+    and W_k, for k >= 1); a fitted c_k below eps sum |c_j| could take either sign.
     """
     if measure_factor not in _THRESHOLD:
         raise ValueError(f"no construction for measure factor {measure_factor}")
@@ -145,10 +150,18 @@ def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor
         raise DegreeThreshold(
             f"degree k={k} below threshold for l={l}, measure {measure_factor.name}"
         )
+    a = factor.spec.a
     poly = _chebyshev_interpolant(
-        k, factor.spec.a, lambda t: szego_factor_poly_values(factor, k, measure_factor, t)
+        k, a, lambda t: szego_factor_poly_values(factor, k, measure_factor, t)
     )
-    return OrthoPoly(poly=poly, weight=factor.spec.with_measure(measure_factor))
+    scale = {
+        MeasureFactor.InvSqrtBoth: np.sqrt(2.0 / np.pi),
+        MeasureFactor.SqrtBoth: (2.0 / (1.0 + a)) * np.sqrt(2.0 / np.pi) * (2.0 if k else 1.0),
+        MeasureFactor.SqrtRatio: np.sqrt(2.0 / (1.0 + a)) / np.sqrt(np.pi) * (2.0 if k else 1.0),
+    }[measure_factor]
+    c = poly.coeffs.copy()
+    c[-1] = scale * factor.h.coeffs[0]
+    return OrthoPoly(poly=ChebSeries(c, a), weight=factor.spec.with_measure(measure_factor))
 
 
 def explicit_eval(spec: WeightSpec, t):
@@ -257,18 +270,19 @@ def explicit_family(spec: WeightSpec) -> OrthoPoly:
     Chebyshev points as `szego_orthonormal`; lead comes from one evaluation
     of the closed form at a probe point away from every root, and sets c_k,
     which the fit resolves only to about eps sum |c_j| (1e-4 relative at
-    high degree).
+    high degree).  The closed form may carry either sign; lead is its modulus,
+    since the sign of a fitted c_k near eps sum |c_j| would be noise.
     """
     roots = np.sort(np.asarray(_explicit_roots(spec), dtype=float))
     probe = 0.731579  # interior, irrational-ish, not a root of any family here
     while np.any(np.abs(probe - roots) < 1e-3):
         probe *= 0.93
-    lead = float(explicit_eval(spec, np.asarray([probe]))[0]) / float(np.prod(probe - roots))
+    lead = abs(float(explicit_eval(spec, np.asarray([probe]))[0]) / float(np.prod(probe - roots)))
     k = len(roots)
     poly = _chebyshev_interpolant(k, spec.a, lambda t: lead * np.prod(t[:, None] - roots, axis=1))
     if k:
         c = poly.coeffs.copy()
-        c[-1] = abs(lead) * 2.0 ** (1 - k) * (0.5 * (1.0 + spec.a)) ** k
+        c[-1] = lead * 2.0 ** (1 - k) * (0.5 * (1.0 + spec.a)) ** k
         poly = ChebSeries(c, spec.a)
     return OrthoPoly(poly=poly, weight=spec, known_roots=tuple(roots.tolist()))
 

@@ -9,7 +9,8 @@ family divides the difference by t (removable singularity at 0), and the
 squared / product / mixed families combine such blocks.  For the two base
 families the Fejer-Riesz factor h(z) with |h(e^{i theta})|^2 = rho(cos theta),
 h zero-free in the open unit disk and h(0) > 0, is recovered from samples of
-the defining trigonometric expression on the unit circle.
+the defining trigonometric expression on the unit circle, and certified
+zero-free by a winding count at the paper's known roots, not by root finding.
 
 Negative t is always handled by the explicit real continuations
 asin(sqrt(t)) = i asinh(sqrt(-t)) and asinh(sqrt(t/a)) = i asin(sqrt(-t/a)),
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, FactorizationResidual, ParityError, RootInDisk
-from .poly_core import RealPolynomial, cheb_T, poly_from_circle_samples, poly_roots
+from .poly_core import RealPolynomial, cheb_T, poly_from_circle_samples
 
 __all__ = [
     "Family",
@@ -258,35 +259,70 @@ class SzegoFactor:
         return self.h(np.exp(1j * np.asarray(theta, dtype=float)))
 
 
-def _theta_grid_samples(spec: WeightSpec, n_samples: int):
-    """h(e^{i theta_k}) on the uniform grid, theta in [0, pi] by formula and
-    (pi, 2pi) by conjugate symmetry."""
+def _circle_form(spec: WeightSpec, t):
+    """(q, c, G) with h(e^{i theta}) = c e^{i q theta / 2} G(t) for theta in [0, pi]:
+    G = xi + i eta, q = n + m for cos-plus-cosh, G = sqrt(2/|t|) (S Ch - i C Sh),
+    q = n + m - 1 for the quotient family; c is a constant."""
     n, m, a = spec.n, spec.m, spec.a
-    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    upper = theta <= np.pi + 1e-15
-    th = theta[upper]
-    t = np.clip(0.5 * ((1.0 - a) + (1.0 + a) * np.cos(th)), -a, 1.0)
+    C, S, Ch, Sh = continued_block(t, n, m, a)
     if spec.family is Family.CosPlusCosh:
-        xi, eta = xi_eta_eval(spec, t)
-        phase = (1j ** (-n)) * np.exp(1j * (n + m) * th / 2.0)
-        vals_upper = phase * np.sqrt(2.0) * (xi + 1j * eta)
-    elif spec.family is Family.CoshMinusCosOverT:
-        C, S, Ch, Sh = continued_block(t, n, m, a)
+        return n + m, (1j ** (-n)) * np.sqrt(2.0), C * Ch + 1j * (np.sign(t) * S * Sh)
+    if spec.family is Family.CoshMinusCosOverT:
         # sqrt(2/t) sin(n asin sqrt t - i m asinh sqrt(t/a)) is an even
         # function of sqrt(t): analytic across t = 0 with this limit.
         with np.errstate(divide="ignore", invalid="ignore"):
             F = np.sqrt(2.0 / np.abs(t)) * (S * Ch - 1j * C * Sh)
         F = series_guard(t, F, 1.0, np.sqrt(2.0) * (n - 1j * m / np.sqrt(a)), 0.0)
-        phase = (1j ** (1 - n)) * np.exp(1j * (n + m - 1) * th / 2.0)
-        vals_upper = phase * F
-    else:
-        raise ParityError(f"no circle sampling formula for family {spec.family}")
+        return n + m - 1, 1j ** (1 - n), F
+    raise ParityError(f"no circle sampling formula for family {spec.family}")
+
+
+def _theta_grid_samples(spec: WeightSpec, n_samples: int):
+    """h(e^{i theta_k}) on the uniform grid, theta in [0, pi] by formula and
+    (pi, 2pi) by conjugate symmetry."""
+    a = spec.a
+    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    upper = theta <= np.pi + 1e-15
+    th = theta[upper]
+    t = np.clip(0.5 * ((1.0 - a) + (1.0 + a) * np.cos(th)), -a, 1.0)
+    q, c, G = _circle_form(spec, t)
     vals = np.empty(n_samples, dtype=complex)
-    vals[upper] = vals_upper
+    vals[upper] = c * np.exp(1j * q * th / 2.0) * G
     lower = ~upper
     idx = np.arange(n_samples)[lower]
     vals[idx] = np.conj(vals[n_samples - idx])
     return vals
+
+
+def _block_zeros(spec: WeightSpec):
+    """The paper's roots sin^2(k pi/(2n)), -a sin^2(j pi/(2m)) from 1 down to -a:
+    every zero of C, S, Ch and Sh of `continued_block` in [-a, 1]."""
+    n, m, a = spec.n, spec.m, spec.a
+    pos = np.sin(0.5 * np.pi * np.arange(n, -1, -1) / n) ** 2
+    neg = -a * np.sin(0.5 * np.pi * np.arange(1, m + 1) / m) ** 2
+    return np.concatenate([pos, neg])
+
+
+def _certify_zero_free(spec: WeightSpec) -> float:
+    """Winding number of h on the unit circle: 0 up to rounding, or RootInDisk.
+
+    For real h it is the change of arg h over theta in [0, pi] divided by pi,
+    that is q/2 plus the change of arg G as t runs from 1 to -a.  The parts of
+    G vanish only at `_block_zeros`, where they interlace; sampled at t = 1,
+    t = -a and midway between zeros, G crosses at most one axis per step (two
+    mean a zero is missing from the list), so each principal step is exact.
+    """
+    z = _block_zeros(spec)
+    t = np.concatenate([z[:1], 0.5 * (z[:-1] + z[1:]), z[-1:]])
+    q, _, G = _circle_form(spec, t)
+    re, im = np.sign(G.real), np.sign(G.imag)
+    if np.any((re[1:] != re[:-1]) & (im[1:] != im[:-1])):
+        raise RootInDisk("a step of the winding count crosses both axes: a zero of G is missing")
+    arg = np.unwrap(np.angle(G))
+    winding = float(arg[-1] - arg[0]) / np.pi + q / 2.0
+    if abs(winding) >= 0.25:
+        raise RootInDisk(f"winding number {winding:.3f}: h has zeros in the unit disk")
+    return winding
 
 
 def _validate_factor(spec: WeightSpec, h: RealPolynomial) -> float:
@@ -305,11 +341,6 @@ def _validate_factor(spec: WeightSpec, h: RealPolynomial) -> float:
         raise FactorizationResidual(
             f"|h|^2 - rho residual {resid:.3e} above 1e-9 * max rho"
         )
-    if h.degree >= 1:
-        roots = poly_roots(h)
-        min_mod = float(np.min(np.abs(roots)))
-        if min_mod < 1.0 - 1e-8:
-            raise RootInDisk(f"root of modulus {min_mod} inside the unit disk")
     return resid
 
 
@@ -335,11 +366,13 @@ def build_szego_factor(spec: WeightSpec) -> SzegoFactor:
         )
     h = poly_from_circle_samples(vals, deg)
     resid = _validate_factor(spec, h)
+    _certify_zero_free(spec)
     return SzegoFactor(spec=spec, h=h, max_factorization_residual=resid)
 
 
 def squared_factor(base: SzegoFactor) -> SzegoFactor:
-    """Factor h^2 for the squared weight rho^2."""
+    """Factor h^2 for the squared weight rho^2; its winding number is twice
+    the 0 that `build_szego_factor` certified for h."""
     if base.spec.family is not Family.CosPlusCosh:
         raise ParityError("squared factor is defined for the cos-plus-cosh family")
     spec2 = WeightSpec(

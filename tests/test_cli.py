@@ -106,7 +106,7 @@ class TestVerifyCommand:
         }))
         code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 1
-        assert "raised=RootInDisk" in out
+        assert "raised=NoConvergence" in out
         assert "0/1 passed" in out
         assert "Traceback" not in err
 
@@ -204,7 +204,7 @@ def test_unknown_suite_rejected_before_any_suite_runs(capsys, tmp_path, monkeypa
 
 class TestFaultIsolation:
     @pytest.mark.parametrize("grid, error", [
-        ({"n": [31], "m": [33], "a": [0.5], "n_plus_m_max": 64}, "RootInDisk"),
+        ({"n": [31], "m": [33], "a": [0.5], "n_plus_m_max": 64}, "NoConvergence"),
         ({"n": [1], "m": [1], "a": [1.1434609861934242]}, "FactorizationResidual"),
     ])
     def test_raising_kernel_cell_is_one_failed_record(self, grid, error):

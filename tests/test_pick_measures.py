@@ -183,24 +183,24 @@ class TestMatchedPair:
 
     @pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)])
     def test_boundary_cell_builds_one_pair(self, monkeypatch, n, m):
-        # the factor (and its root check) is built once for the cell's 30
-        # draws; every draw is still checked, and each breaks moment 2k-1
-        roots, checks = [], []
-        poly_roots, check = weight_models.poly_roots, suites.moment_match_check
+        # the factor (and its zero-free certificate) is built once for the
+        # cell's 30 draws; every draw is still checked, and each breaks moment 2k-1
+        certified, checks = [], []
+        winding, check = weight_models._certify_zero_free, suites.moment_match_check
 
-        def counted_roots(*args, **kwargs):
-            roots.append(args)
-            return poly_roots(*args, **kwargs)
+        def counted_winding(spec):
+            certified.append(spec)
+            return winding(spec)
 
         def recorded_check(meas, j, tol):
             lhs, rhs = check(meas, j, tol=tol)
             checks.append(abs(lhs - rhs) > 1e-4 * max(1e-8, abs(lhs) + abs(rhs)))
             return lhs, rhs
 
-        monkeypatch.setattr(weight_models, "poly_roots", counted_roots)
+        monkeypatch.setattr(weight_models, "_certify_zero_free", counted_winding)
         monkeypatch.setattr(suites, "moment_match_check", recorded_check)
         assert suites._measure3_boundary(n, m) == 0.0
-        assert len(roots) == (0 if n + m == 2 else 1)  # k = 1 normalises a constant instead
+        assert len(certified) == (0 if n + m == 2 else 1)  # k = 1 normalises a constant instead
         assert len(checks) == 30 and all(checks)
 
 

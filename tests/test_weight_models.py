@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bszego.errors import DomainError, ParityError
+from bszego import weight_models
+from bszego.errors import BszegoError, DomainError, ParityError, RootInDisk
 from bszego.weight_models import (
     Family,
     MeasureFactor,
     WeightSpec,
     build_szego_factor,
+    continued_block,
     expected_rho_degree,
     rho_eval,
     squared_factor,
     xi_eta_eval,
 )
+from reference_roots import poly_roots
 
 
 def brute_force_fejer_riesz(rho_of_t, a, degree):
@@ -274,3 +277,111 @@ class TestFactor:
     def test_no_factor_for_product_families(self):
         with pytest.raises(ParityError):
             build_szego_factor(WeightSpec(2, 1, 1.0, Family.ProductCosPlusCosh, m_prime=1))
+
+
+def _lattice_specs(count=400, seed=12):
+    """Seeded specs over both base families, n + m <= 64, a log-uniform in
+    [0.5, 2] (so almost every a is off the dyadic grid)."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(count):
+        family = (Family.CosPlusCosh, Family.CoshMinusCosOverT)[i % 2]
+        total = int(rng.integers(2, 65))
+        n = int(rng.integers(1, total))
+        a = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
+        specs.append(WeightSpec(n, total - n, a, family))
+    return specs
+
+
+def _fine_grid_winding(spec, n_samples=2**16):
+    """Winding number of the circle samples of h around 0, summed over a
+    fine grid; every step must stay well below pi for the sum to count."""
+    vals = weight_models._theta_grid_samples(spec, n_samples)
+    steps = np.angle(np.roll(vals, -1) / vals)
+    assert np.max(np.abs(steps)) < 0.75 * np.pi
+    return float(np.sum(steps)) / (2.0 * np.pi)
+
+
+def _form_without_sign(spec, t):
+    """The cos-plus-cosh circle form with sign(t) dropped from eta."""
+    n, m, a = spec.n, spec.m, spec.a
+    C, S, Ch, Sh = continued_block(t, n, m, a)
+    return n + m, (1j ** (-n)) * np.sqrt(2.0), C * Ch + 1j * (S * Sh)
+
+
+_circle_form = weight_models._circle_form
+
+
+def _form_with_phase_plus_one(spec, t):
+    """The circle form with the phase exponent q/2 raised by one."""
+    q, c, G = _circle_form(spec, t)
+    return q + 2, c, G
+
+
+class TestZeroFreeCertificate:
+    def test_agrees_with_fine_grid_winding(self):
+        for spec in _lattice_specs():
+            assert abs(weight_models._certify_zero_free(spec)) < 1e-9
+            assert abs(_fine_grid_winding(spec)) < 1e-9
+
+    def test_reference_roots_lie_outside_the_disk(self):
+        # where |h| on the circle stays above 1e-6 max |h|, the float64
+        # coefficients carry their zeros and a root finder can see them
+        checked = 0
+        for spec in _lattice_specs():
+            try:
+                h = build_szego_factor(spec).h
+            except BszegoError:
+                continue
+            values = np.abs(h(np.exp(1j * np.linspace(0.0, np.pi, 4096))))
+            if h.degree >= 1 and np.min(values) >= 1e-6 * np.max(values):
+                assert np.min(np.abs(poly_roots(h))) > 1.0
+                checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("n, m, a", [(3, 5, 2.0), (7, 9, 0.7), (15, 16, 1.3), (2, 1, 0.5), (1, 1, 1.0)])
+    def test_dropped_sign_is_counted_and_rejected(self, monkeypatch, n, m, a):
+        # eta without sign(t) turns the other way on t < 0: m zeros in the disk
+        spec = WeightSpec(n, m, a)
+        monkeypatch.setattr(weight_models, "_circle_form", _form_without_sign)
+        assert _fine_grid_winding(spec) == pytest.approx(m, abs=1e-9)
+        with pytest.raises(RootInDisk, match=f"winding number {m}.000:"):
+            weight_models._certify_zero_free(spec)
+
+    @pytest.mark.parametrize("family", [Family.CosPlusCosh, Family.CoshMinusCosOverT])
+    @pytest.mark.parametrize("n, m, a", [(3, 5, 2.0), (7, 9, 0.7), (2, 1, 0.5), (1, 1, 1.0)])
+    def test_phase_off_by_one_is_counted_and_rejected(self, monkeypatch, family, n, m, a):
+        spec = WeightSpec(n, m, a, family)
+        monkeypatch.setattr(weight_models, "_circle_form", _form_with_phase_plus_one)
+        assert _fine_grid_winding(spec) == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(RootInDisk, match="winding number 1.000:"):
+            weight_models._certify_zero_free(spec)
+
+    @pytest.mark.parametrize("family", [Family.CosPlusCosh, Family.CoshMinusCosOverT])
+    def test_zero_list_missing_a_root(self, monkeypatch, family):
+        spec = WeightSpec(7, 9, 0.7, family)
+        zeros = weight_models._block_zeros(spec)
+        outcomes = []
+        for i in range(1, len(zeros) - 1):
+            monkeypatch.setattr(weight_models, "_block_zeros", lambda s, i=i: np.delete(zeros, i))
+            try:
+                outcomes.append(weight_models._certify_zero_free(spec))
+            except RootInDisk as exc:
+                assert "crosses both axes" in str(exc)
+                outcomes.append(None)
+        # a step that now spans two axis crossings is caught; next to an
+        # endpoint, or to t = 0 where the quotient family's G does not
+        # vanish, a step spans one crossing still and counts right
+        assert all(w is None or abs(w) < 1e-9 for w in outcomes)
+        assert outcomes.count(None) >= len(outcomes) // 2
+        monkeypatch.setattr(weight_models, "_block_zeros", lambda s: np.delete(zeros, 4))
+        with pytest.raises(RootInDisk):
+            weight_models._certify_zero_free(spec)
+
+    def test_high_degree_cell_builds(self):
+        # the float64 roots of this h put a pair inside the disk, yet the
+        # formula it samples is zero-free there
+        spec = WeightSpec(31, 33, 0.5)
+        factor = build_szego_factor(spec)
+        assert factor.h.degree == expected_rho_degree(spec) == 33
+        assert factor.max_factorization_residual <= 1e-9 * np.max(rho_eval(spec, np.linspace(-0.5, 1.0, 512)))
