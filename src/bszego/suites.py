@@ -46,6 +46,7 @@ from .weight_models import (
     Family,
     MeasureFactor,
     WeightSpec,
+    block_series,
     build_szego_factor,
     continued_block,
     rho_eval,
@@ -186,14 +187,11 @@ _A = [0.5, 1.0, 2.0]
 def _orthogonality_rows(spec, scale, j_sin, cos_measure, j_cos):
     """Worst deviation of the rows scale * int eta/t = pi/2 and int eta t^j = 0,
     j <= j_sin (against spec), and int xi t^j = 0, j <= j_cos (against cos_measure)."""
-    n, m, a = spec.n, spec.m, spec.a
-    c = n * m / math.sqrt(a)  # eta/t = c (1 + slope t) + O(t^2)
-    slope = (1.0 - n * n) / 6.0 + (m * m - 1.0) / (6.0 * a)
 
     def f_sin(t):
         t = np.asarray(t)
         eta = xi_eta_eval(spec, t)[1]
-        eta_t = series_guard(t, eta, t, c, c * slope)
+        eta_t = series_guard(t, eta, t, *block_series(spec.n, spec.m, spec.a, True, True))
         return np.column_stack([eta_t, eta[:, None] * np.vander(t, j_sin + 1, increasing=True)])
 
     vals = scale * np.asarray(quad.weighted_oracle_integral(spec, f_sin, tol=1e-11))
@@ -228,14 +226,12 @@ def _even_parity(n, m, a):
 @_cells("square", {"n": [1, 2, 3], "m": [1, 2, 3], "a": _A})
 def _square(n, m, a):
     spec = WeightSpec(n, m, a, Family.SquaredCosPlusCosh, MeasureFactor.PlainDt)
-    c0 = 4.0 * n * m / math.sqrt(a)
-    slope = (1.0 - 4.0 * n * n) / 6.0 + (4.0 * m * m - 1.0) / (6.0 * a)
 
     def f(t):
         t = np.asarray(t)
         _, S, _, Sh = continued_block(t, 2 * n, 2 * m, a)
         plain = np.sign(t) * S * Sh  # sin(2n asin sqrt t) sinh(2m asinh sqrt(t/a))
-        over_t = series_guard(t, plain, t, c0, c0 * slope)
+        over_t = series_guard(t, plain, t, *block_series(2 * n, 2 * m, a, True, True))
         return np.column_stack([over_t, plain[:, None] * np.vander(t, m + n - 1, increasing=True)])
 
     vals = np.asarray(quad.weighted_oracle_integral(spec, f, tol=1e-11))

@@ -6,6 +6,13 @@ Two construction routes are provided and cross-checked in the tests:
   circle and interpolated at Chebyshev-spaced nodes, and
 * closed forms whose roots are known exactly, leading_coeff * prod (t - root).
 
+Each family's distinguished polynomial is described once (`_distinguished`):
+degrees (N, M), a factor S or C of `continued_block` at N and Sh or Ch at M,
+a division by sqrt|t| or t, an endpoint root and a constant.  Its values
+(`explicit_eval`), its series at t = 0 (`block_series`) and its known roots,
+the zeros of the two factors inside (-a, 1) (`_explicit_roots`), are all read
+from that description.
+
 Both routes interpolate at the same k + 1 Chebyshev points of [-a, 1] and
 store the Chebyshev coefficients there (`ChebSeries`), never the power
 coefficients in t, which are ill-conditioned at high degree.  perfbench's
@@ -23,10 +30,13 @@ l = deg rho, the generic recipes and their admissible degrees are
 The constant in the third recipe is 1/sqrt(pi), not sqrt(2/pi): the larger
 constant yields squared norm 2 (checked directly against rho = 1, where the
 recipe reduces to sin((k+1/2) theta)/sin(theta/2) with weighted norm pi).
+The shift s = 0, 2, 1 and the constant of each measure are one table,
+`_RECIPE`, read by both the values and the top coefficient c_k.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,10 +49,11 @@ from .weight_models import (
     MeasureFactor,
     SzegoFactor,
     WeightSpec,
+    _check_domain,
+    block_series,
     continued_block,
     expected_rho_degree,
     series_guard,
-    xi_eta_eval,
 )
 
 __all__ = [
@@ -93,29 +104,32 @@ class OrthoPoly:
         return self.poly(t)
 
 
-_THRESHOLD = {
-    MeasureFactor.InvSqrtBoth: 0,   # l < 2k
-    MeasureFactor.SqrtBoth: 2,      # l < 2k + 2
-    MeasureFactor.SqrtRatio: 1,     # l < 2k + 1
+# measure factor: (s, c(a)) for the recipe c(a) Im{e^{i(k + s/2) theta} conj h}/sin(s theta/2),
+# with Re and no divisor at s = 0; it needs l < 2k + s
+_RECIPE = {
+    MeasureFactor.InvSqrtBoth: (0, lambda a: np.sqrt(2.0 / np.pi)),
+    MeasureFactor.SqrtBoth: (2, lambda a: (2.0 / (1.0 + a)) * np.sqrt(2.0 / np.pi)),
+    MeasureFactor.SqrtRatio: (1, lambda a: np.sqrt(2.0 / (1.0 + a)) * (1.0 / np.sqrt(np.pi))),
 }
+
+
+def _recipe(measure_factor: MeasureFactor):
+    if measure_factor not in _RECIPE:
+        raise ValueError(f"no construction for measure factor {measure_factor}")
+    return _RECIPE[measure_factor]
 
 
 def szego_factor_poly_values(factor: SzegoFactor, k: int, measure_factor: MeasureFactor, t):
     """Pointwise values of the degree-k orthonormal polynomial from the factor."""
+    s, const = _recipe(measure_factor)
     a = factor.spec.a
     t = np.asarray(t, dtype=float)
     x = np.clip((2.0 * t - 1.0 + a) / (1.0 + a), -1.0, 1.0)
     theta = np.arccos(x)
-    H = factor.circle_values(theta)
-    if measure_factor is MeasureFactor.InvSqrtBoth:
-        return np.sqrt(2.0 / np.pi) * np.real(np.exp(1j * k * theta) * np.conj(H))
-    if measure_factor is MeasureFactor.SqrtBoth:
-        num = np.imag(np.exp(1j * (k + 1) * theta) * np.conj(H))
-        return (2.0 / (1.0 + a)) * np.sqrt(2.0 / np.pi) * num / np.sin(theta)
-    if measure_factor is MeasureFactor.SqrtRatio:
-        num = np.imag(np.exp(1j * (k + 0.5) * theta) * np.conj(H))
-        return np.sqrt(2.0 / (1.0 + a)) * (1.0 / np.sqrt(np.pi)) * num / np.sin(theta / 2.0)
-    raise ValueError(f"no construction for measure factor {measure_factor}")
+    z = np.exp(1j * (k + 0.5 * s) * theta) * np.conj(factor.circle_values(theta))
+    if s == 0:
+        return const(a) * np.real(z)
+    return const(a) * np.imag(z) / np.sin(0.5 * s * theta)
 
 
 def _chebyshev_points(k: int, a: float):
@@ -143,10 +157,9 @@ def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor
     c_k is h(0) times the recipe's constant (times 2, the T_k coefficient of U_k
     and W_k, for k >= 1); a fitted c_k below eps sum |c_j| could take either sign.
     """
-    if measure_factor not in _THRESHOLD:
-        raise ValueError(f"no construction for measure factor {measure_factor}")
+    s, const = _recipe(measure_factor)
     l = expected_rho_degree(factor.spec)
-    if not l < 2 * k + _THRESHOLD[measure_factor]:
+    if not l < 2 * k + s:
         raise DegreeThreshold(
             f"degree k={k} below threshold for l={l}, measure {measure_factor.name}"
         )
@@ -154,113 +167,83 @@ def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor
     poly = _chebyshev_interpolant(
         k, a, lambda t: szego_factor_poly_values(factor, k, measure_factor, t)
     )
-    scale = {
-        MeasureFactor.InvSqrtBoth: np.sqrt(2.0 / np.pi),
-        MeasureFactor.SqrtBoth: (2.0 / (1.0 + a)) * np.sqrt(2.0 / np.pi) * (2.0 if k else 1.0),
-        MeasureFactor.SqrtRatio: np.sqrt(2.0 / (1.0 + a)) / np.sqrt(np.pi) * (2.0 if k else 1.0),
-    }[measure_factor]
     c = poly.coeffs.copy()
-    c[-1] = scale * factor.h.coeffs[0]
+    c[-1] = const(a) * (2.0 if s and k else 1.0) * factor.h.coeffs[0]
     return OrthoPoly(poly=ChebSeries(c, a), weight=factor.spec.with_measure(measure_factor))
 
 
-def explicit_eval(spec: WeightSpec, t):
-    """Closed-form values of the family's distinguished orthonormal polynomial.
+# X(N) Y(M) of `continued_block`, X = S or C, Y = Sh or Ch (sign(t) S Sh for two sines),
+# divided by sqrt|t| when one factor is a sine or by t when over_t, then by the endpoint
+# root (0: none, 1: sqrt(1-t), 2: sqrt((1-t)(a+t))), times const
+_Distinguished = namedtuple("_Distinguished", "N M sine_pos sine_neg over_t endpoint const")
+_C2 = 2.0 / math.sqrt(math.pi)
+_C2PI = math.sqrt(2.0 / math.pi)
 
-    Every family is a product of the factors of `continued_block`, at (n, m)
-    or (2n, 2m) or (2n, m + m'), divided by t or sqrt|t| through
-    `series_guard` where the quotient has a removable singularity at t = 0.
-    """
-    t = np.asarray(t, dtype=float)
-    n, m, a = spec.n, spec.m, spec.a
+
+def _distinguished(spec: WeightSpec, check: bool = True):
+    """The family's distinguished orthonormal polynomial.  check=False keeps the
+    product form of a parity or measure the polynomial is not orthonormal for."""
+    n, m = spec.n, spec.m
     fam, mf = spec.family, spec.measure_factor
-    c2pi = math.sqrt(2.0 / math.pi)
+
+    def need(ok, message):
+        if check and not ok:
+            raise ParityError(message)
+
     if fam is Family.CosPlusCosh and mf is MeasureFactor.InvSqrtBoth:
-        xi, eta = xi_eta_eval(spec, t)
-        return (2.0 / math.sqrt(math.pi)) * (eta if n % 2 == 1 else xi)
+        need(n % 2 == m % 2, "cos-plus-cosh explicit forms need n, m of equal parity")
+        return _Distinguished(n, m, n % 2 == 1, n % 2 == 1, False, 0, _C2)  # eta or xi
     if fam is Family.CosPlusCosh and mf is MeasureFactor.SqrtBoth:
-        eta = xi_eta_eval(spec, t)[1]
-        return (2.0 / math.sqrt(math.pi)) * eta / np.sqrt((1.0 - t) * (a + t))
+        need(n % 2 == 0 and m % 2 == 0, "sqrt-both explicit form needs even n, m")
+        return _Distinguished(n, m, True, True, False, 2, _C2)
+    if fam is Family.SquaredCosPlusCosh:
+        need(mf is MeasureFactor.SqrtBoth,
+             "squared family polynomial lives under the sqrt-both measure")
+        return _Distinguished(2 * n, 2 * m, True, True, False, 2, _C2PI)
     if fam is Family.CoshMinusCosOverT:
-        C, S, Ch, Sh = continued_block(t, n, m, a)
-        if n % 2 == 1:
-            c0, slope = n, (1.0 - n * n) / 6.0 + m * m / (2.0 * a)
-            num = S * Ch
-        else:
-            c0, slope = m / math.sqrt(a), (m * m - 1.0) / (6.0 * a) - n * n / 2.0
-            num = C * Sh
-        return (2.0 / math.sqrt(math.pi)) * series_guard(t, num, np.sqrt(np.abs(t)), c0, c0 * slope)
-    # the squared family is the cos-plus-cosh product with m' = m
-    M = 2 * m if fam is Family.SquaredCosPlusCosh else m + (spec.m_prime or 0)
-    _, S, Ch, Sh = continued_block(t, 2 * n, M, a)
-    if fam in (Family.SquaredCosPlusCosh, Family.ProductCosPlusCosh):
-        return c2pi * (np.sign(t) * S * Sh) / np.sqrt((1.0 - t) * (a + t))
-    if fam is Family.ProductCoshMinusCos:
-        c0 = 2.0 * n * M / math.sqrt(a)
-        slope = (1.0 - 4.0 * n * n) / 6.0 + (M * M - 1.0) / (6.0 * a)
-        val = series_guard(t, np.sign(t) * S * Sh, t, c0, c0 * slope)
-        return c2pi * val / np.sqrt((1.0 - t) * (a + t))
+        need(mf is MeasureFactor.InvSqrtBoth,
+             "cosh-minus-cos polynomial lives under the inv-sqrt-both measure")
+        need((n + m) % 2 == 1, "cosh-minus-cos explicit form needs n, m of opposite parity")
+        return _Distinguished(n, m, n % 2 == 1, n % 2 == 0, False, 0, _C2)
+    if fam in (Family.ProductCosPlusCosh, Family.ProductCoshMinusCos):
+        need(mf is MeasureFactor.SqrtBoth, "product polynomial lives under the sqrt-both measure")
+        over_t = fam is Family.ProductCoshMinusCos
+        return _Distinguished(2 * n, m + spec.m_prime, True, True, over_t, 2, _C2PI)
     if fam is Family.MixedPlusMinus:
-        c0, slope = 2.0 * n, (1.0 - 4.0 * n * n) / 6.0 + M * M / (2.0 * a)
-        out = series_guard(t, S * Ch, np.sqrt(np.abs(t)), c0, c0 * slope)
-        return c2pi * out / np.sqrt(1.0 - t)
+        need(mf is MeasureFactor.SqrtRatio, "mixed polynomial lives under the sqrt-ratio measure")
+        return _Distinguished(2 * n, m + spec.m_prime, True, False, False, 1, _C2PI)
     raise ParityError(f"no explicit polynomial for {fam} with {mf}")
+
+
+def explicit_eval(spec: WeightSpec, t):
+    """Closed-form values of the family's distinguished orthonormal polynomial
+    (`_distinguished`), at t in [-a, 1] (scalar or array)."""
+    a = spec.a
+    tt = _check_domain(t, a)
+    d = _distinguished(spec, check=False)
+    C, S, Ch, Sh = continued_block(tt, d.N, d.M, a)
+    X, Y = (S if d.sine_pos else C), (Sh if d.sine_neg else Ch)
+    val = (np.sign(tt) * X if d.sine_pos and d.sine_neg else X) * Y
+    if d.over_t or d.sine_pos != d.sine_neg:
+        den = tt if d.over_t else np.sqrt(np.abs(tt))
+        val = series_guard(tt, val, den, *block_series(d.N, d.M, a, d.sine_pos, d.sine_neg))
+    out = d.const * val
+    if d.endpoint:
+        out = out / np.sqrt((1.0 - tt) * (a + tt) if d.endpoint == 2 else 1.0 - tt)
+    return out if np.ndim(t) else float(out[0])
 
 
 def _explicit_roots(spec: WeightSpec):
-    n, m, a = spec.n, spec.m, spec.a
-    fam, mf = spec.family, spec.measure_factor
+    """The zeros in (-a, 1) of the two factors of `_distinguished`: sin^2(k pi/(2N)),
+    k even for S and odd for C, -a times the same ladder at M, and t = 0 for
+    sign(t) S Sh not divided by t."""
+    d = _distinguished(spec)
 
-    def pos_roots(den, count):
-        return [math.sin(math.pi * i / den) ** 2 for i in range(1, count + 1)]
+    def ladder(N, sine):
+        return [math.sin(math.pi * k / (2 * N)) ** 2 for k in range(2 if sine else 1, N, 2)]
 
-    def neg_roots(den, count, odd_numerators=False):
-        if odd_numerators:
-            return [-a * math.sin(math.pi * (2 * j - 1) / den) ** 2 for j in range(1, count + 1)]
-        return [-a * math.sin(math.pi * j / den) ** 2 for j in range(1, count + 1)]
-
-    if fam is Family.CosPlusCosh and mf is MeasureFactor.InvSqrtBoth:
-        if n % 2 == 1 and m % 2 == 1:
-            return [0.0] + pos_roots(n, (n - 1) // 2) + neg_roots(m, (m - 1) // 2)
-        if n % 2 == 0 and m % 2 == 0:
-            return (
-                [math.sin(math.pi * (2 * i - 1) / (2 * n)) ** 2 for i in range(1, n // 2 + 1)]
-                + neg_roots(2 * m, m // 2, odd_numerators=True)
-            )
-        raise ParityError("cos-plus-cosh explicit forms need n, m of equal parity")
-    if fam is Family.CosPlusCosh and mf is MeasureFactor.SqrtBoth:
-        if n % 2 == 0 and m % 2 == 0:
-            return [0.0] + pos_roots(n, n // 2 - 1) + neg_roots(m, m // 2 - 1)
-        raise ParityError("sqrt-both explicit form needs even n, m")
-    if fam is Family.SquaredCosPlusCosh:
-        if mf is not MeasureFactor.SqrtBoth:
-            raise ParityError("squared family polynomial lives under the sqrt-both measure")
-        return [0.0] + pos_roots(2 * n, n - 1) + neg_roots(2 * m, m - 1)
-    if fam is Family.CoshMinusCosOverT:
-        if mf is not MeasureFactor.InvSqrtBoth:
-            raise ParityError("cosh-minus-cos polynomial lives under the inv-sqrt-both measure")
-        if (n + m) % 2 == 0:
-            raise ParityError("cosh-minus-cos explicit form needs n, m of opposite parity")
-        if n % 2 == 1:
-            return pos_roots(n, (n - 1) // 2) + neg_roots(2 * m, m // 2, odd_numerators=True)
-        return (
-            [math.sin(math.pi * (2 * i - 1) / (2 * n)) ** 2 for i in range(1, n // 2 + 1)]
-            + neg_roots(m, (m - 1) // 2)
-        )
-    M = (m + spec.m_prime) if spec.m_prime is not None else None
-    if fam is Family.ProductCosPlusCosh:
-        if mf is not MeasureFactor.SqrtBoth:
-            raise ParityError("product polynomial lives under the sqrt-both measure")
-        return [0.0] + pos_roots(2 * n, n - 1) + neg_roots(M, M // 2 - 1)
-    if fam is Family.ProductCoshMinusCos:
-        if mf is not MeasureFactor.SqrtBoth:
-            raise ParityError("product polynomial lives under the sqrt-both measure")
-        return pos_roots(2 * n, n - 1) + neg_roots(M, M // 2 - 1)
-    if fam is Family.MixedPlusMinus:
-        if mf is not MeasureFactor.SqrtRatio:
-            raise ParityError("mixed polynomial lives under the sqrt-ratio measure")
-        return pos_roots(2 * n, n - 1) + neg_roots(2 * M, M // 2, odd_numerators=True)
-    raise ParityError(f"no explicit polynomial for {fam} with {mf}")
+    zero = [0.0] if d.sine_pos and d.sine_neg and not d.over_t else []
+    return zero + ladder(d.N, d.sine_pos) + [-spec.a * r for r in ladder(d.M, d.sine_neg)]
 
 
 def explicit_family(spec: WeightSpec) -> OrthoPoly:

@@ -17,9 +17,11 @@ asin(sqrt(t)) = i asinh(sqrt(-t)) and asinh(sqrt(t/a)) = i asin(sqrt(-t/a)),
 never by complex square roots.  They are written once, in `continued_block`,
 which returns the four factors cos, sin, cosh, sinh of the block on both sides
 of t = 0; `series_guard` swaps a quotient by t or sqrt|t| for its two-term
-Taylor series near t = 0.  Every closed form in the package (rho, xi/eta, the
-explicit orthonormal polynomials, the circle samples of the factor) is built
-from these two.
+Taylor series near t = 0, and `block_series` gives that series for any
+product of two factors from the one-factor expansions.  Every closed form in
+the package (rho, xi/eta, the explicit orthonormal polynomials, the circle
+samples of the factor) is built from these; only the rho quotient `_rho_cmc`
+keeps its own series, of a difference of Chebyshev polynomials.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ __all__ = [
     "xi_eta_eval",
     "continued_block",
     "series_guard",
+    "block_series",
     "expected_rho_degree",
     "build_szego_factor",
     "squared_factor",
@@ -115,9 +118,9 @@ class WeightSpec:
 def _check_domain(t, a):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     slack = 1e-9 * (1.0 + a)
-    if np.any(t < -a - slack) or np.any(t > 1.0 + slack):
+    if ((t < -a - slack) | (t > 1.0 + slack)).any():
         raise DomainError(f"t outside [{-a}, 1]")
-    return np.clip(t, -a, 1.0)
+    return np.minimum(np.maximum(t, -a), 1.0)  # np.clip, at half the cost on short arrays
 
 
 def _rho_cpc(t, n, m, a):
@@ -156,6 +159,17 @@ def series_guard(t, num, den, c0, c1):
     t = np.asarray(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(np.abs(t) < _SERIES_RADIUS, c0 + c1 * t, num / den)
+
+
+def block_series(N, M, a, sine_pos, sine_neg):
+    """(c0, c1) with X Y / sqrt|t|^(sine_pos + sine_neg) = c0 + c1 t + O(t^2) on both sides
+    of t = 0, for X = S or C of `continued_block` at N and Y = Sh or Ch at M: the product
+    of S/sqrt|t| = N (1 + (1 - N^2) t/6), C = 1 - N^2 t/2,
+    Sh/sqrt|t| = (M/sqrt a)(1 + (M^2 - 1) t/(6a)) and Ch = 1 + M^2 t/(2a)."""
+    c0 = (N if sine_pos else 1.0) * (M if sine_neg else 1.0) / (math.sqrt(a) if sine_neg else 1.0)
+    slope_pos = (1.0 - N * N) / 6.0 if sine_pos else -(N * N / 2.0)
+    slope_neg = (M * M - 1.0) / (6.0 * a) if sine_neg else M * M / (2.0 * a)
+    return c0, c0 * (slope_pos + slope_neg)
 
 
 def _rho_cmc(t, n, m, a):
@@ -272,7 +286,8 @@ def _circle_form(spec: WeightSpec, t):
         # function of sqrt(t): analytic across t = 0 with this limit.
         with np.errstate(divide="ignore", invalid="ignore"):
             F = np.sqrt(2.0 / np.abs(t)) * (S * Ch - 1j * C * Sh)
-        F = series_guard(t, F, 1.0, np.sqrt(2.0) * (n - 1j * m / np.sqrt(a)), 0.0)
+        c0 = block_series(n, m, a, True, False)[0] - 1j * block_series(n, m, a, False, True)[0]
+        F = series_guard(t, F, 1.0, np.sqrt(2.0) * c0, 0.0)  # the constant term only
         return n + m - 1, 1j ** (1 - n), F
     raise ParityError(f"no circle sampling formula for family {spec.family}")
 
@@ -298,8 +313,8 @@ def _block_zeros(spec: WeightSpec):
     """The paper's roots sin^2(k pi/(2n)), -a sin^2(j pi/(2m)) from 1 down to -a:
     every zero of C, S, Ch and Sh of `continued_block` in [-a, 1]."""
     n, m, a = spec.n, spec.m, spec.a
-    pos = np.sin(0.5 * np.pi * np.arange(n, -1, -1) / n) ** 2
-    neg = -a * np.sin(0.5 * np.pi * np.arange(1, m + 1) / m) ** 2
+    pos = np.sin(np.pi * np.arange(n, -1, -1) / (2 * n)) ** 2
+    neg = -a * np.sin(np.pi * np.arange(1, m + 1) / (2 * m)) ** 2
     return np.concatenate([pos, neg])
 
 

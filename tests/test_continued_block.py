@@ -9,6 +9,7 @@ differently from the c0 (1 + c t) written here.
 """
 import ast
 import math
+from itertools import product
 from pathlib import Path
 
 import mpmath
@@ -204,6 +205,62 @@ def ref_explicit_eval(spec, t):
     return c2pi * out / np.sqrt(1.0 - t)
 
 
+def ref_explicit_roots(spec):
+    n, m, a = spec.n, spec.m, spec.a
+    fam, mf = spec.family, spec.measure_factor
+
+    def pos_roots(den, count):
+        return [math.sin(math.pi * i / den) ** 2 for i in range(1, count + 1)]
+
+    def neg_roots(den, count, odd_numerators=False):
+        if odd_numerators:
+            return [-a * math.sin(math.pi * (2 * j - 1) / den) ** 2 for j in range(1, count + 1)]
+        return [-a * math.sin(math.pi * j / den) ** 2 for j in range(1, count + 1)]
+
+    if fam is Family.CosPlusCosh and mf is MeasureFactor.InvSqrtBoth:
+        if n % 2 == 1 and m % 2 == 1:
+            return [0.0] + pos_roots(n, (n - 1) // 2) + neg_roots(m, (m - 1) // 2)
+        if n % 2 == 0 and m % 2 == 0:
+            return (
+                [math.sin(math.pi * (2 * i - 1) / (2 * n)) ** 2 for i in range(1, n // 2 + 1)]
+                + neg_roots(2 * m, m // 2, odd_numerators=True)
+            )
+        raise ParityError("cos-plus-cosh explicit forms need n, m of equal parity")
+    if fam is Family.CosPlusCosh and mf is MeasureFactor.SqrtBoth:
+        if n % 2 == 0 and m % 2 == 0:
+            return [0.0] + pos_roots(n, n // 2 - 1) + neg_roots(m, m // 2 - 1)
+        raise ParityError("sqrt-both explicit form needs even n, m")
+    if fam is Family.SquaredCosPlusCosh:
+        if mf is not MeasureFactor.SqrtBoth:
+            raise ParityError("squared family polynomial lives under the sqrt-both measure")
+        return [0.0] + pos_roots(2 * n, n - 1) + neg_roots(2 * m, m - 1)
+    if fam is Family.CoshMinusCosOverT:
+        if mf is not MeasureFactor.InvSqrtBoth:
+            raise ParityError("cosh-minus-cos polynomial lives under the inv-sqrt-both measure")
+        if (n + m) % 2 == 0:
+            raise ParityError("cosh-minus-cos explicit form needs n, m of opposite parity")
+        if n % 2 == 1:
+            return pos_roots(n, (n - 1) // 2) + neg_roots(2 * m, m // 2, odd_numerators=True)
+        return (
+            [math.sin(math.pi * (2 * i - 1) / (2 * n)) ** 2 for i in range(1, n // 2 + 1)]
+            + neg_roots(m, (m - 1) // 2)
+        )
+    M = (m + spec.m_prime) if spec.m_prime is not None else None
+    if fam is Family.ProductCosPlusCosh:
+        if mf is not MeasureFactor.SqrtBoth:
+            raise ParityError("product polynomial lives under the sqrt-both measure")
+        return [0.0] + pos_roots(2 * n, n - 1) + neg_roots(M, M // 2 - 1)
+    if fam is Family.ProductCoshMinusCos:
+        if mf is not MeasureFactor.SqrtBoth:
+            raise ParityError("product polynomial lives under the sqrt-both measure")
+        return pos_roots(2 * n, n - 1) + neg_roots(M, M // 2 - 1)
+    if fam is Family.MixedPlusMinus:
+        if mf is not MeasureFactor.SqrtRatio:
+            raise ParityError("mixed polynomial lives under the sqrt-ratio measure")
+        return pos_roots(2 * n, n - 1) + neg_roots(2 * M, M // 2, odd_numerators=True)
+    raise ParityError(f"no explicit polynomial for {fam} with {mf}")
+
+
 # ---------------------------------------------------------------------------
 # the rewrite agrees with the copies
 
@@ -290,6 +347,35 @@ def test_explicit_family_unchanged(a, monkeypatch):
     assert sum(isinstance(x, bytes) for x in new) > len(new) // 2
 
 
+def _roots_outcome(roots_of, spec):
+    try:
+        return np.sort(np.asarray(roots_of(spec), dtype=float)).tobytes()
+    except ParityError as exc:
+        return f"ParityError: {exc}"
+
+
+def root_specs(a, top=17):
+    for family, mf, n, m in product(Family, MeasureFactor, range(1, top), range(1, top)):
+        if family in weight_models._PRODUCT_FAMILIES:
+            for mp in range(2 - m % 2, 9, 2):  # m + m' even
+                yield WeightSpec(n, m, a, family, mf, mp)
+        else:
+            yield WeightSpec(n, m, a, family, mf)
+
+
+@pytest.mark.parametrize("a", A_VALUES)
+def test_explicit_roots_unchanged(a):
+    # every family and measure factor: the same sorted roots, bit for bit,
+    # or the same ParityError with the same message
+    outcomes = [
+        (_roots_outcome(szego_polys._explicit_roots, spec),
+         _roots_outcome(ref_explicit_roots, spec))
+        for spec in root_specs(a)
+    ]
+    assert all(new == old for new, old in outcomes)
+    assert 1000 < sum(isinstance(old, bytes) for _, old in outcomes) < len(outcomes)
+
+
 # ---------------------------------------------------------------------------
 # the helper against complex asin and asinh
 
@@ -327,28 +413,86 @@ def test_series_guard_switches_at_the_radius():
     assert np.array_equal(out, np.where(np.abs(t) < 1e-6, 5.0 + 7.0 * t, 3.0))
 
 
+def _block_product(t, N, M, a, sine_pos, sine_neg):
+    """X(N) Y(M) / sqrt|t|^(sine_pos + sine_neg) by complex asin and asinh at 50 digits."""
+    x = mpmath.mpf(t)
+    A = N * mpmath.asin(mpmath.sqrt(x))
+    B = M * mpmath.asinh(mpmath.sqrt(x / a))
+    X = mpmath.sin(A) / mpmath.sqrt(x) if sine_pos else mpmath.cos(A)
+    Y = mpmath.sinh(B) / mpmath.sqrt(x) if sine_neg else mpmath.cosh(B)
+    return mpmath.re(X * Y)
+
+
+@pytest.mark.parametrize("a", A_VALUES)
+@pytest.mark.parametrize("N, M", [(1, 1), (2, 5), (7, 4), (62, 33)])
+@pytest.mark.parametrize("sine_pos, sine_neg", list(product([True, False], repeat=2)))
+def test_block_series_is_the_taylor_series(N, M, a, sine_pos, sine_neg):
+    # central differences at t = +-1e-20 leave an O(1e-40) error at 50 digits
+    h = mpmath.mpf("1e-20")
+    with mpmath.workdps(50):
+        up, down = (_block_product(s * h, N, M, a, sine_pos, sine_neg) for s in (1, -1))
+        want = [(up + down) / 2, (up - down) / (2 * h)]
+    got = weight_models.block_series(N, M, a, sine_pos, sine_neg)
+    scale = float(abs(want[0]) + abs(want[1]))  # c1 is 0 where the slopes cancel
+    for g, w in zip(got, want):
+        assert abs(g - float(w)) <= 1e-14 * scale
+
+
 # ---------------------------------------------------------------------------
 # "written once"
 
 
-def _asin_of_sqrt_sites(module):
-    tree = ast.parse(Path(module.__file__).read_text())
+def _sites(source, match):
+    """The outermost function around each node of the source that matches."""
+    tree = ast.parse(source)
     owner = {}
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
             for node in ast.walk(fn):
                 owner.setdefault(node, getattr(fn, "name", "<lambda>"))
-    sites = []
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and ast.unparse(node.func) in ("np.arcsin", "np.arcsinh")
-            and node.args
-            and isinstance(node.args[0], ast.Call)
-            and ast.unparse(node.args[0].func) == "np.sqrt"
-        ):
-            sites.append(owner.get(node, "<module>"))
-    return sites
+    return [owner.get(node, "<module>") for node in ast.walk(tree) if match(node)]
+
+
+def _is_asin_of_sqrt(node):
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("np.arcsin", "np.arcsinh")
+        and node.args
+        and isinstance(node.args[0], ast.Call)
+        and ast.unparse(node.args[0].func) == "np.sqrt"
+    )
+
+
+def _is_series_not_from_block_series(node):
+    """A series_guard call whose Taylor data is not `*block_series(...)`."""
+    if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "series_guard"):
+        return False
+    last = node.args[-1] if node.args else None
+    return not (
+        isinstance(last, ast.Starred)
+        and isinstance(last.value, ast.Call)
+        and ast.unparse(last.value.func) == "block_series"
+    )
+
+
+def _is_root_ladder(node):
+    """sin(... pi ...) ** 2."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and ast.unparse(node.right) == "2"
+        and isinstance(node.left, ast.Call)
+        and ast.unparse(node.left.func) in ("math.sin", "np.sin")
+        and "pi" in ast.unparse(node.left)
+    )
+
+
+def _source(module):
+    return Path(module.__file__).read_text()
+
+
+def _asin_of_sqrt_sites(module):
+    return _sites(_source(module), _is_asin_of_sqrt)
 
 
 def test_continuation_is_written_once():
@@ -358,6 +502,28 @@ def test_continuation_is_written_once():
         "bszego.szego_polys": [],
         "bszego.suites": [],
     }
+    # the Taylor data at t = 0 and the root ladders are written once too
+    for mod in (szego_polys, suites):
+        assert _sites(_source(mod), _is_series_not_from_block_series) == []
+    assert _sites(_source(szego_polys), _is_root_ladder) == ["_explicit_roots"]
+
+
+@pytest.mark.parametrize("module, before, after, match, owner", [
+    (suites, "*block_series(2 * n, 2 * m, a, True, True)", "c0, c1",
+     _is_series_not_from_block_series, "_square"),
+    (szego_polys, "*block_series(d.N, d.M, a, d.sine_pos, d.sine_neg)", "1.0, 0.0",
+     _is_series_not_from_block_series, "explicit_eval"),
+    (szego_polys, "out = d.const * val", "out = d.const * val * math.sin(math.pi / 3) ** 2",
+     _is_root_ladder, "explicit_eval"),
+    (szego_polys, "tt = _check_domain(t, a)", "tt = np.arcsin(np.sqrt(_check_domain(t, a)))",
+     _is_asin_of_sqrt, "explicit_eval"),
+], ids=["hand-written series in a suite", "hand-written series in explicit_eval",
+        "root ladder outside the helper", "continuation outside the helper"])
+def test_written_once_checks_catch_a_mutation(module, before, after, match, owner):
+    source = _source(module)
+    assert source.count(before) == 1
+    assert owner not in _sites(source, match)
+    assert owner in _sites(source.replace(before, after), match)
 
 
 # ---------------------------------------------------------------------------

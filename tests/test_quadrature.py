@@ -25,6 +25,7 @@ from bszego.quadrature import (
     weighted_oracle_integral,
     weights_from_moments,
 )
+from bszego import szego_polys
 from bszego.szego_polys import explicit_family
 from bszego.weight_models import Family, MeasureFactor, WeightSpec
 from bszego import oracle, suites
@@ -203,6 +204,32 @@ class TestSignedRule:
     def test_same_parity_rejected(self):
         with pytest.raises(ParityError):
             rule_cosh_minus_cos(3, 5, 1.0)
+
+
+def _rules_and_specs(a, top=32):
+    for n in range(1, top):
+        for m in range(1, top):
+            if n % 2 == 1 and m % 2 == 1:
+                yield rule_cos_plus_cosh(n, m, a), WeightSpec(n, m, a)
+            yield rule_squared(n, m, a), WeightSpec(
+                n, m, a, Family.SquaredCosPlusCosh, MeasureFactor.SqrtBoth)
+            if (n + m) % 2 == 1:
+                yield rule_cosh_minus_cos(n, m, a), WeightSpec(n, m, a, Family.CoshMinusCosOverT)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.73, 1.1434609861934242, 2.0])
+def test_gauss_nodes_are_the_explicit_roots(a):
+    # Gauss nodes are the zeros of the distinguished orthogonal polynomial; the
+    # even-n signed rule reflects the odd one by t -> -a t, which may round
+    # its nodes to the next float
+    count = 0
+    for rule, spec in _rules_and_specs(a):
+        nodes = np.sort(rule.nodes)
+        roots = np.sort(szego_polys._explicit_roots(spec))
+        assert nodes.shape == roots.shape, spec
+        assert np.all(np.abs(nodes - roots) <= 2 * np.spacing(np.abs(roots))), spec
+        count += 1
+    assert count == 1697
 
 
 class TestApplyRule:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bszego import szego_polys
-from bszego.errors import DegreeThreshold, ParityError
+from bszego.errors import DegreeThreshold, DomainError, ParityError
 from bszego.poly_core import ChebSeries
 from bszego.quadrature import weighted_oracle_integral
 from bszego.szego_polys import (
@@ -286,6 +286,40 @@ class TestExplicitFamilies:
                 lambda tt: p.poly(tt)[:, None] * np.asarray(tt)[:, None] ** powers[None, :],
             )
             assert np.max(np.abs(vals)) < 1e-8
+
+
+_ONE_PER_FAMILY = [
+    spec_cpc(3, 5, 0.7),
+    spec_cpc(4, 6, 0.7, MeasureFactor.SqrtBoth),
+    WeightSpec(2, 3, 0.7, Family.SquaredCosPlusCosh, MeasureFactor.SqrtBoth),
+    WeightSpec(3, 4, 1.0, Family.CoshMinusCosOverT),
+    WeightSpec(2, 3, 0.7, Family.ProductCosPlusCosh, MeasureFactor.SqrtBoth, 5),
+    WeightSpec(2, 3, 0.7, Family.ProductCoshMinusCos, MeasureFactor.SqrtBoth, 5),
+    WeightSpec(2, 3, 0.7, Family.MixedPlusMinus, MeasureFactor.SqrtRatio, 5),
+]
+
+
+class TestExplicitEvalDomain:
+    @pytest.mark.parametrize("spec", _ONE_PER_FAMILY, ids=lambda s: s.family.value)
+    def test_outside_the_interval_raises(self, spec):
+        for t in (-spec.a - 0.5, 1.5):
+            with pytest.raises(DomainError):
+                explicit_eval(spec, t)
+            with pytest.raises(DomainError):
+                explicit_eval(spec, np.array([0.2, t]))
+
+    @pytest.mark.parametrize("spec", _ONE_PER_FAMILY, ids=lambda s: s.family.value)
+    def test_scalar_in_scalar_out(self, spec):
+        for t in (-0.4, 0.0, 0.3):
+            value = explicit_eval(spec, t)
+            assert type(value) is float
+            assert value == explicit_eval(spec, np.array([t]))[0]
+
+    def test_quotient_family_angle_is_not_clamped(self):
+        # min(-t/a, 1) clamped the angle and gave 10.155 at t = -1.5, outside
+        # [-1, 1], where the polynomial has |p(-1.5)| = 71.09
+        with pytest.raises(DomainError):
+            explicit_eval(WeightSpec(3, 4, 1.0, Family.CoshMinusCosOverT), -1.5)
 
 
 class TestKernel:

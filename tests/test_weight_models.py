@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bszego import weight_models
-from bszego.errors import BszegoError, DomainError, ParityError, RootInDisk
+from bszego.errors import BszegoError, DomainError, FactorizationResidual, ParityError, RootInDisk
 from bszego.weight_models import (
     Family,
     MeasureFactor,
@@ -385,3 +385,19 @@ class TestZeroFreeCertificate:
         factor = build_szego_factor(spec)
         assert factor.h.degree == expected_rho_degree(spec) == 33
         assert factor.max_factorization_residual <= 1e-9 * np.max(rho_eval(spec, np.linspace(-0.5, 1.0, 512)))
+
+
+@pytest.mark.parametrize("a", [1e-3, 1e-5])
+def test_quotient_family_builds_at_small_a(a):
+    build_szego_factor(WeightSpec(2, 3, a, Family.CoshMinusCosOverT))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=FactorizationResidual,
+    reason="series_guard's band |t| < 1e-6 is absolute, but the quotient's two-term series "
+    "holds only for |t| << a/M^2: at a = 1e-7 the circle samples take their t = 0 value "
+    "over all of [-a, 0], and the trailing coefficient mass is 2.2e3",
+)
+def test_quotient_family_builds_below_the_series_radius():
+    build_szego_factor(WeightSpec(2, 3, 1e-7, Family.CoshMinusCosOverT))
