@@ -53,6 +53,8 @@ from .pick_measures import (
     MatchedMeasure,
     MatchedPair,
     PickFunction,
+    boundary_moments,
+    densities,
     density,
     matched_measure,
     matched_pair,

@@ -8,12 +8,18 @@ reproduce (kappa_{k-1}/kappa_k times) the moments of the original measure
 on [-a, 1].  Moment 2k-1 is generically not matched: that boundary is part
 of the statement and is probed statistically in the tests.
 
-The construction splits in two.  `matched_pair(spec)` builds everything that
-does not depend on phi: k, the polynomials p_k and p_{k-1}, kappa_{k-1}/kappa_k
-and the base moments mu_0..mu_{2k-1}, which the moment checks read as their
-right-hand side.  `MatchedPair.measure(phi, form)` adds phi and the density
-form to a pair, so many phi can share one pair; `matched_measure(spec, phi,
-form)` does both steps.
+The construction splits in two.  `matched_pair(spec)` builds the pair,
+everything that does not depend on phi: k, the polynomials p_k and p_{k-1},
+kappa_{k-1}/kappa_k and the base moments mu_0..mu_{2k-1}, which the moment
+checks read as their right-hand side.  `MatchedPair.measure(phi, form)` adds
+phi and the density form to a pair, giving a measure, so many phi can share
+one pair; `matched_measure(spec, phi, form)` does both steps.
+
+Many (phi, form) draws on one pair are evaluated together:
+`densities(pair, draws, x)` gives one column per draw and evaluates p_k and
+p_{k-1} once per point, and `density(meas, x)` is its one-draw column.
+`boundary_moments(pair, draws)` integrates moment 2k-1 of every draw in one
+oracle pass, refining on the worst draw.
 """
 from __future__ import annotations
 
@@ -42,10 +48,14 @@ __all__ = [
     "matched_pair",
     "MatchedMeasure",
     "matched_measure",
+    "densities",
     "density",
+    "boundary_moments",
     "moment_match_check",
     "moment_match_all",
 ]
+
+_FORMS = ("measure2", "measure5")  # |phi p_k - p_{k-1}|^2 and |p_k + phi p_{k-1}|^2
 
 
 @dataclass(frozen=True)
@@ -94,8 +104,7 @@ class MatchedPair:
 
     def measure(self, phi: PickFunction, form: str = "measure2") -> "MatchedMeasure":
         """This pair with phi and the density form."""
-        if form not in ("measure2", "measure5"):
-            raise ValueError("form must be 'measure2' or 'measure5'")
+        _check_form(form)
         pair = {f.name: getattr(self, f.name) for f in fields(MatchedPair)}
         return MatchedMeasure(**pair, phi=phi, form=form)
 
@@ -149,6 +158,30 @@ def matched_measure(spec: WeightSpec, phi: PickFunction, form: str = "measure2")
     return matched_pair(spec).measure(phi, form)
 
 
+def _check_form(form):
+    if form not in _FORMS:
+        raise ValueError("form must be 'measure2' or 'measure5'")
+
+
+def densities(pair: MatchedPair, draws, x):
+    """Densities of the (phi, form) draws on one pair; shape x.shape + (len(draws),).
+
+    p_k and p_{k-1} are evaluated once per point for all draws.
+    """
+    x = np.asarray(x, dtype=float)
+    pk, pkm1 = pair.p_k(x), pair.p_km1(x)
+    out = np.empty(x.shape + (len(draws),))
+    for d, (phi, form) in enumerate(draws):
+        _check_form(form)
+        ph = pick_eval(phi, x)
+        if form == "measure2":
+            denom = np.abs(ph * pk - pkm1) ** 2
+        else:
+            denom = np.abs(pk + ph * pkm1) ** 2
+        out[..., d] = np.imag(ph) / np.pi / denom
+    return out
+
+
 def density(meas: MatchedMeasure, x):
     """Pointwise density; strictly positive on R.
 
@@ -156,13 +189,24 @@ def density(meas: MatchedMeasure, x):
     at those zeros the other factor is nonzero by interlacing, so neither
     denominator form can vanish.
     """
-    x = np.asarray(x, dtype=float)
-    ph = pick_eval(meas.phi, x)
-    if meas.form == "measure2":
-        denom = np.abs(ph * meas.p_k(x) - meas.p_km1(x)) ** 2
-    else:
-        denom = np.abs(meas.p_k(x) + ph * meas.p_km1(x)) ** 2
-    return np.imag(ph) / np.pi / denom
+    return densities(meas, [(meas.phi, meas.form)], x)[..., 0]
+
+
+def boundary_moments(pair: MatchedPair, draws, tol: float = 1e-8):
+    """Moment 2k-1 of each (phi, form) draw on the pair; returns (lhs array, rhs).
+
+    The improper integral need not converge at j = 2k-1, so each lhs is the
+    fixed symmetric truncation to [-60, 60]; all draws share one adaptive
+    pass that refines on the worst draw.  rhs is kappa_{k-1}/kappa_k times
+    the pair's oracle moment mu_{2k-1}, the same for every draw.
+    """
+    j = 2 * pair.k - 1
+
+    def f(x):
+        return (np.asarray(x) ** j)[:, None] * densities(pair, draws, x)
+
+    lhs, _ = oracle.integrate(oracle.IntegrandSpec(f, oracle.FiniteDirect(-60.0, 60.0)), tol=tol)
+    return np.asarray(lhs), pair.kappa_ratio * pair.moments[j]
 
 
 def moment_match_check(meas: MatchedMeasure, j: int, tol: float = 1e-8):
@@ -171,23 +215,19 @@ def moment_match_check(meas: MatchedMeasure, j: int, tol: float = 1e-8):
     lhs integrates x^j against the density over R (rational substitution;
     the tails decay at least like x^-2 for j <= 2k-2).  rhs is
     kappa_{k-1}/kappa_k times the pair's oracle moment of the base measure.
-    For the boundary probe j = 2k-1, where the improper integral need not
-    converge, a fixed symmetric truncation is used instead.
+    The boundary probe j = 2k-1 is `boundary_moments` with this one draw.
     """
     if j < 0 or j > 2 * meas.k - 1:
         raise ValueError("moment order must satisfy 0 <= j <= 2k-1")
+    if j == 2 * meas.k - 1:
+        (lhs,), rhs = boundary_moments(meas, [(meas.phi, meas.form)], tol=tol)
+        return float(lhs), rhs
 
     def f(x):
         return np.asarray(x) ** j * density(meas, x)
 
-    if j <= 2 * meas.k - 2:
-        lhs = oracle.improper_integral(f, decay="RationalOrder2", tol=tol)
-    else:
-        lhs, _ = oracle.integrate(
-            oracle.IntegrandSpec(f, oracle.FiniteDirect(-60.0, 60.0)), tol=tol
-        )
-    rhs = meas.kappa_ratio * meas.moments[j]
-    return lhs, rhs
+    lhs = oracle.improper_integral(f, decay="RationalOrder2", tol=tol)
+    return lhs, meas.kappa_ratio * meas.moments[j]
 
 
 def moment_match_all(meas: MatchedMeasure, tol: float = 1e-8):

@@ -159,6 +159,15 @@ USAGE_ERRORS = {
     "tolerance_inf": lambda tmp: ["verify", "--config", _write(
         tmp / "cfg.json", json.dumps({"suites": ["corollary_B"],
                                       "tolerances": {"corollary_B": math.inf}}))],
+    # measure3 pairs: not a pair, the wrong length, even degrees
+    "measure3_pairs_flat": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"grids": {"measure3": {"pairs": [3, 5]}}}))],
+    "measure3_pair_too_short": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"grids": {"measure3": {"pairs": [[3]]}}}))],
+    "measure3_pair_too_long": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"grids": {"measure3": {"pairs": [[3, 5, 7]]}}}))],
+    "measure3_pair_even": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"grids": {"measure3": {"pairs": [[2, 4]]}}}))],
     "rule_a_inf": lambda tmp: ["rule", "--n", "3", "--m", "5", "--a", "inf",
                                "--family", "cos_plus_cosh"],
     "rule_a_nan": lambda tmp: ["rule", "--n", "3", "--m", "5", "--a", "nan",
@@ -184,6 +193,17 @@ def test_bad_tolerance_rejected_before_any_suite_runs(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--suite", "corollary_B", "--tol", "nan")
     assert code == 2
     assert err.startswith("error: tolerance of the override must be finite")
+    assert ran == [] and out == ""
+
+
+def test_bad_measure3_pairs_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setitem(SUITES, "corollary_B", lambda grid, tol: ran.append(grid) or [])
+    cfg = _write(tmp_path / "cfg.json", json.dumps({
+        "suites": ["corollary_B", "measure3"], "grids": {"measure3": {"pairs": [[2, 4]]}}}))
+    code, out, err = run_cli(capsys, "verify", "--config", cfg)
+    assert code == 2
+    assert err.startswith("error: grid of suite 'measure3': axis 'pairs'")
     assert ran == [] and out == ""
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from bszego import oracle, suites, weight_models
 from bszego.pick_measures import (
     MatchedMeasure,
     PickFunction,
+    boundary_moments,
+    densities,
     density,
     matched_measure,
     matched_pair,
@@ -22,6 +25,21 @@ from bszego.weight_models import Family, MeasureFactor, WeightSpec, xi_eta_eval
 
 def cpc(n, m, a=1.0):
     return WeightSpec(n, m, a, Family.CosPlusCosh, MeasureFactor.InvSqrtBoth)
+
+
+# the constructible pairs the measure3 cells are run on
+PAIRS = [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)]
+
+
+def one_draw_density(meas, x):
+    """The density formula evaluated for one measure alone (the reference for `densities`)."""
+    x = np.asarray(x, dtype=float)
+    ph = pick_eval(meas.phi, x)
+    if meas.form == "measure2":
+        denom = np.abs(ph * meas.p_k(x) - meas.p_km1(x)) ** 2
+    else:
+        denom = np.abs(meas.p_k(x) + ph * meas.p_km1(x)) ** 2
+    return np.imag(ph) / np.pi / denom
 
 
 class TestPickFunction:
@@ -76,6 +94,24 @@ class TestDensity:
         slopes = np.diff(np.log(density(meas2, xs))) / np.diff(np.log(xs))
         assert np.all(slopes < -2.0)
         assert np.max(np.abs(slopes + 2.0 * meas2.k)) < 0.05
+
+    @pytest.mark.parametrize("n, m", PAIRS)
+    def test_density_is_the_one_draw_formula_bit_for_bit(self, n, m):
+        pair = matched_pair(WeightSpec(n, m, 1.0))
+        x = np.linspace(-60.0, 60.0, 2001)
+        draws = list(product(suites._PHI_SET.values(), ("measure2", "measure5")))
+        table = densities(pair, draws, x)
+        assert table.shape == (x.size, len(draws))
+        for d, (phi, form) in enumerate(draws):
+            meas = pair.measure(phi, form)
+            got = density(meas, x)
+            assert np.array_equal(got, one_draw_density(meas, x))
+            assert np.array_equal(table[:, d], got)
+
+    def test_unknown_form_rejected(self):
+        pair = matched_pair(cpc(1, 1))
+        with pytest.raises(ValueError):
+            densities(pair, [(PickFunction(0.0, 1j), "measure3")], np.zeros(3))
 
     def test_explicit_quotient_identity(self):
         # |sqrt(1-x^2) xi - (phi - x) eta|^2 = (pi/4) |phi p_k - p_{k-1}|^2
@@ -181,27 +217,78 @@ class TestMatchedPair:
         with pytest.raises(ValueError):
             matched_pair(cpc(2, 4))
 
-    @pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)])
+    @pytest.mark.parametrize("n, m", PAIRS)
     def test_boundary_cell_builds_one_pair(self, monkeypatch, n, m):
         # the factor (and its zero-free certificate) is built once for the
         # cell's 30 draws; every draw is still checked, and each breaks moment 2k-1
         certified, checks = [], []
-        winding, check = weight_models._certify_zero_free, suites.moment_match_check
+        winding, batched = weight_models._certify_zero_free, suites.boundary_moments
 
         def counted_winding(spec):
             certified.append(spec)
             return winding(spec)
 
-        def recorded_check(meas, j, tol):
-            lhs, rhs = check(meas, j, tol=tol)
-            checks.append(abs(lhs - rhs) > 1e-4 * max(1e-8, abs(lhs) + abs(rhs)))
+        def recorded_batch(pair, draws, tol):
+            lhs, rhs = batched(pair, draws, tol=tol)
+            checks.extend(abs(l - rhs) > 1e-4 * max(1e-8, abs(l) + abs(rhs)) for l in lhs)
             return lhs, rhs
 
         monkeypatch.setattr(weight_models, "_certify_zero_free", counted_winding)
-        monkeypatch.setattr(suites, "moment_match_check", recorded_check)
-        assert suites._measure3_boundary(n, m) == 0.0
+        monkeypatch.setattr(suites, "boundary_moments", recorded_batch)
+        assert suites._measure3_boundary(lambda: matched_pair(WeightSpec(n, m, 1.0)), n, m) == 0.0
         assert len(certified) == (0 if n + m == 2 else 1)  # k = 1 normalises a constant instead
         assert len(checks) == 30 and all(checks)
+
+    def test_one_pair_per_run_verify_call(self, monkeypatch):
+        # the nine cells of (3, 5) share one pair; the next call builds its own
+        certified = []
+        winding = weight_models._certify_zero_free
+        monkeypatch.setattr(weight_models, "_certify_zero_free",
+                            lambda spec: certified.append(spec) or winding(spec))
+        grids = {"measure3": {"pairs": [[3, 5]]}}
+        first = suites.run_verify("measure3", grids=grids)
+        assert len(first) == 9 and len(certified) == 1
+        second = suites.run_verify("measure3", grids=grids)
+        assert len(certified) == 2
+        assert [r.core_dict() for r in first] == [r.core_dict() for r in second]
+
+    def test_failed_pair_build_fails_each_cell(self, monkeypatch):
+        # p_(k-1) of (1, 3) is past its degree threshold: one build attempt,
+        # and each of the nine cells is its own failed record
+        builds = []
+        monkeypatch.setattr(suites, "matched_pair",
+                            lambda spec: builds.append(spec) or matched_pair(spec))
+        records = suites.run_verify("measure3", grids={"measure3": {"pairs": [[1, 3]]}})
+        assert len(builds) == 1
+        assert len(records) == 9
+        assert {r.theorem_id for r in records} == {"measure3", "measure3_boundary"}
+        for r in records:
+            assert (r.passed, r.error) == (False, "DegreeThreshold")
+            assert math.isinf(r.abs_error)
+
+
+class TestBoundaryMoments:
+    @pytest.mark.parametrize("n, m", PAIRS)
+    def test_batched_draws_match_a_tight_reference(self, monkeypatch, n, m):
+        # the shared pass refines every draw where the largest one needs it,
+        # so small draws keep their digits (worst seen 9.7e-11, at (5, 5))
+        seen = []
+
+        def recorded(pair, draws, tol):
+            lhs, rhs = boundary_moments(pair, draws, tol=tol)
+            seen.append((pair, draws, lhs))
+            return lhs, rhs
+
+        monkeypatch.setattr(suites, "boundary_moments", recorded)
+        suites._measure3_boundary(lambda: matched_pair(WeightSpec(n, m, 1.0)), n, m)
+        ((pair, draws, lhs),) = seen
+        j = 2 * pair.k - 1
+        for (phi, form), got in zip(draws, lhs):
+            meas = pair.measure(phi, form)
+            spec = oracle.IntegrandSpec(lambda x: x ** j * one_draw_density(meas, x),
+                                        oracle.FiniteDirect(-60.0, 60.0))
+            want, _ = oracle.integrate(spec, tol=1e-13)
+            assert abs(got - want) <= 1e-9 * abs(want)
 
 
 class TestMomentTable:
