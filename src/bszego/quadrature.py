@@ -1,10 +1,11 @@
 """Closed-form Gauss rules and related finite / limiting sum identities.
 
-Node sets come from the explicit orthogonal polynomials; weights are either
-the stated closed forms or, for the product/mixed families, a Vandermonde
-solve against oracle moments.  Signed rules keep the sign of their weights:
-the cosh-minus-cos weight changes sign at t = 0 and the corresponding rule
-is exact only on polynomials with p(0) = 0.
+Each rule's nodes are the known roots of its family's distinguished polynomial,
+read rung by rung from its description (`szego_polys._ladder`); the rule is a
+weight kernel of the rung and its angle, alpha on t > 0 and beta on t < 0.
+The single sums are one alternating kernel over the same angles.  Signed rules
+keep the sign of their weights: the cosh-minus-cos weight changes sign at
+t = 0 and the rule is exact only on polynomials with p(0) = 0.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .errors import (
     SlowConvergence,
 )
 from .poly_core import RealPolynomial, cheb_T
+from .szego_polys import _ladder, _rung_sine
 from .weight_models import Family, MeasureFactor, WeightSpec, weight_base
 
 __all__ = [
@@ -76,11 +78,32 @@ class AlphaBeta:
     beta: float
 
 
+def _angle(s, N, a, positive):
+    """alpha = 2N asinh(a^-1/2 s) on t > 0, beta = 2N asinh(a^1/2 s) on t < 0; s = sin(k pi/2N)."""
+    return 2.0 * N * math.asinh(s / math.sqrt(a) if positive else math.sqrt(a) * s)
+
+
 def alpha_beta(z: float, n: int, m: int, a: float) -> AlphaBeta:
     """alpha_z = 2n asinh(a^-1/2 sin(pi z / 2n)), beta_z with a^1/2 and m."""
-    alpha = 2.0 * n * math.asinh(math.sin(math.pi * z / (2.0 * n)) / math.sqrt(a))
-    beta = 2.0 * m * math.asinh(math.sqrt(a) * math.sin(math.pi * z / (2.0 * m)))
-    return AlphaBeta(z=z, alpha=alpha, beta=beta)
+    return AlphaBeta(z, _angle(_rung_sine(z, n), n, a, True), _angle(_rung_sine(z, m), m, a, False))
+
+
+def _gauss_rule(spec: WeightSpec, kernel, zero_weight: float, exact_degree: int,
+                signed: bool = False) -> QuadratureRule:
+    """The rule on the known roots t of the spec's distinguished polynomial (`_ladder`):
+    weight zero_weight at t = 0, else kernel(N, M, k, angle) for a rung k of degree N, M the
+    other factor's, negated at t < 0 in a signed rule, whose weight changes sign there."""
+    zero, rungs = _ladder(spec)
+    weights = [(1.0 if t > 0 or not signed else -1.0) * kernel(N, M, k, _angle(s, N, spec.a, t > 0))
+               for t, N, M, k, s in rungs]
+    return QuadratureRule((0.0,) * zero + tuple(t for t, *_ in rungs),
+                          (zero_weight,) * zero + tuple(weights), exact_degree, spec,
+                          requires_p_zero_at_origin=signed)
+
+
+def _tanh_over_sinh(N, M, k, x):
+    """(2 pi/N) tanh(x/2N)/sinh(M x/N): the cos-plus-cosh and cosh-minus-cos weight."""
+    return (2.0 * math.pi / N) * math.tanh(x / (2.0 * N)) / math.sinh(M * x / N)
 
 
 def rule_cos_plus_cosh(n: int, m: int, a: float) -> QuadratureRule:
@@ -88,77 +111,36 @@ def rule_cos_plus_cosh(n: int, m: int, a: float) -> QuadratureRule:
     if n % 2 == 0 or m % 2 == 0:
         raise ParityError("closed-form rule needs odd n and m")
     spec = WeightSpec(n, m, a, Family.CosPlusCosh, MeasureFactor.InvSqrtBoth)
-    nodes = [0.0]
-    weights = [math.pi / (2.0 * m * n)]
-    for i in range(1, (n - 1) // 2 + 1):
-        al = alpha_beta(2 * i, n, m, a).alpha
-        nodes.append(math.sin(math.pi * i / n) ** 2)
-        weights.append((2.0 * math.pi / n) * math.tanh(al / (2.0 * n)) / math.sinh(m * al / n))
-    for j in range(1, (m - 1) // 2 + 1):
-        be = alpha_beta(2 * j, n, m, a).beta
-        nodes.append(-a * math.sin(math.pi * j / m) ** 2)
-        weights.append((2.0 * math.pi / m) * math.tanh(be / (2.0 * m)) / math.sinh(n * be / m))
-    return QuadratureRule(tuple(nodes), tuple(weights), m + n - 1, spec)
+    return _gauss_rule(spec, _tanh_over_sinh, math.pi / (2.0 * m * n), m + n - 1)
 
 
 def rule_squared(n: int, m: int, a: float) -> QuadratureRule:
     """Gauss rule for sqrt((1-t)(a+t))/rho_a^2, exact to 2m+2n-3, m+n-1 nodes."""
     spec = WeightSpec(n, m, a, Family.SquaredCosPlusCosh, MeasureFactor.SqrtBoth)
     pref = math.pi * a / (2.0 * m * n)
-    nodes = [0.0]
-    weights = [pref / 4.0]
-    for i in range(1, n):
-        al = alpha_beta(i, n, m, a).alpha
-        nodes.append(math.sin(math.pi * i / (2.0 * n)) ** 2)
-        weights.append(
+
+    def kernel(N, M, k, x):  # N, M = 2n, 2m and k = 2i on t > 0, where x = 2 alpha_i
+        mx = M * x / (2 * N)
+        return (
             pref
-            * (m * math.sinh(al / n) / math.sinh(m * al / n))
-            * math.cos(math.pi * i / (2.0 * n)) ** 2
-            / (math.cosh(m * al / n) + (-1.0) ** i)
+            * ((M // 2) * math.sinh(x / N) / math.sinh(mx))
+            * math.cos(math.pi * k / (2 * N)) ** 2
+            / (math.cosh(mx) + (-1.0) ** (k // 2))
         )
-    for j in range(1, m):
-        be = alpha_beta(j, n, m, a).beta
-        nodes.append(-a * math.sin(math.pi * j / (2.0 * m)) ** 2)
-        weights.append(
-            pref
-            * (n * math.sinh(be / m) / math.sinh(n * be / m))
-            * math.cos(math.pi * j / (2.0 * m)) ** 2
-            / (math.cosh(n * be / m) + (-1.0) ** j)
-        )
-    return QuadratureRule(tuple(nodes), tuple(weights), 2 * m + 2 * n - 3, spec)
+
+    return _gauss_rule(spec, kernel, pref / 4.0, 2 * m + 2 * n - 3)
 
 
 def rule_cosh_minus_cos(n: int, m: int, a: float) -> QuadratureRule:
     """Signed rule for 1/((cosh - cos) sqrt((1-t)(a+t))) on p with p(0) = 0.
 
-    Stated for odd n / even m; the even n / odd m rule follows from the
-    change of variables t -> -t/a, which maps it onto the (m, n, 1/a) rule
-    with negated weights. Exact to degree m+n-1.
+    Needs n, m of opposite parity; the weights at t < 0 are negative.  Exact
+    to degree m+n-1.
     """
-    if n % 2 == 1 and m % 2 == 0:
-        spec = WeightSpec(n, m, a, Family.CoshMinusCosOverT, MeasureFactor.InvSqrtBoth)
-        nodes = []
-        weights = []
-        for i in range(1, (n - 1) // 2 + 1):
-            al = alpha_beta(2 * i, n, m, a).alpha
-            nodes.append(math.sin(math.pi * i / n) ** 2)
-            weights.append((2.0 * math.pi / n) * math.tanh(al / (2.0 * n)) / math.sinh(m * al / n))
-        for j in range(1, m // 2 + 1):
-            be = alpha_beta(2 * j - 1, n, m, a).beta
-            nodes.append(-a * math.sin(math.pi * (2 * j - 1) / (2.0 * m)) ** 2)
-            weights.append(
-                -(2.0 * math.pi / m) * math.tanh(be / (2.0 * m)) / math.sinh(n * be / m)
-            )
-        return QuadratureRule(
-            tuple(nodes), tuple(weights), m + n - 1, spec, requires_p_zero_at_origin=True
-        )
-    if n % 2 == 0 and m % 2 == 1:
-        base = rule_cosh_minus_cos(m, n, 1.0 / a)
-        spec = WeightSpec(n, m, a, Family.CoshMinusCosOverT, MeasureFactor.InvSqrtBoth)
-        nodes = tuple(-a * s for s in base.nodes)
-        weights = tuple(-w for w in base.weights)
-        return QuadratureRule(nodes, weights, m + n - 1, spec, requires_p_zero_at_origin=True)
-    raise ParityError("cosh-minus-cos rule needs n, m of opposite parity")
+    if (n + m) % 2 == 0:
+        raise ParityError("cosh-minus-cos rule needs n, m of opposite parity")
+    spec = WeightSpec(n, m, a, Family.CoshMinusCosOverT, MeasureFactor.InvSqrtBoth)
+    return _gauss_rule(spec, _tanh_over_sinh, 0.0, m + n - 1, signed=True)
 
 
 def apply_rule(rule: QuadratureRule, p: RealPolynomial) -> float:
@@ -250,55 +232,45 @@ def weights_from_moments(
     )
 
 
-def _sum_form_terms(n: int, m: int, a: float, values) -> float:
-    """Common core of the single-sum forms: the 2n-term alpha sum.
+def _alternating_sum(N: int, M: int, a: float, positive: bool, value) -> float:
+    """pi/(2N) sum_j (-1)^(j-1) tanh(x_j/2N) {tanh(M x_j/2N)}^(-(-1)^j) value(j, s_j, x_j),
+    j = 1..2N, over s_j = sin(pi j/2N) and the angles x_j: alpha_j with N, M = n, m, or
+    beta_j with N, M = m, n.
 
-    values[j] multiplies the j-th term (j = 1..2n).  For odd j the factor
-    {tanh(m alpha_j / 2n)}^(-1) is a coth; alpha_j > 0 there since
-    sin(pi j / 2n) > 0 for j <= 2n-1, and the j = 2n term vanishes through
-    its tanh factors (even exponent).
+    For odd j the tanh power is a coth; x_j > 0 there since s_j > 0 for
+    j <= 2N-1, and the j = 2N term vanishes through its tanh factors (even
+    exponent).
     """
     total = 0.0
-    for j in range(1, 2 * n + 1):
-        al = alpha_beta(j, n, m, a).alpha
-        t1 = math.tanh(al / (2.0 * n))
-        tm = math.tanh(m * al / (2.0 * n))
-        if j % 2 == 1:
-            term = t1 / tm
-        else:
-            term = t1 * tm
-        total += ((-1.0) ** (j - 1)) * term * values[j - 1]
-    return math.pi / (2.0 * n) * total
+    for j in range(1, 2 * N + 1):
+        s = _rung_sine(j, N)
+        x = _angle(s, N, a, positive)
+        t1 = math.tanh(x / (2.0 * N))
+        tm = math.tanh(M * x / (2.0 * N))
+        term = t1 / tm if j % 2 == 1 else t1 * tm
+        total += ((-1.0) ** (j - 1)) * term * value(j, s, x)
+    return math.pi / (2.0 * N) * total
 
 
 def sum_form(n: int, m: int, a: float, u: int) -> float:
     """Single-sum value of the integral with numerator cos(2u asin sqrt t)."""
     if abs(u) >= n:
         raise RangeError(f"|u| = {abs(u)} must be below n = {n}")
-    values = [math.cos(math.pi * j * u / n) for j in range(1, 2 * n + 1)]
-    return _sum_form_terms(n, m, a, values)
+    return _alternating_sum(n, m, a, True, lambda j, s, x: math.cos(math.pi * j * u / n))
 
 
 def sum_form_poly(n: int, m: int, a: float, p: RealPolynomial) -> float:
     """Single-sum value for a polynomial numerator of degree below n."""
     if p.degree >= n:
         raise RangeError(f"degree {p.degree} must be below n = {n}")
-    values = [float(p(math.sin(math.pi * j / (2.0 * n)) ** 2)) for j in range(1, 2 * n + 1)]
-    return _sum_form_terms(n, m, a, values)
+    return _alternating_sum(n, m, a, True, lambda j, s, x: float(p(s ** 2)))
 
 
 def sum_form_beta(n: int, m: int, a: float, u: int) -> float:
     """The beta-side transformation of the single sum, valid for |u| < m."""
     if abs(u) >= m:
         raise RangeError(f"|u| = {abs(u)} must be below m = {m}")
-    total = 0.0
-    for j in range(1, 2 * m + 1):
-        be = alpha_beta(j, n, m, a).beta
-        t1 = math.tanh(be / (2.0 * m))
-        tn = math.tanh(n * be / (2.0 * m))
-        term = t1 / tn if j % 2 == 1 else t1 * tn
-        total += ((-1.0) ** (j - 1)) * term * math.cosh(u * be / m)
-    return math.pi / (2.0 * m) * total
+    return _alternating_sum(m, n, a, False, lambda j, s, x: math.cosh(u * x / m))
 
 
 def corollary_eval(which: str, n: int, m: Optional[int] = None, a: Optional[float] = None,

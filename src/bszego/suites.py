@@ -37,6 +37,7 @@ from .pick_measures import PickFunction, boundary_moments, matched_pair, moment_
 from .poly_core import ChebSeries, RealPolynomial, cheb_T
 from .szego_polys import szego_orthonormal
 from .weight_models import (
+    _PARAM_CAP,
     Family,
     MeasureFactor,
     WeightSpec,
@@ -387,10 +388,11 @@ def _once(build):
 
 
 def _measure3_cells(grid, tol):
-    # the nine cells of an (n, m) share one matched pair, built by the first
-    # cell that runs; it lives as long as this generator, one run_verify call
+    # the nine cells of an (n, m) share one matched pair, built (its spec too, so
+    # listing the cells builds nothing) by the first cell that runs; it lives as
+    # long as this generator, one run_verify call
     for n, m in grid.get("pairs", [(1, 1), (3, 3), (3, 5)]):
-        pair = _once(partial(matched_pair, WeightSpec(n, m, 1.0)))
+        pair = _once(lambda n=n, m=m: matched_pair(WeightSpec(n, m, 1.0)))
         for phi, form in product(_PHI_SET, ("measure2", "measure5")):
             params = {"n": n, "m": m, "phi": phi, "form": form}
             yield _Cell("measure3", params, partial(_measure3, pair), tol)
@@ -690,7 +692,8 @@ _SCALAR_GRID_KEYS = ("n_plus_m_max", "R")  # every other grid key is an axis: a 
 
 
 def _check_grids(grids):
-    """Reject a malformed grid before any cell runs (ValueError names the suite and the axis)."""
+    """Reject a malformed grid before any cell runs (ValueError names the suite and the axis,
+    or the params of a cell past the n + m cap; listing the cells runs none of them)."""
     if not isinstance(grids, dict):
         raise ValueError(f"grids must map suite ids to grids, got {grids!r}")
     for name, grid in grids.items():
@@ -709,6 +712,12 @@ def _check_grids(grids):
                 f"grid of suite 'measure3': axis 'pairs' needs [n, m] pairs of positive odd "
                 f"integers, got {pair!r}"
             )
+    for name, grid in grids.items():
+        sources = _REGISTRY[name][2] if name in _REGISTRY else ()
+        for p in (cell.params for source in sources for cell in source(grid, None)):
+            if "n" in p and "m" in p and p["n"] + p["m"] > _PARAM_CAP:
+                raise ValueError(f"grid of suite {name!r}: params {p!r} exceed "
+                                 f"n + m <= {_PARAM_CAP}")
 
 
 def _check_tolerances(tolerances, tol_override):

@@ -10,8 +10,8 @@ Each family's distinguished polynomial is described once (`_distinguished`):
 degrees (N, M), a factor S or C of `continued_block` at N and Sh or Ch at M,
 a division by sqrt|t| or t, an endpoint root and a constant.  Its values
 (`explicit_eval`), its series at t = 0 (`block_series`) and its known roots,
-the zeros of the two factors inside (-a, 1) (`_explicit_roots`), are all read
-from that description.
+the zeros of the two factors inside (-a, 1) (`_ladder`), which are also the
+nodes of the Gauss rules, are all read from that description.
 
 Both routes interpolate at the same k + 1 Chebyshev points of [-a, 1] and
 store the Chebyshev coefficients there (`ChebSeries`), never the power
@@ -233,17 +233,30 @@ def explicit_eval(spec: WeightSpec, t):
     return out if np.ndim(t) else float(out[0])
 
 
-def _explicit_roots(spec: WeightSpec):
-    """The zeros in (-a, 1) of the two factors of `_distinguished`: sin^2(k pi/(2N)),
-    k even for S and odd for C, -a times the same ladder at M, and t = 0 for
-    sign(t) S Sh not divided by t."""
+def _rung_sine(k, N):
+    """sin(k pi/(2N)); its square is a zero of S (k even) or C (k odd) at degree N."""
+    return math.sin(math.pi * k / (2 * N))
+
+
+def _ladder(spec: WeightSpec):
+    """(zero, rungs): whether t = 0 is a root of `_distinguished` (sign(t) S Sh not divided
+    by t), and its roots in (-a, 1) of the two factors as rungs (t, N, M, k, s) with
+    s = `_rung_sine`(k, N), k even for S and odd for C: t = s^2 at the degree N of the
+    first factor, t = -a s^2 at that of the second; M is the other factor's degree."""
     d = _distinguished(spec)
 
-    def ladder(N, sine):
-        return [math.sin(math.pi * k / (2 * N)) ** 2 for k in range(2 if sine else 1, N, 2)]
+    def rungs(N, M, sine, scale):
+        sines = [(k, _rung_sine(k, N)) for k in range(2 if sine else 1, N, 2)]
+        return [(scale * s ** 2, N, M, k, s) for k, s in sines]
 
-    zero = [0.0] if d.sine_pos and d.sine_neg and not d.over_t else []
-    return zero + ladder(d.N, d.sine_pos) + [-spec.a * r for r in ladder(d.M, d.sine_neg)]
+    zero = d.sine_pos and d.sine_neg and not d.over_t
+    return zero, rungs(d.N, d.M, d.sine_pos, 1.0) + rungs(d.M, d.N, d.sine_neg, -spec.a)
+
+
+def _explicit_roots(spec: WeightSpec):
+    """The known roots of the family's distinguished polynomial (`_ladder`)."""
+    zero, rungs = _ladder(spec)
+    return [0.0] * zero + [rung[0] for rung in rungs]
 
 
 def explicit_family(spec: WeightSpec) -> OrthoPoly:

@@ -20,8 +20,9 @@ of t = 0; `series_guard` swaps a quotient by t or sqrt|t| for its two-term
 Taylor series near t = 0, and `block_series` gives that series for any
 product of two factors from the one-factor expansions.  Every closed form in
 the package (rho, xi/eta, the explicit orthonormal polynomials, the circle
-samples of the factor) is built from these; only the rho quotient `_rho_cmc`
-keeps its own series, of a difference of Chebyshev polynomials.
+samples of the factor) is built from these.  The rho quotient `_rho_cmc`
+evaluates a difference of Chebyshev polynomials, but reads its series from
+`block_series` too: it is 2 [(S/sqrt|t|)^2 + (Sh/sqrt|t|)^2].
 """
 from __future__ import annotations
 
@@ -176,12 +177,13 @@ def _rho_cmc(t, n, m, a):
     """(cosh(2m asinh sqrt(t/a)) - cos(2n asin sqrt(t))) / t with series fallback.
 
     Direct evaluation cancels catastrophically near t = 0; below |t| < 1e-6 a
-    two-term Taylor series keeps the relative error under 1e-12.
+    two-term Taylor series keeps the relative error under 1e-12; it is that of
+    2 [(S/sqrt|t|)^2 + (Sh/sqrt|t|)^2], S at n and Sh at m, from `block_series`.
     """
     diff = cheb_T(m, 1.0 + 2.0 * t / a) - cheb_T(n, 1.0 - 2.0 * t)
-    c0 = 2.0 * (m * m / a + n * n)
-    c1 = (2.0 / 3.0) * ((m ** 4 - m * m) / (a * a) - (n ** 4 - n * n))
-    return series_guard(t, diff, t, c0, c1)
+    s0, s1 = block_series(n, 0, a, True, False)
+    h0, h1 = block_series(0, m, a, False, True)
+    return series_guard(t, diff, t, 2.0 * (s0 * s0 + h0 * h0), 4.0 * (s0 * s1 + h0 * h1))
 
 
 def rho_eval(spec: WeightSpec, t):

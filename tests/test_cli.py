@@ -207,6 +207,24 @@ def test_bad_measure3_pairs_rejected_before_any_suite_runs(capsys, tmp_path, mon
     assert ran == [] and out == ""
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"suites": ["corollary_B", "measure3"], "grids": {"measure3": {"pairs": [[31, 35]]}}},
+     "error: grid of suite 'measure3': params {'n': 31, 'm': 35,"),
+    ({"suites": ["corollary_B", "quad_squared"],
+      "grids": {"quad_squared": {"n": [40], "m": [30]}}},
+     "error: grid of suite 'quad_squared': params {'n': 40, 'm': 30,"),
+], ids=["measure3_pairs", "grid_over_param_cap"])
+def test_params_past_the_cap_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch,
+                                                             config, message):
+    ran = []
+    monkeypatch.setitem(SUITES, "corollary_B", lambda grid, tol: ran.append(grid) or [])
+    code, out, err = run_cli(capsys, "verify", "--config",
+                             _write(tmp_path / "cfg.json", json.dumps(config)))
+    assert code == 2
+    assert err.startswith(message) and err.rstrip().endswith("exceed n + m <= 64")
+    assert ran == [] and out == ""
+
+
 def test_zero_tolerance_is_accepted(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "corollary_B", "--tol", "0")
     assert code in (0, 1) and err == ""

@@ -16,7 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bszego import suites, szego_polys, weight_models
+from bszego import quadrature, suites, szego_polys, weight_models
 from bszego.errors import FactorizationResidual, ParityError
 from bszego.poly_core import cheb_T
 from bszego.szego_polys import explicit_eval
@@ -487,6 +487,20 @@ def _is_root_ladder(node):
     )
 
 
+def _is_rung_sine(node):
+    """sin(... pi ...), squared or not: a rung of the root ladder."""
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("math.sin", "np.sin")
+        and "pi" in ast.unparse(node)
+    )
+
+
+def _is_rule_call(node):
+    """A call of a rule builder, such as a rule built from its reflection."""
+    return isinstance(node, ast.Call) and ast.unparse(node.func).startswith("rule_")
+
+
 def _source(module):
     return Path(module.__file__).read_text()
 
@@ -505,7 +519,13 @@ def test_continuation_is_written_once():
     # the Taylor data at t = 0 and the root ladders are written once too
     for mod in (szego_polys, suites):
         assert _sites(_source(mod), _is_series_not_from_block_series) == []
-    assert _sites(_source(szego_polys), _is_root_ladder) == ["_explicit_roots"]
+    # the ladder's sine is written once, in szego_polys; the Gauss rules read its
+    # rungs and build no rule from another
+    assert _sites(_source(szego_polys), _is_rung_sine) == ["_rung_sine"]
+    assert _sites(_source(quadrature), _is_rung_sine) == []
+    for mod in (szego_polys, quadrature):
+        assert _sites(_source(mod), _is_root_ladder) == []
+    assert _sites(_source(quadrature), _is_rule_call) == []
 
 
 @pytest.mark.parametrize("module, before, after, match, owner", [
@@ -517,8 +537,20 @@ def test_continuation_is_written_once():
      _is_root_ladder, "explicit_eval"),
     (szego_polys, "tt = _check_domain(t, a)", "tt = np.arcsin(np.sqrt(_check_domain(t, a)))",
      _is_asin_of_sqrt, "explicit_eval"),
+    (szego_polys, "(k, _rung_sine(k, N))", "(k, math.sin(math.pi * k / (2 * N)))",
+     _is_rung_sine, "_ladder"),
+    (quadrature, "return _gauss_rule(spec, _tanh_over_sinh, math.pi",
+     "nodes = [math.sin(math.pi * i / n) ** 2 for i in range(1, (n + 1) // 2)]\n"
+     "    return _gauss_rule(spec, _tanh_over_sinh, math.pi",
+     _is_root_ladder, "rule_cos_plus_cosh"),
+    (quadrature, "spec = WeightSpec(n, m, a, Family.CoshMinusCosOverT",
+     "reflected = n % 2 == 0 and rule_cosh_minus_cos(m, n, 1.0 / a)\n"
+     "    spec = WeightSpec(n, m, a, Family.CoshMinusCosOverT",
+     _is_rule_call, "rule_cosh_minus_cos"),
 ], ids=["hand-written series in a suite", "hand-written series in explicit_eval",
-        "root ladder outside the helper", "continuation outside the helper"])
+        "root ladder outside the helper", "continuation outside the helper",
+        "rung sine outside the helper", "hand-written ladder in a rule builder",
+        "signed rule built from its reflection"])
 def test_written_once_checks_catch_a_mutation(module, before, after, match, owner):
     source = _source(module)
     assert source.count(before) == 1

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -217,19 +218,181 @@ def _rules_and_specs(a, top=32):
                 yield rule_cosh_minus_cos(n, m, a), WeightSpec(n, m, a, Family.CoshMinusCosOverT)
 
 
-@pytest.mark.parametrize("a", [0.5, 0.73, 1.1434609861934242, 2.0])
+RULE_A_VALUES = [0.5, 0.73, 1.1434609861934242, 2.0]
+
+
+@pytest.mark.parametrize("a", RULE_A_VALUES)
 def test_gauss_nodes_are_the_explicit_roots(a):
-    # Gauss nodes are the zeros of the distinguished orthogonal polynomial; the
-    # even-n signed rule reflects the odd one by t -> -a t, which may round
-    # its nodes to the next float
+    # Gauss nodes are the zeros of the distinguished orthogonal polynomial
     count = 0
     for rule, spec in _rules_and_specs(a):
         nodes = np.sort(rule.nodes)
         roots = np.sort(szego_polys._explicit_roots(spec))
-        assert nodes.shape == roots.shape, spec
-        assert np.all(np.abs(nodes - roots) <= 2 * np.spacing(np.abs(roots))), spec
+        assert np.array_equal(nodes, roots), spec
         count += 1
     assert count == 1697
+
+
+# ---------------------------------------------------------------------------
+# the hand-written node loops and sums the rung ladder replaced: each rule wrote
+# its own ladder, and the even-n signed rule reflected the odd-n one by
+# t -> -a t at (m, n, 1/a)
+
+
+def ref_alpha_beta(z, n, m, a):
+    alpha = 2.0 * n * math.asinh(math.sin(math.pi * z / (2.0 * n)) / math.sqrt(a))
+    beta = 2.0 * m * math.asinh(math.sqrt(a) * math.sin(math.pi * z / (2.0 * m)))
+    return alpha, beta
+
+
+def ref_rule_cos_plus_cosh(n, m, a):
+    nodes = [0.0]
+    weights = [math.pi / (2.0 * m * n)]
+    for i in range(1, (n - 1) // 2 + 1):
+        al = ref_alpha_beta(2 * i, n, m, a)[0]
+        nodes.append(math.sin(math.pi * i / n) ** 2)
+        weights.append((2.0 * math.pi / n) * math.tanh(al / (2.0 * n)) / math.sinh(m * al / n))
+    for j in range(1, (m - 1) // 2 + 1):
+        be = ref_alpha_beta(2 * j, n, m, a)[1]
+        nodes.append(-a * math.sin(math.pi * j / m) ** 2)
+        weights.append((2.0 * math.pi / m) * math.tanh(be / (2.0 * m)) / math.sinh(n * be / m))
+    return tuple(nodes), tuple(weights)
+
+
+def ref_rule_squared(n, m, a):
+    pref = math.pi * a / (2.0 * m * n)
+    nodes = [0.0]
+    weights = [pref / 4.0]
+    for i in range(1, n):
+        al = ref_alpha_beta(i, n, m, a)[0]
+        nodes.append(math.sin(math.pi * i / (2.0 * n)) ** 2)
+        weights.append(
+            pref
+            * (m * math.sinh(al / n) / math.sinh(m * al / n))
+            * math.cos(math.pi * i / (2.0 * n)) ** 2
+            / (math.cosh(m * al / n) + (-1.0) ** i)
+        )
+    for j in range(1, m):
+        be = ref_alpha_beta(j, n, m, a)[1]
+        nodes.append(-a * math.sin(math.pi * j / (2.0 * m)) ** 2)
+        weights.append(
+            pref
+            * (n * math.sinh(be / m) / math.sinh(n * be / m))
+            * math.cos(math.pi * j / (2.0 * m)) ** 2
+            / (math.cosh(n * be / m) + (-1.0) ** j)
+        )
+    return tuple(nodes), tuple(weights)
+
+
+def ref_rule_cosh_minus_cos(n, m, a):
+    if n % 2 == 0:
+        nodes, weights = ref_rule_cosh_minus_cos(m, n, 1.0 / a)
+        return tuple(-a * s for s in nodes), tuple(-w for w in weights)
+    nodes = []
+    weights = []
+    for i in range(1, (n - 1) // 2 + 1):
+        al = ref_alpha_beta(2 * i, n, m, a)[0]
+        nodes.append(math.sin(math.pi * i / n) ** 2)
+        weights.append((2.0 * math.pi / n) * math.tanh(al / (2.0 * n)) / math.sinh(m * al / n))
+    for j in range(1, m // 2 + 1):
+        be = ref_alpha_beta(2 * j - 1, n, m, a)[1]
+        nodes.append(-a * math.sin(math.pi * (2 * j - 1) / (2.0 * m)) ** 2)
+        weights.append(-(2.0 * math.pi / m) * math.tanh(be / (2.0 * m)) / math.sinh(n * be / m))
+    return tuple(nodes), tuple(weights)
+
+
+def ref_sum_form_terms(n, m, a, values):
+    total = 0.0
+    for j in range(1, 2 * n + 1):
+        al = ref_alpha_beta(j, n, m, a)[0]
+        t1 = math.tanh(al / (2.0 * n))
+        tm = math.tanh(m * al / (2.0 * n))
+        term = t1 / tm if j % 2 == 1 else t1 * tm
+        total += ((-1.0) ** (j - 1)) * term * values[j - 1]
+    return math.pi / (2.0 * n) * total
+
+
+def ref_sum_form_beta(n, m, a, u):
+    total = 0.0
+    for j in range(1, 2 * m + 1):
+        be = ref_alpha_beta(j, n, m, a)[1]
+        t1 = math.tanh(be / (2.0 * m))
+        tn = math.tanh(n * be / (2.0 * m))
+        term = t1 / tn if j % 2 == 1 else t1 * tn
+        total += ((-1.0) ** (j - 1)) * term * math.cosh(u * be / m)
+    return math.pi / (2.0 * m) * total
+
+
+_REF_RULES = {
+    Family.CosPlusCosh: ref_rule_cos_plus_cosh,
+    Family.SquaredCosPlusCosh: ref_rule_squared,
+    Family.CoshMinusCosOverT: ref_rule_cosh_minus_cos,
+}
+
+
+@pytest.mark.parametrize("a", RULE_A_VALUES)
+def test_rules_unchanged(a):
+    # bit for bit, except the even-n signed rule, which no longer goes through 1/a and
+    # its reflection: there nodes within 2 ulp and weights within 5e-14, in node order
+    reflected = 0
+    for rule, spec in _rules_and_specs(a):
+        nodes, weights = _REF_RULES[spec.family](spec.n, spec.m, a)
+        if spec.family is not Family.CoshMinusCosOverT or spec.n % 2 == 1:
+            assert (rule.nodes, rule.weights) == (nodes, weights), spec
+            continue
+        reflected += 1
+        new, old = np.argsort(rule.nodes), np.argsort(nodes)
+        got_x, want_x = np.asarray(rule.nodes)[new], np.asarray(nodes)[old]
+        got_w, want_w = np.asarray(rule.weights)[new], np.asarray(weights)[old]
+        assert np.all(np.abs(got_x - want_x) <= 2 * np.spacing(np.abs(want_x))), spec
+        assert np.all(np.abs(got_w - want_w) <= 5e-14 * np.abs(want_w)), spec
+    assert reflected == 240
+
+
+@pytest.mark.parametrize("a", [0.5, 1.1434609861934242, 2.0])
+def test_even_n_signed_weights_against_mpmath(a):
+    # 40-digit values of the closed form: (2 pi/n) tanh(alpha/2n)/sinh(m alpha/n) at
+    # sin^2(k pi/2n), k odd, and -(2 pi/m) tanh(beta/2m)/sinh(n beta/m) at
+    # -a sin^2(k pi/2m), k even
+    with mpmath.workdps(40):
+        A = mpmath.mpf(a)
+        for n in (2, 4, 6, 8):
+            for m in (1, 3, 5, 7, 9):
+                want = []
+                for k in range(1, n, 2):
+                    s = mpmath.sin(mpmath.pi * k / (2 * n))
+                    al = 2 * n * mpmath.asinh(s / mpmath.sqrt(A))
+                    w = (2 * mpmath.pi / n) * mpmath.tanh(al / (2 * n)) / mpmath.sinh(m * al / n)
+                    want.append((s ** 2, w))
+                for k in range(2, m, 2):
+                    s = mpmath.sin(mpmath.pi * k / (2 * m))
+                    be = 2 * m * mpmath.asinh(mpmath.sqrt(A) * s)
+                    w = -(2 * mpmath.pi / m) * mpmath.tanh(be / (2 * m)) / mpmath.sinh(n * be / m)
+                    want.append((-A * s ** 2, w))
+                want.sort()
+                rule = rule_cosh_minus_cos(n, m, a)
+                got = sorted(zip(rule.nodes, rule.weights))
+                assert len(got) == len(want)
+                for (x, w), (wx, ww) in zip(got, want):
+                    assert abs(x - float(wx)) <= 2 * np.spacing(abs(float(wx)))
+                    assert abs(w - float(ww)) <= 2e-14 * abs(float(ww)), (n, m, x)
+
+
+@pytest.mark.parametrize("a", RULE_A_VALUES)
+def test_sum_forms_unchanged(a):
+    for n in range(1, 13):
+        for m in range(1, 13):
+            for z in (m, n / 3):
+                ab = alpha_beta(z, n, m, a)
+                assert (ab.alpha, ab.beta) == ref_alpha_beta(z, n, m, a)
+            for u in range(-n + 1, n):
+                values = [math.cos(math.pi * j * u / n) for j in range(1, 2 * n + 1)]
+                assert sum_form(n, m, a, u) == ref_sum_form_terms(n, m, a, values)
+            for u in range(-m + 1, m):
+                assert sum_form_beta(n, m, a, u) == ref_sum_form_beta(n, m, a, u)
+            p = RealPolynomial([0.3, -1.2, 0.7, 0.1][:n])
+            values = [float(p(math.sin(math.pi * j / (2.0 * n)) ** 2)) for j in range(1, 2 * n + 1)]
+            assert sum_form_poly(n, m, a, p) == ref_sum_form_terms(n, m, a, values)
 
 
 class TestApplyRule:
