@@ -4,8 +4,6 @@ measures on R, each cross-checked against an independent integration oracle."""
 
 from .errors import (
     BszegoError,
-    ConstraintViolated,
-    DegreeExceeded,
     DegreeThreshold,
     DomainError,
     FactorizationResidual,
@@ -19,7 +17,7 @@ from .errors import (
     SymmetryViolation,
     UnknownSuite,
 )
-from .poly_core import ChebSeries, RealPolynomial, cheb_T, cheb_U, poly_from_circle_samples
+from .poly_core import ChebSeries, RealPolynomial, cheb_T, poly_from_circle_samples
 from .weight_models import (
     Family,
     MeasureFactor,
@@ -28,15 +26,11 @@ from .weight_models import (
     build_szego_factor,
     expected_rho_degree,
     rho_eval,
-    squared_factor,
     xi_eta_eval,
 )
 from .szego_polys import OrthoPoly, explicit_eval, explicit_family, kernel_eval, szego_orthonormal
 from .quadrature import (
-    AlphaBeta,
     QuadratureRule,
-    alpha_beta,
-    apply_rule,
     corollary_eval,
     limit_series,
     oracle_moments,
@@ -45,7 +39,6 @@ from .quadrature import (
     rule_squared,
     sum_form,
     sum_form_beta,
-    sum_form_poly,
     weighted_oracle_integral,
     weights_from_moments,
 )
@@ -56,9 +49,7 @@ from .pick_measures import (
     boundary_moments,
     densities,
     density,
-    matched_measure,
     matched_pair,
-    moment_match_check,
 )
 
 __version__ = "0.1.0"

@@ -33,14 +33,6 @@ class IllConditioned(BszegoError):
     """Linear solve residual exceeds tolerance."""
 
 
-class DegreeExceeded(BszegoError):
-    """Polynomial degree exceeds the exactness degree of a quadrature rule."""
-
-
-class ConstraintViolated(BszegoError):
-    """Polynomial does not satisfy a rule's side constraint (p(0) = 0)."""
-
-
 class RangeError(BszegoError):
     """Integer parameter outside the admissible range."""
 

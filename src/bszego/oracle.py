@@ -53,6 +53,8 @@ _MAX_PANELS = 2 ** 16
 _TRAP_START = 64  # exact for cos(k theta), k < 128: any polynomial in t of degree < 128
 _TRAP_MAX = 2 ** 17
 _TRAP_CHUNK = 4096  # points per evaluator call on either path, bounding (npts, K) arrays
+_FOURIER_POINTS = 4096  # uniform samples per fourier_coeff
+_MAX_BLOCKS = 400  # blocks per side of an exponential-tail improper_integral
 
 
 @dataclass(frozen=True)
@@ -267,17 +269,17 @@ def integrate(spec: IntegrandSpec, tol: float = 1e-10):
     return value, float(err)
 
 
-def fourier_coeff(g: Callable, harmonic: int, kind: str = "cos", npts: int = 4096):
+def fourier_coeff(g: Callable, harmonic: int, kind: str = "cos"):
     """Fourier coefficient of a 2pi-periodic evaluator by uniform sampling.
 
     kind "cos"/"sin" return the usual real coefficients (1/pi) int g cos/sin
     (mean value for harmonic 0); "exp" returns (1/2pi) int g e^{-i h theta}.
-    The trapezoid rule on a uniform grid is spectrally accurate for smooth
-    periodic integrands.
+    The trapezoid rule on a uniform grid of _FOURIER_POINTS is spectrally
+    accurate for smooth periodic integrands.
     """
     if harmonic < 0:
         raise ValueError("harmonic must be nonnegative")
-    theta = 2.0 * np.pi * np.arange(npts) / npts
+    theta = 2.0 * np.pi * np.arange(_FOURIER_POINTS) / _FOURIER_POINTS
     vals = np.asarray(g(theta))
     if kind == "exp":
         return complex(np.mean(vals * np.exp(-1j * harmonic * theta)))
@@ -294,25 +296,24 @@ def improper_integral(
     evaluator: Callable,
     decay: str,
     tol: float = 1e-8,
-    lo: float = 0.0,
     two_sided: bool = False,
     block: float = 8.0,
-    max_blocks: int = 400,
 ):
     """Integral over an infinite range.
 
-    "Exponential": integrate [lo, lo+block], extend block by block until three
-    consecutive blocks contribute below tol * |estimate| (mirrored when
-    two_sided). "RationalOrder2": substitute x = s/(1-s^2) and integrate the
-    smooth image over (-1, 1) in one adaptive pass.
+    "Exponential": integrate [0, block], extend block by block until three
+    consecutive blocks contribute below tol * |estimate|, within _MAX_BLOCKS
+    blocks (mirrored when two_sided). "RationalOrder2": substitute
+    x = s/(1-s^2) and integrate the smooth image over (-1, 1) in one adaptive
+    pass.
     """
     tol = max(tol, 1e-14)
     if decay == "Exponential":
         def one_side(sign):
             total = 0.0
             quiet = 0
-            for k in range(max_blocks):
-                a = lo + k * block
+            for k in range(_MAX_BLOCKS):
+                a = k * block
                 b = a + block
                 if sign < 0:
                     a, b = -b, -a

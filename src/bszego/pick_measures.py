@@ -13,7 +13,7 @@ everything that does not depend on phi: k, the polynomials p_k and p_{k-1},
 kappa_{k-1}/kappa_k and the base moments mu_0..mu_{2k-1}, which the moment
 checks read as their right-hand side.  `MatchedPair.measure(phi, form)` adds
 phi and the density form to a pair, giving a measure, so many phi can share
-one pair; `matched_measure(spec, phi, form)` does both steps.
+one pair.  `moment_match_all(meas)` checks the moments j <= 2k-2 of a measure.
 
 Many (phi, form) draws on one pair are evaluated together:
 `densities(pair, draws, x)` gives one column per draw and evaluates p_k and
@@ -47,11 +47,9 @@ __all__ = [
     "MatchedPair",
     "matched_pair",
     "MatchedMeasure",
-    "matched_measure",
     "densities",
     "density",
     "boundary_moments",
-    "moment_match_check",
     "moment_match_all",
 ]
 
@@ -76,9 +74,6 @@ class PickFunction:
                 raise ValueError("pole coefficients must be nonnegative")
             if not complex(z_r).imag < 0:
                 raise ValueError("poles must lie in the lower half plane")
-
-    def __call__(self, x):
-        return pick_eval(self, x)
 
 
 def pick_eval(phi: PickFunction, x):
@@ -153,11 +148,6 @@ def matched_pair(spec: WeightSpec) -> MatchedPair:
     )
 
 
-def matched_measure(spec: WeightSpec, phi: PickFunction, form: str = "measure2") -> MatchedMeasure:
-    """The matched measure of spec's pair (see `matched_pair`) with phi and the form."""
-    return matched_pair(spec).measure(phi, form)
-
-
 def _check_form(form):
     if form not in _FORMS:
         raise ValueError("form must be 'measure2' or 'measure5'")
@@ -207,27 +197,6 @@ def boundary_moments(pair: MatchedPair, draws, tol: float = 1e-8):
 
     lhs, _ = oracle.integrate(oracle.IntegrandSpec(f, oracle.FiniteDirect(-60.0, 60.0)), tol=tol)
     return np.asarray(lhs), pair.kappa_ratio * pair.moments[j]
-
-
-def moment_match_check(meas: MatchedMeasure, j: int, tol: float = 1e-8):
-    """(lhs, rhs) for the j-th moment identity.
-
-    lhs integrates x^j against the density over R (rational substitution;
-    the tails decay at least like x^-2 for j <= 2k-2).  rhs is
-    kappa_{k-1}/kappa_k times the pair's oracle moment of the base measure.
-    The boundary probe j = 2k-1 is `boundary_moments` with this one draw.
-    """
-    if j < 0 or j > 2 * meas.k - 1:
-        raise ValueError("moment order must satisfy 0 <= j <= 2k-1")
-    if j == 2 * meas.k - 1:
-        (lhs,), rhs = boundary_moments(meas, [(meas.phi, meas.form)], tol=tol)
-        return float(lhs), rhs
-
-    def f(x):
-        return np.asarray(x) ** j * density(meas, x)
-
-    lhs = oracle.improper_integral(f, decay="RationalOrder2", tol=tol)
-    return lhs, meas.kappa_ratio * meas.moments[j]
 
 
 def moment_match_all(meas: MatchedMeasure, tol: float = 1e-8):

@@ -13,9 +13,10 @@ __all__ = [
     "ChebSeries",
     "RealPolynomial",
     "cheb_T",
-    "cheb_U",
     "poly_from_circle_samples",
 ]
+
+_SYMMETRY_TOL = 1e-9  # of max|value|: the conjugate symmetry and imaginary residue bound
 
 
 class RealPolynomial:
@@ -52,30 +53,6 @@ class RealPolynomial:
         for c in self.coeffs[-2::-1]:
             acc = acc * z + c
         return acc if acc.shape else acc[()]
-
-    def derivative(self) -> "RealPolynomial":
-        if self.degree < 1:
-            return RealPolynomial([0.0])
-        k = np.arange(1, len(self.coeffs))
-        return RealPolynomial(self.coeffs[1:] * k)
-
-    def __mul__(self, other):
-        if isinstance(other, RealPolynomial):
-            return RealPolynomial(np.convolve(self.coeffs, other.coeffs))
-        return RealPolynomial(self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        c = a.copy()
-        c[: len(b)] += b
-        return RealPolynomial(c)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
 
     def __repr__(self):
         return f"RealPolynomial({self.coeffs.tolist()})"
@@ -142,46 +119,12 @@ def cheb_T(n: int, x):
     return out if out.shape else out[()]
 
 
-def cheb_U(n: int, x):
-    """Chebyshev polynomial of the second kind, U_n(x) = sin((n+1)theta)/sin(theta).
-
-    Near x = +-1 the quotient form loses digits, so the three-term recurrence
-    is used there (U_n(1) = n+1 exactly).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    safe = np.abs(np.abs(x) - 1.0) > 1e-4
-    inside = safe & (np.abs(x) < 1.0)
-    th = np.arccos(x[inside])
-    out[inside] = np.sin((n + 1) * th) / np.sin(th)
-    hi = safe & (x > 1.0)
-    u = np.arccosh(x[hi])
-    out[hi] = np.sinh((n + 1) * u) / np.sinh(u)
-    lo = safe & (x < -1.0)
-    u = np.arccosh(-x[lo])
-    out[lo] = ((-1.0) ** n) * np.sinh((n + 1) * u) / np.sinh(u)
-    rec = ~safe
-    if np.any(rec):
-        xr = x[rec]
-        pm1 = np.ones_like(xr)
-        p = 2.0 * xr
-        if n == 0:
-            out[rec] = pm1
-        else:
-            for _ in range(n - 1):
-                pm1, p = p, 2.0 * xr * p - pm1
-            out[rec] = p
-    return out if out.shape else out[()]
-
-
-def poly_from_circle_samples(values, degree: int, tol: float = 1e-9) -> RealPolynomial:
+def poly_from_circle_samples(values, degree: int) -> RealPolynomial:
     """Recover real coefficients from samples at the N-th roots of unity.
 
     values[k] must be p(exp(2 pi i k / N)) for a real-coefficient polynomial p
     of degree <= degree, with N > degree. Conjugate symmetry
-    values[N-k] == conj(values[k]) is required within tol * max|value|;
+    values[N-k] == conj(values[k]) is required within 1e-9 * max|value|;
     the imaginary residue of the recovered coefficients must stay below the
     same bound and is discarded.
     """
@@ -193,13 +136,13 @@ def poly_from_circle_samples(values, degree: int, tol: float = 1e-9) -> RealPoly
     if scale == 0.0:
         return RealPolynomial([0.0])
     sym = np.max(np.abs(values - np.conj(values[(-np.arange(N)) % N])))
-    if sym > tol * scale:
+    if sym > _SYMMETRY_TOL * scale:
         raise SymmetryViolation(
-            f"conjugate symmetry residual {sym:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"conjugate symmetry residual {sym:.3e} exceeds {_SYMMETRY_TOL:.1e} * {scale:.3e}"
         )
     coeffs = np.fft.fft(values) / N
     imag_res = np.max(np.abs(coeffs.imag))
-    if imag_res > tol * scale:
+    if imag_res > _SYMMETRY_TOL * scale:
         raise SymmetryViolation(
             f"imaginary coefficient residue {imag_res:.3e} exceeds tolerance"
         )

@@ -17,30 +17,24 @@ import numpy as np
 
 from . import oracle
 from .errors import (
-    ConstraintViolated,
-    DegreeExceeded,
     IllConditioned,
     ParityError,
     RangeError,
     SlowConvergence,
 )
 from .poly_core import RealPolynomial, cheb_T
-from .szego_polys import _ladder, _rung_sine
-from .weight_models import Family, MeasureFactor, WeightSpec, weight_base
+from .szego_polys import _ladder
+from .weight_models import Family, MeasureFactor, WeightSpec, _rung_sine, weight_base
 
 __all__ = [
     "QuadratureRule",
-    "AlphaBeta",
-    "alpha_beta",
     "rule_cos_plus_cosh",
     "rule_squared",
     "rule_cosh_minus_cos",
-    "apply_rule",
     "weighted_oracle_integral",
     "oracle_moments",
     "weights_from_moments",
     "sum_form",
-    "sum_form_poly",
     "sum_form_beta",
     "corollary_eval",
     "limit_series",
@@ -71,21 +65,9 @@ class QuadratureRule:
         }
 
 
-@dataclass(frozen=True)
-class AlphaBeta:
-    z: float
-    alpha: float
-    beta: float
-
-
 def _angle(s, N, a, positive):
     """alpha = 2N asinh(a^-1/2 s) on t > 0, beta = 2N asinh(a^1/2 s) on t < 0; s = sin(k pi/2N)."""
     return 2.0 * N * math.asinh(s / math.sqrt(a) if positive else math.sqrt(a) * s)
-
-
-def alpha_beta(z: float, n: int, m: int, a: float) -> AlphaBeta:
-    """alpha_z = 2n asinh(a^-1/2 sin(pi z / 2n)), beta_z with a^1/2 and m."""
-    return AlphaBeta(z, _angle(_rung_sine(z, n), n, a, True), _angle(_rung_sine(z, m), m, a, False))
 
 
 def _gauss_rule(spec: WeightSpec, kernel, zero_weight: float, exact_degree: int,
@@ -143,19 +125,7 @@ def rule_cosh_minus_cos(n: int, m: int, a: float) -> QuadratureRule:
     return _gauss_rule(spec, _tanh_over_sinh, 0.0, m + n - 1, signed=True)
 
 
-def apply_rule(rule: QuadratureRule, p: RealPolynomial) -> float:
-    if p.degree > rule.exact_degree:
-        raise DegreeExceeded(f"degree {p.degree} exceeds exactness {rule.exact_degree}")
-    if rule.requires_p_zero_at_origin:
-        scale = np.max(np.abs(p.coeffs))
-        if scale > 0 and abs(p.coeffs[0]) > 1e-12 * scale:
-            raise ConstraintViolated("rule requires p(0) = 0")
-    nodes = np.asarray(rule.nodes)
-    weights = np.asarray(rule.weights)
-    return float(np.dot(weights, p(nodes)))
-
-
-def weighted_oracle_integral(spec: WeightSpec, f, tol: float = 1e-11, guards=()):
+def weighted_oracle_integral(spec: WeightSpec, f, tol: float = 1e-11):
     """Oracle integral of f(t) against the spec's weight over [-a, 1].
 
     f may be vector-valued (shape (npts, K)).  Returns the value(s) only.
@@ -173,7 +143,6 @@ def weighted_oracle_integral(spec: WeightSpec, f, tol: float = 1e-11, guards=())
         oracle.IntegrandSpec(
             evaluator=integrand,
             interval=oracle.ThetaSubstituted(spec.a, weight_power=power),
-            singularity_guards=guards,
         ),
         tol=tol,
     )
@@ -259,13 +228,6 @@ def sum_form(n: int, m: int, a: float, u: int) -> float:
     return _alternating_sum(n, m, a, True, lambda j, s, x: math.cos(math.pi * j * u / n))
 
 
-def sum_form_poly(n: int, m: int, a: float, p: RealPolynomial) -> float:
-    """Single-sum value for a polynomial numerator of degree below n."""
-    if p.degree >= n:
-        raise RangeError(f"degree {p.degree} must be below n = {n}")
-    return _alternating_sum(n, m, a, True, lambda j, s, x: float(p(s ** 2)))
-
-
 def sum_form_beta(n: int, m: int, a: float, u: int) -> float:
     """The beta-side transformation of the single sum, valid for |u| < m."""
     if abs(u) >= m:
@@ -317,24 +279,28 @@ def corollary_eval(which: str, n: int, m: Optional[int] = None, a: Optional[floa
     raise ValueError(f"unknown corollary {which!r}")
 
 
-def _series_sum(term, tol: float, max_terms: int = 10_000) -> float:
-    """Sum term(1), term(2), ... until 5 consecutive terms fall below tol*|sum|."""
+_SERIES_TOL, _SERIES_TERMS = 1e-12, 10_000
+
+
+def _series_sum(term) -> float:
+    """Sum term(1), term(2), ... until 5 consecutive terms fall below _SERIES_TOL |sum|;
+    SlowConvergence after _SERIES_TERMS terms."""
     total = 0.0
     quiet = 0
-    for j in range(1, max_terms + 1):
+    for j in range(1, _SERIES_TERMS + 1):
         tj = term(j)
         total += tj
-        if abs(tj) < tol * max(1e-300, abs(total)):
+        if abs(tj) < _SERIES_TOL * max(1e-300, abs(total)):
             quiet += 1
             if quiet >= 5:
                 return total
         else:
             quiet = 0
-    raise SlowConvergence(f"series not converged after {max_terms} terms")
+    raise SlowConvergence(f"series not converged after {_SERIES_TERMS} terms")
 
 
 def limit_series(kind: str, alpha: float, beta: Optional[float], p: RealPolynomial,
-                 tol: float = 1e-12, variant: int = 0) -> float:
+                 variant: int = 0) -> float:
     """Limiting discrete-measure series for the large-parameter quadratures.
 
     kind selects the weight: "TwoCoshProduct" for
@@ -365,8 +331,8 @@ def limit_series(kind: str, alpha: float, beta: Optional[float], p: RealPolynomi
 
         return (
             math.pi * float(p(0.0)) / s
-            + _series_sum(pos_term, tol)
-            + 8.0 * math.pi ** 2 / s ** 2 * _series_sum(neg_term, tol)
+            + _series_sum(pos_term)
+            + 8.0 * math.pi ** 2 / s ** 2 * _series_sum(neg_term)
         )
     if kind == "CoshMinusCosX":
         keep_pos = 0 if variant == 0 else 1  # parity of j kept in the positive sum
@@ -383,7 +349,7 @@ def limit_series(kind: str, alpha: float, beta: Optional[float], p: RealPolynomi
                 p(-math.pi ** 2 * j ** 2 / alpha ** 2)
             )
 
-        return _series_sum(pos_term, tol) + _series_sum(neg_term, tol) / alpha ** 4
+        return _series_sum(pos_term) + _series_sum(neg_term) / alpha ** 4
     if kind == "ProductCoshMinusCosX2":
         s = alpha + beta
         d = alpha - beta
@@ -402,7 +368,7 @@ def limit_series(kind: str, alpha: float, beta: Optional[float], p: RealPolynomi
                 / (math.cosh(2.0 * math.pi * j / s) - math.cos(2.0 * math.pi * alpha * j / s))
             )
 
-        return _series_sum(pos_term, tol) + 64.0 / s ** 6 * _series_sum(neg_term, tol)
+        return _series_sum(pos_term) + 64.0 / s ** 6 * _series_sum(neg_term)
     if kind == "MixedX":
         s = alpha + beta
         d = alpha - beta
@@ -423,5 +389,5 @@ def limit_series(kind: str, alpha: float, beta: Optional[float], p: RealPolynomi
                 / (math.cosh(math.pi * j / s) + math.cos(math.pi * alpha * j / s))
             )
 
-        return _series_sum(pos_term, tol) + 2.0 / s ** 4 * _series_sum(neg_term, tol)
+        return _series_sum(pos_term) + 2.0 / s ** 4 * _series_sum(neg_term)
     raise ValueError(f"unknown series kind {kind!r}")

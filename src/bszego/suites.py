@@ -326,7 +326,8 @@ _FACTOR_GRID = (
 def _fejer_riesz_cells(grid, tol):
     for family, n, m, a_list in grid.get("combos", _FACTOR_GRID):
         for a in a_list:
-            params = {"family": family.value, "n": n, "m": m, "a": a}
+            # a config's combos name the family by its string value, the default grid by member
+            params = {"family": Family(family).value, "n": n, "m": m, "a": a}
             yield _Cell("fejer_riesz", params, _fejer_riesz, tol)
 
 

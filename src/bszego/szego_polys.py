@@ -50,7 +50,9 @@ from .weight_models import (
     SzegoFactor,
     WeightSpec,
     _check_domain,
+    _rung_sine,
     block_series,
+    build_szego_factor,
     continued_block,
     expected_rho_degree,
     series_guard,
@@ -233,11 +235,6 @@ def explicit_eval(spec: WeightSpec, t):
     return out if np.ndim(t) else float(out[0])
 
 
-def _rung_sine(k, N):
-    """sin(k pi/(2N)); its square is a zero of S (k even) or C (k odd) at degree N."""
-    return math.sin(math.pi * k / (2 * N))
-
-
 def _ladder(spec: WeightSpec):
     """(zero, rungs): whether t = 0 is a root of `_distinguished` (sign(t) S Sh not divided
     by t), and its roots in (-a, 1) of the two factors as rungs (t, N, M, k, s) with
@@ -305,15 +302,11 @@ def kernel_eval(p_list: Sequence[OrthoPoly], t: float, u: float) -> float:
     raise ValueError("need consecutive degrees 0..k or a (p_k, p_{k+1}) pair")
 
 
-def leading_ratio_check(factor_builder, spec: WeightSpec) -> float:
-    """Deviation of kappa_{k+1}/kappa_k from 4/(1+a) for odd n, m.
-
-    factor_builder is the factor constructor (kept injectable so this module
-    stays import-light); k = (m+n)/2.
-    """
+def leading_ratio_check(spec: WeightSpec) -> float:
+    """Deviation of kappa_{k+1}/kappa_k from 4/(1+a) for odd n, m; k = (m+n)/2."""
     if spec.family is not Family.CosPlusCosh or spec.n % 2 == 0 or spec.m % 2 == 0:
         raise ParityError("leading ratio statement needs odd n, m for cos-plus-cosh")
-    factor = factor_builder(spec)
+    factor = build_szego_factor(spec)
     k = (spec.n + spec.m) // 2
     pk = szego_orthonormal(factor, k, MeasureFactor.InvSqrtBoth)
     pk1 = szego_orthonormal(factor, k + 1, MeasureFactor.InvSqrtBoth)

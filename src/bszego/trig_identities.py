@@ -169,13 +169,11 @@ def pf_reciprocal_U(k: int, z: complex):
     return lhs, rhs / (2.0 * k)
 
 
-def ramanujan_353_finite(n: int, k: int, b: int = 0, tol: float = 1e-10):
+def ramanujan_353_finite(n: int, k: int, tol: float = 1e-10):
     """Oracle value of the finite Ramanujan-353 integral and its target pi/4.
 
     n even, k odd.  With t = sin(psi) the integrand is smooth on [0, pi/2];
-    near psi = 0 it tends to kn/2 (series guard).  b > 0 multiplies the
-    integrand by t^{4b}, for which no closed form is asserted and the target
-    is reported as nan.
+    near psi = 0 it tends to kn/2 (series guard).
     """
     if n % 2 == 1 or k % 2 == 0 or n < 2 or k < 1:
         raise ParityError("finite analog needs even n and odd k")
@@ -184,22 +182,16 @@ def ramanujan_353_finite(n: int, k: int, b: int = 0, tol: float = 1e-10):
         s = np.sin(psi)
         num = np.sin(k * n * psi) * np.cos(psi)
         den = (np.cos(n * psi) + np.cosh(n * np.arcsinh(s))) * s
-        val = num / den
-        if b:
-            val = val * s ** (4 * b)
-        return val
+        return num / den
 
     def series(psi):
-        base = 0.5 * k * n * (1.0 + (1.0 - (k * n) ** 2) * psi ** 2 / 6.0)
-        if b:
-            base = base * psi ** (4 * b)
-        return base
+        return 0.5 * k * n * (1.0 + (1.0 - (k * n) ** 2) * psi ** 2 / 6.0)
 
     spec = IntegrandSpec(
         f, FiniteDirect(0.0, math.pi / 2.0), (SingularityGuard(0.0, 1e-6, series),)
     )
     val, _ = oracle.integrate(spec, tol=tol)
-    return val, (math.pi / 4.0 if b == 0 else math.nan)
+    return val, math.pi / 4.0
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ __all__ = [
     "block_series",
     "expected_rho_degree",
     "build_szego_factor",
-    "squared_factor",
     "weight_base",
 ]
 
@@ -311,12 +310,17 @@ def _theta_grid_samples(spec: WeightSpec, n_samples: int):
     return vals
 
 
+def _rung_sine(k, N):
+    """sin(k pi/(2N)); its square is a zero of S (k even) or C (k odd) at degree N."""
+    return math.sin(math.pi * k / (2 * N))
+
+
 def _block_zeros(spec: WeightSpec):
     """The paper's roots sin^2(k pi/(2n)), -a sin^2(j pi/(2m)) from 1 down to -a:
-    every zero of C, S, Ch and Sh of `continued_block` in [-a, 1]."""
+    every zero of C, S, Ch and Sh of `continued_block` in [-a, 1] (`_rung_sine`)."""
     n, m, a = spec.n, spec.m, spec.a
-    pos = np.sin(np.pi * np.arange(n, -1, -1) / (2 * n)) ** 2
-    neg = -a * np.sin(np.pi * np.arange(1, m + 1) / (2 * m)) ** 2
+    pos = np.array([_rung_sine(k, n) for k in range(n, -1, -1)]) ** 2
+    neg = -a * np.array([_rung_sine(j, m) for j in range(1, m + 1)]) ** 2
     return np.concatenate([pos, neg])
 
 
@@ -385,20 +389,6 @@ def build_szego_factor(spec: WeightSpec) -> SzegoFactor:
     resid = _validate_factor(spec, h)
     _certify_zero_free(spec)
     return SzegoFactor(spec=spec, h=h, max_factorization_residual=resid)
-
-
-def squared_factor(base: SzegoFactor) -> SzegoFactor:
-    """Factor h^2 for the squared weight rho^2; its winding number is twice
-    the 0 that `build_szego_factor` certified for h."""
-    if base.spec.family is not Family.CosPlusCosh:
-        raise ParityError("squared factor is defined for the cos-plus-cosh family")
-    spec2 = WeightSpec(
-        base.spec.n, base.spec.m, base.spec.a,
-        Family.SquaredCosPlusCosh, base.spec.measure_factor,
-    )
-    h2 = base.h * base.h
-    resid = _validate_factor(spec2, h2)
-    return SzegoFactor(spec=spec2, h=h2, max_factorization_residual=resid)
 
 
 def weight_base(spec: WeightSpec):

@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bszego.pick_measures import PickFunction, matched_measure, moment_match_all
+from bszego.pick_measures import PickFunction, matched_pair, moment_match_all
 from bszego.suites import run_verify as _run_verify
 from bszego.weight_models import WeightSpec
 
@@ -107,7 +107,7 @@ def test_c11_matched_measures_attainable_part_and_deficit_formula():
     # the failing cells break by exactly the predicted top-moment deficit
     phi = PickFunction(1.0, 1j, ((1.0, -1j),))
     for n, m in [(1, 1), (3, 3), (3, 5)]:
-        meas = matched_measure(WeightSpec(n, m, 1.0), phi, form="measure5")
+        meas = matched_pair(WeightSpec(n, m, 1.0)).measure(phi, form="measure5")
         lhs, rhs = moment_match_all(meas, tol=1e-9)
         if meas.k > 1:  # moments below the top one all match
             assert np.max(np.abs(lhs - rhs)[:-1] / (1.0 + np.abs(rhs)[:-1])) < 1e-6

@@ -240,6 +240,31 @@ def test_unknown_suite_rejected_before_any_suite_runs(capsys, tmp_path, monkeypa
     assert ran == [] and out == ""
 
 
+def test_fejer_riesz_combos_from_a_config(capsys, tmp_path):
+    # JSON names a family by its string value
+    cfg = _write(tmp_path / "cfg.json", json.dumps({
+        "suites": ["fejer_riesz"],
+        "grids": {"fejer_riesz": {"combos": [["cos_plus_cosh", 1, 1, [1.0]]]}}}))
+    code, out, err = run_cli(capsys, "verify", "--config", cfg, "--format", "json")
+    assert code == 0 and err == ""
+    (record,) = json.loads(out)["records"]
+    assert record["params"] == {"family": "cos_plus_cosh", "n": 1, "m": 1, "a": 1.0}
+    assert record["passed"]
+
+
+def test_unknown_family_in_combos_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch):
+    ran = []
+    for sid in ("corollary_B", "fejer_riesz"):
+        monkeypatch.setitem(SUITES, sid, lambda grid, tol: ran.append(grid) or [])
+    cfg = _write(tmp_path / "cfg.json", json.dumps({
+        "suites": ["corollary_B", "fejer_riesz"],
+        "grids": {"fejer_riesz": {"combos": [["nope", 1, 1, [1.0]]]}}}))
+    code, out, err = run_cli(capsys, "verify", "--config", cfg)
+    assert code == 2
+    assert err.startswith("error: 'nope' is not a valid Family")
+    assert ran == [] and out == ""
+
+
 class TestFaultIsolation:
     @pytest.mark.parametrize("grid, error", [
         ({"n": [31], "m": [33], "a": [0.5], "n_plus_m_max": 64}, "NoConvergence"),

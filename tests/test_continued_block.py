@@ -519,11 +519,13 @@ def test_continuation_is_written_once():
     # the Taylor data at t = 0 and the root ladders are written once too
     for mod in (szego_polys, suites):
         assert _sites(_source(mod), _is_series_not_from_block_series) == []
-    # the ladder's sine is written once, in szego_polys; the Gauss rules read its
-    # rungs and build no rule from another
-    assert _sites(_source(szego_polys), _is_rung_sine) == ["_rung_sine"]
-    assert _sites(_source(quadrature), _is_rung_sine) == []
+    # the ladder's sine is written once, in weight_models; the known roots, the
+    # winding count's zeros and the Gauss rules read its rungs, and no rule is
+    # built from another
+    assert _sites(_source(weight_models), _is_rung_sine) == ["_rung_sine"]
     for mod in (szego_polys, quadrature):
+        assert _sites(_source(mod), _is_rung_sine) == []
+    for mod in (weight_models, szego_polys, quadrature):
         assert _sites(_source(mod), _is_root_ladder) == []
     assert _sites(_source(quadrature), _is_rule_call) == []
 
@@ -539,6 +541,8 @@ def test_continuation_is_written_once():
      _is_asin_of_sqrt, "explicit_eval"),
     (szego_polys, "(k, _rung_sine(k, N))", "(k, math.sin(math.pi * k / (2 * N)))",
      _is_rung_sine, "_ladder"),
+    (weight_models, "np.array([_rung_sine(j, m) for j in range(1, m + 1)]) ** 2",
+     "np.sin(np.pi * np.arange(1, m + 1) / (2 * m)) ** 2", _is_root_ladder, "_block_zeros"),
     (quadrature, "return _gauss_rule(spec, _tanh_over_sinh, math.pi",
      "nodes = [math.sin(math.pi * i / n) ** 2 for i in range(1, (n + 1) // 2)]\n"
      "    return _gauss_rule(spec, _tanh_over_sinh, math.pi",
@@ -549,7 +553,8 @@ def test_continuation_is_written_once():
      _is_rule_call, "rule_cosh_minus_cos"),
 ], ids=["hand-written series in a suite", "hand-written series in explicit_eval",
         "root ladder outside the helper", "continuation outside the helper",
-        "rung sine outside the helper", "hand-written ladder in a rule builder",
+        "rung sine outside the helper", "root ladder in the winding count's zeros",
+        "hand-written ladder in a rule builder",
         "signed rule built from its reflection"])
 def test_written_once_checks_catch_a_mutation(module, before, after, match, owner):
     source = _source(module)

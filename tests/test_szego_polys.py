@@ -5,7 +5,7 @@ import pytest
 
 from bszego import szego_polys
 from bszego.errors import DegreeThreshold, DomainError, ParityError
-from bszego.poly_core import ChebSeries
+from bszego.poly_core import ChebSeries, RealPolynomial
 from bszego.quadrature import weighted_oracle_integral
 from bszego.szego_polys import (
     OrthoPoly,
@@ -18,7 +18,9 @@ from bszego.szego_polys import (
 from bszego.weight_models import (
     Family,
     MeasureFactor,
+    SzegoFactor,
     WeightSpec,
+    _validate_factor,
     build_szego_factor,
     rho_eval,
     xi_eta_eval,
@@ -126,14 +128,13 @@ class TestSzegoConstruction:
         assert np.max(np.abs(p.poly.coeffs - q.poly.coeffs)) < 1e-9 * scale
 
     def test_squared_family_two_construction_routes(self):
-        from bszego.weight_models import squared_factor
-
-        base = build_szego_factor(WeightSpec(2, 3, 1.0))
-        sq = squared_factor(base)
+        # the squared family's factor is h^2, h the base family's
+        h = build_szego_factor(WeightSpec(2, 3, 1.0)).h
+        spec = WeightSpec(2, 3, 1.0, Family.SquaredCosPlusCosh, MeasureFactor.SqrtBoth)
+        h2 = RealPolynomial(np.convolve(h.coeffs, h.coeffs))
+        sq = SzegoFactor(spec, h2, _validate_factor(spec, h2))
         p = szego_orthonormal(sq, 4, MeasureFactor.SqrtBoth)
-        q = explicit_family(
-            WeightSpec(2, 3, 1.0, Family.SquaredCosPlusCosh, MeasureFactor.SqrtBoth)
-        )
+        q = explicit_family(spec)
         scale = np.max(np.abs(q.poly.coeffs))
         assert np.max(np.abs(p.poly.coeffs - q.poly.coeffs)) < 1e-9 * scale
 
@@ -399,12 +400,12 @@ class TestLeadingRatio:
         [(3, 5, 1.0), (3, 5, 3.0), (1, 3, 0.5), (5, 7, 2.0)],
     )
     def test_ratio(self, n, m, a):
-        dev = leading_ratio_check(build_szego_factor, spec_cpc(n, m, a))
+        dev = leading_ratio_check(spec_cpc(n, m, a))
         assert dev < 1e-10 * (1.0 + 4.0 / (1.0 + a))
 
     def test_parity_guard(self):
         with pytest.raises(ParityError):
-            leading_ratio_check(build_szego_factor, spec_cpc(2, 4, 1.0))
+            leading_ratio_check(spec_cpc(2, 4, 1.0))
 
 
 class TestInterlacing:

@@ -139,12 +139,6 @@ class TestRamanujan353:
         integral, target = ramanujan_353_finite(4, 3)
         assert integral == pytest.approx(math.pi / 4, abs=1e-9)
 
-    def test_higher_power_variant_runs(self):
-        v1, target = ramanujan_353_finite(6, 1, b=1, tol=1e-9)
-        v2, _ = ramanujan_353_finite(6, 1, b=1, tol=1e-11)
-        assert math.isnan(target)
-        assert v1 == pytest.approx(v2, abs=1e-8)
-
     def test_parity_guards(self):
         with pytest.raises(ParityError):
             ramanujan_353_finite(3, 1)

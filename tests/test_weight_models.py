@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bszego import weight_models
 from bszego.errors import BszegoError, DomainError, FactorizationResidual, ParityError, RootInDisk
+from bszego.poly_core import RealPolynomial
 from bszego.weight_models import (
     Family,
     MeasureFactor,
@@ -15,10 +16,18 @@ from bszego.weight_models import (
     continued_block,
     expected_rho_degree,
     rho_eval,
-    squared_factor,
     xi_eta_eval,
 )
 from reference_roots import poly_roots
+
+
+def square_of_factor(base):
+    """h^2, the factor of rho^2, once `_validate_factor` has checked it against the
+    squared family's rho: its degree, h^2(0) > 0 and the residual."""
+    h2 = RealPolynomial(np.convolve(base.h.coeffs, base.h.coeffs))
+    weight_models._validate_factor(
+        WeightSpec(base.spec.n, base.spec.m, base.spec.a, Family.SquaredCosPlusCosh), h2)
+    return h2
 
 
 def brute_force_fejer_riesz(rho_of_t, a, degree):
@@ -251,27 +260,27 @@ class TestFactor:
 
     def test_squared_constant(self):
         base = build_szego_factor(WeightSpec(1, 1, 1.0))
-        sq = squared_factor(base)
-        assert sq.h.degree == 0
-        assert sq.h.coeffs[0] == pytest.approx(2.0, rel=1e-14)
+        h2 = square_of_factor(base)
+        assert h2.degree == 0
+        assert h2.coeffs[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_squared_cubic(self):
         base = build_szego_factor(WeightSpec(1, 3, 1.0))
-        sq = squared_factor(base)
-        assert sq.h.degree == 6
+        h2 = square_of_factor(base)
+        assert h2.degree == 6
         # |h^2(e^{i th})|^2 must equal rho^2 pointwise
         theta = np.linspace(0, np.pi, 200)
         rho2 = rho_eval(WeightSpec(1, 3, 1.0), np.cos(theta)) ** 2
-        resid = np.abs(np.abs(sq.h(np.exp(1j * theta))) ** 2 - rho2)
+        resid = np.abs(np.abs(h2(np.exp(1j * theta))) ** 2 - rho2)
         assert np.max(resid) <= 1e-9 * np.max(rho2)
 
     def test_squared_residual_general_a(self):
         base = build_szego_factor(WeightSpec(3, 3, 2.0))
-        sq = squared_factor(base)
+        h2 = square_of_factor(base)
         theta = np.linspace(0, np.pi, 300)
         t = np.clip(0.5 * (-1 + 3 * np.cos(theta)), -2, 1)
         rho2 = rho_eval(WeightSpec(3, 3, 2.0), t) ** 2
-        resid = np.abs(np.abs(sq.h(np.exp(1j * theta))) ** 2 - rho2)
+        resid = np.abs(np.abs(h2(np.exp(1j * theta))) ** 2 - rho2)
         assert np.max(resid) <= 1e-9 * np.max(rho2)
 
     def test_no_factor_for_product_families(self):
