@@ -48,7 +48,6 @@ from .pick_measures import (
     PickFunction,
     boundary_moments,
     densities,
-    density,
     matched_pair,
 )
 

@@ -24,6 +24,18 @@ Evaluators may be vector-valued: an evaluator mapping an array of points of
 shape (npts,) to shape (npts,) or (npts, K) integrates K components in one
 pass, refining on the worst component. No evaluator call on either path gets
 more than _TRAP_CHUNK points, which bounds the (npts, K) arrays.
+
+Bisection (and so improper_integral with decay "RationalOrder2") also takes
+grouped evaluators, of shape (npts, G, K): G independent integrals of K
+components each, run in lock-step on shared evaluator calls (as in Shampine,
+"Vectorized adaptive quadrature in MATLAB", J. Comput. Appl. Math. 211,
+2008). Each group keeps its own tolerance share, its own panel decisions on
+its own worst component, and its own depth and panel limits, as QUADPACK's
+QAG keeps them for one integral, so its accepted panels are those of a run
+of that group alone; a panel is evaluated while any group still holds it.
+The result is one outcome per group, (value, err_est) or a NoConvergence: a
+group that does not converge stops being refined while the others finish.
+The shape of the output selects the mode.
 """
 from __future__ import annotations
 
@@ -119,7 +131,7 @@ def _guarded(evaluator, guards):
 
 
 def _panels(f, lo, hi):
-    """15-point Gauss values of f on the panels [lo[i], hi[i]]; shape (P,) or (P, K).
+    """15-point Gauss values of f on the panels [lo[i], hi[i]]; shape (P,), (P, K) or (P, G, K).
 
     Consecutive panels share one evaluator call of at most _TRAP_CHUNK points,
     and only that call's points are ever tabulated.
@@ -134,62 +146,119 @@ def _panels(f, lo, hi):
         if vals.ndim == 1:
             sums.append(hw * (vals.reshape(block.shape) @ _GW))
         else:
-            sums.append(hw[:, None] * (_GW @ vals.reshape(block.shape + vals.shape[1:])))
+            # one (P, 15, G*K) weighted sum for every component of every group
+            panel = (_GW @ vals.reshape(block.shape + (-1,))).reshape(hw.shape + vals.shape[1:])
+            sums.append(hw.reshape(hw.shape + (1,) * (vals.ndim - 1)) * panel)
     return np.concatenate(sums)
 
 
-def _adaptive(f, lo, hi, tol):
-    """Globally adaptive bisection; returns (value, err_est).
+def _by_group(v):
+    """Panel values (P,), (P, K) or (P, G, K) as (P, G, K): one group for an ungrouped f."""
+    return v.reshape(v.shape[:1] + (1,) * (3 - v.ndim) + v.shape[1:])
 
-    Panels are accepted when bisecting changes their value by less than a
-    quarter of their share of the tolerance budget, and split otherwise; a
-    panel at depth _MAX_DEPTH changed by more than its whole share raises
+
+def _adaptive(f, lo, hi, tol):
+    """Globally adaptive bisection.
+
+    For an evaluator of shape (npts,) or (npts, K) returns (value, err_est)
+    and raises NoConvergence; for a grouped one, (npts, G, K), returns one
+    outcome per group: (value, err_est), or the group's NoConvergence.
+
+    A group's panels are accepted when bisecting changes their value by less
+    than a quarter of their share of the group's budget tol * max(1, |coarse|),
+    coarse being the group's one-panel value, and split otherwise; a panel at
+    depth _MAX_DEPTH changed by more than its whole share ends the group with
     NoConvergence, and so does a partition past _MAX_PANELS subintervals.
-    Refinement runs one depth level at a time: both halves of every open
-    panel are evaluated in calls of at most _TRAP_CHUNK points, so the
-    evaluator is called about once per level. The accepted panels are those
-    of a depth-first refinement; their values and their refinement changes
-    / 15 are summed in position order, so value and err_est agree with the
-    depth-first sums to rounding and repeat exactly from run to run.
+    Refinement runs one depth level at a time: both halves of every panel some
+    group still holds are evaluated in calls of at most _TRAP_CHUNK points, so
+    the evaluator is called about once per level. Each group's accepted panels
+    are those of a depth-first refinement of that group alone; their values
+    and their refinement changes / 15 are summed in position order, so value
+    and err_est agree with the depth-first sums to rounding and repeat exactly
+    from run to run.
     """
     width = hi - lo
     a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
-    coarse = _panels(f, a, b)
-    share = tol * max(1.0, np.max(np.abs(coarse)))
-    done_lo, done_val, done_diff = [], [], []
+    first = _panels(f, a, b)
+    grouped = first.ndim == 3
+    one = first.shape[2:] if grouped else first.shape[1:]  # one group's value
+
+    def out(v):
+        return v.reshape(one)[()]
+
+    coarse = _by_group(first)
+    groups = coarse.shape[1]
+    share = tol * np.fmax(1.0, np.abs(coarse[0]).max(axis=1))  # a NaN coarse value gives tol
+    live = True  # live[i, g]: group g still holds panel i (at first, every group every panel)
+    failed = {}
+    # accepted (panel, group) pairs as flat indices into the (panel, group) pairs of every
+    # level in turn, with their values and refinement changes; sorted once at the end
+    los, done_pair, done_val, done_diff = [], [], [], []
+    seen = accepted = 0
     for depth in range(_MAX_DEPTH + 1):
-        m = 0.5 * (a + b)
-        half_lo, half_hi = np.stack([a, m], axis=1).ravel(), np.stack([m, b], axis=1).ravel()
-        halves = _panels(f, half_lo, half_hi)
+        edges = np.array([a, 0.5 * (a + b), b])
+        half_lo, half_hi = edges[:2].T.ravel(), edges[1:].T.ravel()
+        halves = _by_group(_panels(f, half_lo, half_hi))
         fine = halves[0::2] + halves[1::2]
-        diff = np.abs(fine - coarse)
-        if diff.ndim == 2:
-            diff = diff.max(axis=1)
-        budget = share * np.maximum((b - a) / width, 1e-6)
-        if depth == _MAX_DEPTH and np.any(diff > budget):
-            i = int(np.argmax(diff > budget))
-            raise NoConvergence(
-                f"panel [{a[i]}, {b[i]}] not converged at depth {depth}",
-                best=fine[i],
-                err_est=diff[i],
-            )
-        done = (diff <= 0.25 * budget) | (depth == _MAX_DEPTH)
-        done_lo.append(a[done])
-        done_val.append(fine[done])
-        done_diff.append(diff[done])
-        split = np.repeat(~done, 2)
-        if not np.any(split):
+        diff = np.abs(fine - coarse).max(axis=2)
+        budget = share * np.maximum((b - a) / width, 1e-6)[:, None]
+        if depth < _MAX_DEPTH:
+            done = diff <= 0.25 * budget
+        else:  # the last level accepts every panel
+            done = np.ones(diff.shape, dtype=bool)
+        if groups > 1:  # a single group holds every panel it has not accepted
+            done &= live
+        if depth == _MAX_DEPTH:  # ... and ends a group with a panel past its whole share
+            missed = done & (diff > budget)
+            for g in np.flatnonzero(missed.any(axis=0)):
+                i = int(np.argmax(missed[:, g]))
+                failed[g] = NoConvergence(
+                    f"panel [{a[i]}, {b[i]}] not converged at depth {depth}",
+                    best=out(fine[i, g]),
+                    err_est=diff[i, g],
+                )
+        pair = done.ravel().nonzero()[0]
+        los.append(a)
+        done_pair.append(pair + seen)
+        done_val.append(fine.reshape(-1, fine.shape[2])[pair])
+        done_diff.append(diff.ravel()[pair])
+        seen += done.size
+        accepted += pair.size
+        open_ = ~done
+        if groups > 1:
+            open_ &= live
+        if accepted + 2 * len(a) > _MAX_PANELS:  # a group may be past its panel budget
+            group = np.concatenate(done_pair) % groups
+            counts = np.bincount(group, minlength=groups) + 2 * np.count_nonzero(open_, axis=0)
+            for g in np.flatnonzero(counts > _MAX_PANELS):
+                mine = group == g
+                best = np.concatenate(done_val)[mine].sum(axis=0) + fine[open_[:, g], g].sum(axis=0)
+                err = np.concatenate(done_diff)[mine].sum() / 15.0 + diff[open_[:, g], g].sum()
+                failed[g] = NoConvergence(f"more than {_MAX_PANELS} panels at depth {depth}",
+                                          best=out(best), err_est=err)
+                open_[:, g] = False
+        held = open_.any(axis=1) if groups > 1 else open_[:, 0]
+        if not held.any():
             break
-        if sum(map(len, done_lo)) + np.count_nonzero(split) > _MAX_PANELS:
-            best = sum(v.sum(axis=0) for v in done_val) + fine[~done].sum(axis=0)
-            err = sum(d.sum() for d in done_diff) / 15.0 + diff[~done].sum()
-            raise NoConvergence(f"more than {_MAX_PANELS} panels at depth {depth}",
-                                best=best, err_est=err)
+        split = np.repeat(held, 2)
         a, b, coarse = half_lo[split], half_hi[split], halves[split]
-    order = np.argsort(np.concatenate(done_lo), kind="stable")
+        if groups > 1:
+            live = np.repeat(open_[held], 2, axis=0)
+    panel, group = np.divmod(np.concatenate(done_pair), groups)
+    order = np.lexsort((np.concatenate(los)[panel], group))
     values = np.concatenate(done_val)[order]
     errs = np.concatenate(done_diff)[order] / 15.0
-    return np.add.accumulate(values)[-1], np.add.accumulate(errs)[-1]
+    outcomes, start = [], 0
+    for g, count in enumerate(np.bincount(group, minlength=groups).tolist()):
+        end = start + count
+        outcomes.append(failed[g] if g in failed else (
+            out(np.add.accumulate(values[start:end])[-1]), np.add.accumulate(errs[start:end])[-1]))
+        start = end
+    if grouped:
+        return outcomes
+    if isinstance(outcomes[0], NoConvergence):
+        raise outcomes[0]
+    return outcomes[0]
 
 
 def _theta_integrand(f, a, p):
@@ -299,47 +368,48 @@ def improper_integral(
     two_sided: bool = False,
     block: float = 8.0,
 ):
-    """Integral over an infinite range.
+    """Integral over an infinite range; returns (value, err_est).
 
     "Exponential": integrate [0, block], extend block by block until three
     consecutive blocks contribute below tol * |estimate|, within _MAX_BLOCKS
-    blocks (mirrored when two_sided). "RationalOrder2": substitute
-    x = s/(1-s^2) and integrate the smooth image over (-1, 1) in one adaptive
-    pass.
+    blocks (mirrored when two_sided); err_est is the sum of the blocks' error
+    estimates. "RationalOrder2": substitute x = s/(1-s^2) and integrate the
+    smooth image over (-1, 1) in one adaptive pass, err_est being its estimate;
+    a grouped evaluator, of shape (npts, G, K), gets one outcome per group,
+    (value, err_est) or the group's NoConvergence, as from _adaptive.
     """
     tol = max(tol, 1e-14)
     if decay == "Exponential":
         def one_side(sign):
-            total = 0.0
+            total = err = 0.0
             quiet = 0
             for k in range(_MAX_BLOCKS):
                 a = k * block
                 b = a + block
                 if sign < 0:
                     a, b = -b, -a
-                contrib, _ = _adaptive(evaluator, a, b, tol * 0.1)
+                contrib, contrib_err = _adaptive(evaluator, a, b, tol * 0.1)
                 total += contrib
+                err += contrib_err
                 if abs(contrib) < tol * max(1.0, abs(total)) * 0.25:
                     quiet += 1
                     if quiet >= 3:
-                        return total
+                        return total, err
                 else:
                     quiet = 0
-            raise NoConvergence("exponential-tail truncation not reached", best=total)
+            raise NoConvergence("exponential-tail truncation not reached", best=total, err_est=err)
 
-        total = one_side(+1)
+        total, err = one_side(+1)
         if two_sided:
-            total += one_side(-1)
-        return total
+            back, back_err = one_side(-1)
+            total, err = total + back, err + back_err
+        return total, err
     if decay == "RationalOrder2":
         def g(s):
             x = s / (1.0 - s * s)
             jac = (1.0 + s * s) / (1.0 - s * s) ** 2
             vals = np.asarray(evaluator(x))
-            if vals.ndim == 2:
-                return vals * jac[:, None]
-            return vals * jac
+            return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))
 
-        value, _ = _adaptive(g, -1.0, 1.0, tol)
-        return value
+        return _adaptive(g, -1.0, 1.0, tol)
     raise ValueError(f"unknown decay class {decay!r}")

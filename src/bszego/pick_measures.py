@@ -13,11 +13,14 @@ everything that does not depend on phi: k, the polynomials p_k and p_{k-1},
 kappa_{k-1}/kappa_k and the base moments mu_0..mu_{2k-1}, which the moment
 checks read as their right-hand side.  `MatchedPair.measure(phi, form)` adds
 phi and the density form to a pair, giving a measure, so many phi can share
-one pair.  `moment_match_all(meas)` checks the moments j <= 2k-2 of a measure.
+one pair.
 
 Many (phi, form) draws on one pair are evaluated together:
-`densities(pair, draws, x)` gives one column per draw and evaluates p_k and
-p_{k-1} once per point, and `density(meas, x)` is its one-draw column.
+`densities(pair, draws, x)` gives one column per draw, with p_k and p_{k-1}
+evaluated once per point and phi of all draws as one array.
+`moment_match_all(pair, draws)` integrates the moments j <= 2k-2 of every
+draw in one oracle pass, each draw its own integral with its own error
+control, so one draw that does not converge fails alone.
 `boundary_moments(pair, draws)` integrates moment 2k-1 of every draw in one
 oracle pass, refining on the worst draw.
 """
@@ -48,7 +51,6 @@ __all__ = [
     "matched_pair",
     "MatchedMeasure",
     "densities",
-    "density",
     "boundary_moments",
     "moment_match_all",
 ]
@@ -76,13 +78,21 @@ class PickFunction:
                 raise ValueError("poles must lie in the lower half plane")
 
 
-def pick_eval(phi: PickFunction, x):
-    """phi(x) on real points; Im phi(x) >= Im gamma since every pole term
-    contributes nonnegative imaginary part for Im z_r < 0."""
-    x = np.asarray(x, dtype=float)
-    out = phi.beta * x + complex(phi.gamma)
-    for c_r, z_r in phi.terms:
-        out = out - c_r / (x - complex(z_r))
+def pick_eval(phis, x):
+    """phi(x) of each Pick function in phis on real points; shape x.shape + (len(phis),).
+
+    All phis are evaluated at once, their pole terms padded with c_r = 0.
+    Im phi(x) >= Im gamma since every pole term contributes nonnegative
+    imaginary part for Im z_r < 0.
+    """
+    x = np.asarray(x, dtype=float)[..., None]
+    width = max((len(phi.terms) for phi in phis), default=0)
+    padded = [tuple(phi.terms) + ((0.0, -1j),) * (width - len(phi.terms)) for phi in phis]
+    out = np.array([phi.beta for phi in phis]) * x + np.array([complex(phi.gamma) for phi in phis])
+    for r in range(width):
+        c_r = np.array([terms[r][0] for terms in padded], dtype=float)
+        z_r = np.array([complex(terms[r][1]) for terms in padded])
+        out = out - c_r / (x - z_r)
     return out
 
 
@@ -156,30 +166,22 @@ def _check_form(form):
 def densities(pair: MatchedPair, draws, x):
     """Densities of the (phi, form) draws on one pair; shape x.shape + (len(draws),).
 
-    p_k and p_{k-1} are evaluated once per point for all draws.
+    p_k and p_{k-1} are evaluated once per point, and phi of every draw at
+    once.  Each column is strictly positive on R: Im(phi - p_{k-1}/p_k) =
+    Im phi > 0 away from the real zeros of p_k, and at those zeros the other
+    factor is nonzero by interlacing, so neither denominator form can vanish.
     """
-    x = np.asarray(x, dtype=float)
-    pk, pkm1 = pair.p_k(x), pair.p_km1(x)
-    out = np.empty(x.shape + (len(draws),))
-    for d, (phi, form) in enumerate(draws):
+    for _, form in draws:
         _check_form(form)
-        ph = pick_eval(phi, x)
-        if form == "measure2":
-            denom = np.abs(ph * pk - pkm1) ** 2
-        else:
-            denom = np.abs(pk + ph * pkm1) ** 2
-        out[..., d] = np.imag(ph) / np.pi / denom
-    return out
-
-
-def density(meas: MatchedMeasure, x):
-    """Pointwise density; strictly positive on R.
-
-    Im(phi - p_{k-1}/p_k) = Im phi > 0 away from the real zeros of p_k, and
-    at those zeros the other factor is nonzero by interlacing, so neither
-    denominator form can vanish.
-    """
-    return densities(meas, [(meas.phi, meas.form)], x)[..., 0]
+    ph = pick_eval([phi for phi, _ in draws], x)
+    # |phi p_k - p_{k-1}|^2 (measure2) and |p_k + phi p_{k-1}|^2 = |phi p_{k-1} - (-p_k)|^2
+    # (measure5) as one |phi u - v|^2
+    measure2 = np.array([form == "measure2" for _, form in draws])
+    x = np.asarray(x, dtype=float)[..., None]
+    pk, pkm1 = pair.p_k(x), pair.p_km1(x)
+    u = np.where(measure2, pk, pkm1)
+    v = np.where(measure2, pkm1, -pk)
+    return np.imag(ph) / np.pi / np.abs(ph * u - v) ** 2
 
 
 def boundary_moments(pair: MatchedPair, draws, tol: float = 1e-8):
@@ -199,11 +201,19 @@ def boundary_moments(pair: MatchedPair, draws, tol: float = 1e-8):
     return np.asarray(lhs), pair.kappa_ratio * pair.moments[j]
 
 
-def moment_match_all(meas: MatchedMeasure, tol: float = 1e-8):
-    """All matched moments j = 0..2k-2 in one adaptive pass; returns (lhs, rhs) arrays."""
+def moment_match_all(pair: MatchedPair, draws, tol: float = 1e-8):
+    """Moments j = 0..2k-2 of each (phi, form) draw on the pair; returns (rows, rhs).
+
+    All draws share one oracle pass over R, one group per draw: each draw is
+    its own integral with its own error control.  rows[d] is draw d's
+    outcome, (lhs, err_est) with lhs of shape (2k-1,), or the NoConvergence
+    of its integral.  rhs is kappa_{k-1}/kappa_k times the pair's oracle
+    moments mu_0..mu_{2k-2}, the same for every draw.
+    """
+    count = 2 * pair.k - 1
 
     def f(x):
-        return np.vander(x, 2 * meas.k - 1, increasing=True) * density(meas, x)[:, None]
+        return np.vander(x, count, increasing=True)[:, None, :] * densities(pair, draws, x)[..., None]
 
-    lhs = oracle.improper_integral(f, decay="RationalOrder2", tol=tol)
-    return np.asarray(lhs), meas.kappa_ratio * np.asarray(meas.moments[: 2 * meas.k - 1])
+    rows = oracle.improper_integral(f, decay="RationalOrder2", tol=tol)
+    return rows, pair.kappa_ratio * np.asarray(pair.moments[:count])

@@ -32,7 +32,7 @@ import numpy as np
 from . import oracle
 from . import quadrature as quad
 from . import trig_identities as trig
-from .errors import BszegoError, UnknownSuite
+from .errors import BszegoError, NoConvergence, UnknownSuite
 from .pick_measures import PickFunction, boundary_moments, matched_pair, moment_match_all
 from .poly_core import ChebSeries, RealPolynomial, cheb_T
 from .szego_polys import szego_orthonormal
@@ -390,20 +390,26 @@ def _once(build):
 
 def _measure3_cells(grid, tol):
     # the nine cells of an (n, m) share one matched pair, built (its spec too, so
-    # listing the cells builds nothing) by the first cell that runs; it lives as
-    # long as this generator, one run_verify call
+    # listing the cells builds nothing) by the first cell that runs, and the eight
+    # moment rows share one oracle pass; both live as long as this generator, one
+    # run_verify call
+    draws = list(product(_PHI_SET, ("measure2", "measure5")))
     for n, m in grid.get("pairs", [(1, 1), (3, 3), (3, 5)]):
         pair = _once(lambda n=n, m=m: matched_pair(WeightSpec(n, m, 1.0)))
-        for phi, form in product(_PHI_SET, ("measure2", "measure5")):
+        moments = _once(lambda pair=pair: moment_match_all(
+            pair(), [(_PHI_SET[phi], form) for phi, form in draws], tol=1e-9))
+        for row, (phi, form) in enumerate(draws):
             params = {"n": n, "m": m, "phi": phi, "form": form}
-            yield _Cell("measure3", params, partial(_measure3, pair), tol)
+            yield _Cell("measure3", params, partial(_measure3, moments, row), tol)
         yield _Cell("measure3_boundary", {"n": n, "m": m}, partial(_measure3_boundary, pair),
                     0.0, closed=0.9)
 
 
-def _measure3(pair, n, m, phi, form):
-    meas = pair().measure(_PHI_SET[phi], form=form)
-    lhs, rhs = moment_match_all(meas, tol=1e-9)
+def _measure3(moments, row, n, m, phi, form):
+    rows, rhs = moments()
+    if isinstance(rows[row], NoConvergence):
+        raise rows[row]
+    lhs, _ = rows[row]
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 
 
@@ -540,7 +546,8 @@ def _improper(f, guard=None, **kwargs):
     """Oracle integral of f up to an exponentially small tail, series-guarded near 0."""
     if guard is not None:
         f = oracle._guarded(f, _guard(guard))
-    return oracle.improper_integral(f, "Exponential", tol=1e-9, **kwargs)
+    value, _ = oracle.improper_integral(f, "Exponential", tol=1e-9, **kwargs)
+    return value
 
 
 def _continued(g, at_zero=None):
@@ -692,6 +699,10 @@ SUITE_CRITERIA: Dict[str, int] = {sid: crit for sid, (crit, _, _) in _REGISTRY.i
 _SCALAR_GRID_KEYS = ("n_plus_m_max", "R")  # every other grid key is an axis: a list of values
 
 
+def _positive_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
+
+
 def _check_grids(grids):
     """Reject a malformed grid before any cell runs (ValueError names the suite and the axis,
     or the params of a cell past the n + m cap; listing the cells runs none of them)."""
@@ -706,12 +717,20 @@ def _check_grids(grids):
                     f"grid of suite {name!r}: axis {axis!r} needs a list of values, got {values!r}"
                 )
     for pair in grids.get("measure3", {}).get("pairs", []):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
-                isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
-                and v % 2 == 1 for v in pair)):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(_positive_int(v) and v % 2 == 1 for v in pair)):
             raise ValueError(
                 f"grid of suite 'measure3': axis 'pairs' needs [n, m] pairs of positive odd "
                 f"integers, got {pair!r}"
+            )
+    for combo in grids.get("fejer_riesz", {}).get("combos", []):
+        if not (isinstance(combo, (list, tuple)) and len(combo) == 4
+                and (isinstance(combo[0], Family) or combo[0] in [f.value for f in Family])
+                and _positive_int(combo[1]) and _positive_int(combo[2])
+                and isinstance(combo[3], (list, tuple))):
+            raise ValueError(
+                f"grid of suite 'fejer_riesz': axis 'combos' needs [family, n, m, [a, ...]] "
+                f"entries with a known family and positive integers n, m, got {combo!r}"
             )
     for name, grid in grids.items():
         sources = _REGISTRY[name][2] if name in _REGISTRY else ()

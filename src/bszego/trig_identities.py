@@ -284,5 +284,5 @@ def glaisher_pair(a: float, tol: float = 1e-9):
             * np.sin(a * y * y)
         )
 
-    integral = oracle.improper_integral(f, decay="Exponential", tol=tol, block=4.0)
+    integral, _ = oracle.improper_integral(f, decay="Exponential", tol=tol, block=4.0)
     return series, integral

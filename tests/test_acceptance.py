@@ -108,7 +108,7 @@ def test_c11_matched_measures_attainable_part_and_deficit_formula():
     phi = PickFunction(1.0, 1j, ((1.0, -1j),))
     for n, m in [(1, 1), (3, 3), (3, 5)]:
         meas = matched_pair(WeightSpec(n, m, 1.0)).measure(phi, form="measure5")
-        lhs, rhs = moment_match_all(meas, tol=1e-9)
+        ((lhs, _),), rhs = moment_match_all(meas, [(phi, "measure5")], tol=1e-9)
         if meas.k > 1:  # moments below the top one all match
             assert np.max(np.abs(lhs - rhs)[:-1] / (1.0 + np.abs(rhs)[:-1])) < 1e-6
         kk, km = meas.p_k.leading_coeff, meas.p_km1.leading_coeff

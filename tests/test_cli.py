@@ -261,7 +261,28 @@ def test_unknown_family_in_combos_rejected_before_any_suite_runs(capsys, tmp_pat
         "grids": {"fejer_riesz": {"combos": [["nope", 1, 1, [1.0]]]}}}))
     code, out, err = run_cli(capsys, "verify", "--config", cfg)
     assert code == 2
-    assert err.startswith("error: 'nope' is not a valid Family")
+    assert err.startswith("error: grid of suite 'fejer_riesz': axis 'combos'")
+    assert "['nope', 1, 1, [1.0]]" in err
+    assert ran == [] and out == ""
+
+
+@pytest.mark.parametrize("combo", [
+    ["cos_plus_cosh", 1, 1, 1.0],  # a scalar a
+    ["cos_plus_cosh", 1],  # too short
+    ["cos_plus_cosh", 1, 1, [1.0], 2],  # too long
+    ["cos_plus_cosh", 1.5, 1, [1.0]],  # n not an integer
+    "cos_plus_cosh",  # not an entry
+], ids=["scalar_a", "short", "long", "float_n", "string"])
+def test_malformed_combos_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch, combo):
+    ran = []
+    for sid in ("corollary_B", "fejer_riesz"):
+        monkeypatch.setitem(SUITES, sid, lambda grid, tol: ran.append(grid) or [])
+    cfg = _write(tmp_path / "cfg.json", json.dumps({
+        "suites": ["corollary_B", "fejer_riesz"], "grids": {"fejer_riesz": {"combos": [combo]}}}))
+    code, out, err = run_cli(capsys, "verify", "--config", cfg)
+    assert code == 2
+    assert err.startswith("error: grid of suite 'fejer_riesz': axis 'combos'")
+    assert "Traceback" not in err
     assert ran == [] and out == ""
 
 

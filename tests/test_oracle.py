@@ -86,16 +86,18 @@ def test_improper_glaisher_arctan():
         return x / 2.0
 
     wrapped = oracle._guarded(f, (SingularityGuard(0.0, 1e-6, series),))
-    val = oracle.improper_integral(wrapped, "Exponential", tol=1e-10)
+    val, err = oracle.improper_integral(wrapped, "Exponential", tol=1e-10)
     assert val == pytest.approx(math.pi / 8, abs=1e-8)
+    assert 0.0 < err <= 1e-10
 
 
 def test_improper_fourth_moment_vanishes():
     def f(x):
         return np.sin(x) * np.sinh(x) / (np.cos(2 * x) + np.cosh(2 * x)) * x**3
 
-    val = oracle.improper_integral(f, "Exponential", tol=1e-10)
+    val, err = oracle.improper_integral(f, "Exponential", tol=1e-10)
     assert abs(val) < 1e-8
+    assert 0.0 < err <= 1e-10
 
 
 def test_improper_squared_denominator():
@@ -111,14 +113,16 @@ def test_improper_squared_denominator():
         return x * math.sin(alpha) * math.cos(alpha) / 4.0
 
     wrapped = oracle._guarded(f, (SingularityGuard(0.0, 1e-6, series),))
-    val = oracle.improper_integral(wrapped, "Exponential", tol=1e-10)
+    val, err = oracle.improper_integral(wrapped, "Exponential", tol=1e-10)
     assert val == pytest.approx(alpha / 2, abs=1e-8)
+    assert 0.0 < err <= 1e-10
 
 
 def test_rational_substitution():
     # int_R dx/(1+x^2) = pi
-    val = oracle.improper_integral(lambda x: 1.0 / (1.0 + x * x), "RationalOrder2", tol=1e-11)
+    val, err = oracle.improper_integral(lambda x: 1.0 / (1.0 + x * x), "RationalOrder2", tol=1e-11)
     assert val == pytest.approx(math.pi, abs=1e-10)
+    assert 0.0 < err <= 1e-11 * (1.0 + abs(val))
 
 
 def test_vector_integrand():
@@ -164,8 +168,10 @@ def test_guard_boundary_continuity():
 
 
 def test_rational_interval_kind_through_integrate():
-    val = oracle.improper_integral(lambda x: 1.0 / (4.0 + x * x), decay="RationalOrder2", tol=1e-10)
+    val, err = oracle.improper_integral(lambda x: 1.0 / (4.0 + x * x), decay="RationalOrder2",
+                                        tol=1e-10)
     assert val == pytest.approx(math.pi / 2, abs=1e-9)
+    assert 0.0 < err <= 1e-10 * (1.0 + abs(val))
 
 
 def test_no_convergence_carries_best_estimate():
@@ -382,3 +388,73 @@ def test_oracle_imports_only_stdlib_numpy_and_errors():
             continue
         for root in roots:
             assert root == "numpy" or root in sys.stdlib_module_names, root
+
+
+# ---------------------------------------------------------------------------
+# grouped evaluators: independent integrals in lock-step on shared calls
+
+
+def _grouped(columns, groups):
+    """A grouped evaluator, (npts, G, K): group g's column j is groups[g](x) * x**j."""
+
+    def f(x):
+        x = np.asarray(x)
+        powers = x[:, None] ** np.arange(columns)
+        return np.stack([g(x)[:, None] * powers for g in groups], axis=1)
+
+    return f
+
+
+_GROUPS = (_kinked, lambda x: np.cos(7.0 * x), lambda x: 1e6 * x ** 3 * np.exp(-x))
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_lock_step_groups_equal_solo_runs(columns):
+    tol = 1e-12
+    g, batched = _recording(_grouped(columns, _GROUPS))
+    outcomes = oracle._adaptive(g, 0.0, 3.0, tol)
+    assert len(outcomes) == len(_GROUPS)
+    solo_points = []
+    for outcome, group in zip(outcomes, _GROUPS):
+        h, reference = _recording(lambda x: _grouped(columns, [group])(x)[:, 0, :])
+        ref_value, ref_err, _, _ = _depth_first(h, 0.0, 3.0, tol)
+        value, err = outcome
+        assert value.shape == (columns,)
+        scale = 1.0 + np.abs(ref_value)
+        assert np.all(np.abs(value - ref_value) <= 1e-15 * scale)
+        assert abs(err - ref_err) <= 1e-15 * np.max(scale)
+        solo_points.append(np.concatenate(reference))
+    # the cos(7x) and kinked groups keep their own share beside the 1e6 group:
+    # a share of tol * 1e6 would have accepted their panels far sooner
+    union = np.unique(np.concatenate(solo_points))
+    assert np.array_equal(np.unique(np.concatenate(batched)), union)
+    assert max(c.size for c in batched) <= oracle._TRAP_CHUNK
+
+
+def test_a_group_that_never_settles_fails_alone():
+    # sin(1e8 x) runs out of panels, as in the test above; exp(x) beside it
+    # finishes with the value and error estimate of its own run
+    def f(x):
+        return np.stack([np.sin(1e8 * x), np.exp(x)], axis=-1)[:, :, None]
+
+    restless, smooth = oracle._adaptive(f, 0.0, 1.0, 1e-10)
+    assert isinstance(restless, NoConvergence) and "panels" in str(restless)
+    assert restless.best.shape == (1,) and np.isfinite(restless.best[0])
+    ref_value, ref_err = oracle._adaptive(np.exp, 0.0, 1.0, 1e-10)
+    value, err = smooth
+    assert abs(value[0] - ref_value) <= 1e-15 * (1.0 + abs(ref_value))
+    assert abs(err - ref_err) <= 1e-15 * (1.0 + abs(ref_value))
+    assert value[0] == pytest.approx(math.e - 1.0, abs=1e-10)
+
+
+def test_grouped_rational_substitution():
+    # int_R dx/(c^2 + x^2) = pi/c, one group per c; each outcome is (value, err_est)
+    cs = np.array([1.0, 2.0, 30.0])
+
+    def f(x):
+        return (1.0 / (cs ** 2 + np.asarray(x)[:, None] ** 2))[:, :, None]
+
+    outcomes = oracle.improper_integral(f, "RationalOrder2", tol=1e-11)
+    for c, (value, err) in zip(cs, outcomes):
+        assert value[0] == pytest.approx(math.pi / c, abs=1e-10)
+        assert err <= 1e-11 * (1.0 + abs(value[0]))

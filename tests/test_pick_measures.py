@@ -5,14 +5,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bszego import oracle, suites, weight_models
+from bszego import oracle, pick_measures, suites, weight_models
 from bszego.pick_measures import (
     MatchedMeasure,
     MatchedPair,
     PickFunction,
     boundary_moments,
     densities,
-    density,
     matched_pair,
     moment_match_all,
     pick_eval,
@@ -29,10 +28,19 @@ def cpc(n, m, a=1.0):
 PAIRS = [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)]
 
 
+def one_pick(phi, x):
+    """phi(x) for one Pick function alone (the reference for `pick_eval`)."""
+    x = np.asarray(x, dtype=float)
+    out = phi.beta * x + complex(phi.gamma)
+    for c_r, z_r in phi.terms:
+        out = out - c_r / (x - complex(z_r))
+    return out
+
+
 def one_draw_density(meas, x):
     """The density formula evaluated for one measure alone (the reference for `densities`)."""
     x = np.asarray(x, dtype=float)
-    ph = pick_eval(meas.phi, x)
+    ph = one_pick(meas.phi, x)
     if meas.form == "measure2":
         denom = np.abs(ph * meas.p_k(x) - meas.p_km1(x)) ** 2
     else:
@@ -40,18 +48,32 @@ def one_draw_density(meas, x):
     return np.imag(ph) / np.pi / denom
 
 
+def density(meas, x):
+    """The one-draw column of `densities`."""
+    return densities(meas, [(meas.phi, meas.form)], x)[..., 0]
+
+
+def match_one(meas, tol=1e-8):
+    """`moment_match_all` on the measure's one draw; returns (lhs, rhs)."""
+    ((lhs, _),), rhs = moment_match_all(meas, [(meas.phi, meas.form)], tol=tol)
+    return lhs, rhs
+
+
 class TestPickFunction:
     def test_constant(self):
         phi = PickFunction(0.0, 1j)
-        assert pick_eval(phi, 7.0) == 1j
+        assert pick_eval([phi], 7.0).tolist() == [1j]
 
     def test_one_pole_value(self):
         phi = PickFunction(1.0, 1j, ((1.0, -1j),))
         # 0 + i - 1/(0 + i) = i + i = 2i
-        assert pick_eval(phi, 0.0) == pytest.approx(2j)
+        assert pick_eval([phi], 0.0)[0] == pytest.approx(2j)
 
     def test_imaginary_part_floor(self):
+        # 20 phis with 0 to 2 pole terms, evaluated together: each column is
+        # its one-phi formula bit for bit, and keeps Im phi >= Im gamma
         rng = np.random.default_rng(0)
+        phis = []
         for _ in range(20):
             beta = float(rng.uniform(0, 2))
             gamma = complex(rng.uniform(-1, 1), rng.uniform(0.1, 2))
@@ -59,9 +81,13 @@ class TestPickFunction:
                 (float(rng.uniform(0, 3)), complex(rng.uniform(-2, 2), -float(rng.uniform(0.1, 2))))
                 for _ in range(rng.integers(0, 3))
             )
-            phi = PickFunction(beta, gamma, terms)
-            x = np.linspace(-50, 50, 301)
-            assert np.all(np.imag(pick_eval(phi, x)) >= gamma.imag - 1e-12)
+            phis.append(PickFunction(beta, gamma, terms))
+        x = np.linspace(-50, 50, 301)
+        table = pick_eval(phis, x)
+        assert table.shape == (x.size, len(phis))
+        for d, phi in enumerate(phis):
+            assert np.array_equal(table[:, d], one_pick(phi, x))
+            assert np.all(np.imag(table[:, d]) >= phi.gamma.imag - 1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -101,10 +127,7 @@ class TestDensity:
         table = densities(pair, draws, x)
         assert table.shape == (x.size, len(draws))
         for d, (phi, form) in enumerate(draws):
-            meas = pair.measure(phi, form)
-            got = density(meas, x)
-            assert np.array_equal(got, one_draw_density(meas, x))
-            assert np.array_equal(table[:, d], got)
+            assert np.array_equal(table[:, d], one_draw_density(pair.measure(phi, form), x))
 
     def test_unknown_form_rejected(self):
         pair = matched_pair(cpc(1, 1))
@@ -118,7 +141,7 @@ class TestDensity:
         meas = matched_pair(spec).measure(PickFunction(0.0, 2j))
         x = np.linspace(-0.95, 0.95, 31)
         xi, eta = xi_eta_eval(spec, x)
-        phi = pick_eval(meas.phi, x)
+        phi = pick_eval([meas.phi], x)[:, 0]
         lhs = np.abs(np.sqrt(1 - x * x) * xi - (phi - x) * eta) ** 2
         rhs = math.pi / 4 * np.abs(phi * meas.p_k(x) - meas.p_km1(x)) ** 2
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
@@ -137,12 +160,12 @@ class TestDensity:
 class TestMomentMatching:
     def test_simplest_mass(self):
         meas = matched_pair(cpc(1, 1)).measure(PickFunction(0.0, 1j))
-        lhs, rhs = moment_match_all(meas)
+        lhs, rhs = match_one(meas)
         assert lhs[0] == pytest.approx(rhs[0], rel=1e-6)
 
     def test_three_five_all_orders(self):
         meas = matched_pair(cpc(3, 5)).measure(PickFunction(0.0, 1j))
-        lhs, rhs = moment_match_all(meas)
+        lhs, rhs = match_one(meas)
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-6
 
     def test_measure5_with_pole(self):
@@ -153,7 +176,7 @@ class TestMomentMatching:
         # exactly c_{2k-2} beta / (kappa_k (kappa_k + beta kappa_{k-1})).
         phi = PickFunction(1.0, 1j, ((1.0, -1j),))
         meas = matched_pair(cpc(3, 3)).measure(phi, form="measure5")
-        lhs, rhs = moment_match_all(meas)
+        lhs, rhs = match_one(meas)
         assert np.max(np.abs(lhs - rhs)[:-1] / (1.0 + np.abs(rhs)[:-1])) < 1e-6
         kk = meas.p_k.leading_coeff
         kkm1 = meas.p_km1.leading_coeff
@@ -164,13 +187,13 @@ class TestMomentMatching:
         # beta = 0 with a pole: full range j = 0..2k-2 matches.
         phi = PickFunction(0.0, 1j, ((1.0, -1j),))
         meas = matched_pair(cpc(3, 3)).measure(phi, form="measure5")
-        lhs, rhs = moment_match_all(meas)
+        lhs, rhs = match_one(meas)
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-6
 
     def test_measure2_with_linear_growth_matches_fully(self):
         phi = PickFunction(1.0, 1j, ((1.0, -1j),))
         meas = matched_pair(cpc(3, 3)).measure(phi, form="measure2")
-        lhs, rhs = moment_match_all(meas)
+        lhs, rhs = match_one(meas)
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-6
 
     def test_constant_gamma_specialization(self):
@@ -178,7 +201,7 @@ class TestMomentMatching:
         # constant-gamma identity
         for form in ("measure2", "measure5"):
             meas = matched_pair(cpc(3, 3)).measure(PickFunction(0.0, 1.0 + 1.0j), form=form)
-            lhs, rhs = moment_match_all(meas)
+            lhs, rhs = match_one(meas)
             assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-6
 
     def test_boundary_moment_breaks(self):
@@ -233,12 +256,40 @@ class TestMatchedPair:
         winding = weight_models._certify_zero_free
         monkeypatch.setattr(weight_models, "_certify_zero_free",
                             lambda spec: certified.append(spec) or winding(spec))
+        # and the eight moment rows of a pair are one oracle pass
+        passes = []
+        improper = oracle.improper_integral
+        monkeypatch.setattr(oracle, "improper_integral",
+                            lambda *args, **kwargs: passes.append(args) or improper(*args, **kwargs))
         grids = {"measure3": {"pairs": [[3, 5]]}}
         first = suites.run_verify("measure3", grids=grids)
-        assert len(first) == 9 and len(certified) == 1
+        assert len(first) == 9 and len(certified) == 1 and len(passes) == 1
         second = suites.run_verify("measure3", grids=grids)
-        assert len(certified) == 2
+        assert len(certified) == 2 and len(passes) == 2
         assert [r.core_dict() for r in first] == [r.core_dict() for r in second]
+
+    def test_a_draw_that_never_settles_fails_alone(self, monkeypatch):
+        # one draw's density gets a jump of 200 at x = 0.3, which bisection
+        # never resolves to its budget; only its record fails, and the other
+        # eight records of the pair are those of an undisturbed run
+        grids = {"measure3": {"pairs": [[1, 1]]}}
+        before = suites.run_verify("measure3", grids=grids)
+        target = (suites._PHI_SET["1+i"], "measure5")
+        plain = pick_measures.densities
+
+        def spiked(pair, draws, x):
+            out = plain(pair, draws, x)
+            for d, draw in enumerate(draws):
+                if draw == target:
+                    out[..., d] += 100.0 * np.sign(x - 0.3) * np.exp(-(x - 0.3) ** 2)
+            return out
+
+        monkeypatch.setattr(pick_measures, "densities", spiked)
+        after = suites.run_verify("measure3", grids=grids)
+        broken = [r for r in after if r.params.get("phi") == "1+i" and r.params.get("form") == "measure5"]
+        assert len(broken) == 1 and broken[0].error == "NoConvergence" and not broken[0].passed
+        assert ([r.core_dict() for r in after if r not in broken]
+                == [r.core_dict() for r in before if r.params != broken[0].params])
 
     def test_failed_pair_build_fails_each_cell(self, monkeypatch):
         # p_(k-1) of (1, 3) is past its degree threshold: one build attempt,
@@ -283,14 +334,18 @@ class TestMomentTable:
     @pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)])
     @pytest.mark.parametrize("phi, form", [("i", "measure2"), ("pole", "measure5")])
     def test_moment_match_all_matches_pow_table(self, n, m, phi, form):
-        # the cumulative-product monomial table against the elementwise pow
-        # table it replaced, on the matched pairs the measure3 cells build
-        meas = matched_pair(WeightSpec(n, m, 1.0)).measure(suites._PHI_SET[phi], form=form)
-        lhs, _ = moment_match_all(meas, tol=1e-9)
+        # the draw's row of the eight-draw pass the measure3 cells make, against
+        # a pass of that draw alone with the elementwise pow table, on the
+        # matched pairs the measure3 cells build
+        pair = matched_pair(WeightSpec(n, m, 1.0))
+        draws = [(suites._PHI_SET[p], f) for p, f in product(suites._PHI_SET, ("measure2", "measure5"))]
+        rows, _ = moment_match_all(pair, draws, tol=1e-9)
+        lhs, _ = rows[draws.index((suites._PHI_SET[phi], form))]
+        meas = pair.measure(suites._PHI_SET[phi], form=form)
         powers = np.arange(2 * meas.k - 1)
 
         def f(x):
-            return np.asarray(x)[:, None] ** powers[None, :] * density(meas, x)[:, None]
+            return np.asarray(x)[:, None] ** powers[None, :] * one_draw_density(meas, x)[:, None]
 
-        want = np.asarray(oracle.improper_integral(f, decay="RationalOrder2", tol=1e-9))
+        want, _ = oracle.improper_integral(f, decay="RationalOrder2", tol=1e-9)
         assert np.max(np.abs(lhs - want)) <= 1e-12
