@@ -17,7 +17,7 @@ from .errors import (
     SymmetryViolation,
     UnknownSuite,
 )
-from .poly_core import ChebSeries, RealPolynomial, cheb_T, poly_from_circle_samples
+from .poly_core import ChebSeries, RealPolynomial, cheb_T
 from .weight_models import (
     Family,
     MeasureFactor,
@@ -43,7 +43,6 @@ from .quadrature import (
     weights_from_moments,
 )
 from .pick_measures import (
-    MatchedMeasure,
     MatchedPair,
     PickFunction,
     boundary_moments,

@@ -157,6 +157,17 @@ def _by_group(v):
     return v.reshape(v.shape[:1] + (1,) * (3 - v.ndim) + v.shape[1:])
 
 
+def _worst(d):
+    """d.max(axis=2) of a (P, G, K) table, bit for bit.  numpy reduces a short trailing
+    axis one row at a time; past a few dozen rows the maximum over a transposed copy,
+    K slabs compared elementwise, is several times faster.  K = 1 needs no reduction."""
+    if d.shape[2] == 1:
+        return d[:, :, 0]
+    if d.shape[0] * d.shape[1] < 32:
+        return d.max(axis=2)
+    return np.ascontiguousarray(d.transpose(2, 0, 1)).max(axis=0)
+
+
 def _adaptive(f, lo, hi, tol):
     """Globally adaptive bisection.
 
@@ -200,7 +211,7 @@ def _adaptive(f, lo, hi, tol):
         half_lo, half_hi = edges[:2].T.ravel(), edges[1:].T.ravel()
         halves = _by_group(_panels(f, half_lo, half_hi))
         fine = halves[0::2] + halves[1::2]
-        diff = np.abs(fine - coarse).max(axis=2)
+        diff = _worst(np.abs(fine - coarse))
         budget = share * np.maximum((b - a) / width, 1e-6)[:, None]
         if depth < _MAX_DEPTH:
             done = diff <= 0.25 * budget

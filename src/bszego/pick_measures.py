@@ -11,9 +11,9 @@ of the statement and is probed statistically in the tests.
 The construction splits in two.  `matched_pair(spec)` builds the pair,
 everything that does not depend on phi: k, the polynomials p_k and p_{k-1},
 kappa_{k-1}/kappa_k and the base moments mu_0..mu_{2k-1}, which the moment
-checks read as their right-hand side.  `MatchedPair.measure(phi, form)` adds
-phi and the density form to a pair, giving a measure, so many phi can share
-one pair.
+checks read as their right-hand side.  A measure is a pair with one draw
+(phi, form), phi a Pick function and form the density form, `measure2` or
+`measure5`, so many draws share one pair.
 
 Many (phi, form) draws on one pair are evaluated together:
 `densities(pair, draws, x)` gives one column per draw, with p_k and p_{k-1}
@@ -26,7 +26,7 @@ oracle pass, refining on the worst draw.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -49,7 +49,6 @@ __all__ = [
     "pick_eval",
     "MatchedPair",
     "matched_pair",
-    "MatchedMeasure",
     "densities",
     "boundary_moments",
     "moment_match_all",
@@ -106,20 +105,6 @@ class MatchedPair:
     kappa_ratio: float  # kappa_{k-1} / kappa_k
     base_spec: WeightSpec
     moments: Tuple[float, ...]  # mu_0..mu_{2k-1} of the base weight
-
-    def measure(self, phi: PickFunction, form: str = "measure2") -> "MatchedMeasure":
-        """This pair with phi and the density form."""
-        _check_form(form)
-        pair = {f.name: getattr(self, f.name) for f in fields(MatchedPair)}
-        return MatchedMeasure(**pair, phi=phi, form=form)
-
-
-@dataclass(frozen=True)
-class MatchedMeasure(MatchedPair):
-    """A matched pair with phi and the density form."""
-
-    phi: PickFunction
-    form: str  # "measure2": |phi p_k - p_{k-1}|^2;  "measure5": |p_k + phi p_{k-1}|^2
 
 
 def matched_pair(spec: WeightSpec) -> MatchedPair:

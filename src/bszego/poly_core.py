@@ -1,22 +1,19 @@
 """Dense real polynomials, Chebyshev series on [-a, 1] and Chebyshev primitives.
 
 Complex points are represented by Python/numpy complex numbers throughout.
-All functions accept scalars or numpy arrays and are pure.
+All functions accept scalars or numpy arrays and are pure.  The spectral
+factor's coefficients are read from one FFT of its circle samples, in
+`weight_models.build_szego_factor`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SymmetryViolation
-
 __all__ = [
     "ChebSeries",
     "RealPolynomial",
     "cheb_T",
-    "poly_from_circle_samples",
 ]
-
-_SYMMETRY_TOL = 1e-9  # of max|value|: the conjugate symmetry and imaginary residue bound
 
 
 class RealPolynomial:
@@ -117,33 +114,3 @@ def cheb_T(n: int, x):
     lo = x < -1.0
     out[lo] = ((-1.0) ** n) * np.cosh(n * np.arccosh(-x[lo]))
     return out if out.shape else out[()]
-
-
-def poly_from_circle_samples(values, degree: int) -> RealPolynomial:
-    """Recover real coefficients from samples at the N-th roots of unity.
-
-    values[k] must be p(exp(2 pi i k / N)) for a real-coefficient polynomial p
-    of degree <= degree, with N > degree. Conjugate symmetry
-    values[N-k] == conj(values[k]) is required within 1e-9 * max|value|;
-    the imaginary residue of the recovered coefficients must stay below the
-    same bound and is discarded.
-    """
-    values = np.asarray(values, dtype=complex)
-    N = len(values)
-    if N <= degree:
-        raise ValueError(f"need more samples than degree: N={N}, degree={degree}")
-    scale = np.max(np.abs(values))
-    if scale == 0.0:
-        return RealPolynomial([0.0])
-    sym = np.max(np.abs(values - np.conj(values[(-np.arange(N)) % N])))
-    if sym > _SYMMETRY_TOL * scale:
-        raise SymmetryViolation(
-            f"conjugate symmetry residual {sym:.3e} exceeds {_SYMMETRY_TOL:.1e} * {scale:.3e}"
-        )
-    coeffs = np.fft.fft(values) / N
-    imag_res = np.max(np.abs(coeffs.imag))
-    if imag_res > _SYMMETRY_TOL * scale:
-        raise SymmetryViolation(
-            f"imaginary coefficient residue {imag_res:.3e} exceeds tolerance"
-        )
-    return RealPolynomial(coeffs[: degree + 1].real)

@@ -15,7 +15,9 @@ nodes of the Gauss rules, are all read from that description.
 
 Both routes interpolate at the same k + 1 Chebyshev points of [-a, 1] and
 store the Chebyshev coefficients there (`ChebSeries`), never the power
-coefficients in t, which are ill-conditioned at high degree.  perfbench's
+coefficients in t, which are ill-conditioned at high degree.  The points and
+the matrix T_i(x_j) depend on k alone and are built once per degree
+(`_cheb_grid`); a changes only the map x -> t.  perfbench's
 factor gate reads `OrthoPoly.poly.coeffs`, so it compares these.
 
 With theta the circle variable, x = cos(theta) = (2t - 1 + a)/(1 + a), and
@@ -35,6 +37,7 @@ The shift s = 0, 2, 1 and the constant of each measure are one table,
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -74,7 +77,8 @@ class OrthoPoly:
 
     known_roots, when given, are all roots, in [-a, 1], and the series must
     match leading_coeff * prod (t - root) within 1e-9 sum |c_j| at the
-    Chebyshev points: far from a moved root, the whole product moves with it.
+    Chebyshev points, where it is V c (`_cheb_grid`): far from a moved root,
+    the whole product moves with it.
     """
 
     poly: ChebSeries
@@ -96,9 +100,10 @@ class OrthoPoly:
             roots, a = np.asarray(self.known_roots, dtype=float), self.poly.a
             if np.any((roots < -a) | (roots > 1.0)):
                 raise ValueError(f"claimed root outside [-{a}, 1]")
+            V = _cheb_grid(self.degree)[1]
             t = _chebyshev_points(self.degree, a)[1]
             product = self.leading_coeff * np.prod(t[:, None] - roots, axis=1)
-            err = np.max(np.abs(self.poly(t) - product)) / np.sum(np.abs(self.poly.coeffs))
+            err = np.max(np.abs(V @ self.poly.coeffs - product)) / np.sum(np.abs(self.poly.coeffs))
             if err > 1e-9:
                 raise ValueError(f"claimed roots fail the product-form check: error {err:.3e}")
 
@@ -134,9 +139,19 @@ def szego_factor_poly_values(factor: SzegoFactor, k: int, measure_factor: Measur
     return const(a) * np.imag(z) / np.sin(0.5 * s * theta)
 
 
+@functools.lru_cache(maxsize=None)  # k is bounded by the n + m cap
+def _cheb_grid(k: int):
+    """(x, V), read-only: the k + 1 roots x_j of T_{k+1} and V[j, i] = T_i(x_j)."""
+    x = np.cos(np.pi * (2.0 * np.arange(k + 1) + 1.0) / (2.0 * (k + 1)))
+    i = np.arange(k + 1)
+    V = np.cos(np.outer(2 * i + 1, i) * (np.pi / (2.0 * (k + 1))))
+    x.flags.writeable = V.flags.writeable = False
+    return x, V
+
+
 def _chebyshev_points(k: int, a: float):
     """The k + 1 Chebyshev points of [-a, 1], as x in [-1, 1] and as t."""
-    x = np.cos(np.pi * (2.0 * np.arange(k + 1) + 1.0) / (2.0 * (k + 1)))
+    x = _cheb_grid(k)[0]
     return x, 0.5 * ((1.0 - a) + (1.0 + a) * x)
 
 
@@ -144,8 +159,7 @@ def _chebyshev_interpolant(k: int, a: float, f) -> ChebSeries:
     """Degree-k interpolant of f at the Chebyshev points of [-a, 1], the roots of
     T_{k+1}: by discrete orthogonality c_i = (2/(k+1)) sum_j f(t_j) T_i(x_j), c_0 halved."""
     t = _chebyshev_points(k, a)[1]
-    i = np.arange(k + 1)
-    V = np.cos(np.outer(2 * i + 1, i) * (np.pi / (2.0 * (k + 1))))  # V[j, i] = T_i(x_j)
+    V = _cheb_grid(k)[1]
     c = (2.0 / (k + 1)) * (f(t) @ V)
     c[0] *= 0.5
     return ChebSeries(c, a)

@@ -9,8 +9,11 @@ family divides the difference by t (removable singularity at 0), and the
 squared / product / mixed families combine such blocks.  For the two base
 families the Fejer-Riesz factor h(z) with |h(e^{i theta})|^2 = rho(cos theta),
 h zero-free in the open unit disk and h(0) > 0, is recovered from samples of
-the defining trigonometric expression on the unit circle, and certified
-zero-free by a winding count at the paper's known roots, not by root finding.
+the defining trigonometric expression on the unit circle by one FFT, whose
+coefficients serve the degree, symmetry and imaginary-residue checks alike;
+its residual |h|^2 - rho is read from one real FFT of its coefficients, and it
+is certified zero-free by a winding count at the paper's known roots, not by
+root finding.
 
 Negative t is always handled by the explicit real continuations
 asin(sqrt(t)) = i asinh(sqrt(-t)) and asinh(sqrt(t/a)) = i asin(sqrt(-t/a)),
@@ -33,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, FactorizationResidual, ParityError, RootInDisk
-from .poly_core import RealPolynomial, cheb_T, poly_from_circle_samples
+from .errors import DomainError, FactorizationResidual, ParityError, RootInDisk, SymmetryViolation
+from .poly_core import RealPolynomial, cheb_T
 
 __all__ = [
     "Family",
@@ -53,6 +56,8 @@ __all__ = [
 
 _SERIES_RADIUS = 1e-6
 _PARAM_CAP = 64
+_SYMMETRY_TOL = 1e-9  # of max|sample|: the conjugate symmetry and imaginary residue bound
+_RESIDUAL_POINTS = 512  # theta_k = k pi/511: the first half of the 1022nd roots of unity
 
 
 class Family(enum.Enum):
@@ -331,7 +336,8 @@ def _certify_zero_free(spec: WeightSpec) -> float:
     that is q/2 plus the change of arg G as t runs from 1 to -a.  The parts of
     G vanish only at `_block_zeros`, where they interlace; sampled at t = 1,
     t = -a and midway between zeros, G crosses at most one axis per step (two
-    mean a zero is missing from the list), so each principal step is exact.
+    mean a zero is missing from the list), so each principal step, the angle
+    of G[i+1] conj G[i], is exact and their sum is the change of arg G.
     """
     z = _block_zeros(spec)
     t = np.concatenate([z[:1], 0.5 * (z[:-1] + z[1:]), z[-1:]])
@@ -339,8 +345,7 @@ def _certify_zero_free(spec: WeightSpec) -> float:
     re, im = np.sign(G.real), np.sign(G.imag)
     if np.any((re[1:] != re[:-1]) & (im[1:] != im[:-1])):
         raise RootInDisk("a step of the winding count crosses both axes: a zero of G is missing")
-    arg = np.unwrap(np.angle(G))
-    winding = float(arg[-1] - arg[0]) / np.pi + q / 2.0
+    winding = float(np.sum(np.angle(G[1:] * np.conj(G[:-1])))) / np.pi + q / 2.0
     if abs(winding) >= 0.25:
         raise RootInDisk(f"winding number {winding:.3f}: h has zeros in the unit disk")
     return winding
@@ -352,13 +357,15 @@ def _validate_factor(spec: WeightSpec, h: RealPolynomial) -> float:
         raise FactorizationResidual(
             f"factor degree {h.degree} does not match rho degree {deg}"
         )
-    if not h(0.0) > 0.0:
-        raise FactorizationResidual(f"h(0) = {h(0.0)} is not positive")
-    theta = np.linspace(0.0, np.pi, 512)
+    if not h.coeffs[0] > 0.0:
+        raise FactorizationResidual(f"h(0) = {h.coeffs[0]} is not positive")
+    theta = np.linspace(0.0, np.pi, _RESIDUAL_POINTS)
     t = np.clip(0.5 * ((1.0 - spec.a) + (1.0 + spec.a) * np.cos(theta)), -spec.a, 1.0)
     rho = rho_eval(spec, t)
-    resid = float(np.max(np.abs(np.abs(h(np.exp(1j * theta))) ** 2 - rho)))
-    if resid > 1e-9 * float(np.max(rho)):
+    # h is real, so the real FFT's k-th value is conj h(e^{i theta_k}): |h| on the grid
+    h_abs = np.abs(np.fft.rfft(h.coeffs, 2 * _RESIDUAL_POINTS - 2))
+    resid = float(np.max(np.abs(h_abs ** 2 - rho)))
+    if not resid <= 1e-9 * float(np.max(rho)):  # a NaN residual fails too
         raise FactorizationResidual(
             f"|h|^2 - rho residual {resid:.3e} above 1e-9 * max rho"
         )
@@ -369,8 +376,11 @@ def build_szego_factor(spec: WeightSpec) -> SzegoFactor:
     """Construct and validate the Fejer-Riesz factor for the base families.
 
     Samples the defining expression at the N-th roots of unity with N the
-    smallest power of two >= 2 (deg + 1); the headroom makes degree mistakes
-    visible as non-negligible trailing coefficients.
+    smallest power of two >= 2 (deg + 1) and takes their FFT once; the headroom
+    makes degree mistakes visible as non-negligible trailing coefficients,
+    checked first.  The samples must then be conjugate symmetric, and the
+    coefficients real, within 1e-9 * max|sample|; the imaginary residue is
+    discarded.
     """
     if spec.family not in (Family.CosPlusCosh, Family.CoshMinusCosOverT):
         raise ParityError(f"no direct factorization for family {spec.family}")
@@ -385,7 +395,18 @@ def build_szego_factor(spec: WeightSpec) -> SzegoFactor:
         raise FactorizationResidual(
             f"trailing coefficient mass {tail:.3e} signals a degree mismatch"
         )
-    h = poly_from_circle_samples(vals, deg)
+    scale = np.max(np.abs(vals))
+    sym = np.max(np.abs(vals - np.conj(vals[(-np.arange(n_samples)) % n_samples])))
+    if sym > _SYMMETRY_TOL * scale:
+        raise SymmetryViolation(
+            f"conjugate symmetry residual {sym:.3e} exceeds {_SYMMETRY_TOL:.1e} * {scale:.3e}"
+        )
+    imag_res = np.max(np.abs(coeffs.imag))
+    if imag_res > _SYMMETRY_TOL * scale:
+        raise SymmetryViolation(
+            f"imaginary coefficient residue {imag_res:.3e} exceeds tolerance"
+        )
+    h = RealPolynomial(coeffs[: deg + 1].real)
     resid = _validate_factor(spec, h)
     _certify_zero_free(spec)
     return SzegoFactor(spec=spec, h=h, max_factorization_residual=resid)

@@ -107,11 +107,11 @@ def test_c11_matched_measures_attainable_part_and_deficit_formula():
     # the failing cells break by exactly the predicted top-moment deficit
     phi = PickFunction(1.0, 1j, ((1.0, -1j),))
     for n, m in [(1, 1), (3, 3), (3, 5)]:
-        meas = matched_pair(WeightSpec(n, m, 1.0)).measure(phi, form="measure5")
-        ((lhs, _),), rhs = moment_match_all(meas, [(phi, "measure5")], tol=1e-9)
-        if meas.k > 1:  # moments below the top one all match
+        pair = matched_pair(WeightSpec(n, m, 1.0))
+        ((lhs, _),), rhs = moment_match_all(pair, [(phi, "measure5")], tol=1e-9)
+        if pair.k > 1:  # moments below the top one all match
             assert np.max(np.abs(lhs - rhs)[:-1] / (1.0 + np.abs(rhs)[:-1])) < 1e-6
-        kk, km = meas.p_k.leading_coeff, meas.p_km1.leading_coeff
+        kk, km = pair.p_k.leading_coeff, pair.p_km1.leading_coeff
         deficit = phi.beta / (kk * (kk + phi.beta * km))
         assert rhs[-1] - lhs[-1] == pytest.approx(deficit, rel=1e-4)
     print("acceptance criterion 11 (corrected statement incl. deficit formula): PASS")

@@ -458,3 +458,16 @@ def test_grouped_rational_substitution():
     for c, (value, err) in zip(cs, outcomes):
         assert value[0] == pytest.approx(math.pi / c, abs=1e-10)
         assert err <= 1e-11 * (1.0 + abs(value[0]))
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1, 1), (7, 1, 3), (31, 1, 2), (32, 1, 2), (4, 8, 5), (2000, 1, 3), (2000, 8, 5),
+    (64, 30, 1), (3, 8, 15),
+])
+def test_per_panel_worst_component_is_the_trailing_max(shape):
+    # `_adaptive`'s per-panel worst component of a (P, G, K) table is d.max(axis=2)
+    # bit for bit on either side of its size switch, NaN and inf included
+    rng = np.random.default_rng(sum(shape))
+    d = np.abs(rng.standard_normal(shape)) * 10.0 ** rng.uniform(-30.0, 30.0, shape)
+    d.flat[rng.integers(0, d.size, 3)] = [np.nan, np.inf, 0.0]
+    assert np.array_equal(oracle._worst(d), d.max(axis=2), equal_nan=True)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from itertools import product
 
@@ -7,8 +6,6 @@ import pytest
 
 from bszego import oracle, pick_measures, suites, weight_models
 from bszego.pick_measures import (
-    MatchedMeasure,
-    MatchedPair,
     PickFunction,
     boundary_moments,
     densities,
@@ -37,25 +34,25 @@ def one_pick(phi, x):
     return out
 
 
-def one_draw_density(meas, x):
-    """The density formula evaluated for one measure alone (the reference for `densities`)."""
+def one_draw_density(pair, phi, form, x):
+    """The density formula evaluated for one draw alone (the reference for `densities`)."""
     x = np.asarray(x, dtype=float)
-    ph = one_pick(meas.phi, x)
-    if meas.form == "measure2":
-        denom = np.abs(ph * meas.p_k(x) - meas.p_km1(x)) ** 2
+    ph = one_pick(phi, x)
+    if form == "measure2":
+        denom = np.abs(ph * pair.p_k(x) - pair.p_km1(x)) ** 2
     else:
-        denom = np.abs(meas.p_k(x) + ph * meas.p_km1(x)) ** 2
+        denom = np.abs(pair.p_k(x) + ph * pair.p_km1(x)) ** 2
     return np.imag(ph) / np.pi / denom
 
 
-def density(meas, x):
+def density(pair, phi, x, form="measure2"):
     """The one-draw column of `densities`."""
-    return densities(meas, [(meas.phi, meas.form)], x)[..., 0]
+    return densities(pair, [(phi, form)], x)[..., 0]
 
 
-def match_one(meas, tol=1e-8):
-    """`moment_match_all` on the measure's one draw; returns (lhs, rhs)."""
-    ((lhs, _),), rhs = moment_match_all(meas, [(meas.phi, meas.form)], tol=tol)
+def match_one(pair, phi, form="measure2", tol=1e-8):
+    """`moment_match_all` on one draw; returns (lhs, rhs)."""
+    ((lhs, _),), rhs = moment_match_all(pair, [(phi, form)], tol=tol)
     return lhs, rhs
 
 
@@ -102,22 +99,23 @@ class TestPickFunction:
 
 class TestDensity:
     def test_positive_everywhere(self):
-        meas = matched_pair(cpc(3, 3)).measure(PickFunction(0.0, 1j))
+        pair = matched_pair(cpc(3, 3))
         x = np.linspace(-30, 30, 1001)
-        assert np.all(density(meas, x) > 0)
+        assert np.all(density(pair, PickFunction(0.0, 1j), x) > 0)
 
     def test_tail_decay_on_log_grid(self):
         # beta = 0 measure2 densities fall like x^(-2k); the k = 1 case is
         # exactly quadratic, and every case decays at least quadratically,
         # which is what the real-line substitution relies on.
         xs = np.array([1e2, 1e3, 1e4, 1e5])
-        meas1 = matched_pair(cpc(1, 1)).measure(PickFunction(0.0, 1j))
-        slopes = np.diff(np.log(density(meas1, xs))) / np.diff(np.log(xs))
+        phi = PickFunction(0.0, 1j)
+        pair1 = matched_pair(cpc(1, 1))
+        slopes = np.diff(np.log(density(pair1, phi, xs))) / np.diff(np.log(xs))
         assert np.max(np.abs(slopes + 2.0)) < 0.05
-        meas2 = matched_pair(cpc(3, 5)).measure(PickFunction(0.0, 1j))
-        slopes = np.diff(np.log(density(meas2, xs))) / np.diff(np.log(xs))
+        pair2 = matched_pair(cpc(3, 5))
+        slopes = np.diff(np.log(density(pair2, phi, xs))) / np.diff(np.log(xs))
         assert np.all(slopes < -2.0)
-        assert np.max(np.abs(slopes + 2.0 * meas2.k)) < 0.05
+        assert np.max(np.abs(slopes + 2.0 * pair2.k)) < 0.05
 
     @pytest.mark.parametrize("n, m", PAIRS)
     def test_density_is_the_one_draw_formula_bit_for_bit(self, n, m):
@@ -127,7 +125,7 @@ class TestDensity:
         table = densities(pair, draws, x)
         assert table.shape == (x.size, len(draws))
         for d, (phi, form) in enumerate(draws):
-            assert np.array_equal(table[:, d], one_draw_density(pair.measure(phi, form), x))
+            assert np.array_equal(table[:, d], one_draw_density(pair, phi, form, x))
 
     def test_unknown_form_rejected(self):
         pair = matched_pair(cpc(1, 1))
@@ -138,34 +136,32 @@ class TestDensity:
         # |sqrt(1-x^2) xi - (phi - x) eta|^2 = (pi/4) |phi p_k - p_{k-1}|^2
         # on [-1, 1] for the odd/odd a=1 pair.
         spec = cpc(3, 5)
-        meas = matched_pair(spec).measure(PickFunction(0.0, 2j))
+        pair = matched_pair(spec)
         x = np.linspace(-0.95, 0.95, 31)
         xi, eta = xi_eta_eval(spec, x)
-        phi = pick_eval([meas.phi], x)[:, 0]
+        phi = pick_eval([PickFunction(0.0, 2j)], x)[:, 0]
         lhs = np.abs(np.sqrt(1 - x * x) * xi - (phi - x) * eta) ** 2
-        rhs = math.pi / 4 * np.abs(phi * meas.p_k(x) - meas.p_km1(x)) ** 2
+        rhs = math.pi / 4 * np.abs(phi * pair.p_k(x) - pair.p_km1(x)) ** 2
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs))
 
     def test_section10_closed_form_for_p_km1(self):
         spec = cpc(3, 5)
-        meas = matched_pair(spec).measure(PickFunction(0.0, 1j))
+        pair = matched_pair(spec)
         x = np.linspace(-0.9, 0.9, 25)
         xi, eta = xi_eta_eval(spec, x)
         closed = 2.0 / math.sqrt(math.pi) * (x * eta + np.sqrt(1 - x * x) * xi)
-        got = meas.p_km1(x)
+        got = pair.p_km1(x)
         sign = 1.0 if np.dot(closed, got) >= 0 else -1.0
         assert np.max(np.abs(got - sign * closed)) < 1e-9
 
 
 class TestMomentMatching:
     def test_simplest_mass(self):
-        meas = matched_pair(cpc(1, 1)).measure(PickFunction(0.0, 1j))
-        lhs, rhs = match_one(meas)
+        lhs, rhs = match_one(matched_pair(cpc(1, 1)), PickFunction(0.0, 1j))
         assert lhs[0] == pytest.approx(rhs[0], rel=1e-6)
 
     def test_three_five_all_orders(self):
-        meas = matched_pair(cpc(3, 5)).measure(PickFunction(0.0, 1j))
-        lhs, rhs = match_one(meas)
+        lhs, rhs = match_one(matched_pair(cpc(3, 5)), PickFunction(0.0, 1j))
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-6
 
     def test_measure5_with_pole(self):
@@ -175,56 +171,53 @@ class TestMomentMatching:
         # degree: moments 0..2k-3 match, while moment 2k-2 falls short by
         # exactly c_{2k-2} beta / (kappa_k (kappa_k + beta kappa_{k-1})).
         phi = PickFunction(1.0, 1j, ((1.0, -1j),))
-        meas = matched_pair(cpc(3, 3)).measure(phi, form="measure5")
-        lhs, rhs = match_one(meas)
+        pair = matched_pair(cpc(3, 3))
+        lhs, rhs = match_one(pair, phi, form="measure5")
         assert np.max(np.abs(lhs - rhs)[:-1] / (1.0 + np.abs(rhs)[:-1])) < 1e-6
-        kk = meas.p_k.leading_coeff
-        kkm1 = meas.p_km1.leading_coeff
+        kk = pair.p_k.leading_coeff
+        kkm1 = pair.p_km1.leading_coeff
         deficit = phi.beta / (kk * (kk + phi.beta * kkm1))
         assert (rhs[-1] - lhs[-1]) == pytest.approx(deficit, rel=1e-5)
 
     def test_measure5_without_linear_growth_matches_fully(self):
         # beta = 0 with a pole: full range j = 0..2k-2 matches.
         phi = PickFunction(0.0, 1j, ((1.0, -1j),))
-        meas = matched_pair(cpc(3, 3)).measure(phi, form="measure5")
-        lhs, rhs = match_one(meas)
+        lhs, rhs = match_one(matched_pair(cpc(3, 3)), phi, form="measure5")
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-6
 
     def test_measure2_with_linear_growth_matches_fully(self):
         phi = PickFunction(1.0, 1j, ((1.0, -1j),))
-        meas = matched_pair(cpc(3, 3)).measure(phi, form="measure2")
-        lhs, rhs = match_one(meas)
+        lhs, rhs = match_one(matched_pair(cpc(3, 3)), phi, form="measure2")
         assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-6
 
     def test_constant_gamma_specialization(self):
         # with no poles and beta = 0 the statement reduces to the plain
         # constant-gamma identity
+        pair = matched_pair(cpc(3, 3))
         for form in ("measure2", "measure5"):
-            meas = matched_pair(cpc(3, 3)).measure(PickFunction(0.0, 1.0 + 1.0j), form=form)
-            lhs, rhs = match_one(meas)
+            lhs, rhs = match_one(pair, PickFunction(0.0, 1.0 + 1.0j), form=form)
             assert np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))) < 1e-6
 
     def test_boundary_moment_breaks(self):
         # phi = i at n = m keeps the density symmetric and both sides of the
         # odd boundary moment vanish together; a generic phi breaks it.
-        meas = matched_pair(cpc(3, 3)).measure(PickFunction(0.0, 1.0 + 1.0j))
-        (lhs,), rhs = boundary_moments(meas, [(meas.phi, meas.form)])
+        (lhs,), rhs = boundary_moments(matched_pair(cpc(3, 3)),
+                                       [(PickFunction(0.0, 1.0 + 1.0j), "measure2")])
         assert abs(lhs - rhs) > 1e-4
 
 
 class TestMatchedPair:
-    def test_measure_is_its_pair_with_phi_and_form(self):
+    def test_pair_serves_every_draw(self):
+        # a measure is the pair with one (phi, form) draw: the pair holds the base
+        # moments, and each form of a draw reads the pair's polynomials
         spec, phi = cpc(3, 5), PickFunction(0.5, 1.0 + 1.0j, ((1.0, -1j),))
         pair = matched_pair(spec)
         assert pair.moments == tuple(oracle_moments(pair.base_spec, 2 * pair.k - 1))
+        x = np.linspace(-5.0, 5.0, 11)
         for form in ("measure2", "measure5"):
-            got = pair.measure(phi, form)
-            assert type(got) is MatchedMeasure
-            for field in dataclasses.fields(MatchedPair):
-                assert getattr(got, field.name) is getattr(pair, field.name), field.name
-            assert (got.phi, got.form) == (phi, form)
+            assert np.array_equal(density(pair, phi, x, form), one_draw_density(pair, phi, form, x))
         with pytest.raises(ValueError):
-            pair.measure(phi, "measure3")
+            density(pair, phi, x, "measure3")
         with pytest.raises(ValueError):
             matched_pair(cpc(2, 4))
 
@@ -323,8 +316,7 @@ class TestBoundaryMoments:
         ((pair, draws, lhs),) = seen
         j = 2 * pair.k - 1
         for (phi, form), got in zip(draws, lhs):
-            meas = pair.measure(phi, form)
-            spec = oracle.IntegrandSpec(lambda x: x ** j * one_draw_density(meas, x),
+            spec = oracle.IntegrandSpec(lambda x: x ** j * one_draw_density(pair, phi, form, x),
                                         oracle.FiniteDirect(-60.0, 60.0))
             want, _ = oracle.integrate(spec, tol=1e-13)
             assert abs(got - want) <= 1e-9 * abs(want)
@@ -341,11 +333,11 @@ class TestMomentTable:
         draws = [(suites._PHI_SET[p], f) for p, f in product(suites._PHI_SET, ("measure2", "measure5"))]
         rows, _ = moment_match_all(pair, draws, tol=1e-9)
         lhs, _ = rows[draws.index((suites._PHI_SET[phi], form))]
-        meas = pair.measure(suites._PHI_SET[phi], form=form)
-        powers = np.arange(2 * meas.k - 1)
+        powers = np.arange(2 * pair.k - 1)
 
         def f(x):
-            return np.asarray(x)[:, None] ** powers[None, :] * one_draw_density(meas, x)[:, None]
+            dens = one_draw_density(pair, suites._PHI_SET[phi], form, x)
+            return np.asarray(x)[:, None] ** powers[None, :] * dens[:, None]
 
         want, _ = oracle.improper_integral(f, decay="RationalOrder2", tol=1e-9)
         assert np.max(np.abs(lhs - want)) <= 1e-12

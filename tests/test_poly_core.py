@@ -5,12 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bszego.errors import NoConvergence, SymmetryViolation
-from bszego.poly_core import (
-    RealPolynomial,
-    cheb_T,
-    poly_from_circle_samples,
-)
+from bszego.poly_core import RealPolynomial, cheb_T
 from reference_roots import poly_roots
+
+
+def poly_from_circle_samples(values, degree):
+    """Real coefficients of p from p(exp(2 pi i k / N)), k < N, N > degree: the
+    checks and the FFT that `build_szego_factor` applies to its circle samples,
+    on their own.  Conjugate symmetry and the imaginary residue of the
+    coefficients must stay within 1e-9 * max|value|; the residue is discarded."""
+    values = np.asarray(values, dtype=complex)
+    N = len(values)
+    assert N > degree
+    scale = np.max(np.abs(values))
+    sym = np.max(np.abs(values - np.conj(values[(-np.arange(N)) % N])))
+    if sym > 1e-9 * scale:
+        raise SymmetryViolation(f"conjugate symmetry residual {sym:.3e}")
+    coeffs = np.fft.fft(values) / N
+    if np.max(np.abs(coeffs.imag)) > 1e-9 * scale:
+        raise SymmetryViolation("imaginary coefficient residue exceeds tolerance")
+    return RealPolynomial(coeffs[: degree + 1].real)
 
 
 class TestChebT:

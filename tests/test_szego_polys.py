@@ -486,7 +486,43 @@ class TestChebyshevToPower:
             assert np.allclose(p(t), np.polynomial.polynomial.polyval(t, padded), rtol=0, atol=1e-15)
 
 
+def _uncached_interpolant(k, a, f):
+    """`_chebyshev_interpolant` with its points and matrix built on every call."""
+    x = np.cos(np.pi * (2.0 * np.arange(k + 1) + 1.0) / (2.0 * (k + 1)))
+    t = 0.5 * ((1.0 - a) + (1.0 + a) * x)
+    i = np.arange(k + 1)
+    V = np.cos(np.outer(2 * i + 1, i) * (np.pi / (2.0 * (k + 1))))
+    c = (2.0 / (k + 1)) * (f(t) @ V)
+    c[0] *= 0.5
+    return c
+
+
 class TestChebyshevInterpolant:
+    def test_grid_is_cached_read_only(self):
+        x, V = szego_polys._cheb_grid(12)
+        assert szego_polys._cheb_grid(12)[1] is V
+        assert V.shape == (13, 13) and np.max(np.abs(V[:, 1] - x)) <= 1e-15
+        for arr in (x, V):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_bit_identical_to_the_uncached_formula(self):
+        rng = np.random.default_rng(18)
+        for _ in range(120):
+            k = int(rng.integers(0, 65))
+            a = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
+            f = ChebSeries(rng.standard_normal(k + 1), a)
+            got = szego_polys._chebyshev_interpolant(k, a, f).coeffs
+            assert np.array_equal(got, _uncached_interpolant(k, a, f))
+        # the generic route, whose top coefficient is set from h(0) afterwards
+        mf = MeasureFactor.InvSqrtBoth
+        for spec, k in ((spec_cpc(31, 33, 2.0), 17), (spec_cpc(3, 5, 0.7), 4)):
+            factor = build_szego_factor(spec)
+            want = _uncached_interpolant(
+                k, spec.a, lambda t: szego_polys.szego_factor_poly_values(factor, k, mf, t))
+            assert np.array_equal(szego_orthonormal(factor, k, mf).poly.coeffs[:-1], want[:-1])
+
     def test_agrees_with_least_squares_fit(self):
         # the transform at the roots of T_{k+1} against numpy's chebfit there
         rng = np.random.default_rng(350)

@@ -387,6 +387,16 @@ class TestZeroFreeCertificate:
         with pytest.raises(RootInDisk):
             weight_models._certify_zero_free(spec)
 
+    def test_winding_is_the_unwrapped_change_of_arg(self):
+        # the sum of principal steps angle(G[i+1] conj G[i]) against np.unwrap
+        for spec in _lattice_specs():
+            z = weight_models._block_zeros(spec)
+            t = np.concatenate([z[:1], 0.5 * (z[:-1] + z[1:]), z[-1:]])
+            q, _, G = _circle_form(spec, t)
+            arg = np.unwrap(np.angle(G))
+            want = float(arg[-1] - arg[0]) / np.pi + q / 2.0
+            assert abs(weight_models._certify_zero_free(spec) - want) <= 1e-12
+
     def test_high_degree_cell_builds(self):
         # the float64 roots of this h put a pair inside the disk, yet the
         # formula it samples is zero-free there
@@ -394,6 +404,63 @@ class TestZeroFreeCertificate:
         factor = build_szego_factor(spec)
         assert factor.h.degree == expected_rho_degree(spec) == 33
         assert factor.max_factorization_residual <= 1e-9 * np.max(rho_eval(spec, np.linspace(-0.5, 1.0, 512)))
+
+
+def _horner_residual(spec, h):
+    """max |h(e^{i theta})|^2 - rho| on the 512-point grid of `_validate_factor`, with h
+    evaluated by Horner's rule at each point."""
+    theta = np.linspace(0.0, np.pi, 512)
+    t = np.clip(0.5 * ((1.0 - spec.a) + (1.0 + spec.a) * np.cos(theta)), -spec.a, 1.0)
+    rho = rho_eval(spec, t)
+    return float(np.max(np.abs(np.abs(h(np.exp(1j * theta))) ** 2 - rho))), float(np.max(rho))
+
+
+def _built_factors():
+    """The factors of the lattice specs that build."""
+    factors = []
+    for spec in _lattice_specs():
+        try:
+            factors.append(build_szego_factor(spec))
+        except BszegoError:
+            continue
+    return factors
+
+
+class TestFactorResidual:
+    """`_validate_factor` reads |h| on its grid from one real FFT of the coefficients."""
+
+    def test_real_fft_residual_is_the_horner_residual(self):
+        factors = _built_factors()
+        assert len(factors) >= 200
+        for factor in factors:
+            want, rho_max = _horner_residual(factor.spec, factor.h)
+            assert abs(factor.max_factorization_residual - want) <= 1e-14 * rho_max
+
+    def test_one_moved_coefficient_is_caught(self):
+        rng = np.random.default_rng(18)
+        for factor in _built_factors():
+            c = factor.h.coeffs.copy()
+            j = int(rng.integers(0, len(c)))
+            c[j] += 1e-6 * np.max(np.abs(c))
+            with pytest.raises(FactorizationResidual, match="residual"):
+                weight_models._validate_factor(factor.spec, RealPolynomial(c))
+
+    def test_non_finite_coefficient_is_caught(self):
+        factor = build_szego_factor(WeightSpec(3, 5, 2.0))
+        for bad in (np.nan, np.inf):
+            c = factor.h.coeffs.copy()
+            c[-2] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(FactorizationResidual):
+                weight_models._validate_factor(factor.spec, RealPolynomial(c))
+
+    def test_degree_mismatch_is_reported_before_symmetry(self):
+        # these samples break conjugate symmetry too, but the trailing coefficient
+        # mass is checked first, so the build raises FactorizationResidual
+        spec = WeightSpec(5, 7, 1.8339058723339285)
+        vals = weight_models._theta_grid_samples(spec, 16)
+        assert np.max(np.abs(vals - np.conj(vals[-np.arange(16) % 16]))) > 1e-9 * np.max(np.abs(vals))
+        with pytest.raises(FactorizationResidual, match="trailing coefficient mass"):
+            build_szego_factor(spec)
 
 
 @pytest.mark.parametrize("a", [1e-3, 1e-5])
