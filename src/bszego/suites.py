@@ -44,7 +44,6 @@ from .weight_models import (
     block_series,
     build_szego_factor,
     continued_block,
-    rho_eval,
     series_guard,
     xi_eta_eval,
 )
@@ -332,12 +331,8 @@ def _fejer_riesz_cells(grid, tol):
 
 
 def _fejer_riesz(family, n, m, a):
-    spec = WeightSpec(n, m, a, Family(family))
     # raises on a wrong degree, h(0) <= 0, a residual above 1e-9 max rho or a nonzero winding number
-    factor = build_szego_factor(spec)
-    theta = np.linspace(0.0, np.pi, 512)  # the residual's grid in _validate_factor
-    t = np.clip(0.5 * ((1 - a) + (1 + a) * np.cos(theta)), -a, 1.0)
-    return factor.max_factorization_residual / float(np.max(rho_eval(spec, t)))
+    return build_szego_factor(WeightSpec(n, m, a, Family(family))).relative_residual
 
 
 @_cells("kernel", {"n": [1, 3, 5, 7, 9, 11], "m": [1, 3, 5, 7, 9, 11], "a": [1.0, 2.0]},

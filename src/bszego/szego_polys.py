@@ -2,9 +2,10 @@
 
 Two construction routes are provided and cross-checked in the tests:
 
-* the generic recipe from the spectral factor h, evaluated pointwise on the
-  circle and interpolated at Chebyshev-spaced nodes, and
-* closed forms whose roots are known exactly, leading_coeff * prod (t - root).
+* the generic recipe from the spectral factor h, whose Chebyshev series is
+  read off h's power coefficients by one index map, and
+* closed forms whose roots are known exactly, leading_coeff * prod (t - root),
+  interpolated at the k + 1 Chebyshev points of [-a, 1].
 
 Each family's distinguished polynomial is described once (`_distinguished`):
 degrees (N, M), a factor S or C of `continued_block` at N and Sh or Ch at M,
@@ -13,11 +14,10 @@ a division by sqrt|t| or t, an endpoint root and a constant.  Its values
 the zeros of the two factors inside (-a, 1) (`_ladder`), which are also the
 nodes of the Gauss rules, are all read from that description.
 
-Both routes interpolate at the same k + 1 Chebyshev points of [-a, 1] and
-store the Chebyshev coefficients there (`ChebSeries`), never the power
-coefficients in t, which are ill-conditioned at high degree.  The points and
-the matrix T_i(x_j) depend on k alone and are built once per degree
-(`_cheb_grid`); a changes only the map x -> t.  perfbench's
+Both routes store Chebyshev coefficients on [-a, 1] (`ChebSeries`), never the
+power coefficients in t, which are ill-conditioned at high degree.  The
+interpolation points and the matrix T_i(x_j) depend on k alone and are built
+once per degree (`_cheb_grid`); a changes only the map x -> t.  perfbench's
 factor gate reads `OrthoPoly.poly.coeffs`, so it compares these.
 
 With theta the circle variable, x = cos(theta) = (2t - 1 + a)/(1 + a), and
@@ -33,7 +33,10 @@ The constant in the third recipe is 1/sqrt(pi), not sqrt(2/pi): the larger
 constant yields squared norm 2 (checked directly against rho = 1, where the
 recipe reduces to sin((k+1/2) theta)/sin(theta/2) with weighted norm pi).
 The shift s = 0, 2, 1 and the constant of each measure are one table,
-`_RECIPE`, read by both the values and the top coefficient c_k.
+`_RECIPE`.  With h real, e^{i(k+s/2) theta} conj h(e^{i theta}) is
+sum_j h_j e^{i(k-j+s/2) theta}, so each recipe is sum_j h_j T_|k-j|, U_{k-j} or
+W_{k-j}, U_n = sin((n+1) theta)/sin theta and W_n = sin((n+1/2) theta)/sin(theta/2)
+(Szego, Orthogonal Polynomials, AMS 1939, section 2.6).
 """
 from __future__ import annotations
 
@@ -126,17 +129,21 @@ def _recipe(measure_factor: MeasureFactor):
     return _RECIPE[measure_factor]
 
 
-def szego_factor_poly_values(factor: SzegoFactor, k: int, measure_factor: MeasureFactor, t):
-    """Pointwise values of the degree-k orthonormal polynomial from the factor."""
-    s, const = _recipe(measure_factor)
-    a = factor.spec.a
-    t = np.asarray(t, dtype=float)
-    x = np.clip((2.0 * t - 1.0 + a) / (1.0 + a), -1.0, 1.0)
-    theta = np.arccos(x)
-    z = np.exp(1j * (k + 0.5 * s) * theta) * np.conj(factor.circle_values(theta))
-    if s == 0:
-        return const(a) * np.real(z)
-    return const(a) * np.imag(z) / np.sin(0.5 * s * theta)
+def _recipe_series(h, k: int, s: int):
+    """The recipe's Chebyshev series, sum_j h_j T_|i|, U_i or W_i at i = k - j (s = 0, 2, 1):
+    U_{-n} = -U_{n-2} and W_{-n} = -W_{n-1} fold to |i + s/2| - s/2 with the sign of i + s/2,
+    and U_n = 2(T_n + T_{n-2} + ...), W_n = 2(T_n + ... + T_1) + T_0, with T_0 once."""
+    e = k - np.arange(len(h)) + 0.5 * s
+    idx = (np.abs(e) - 0.5 * s).astype(int)
+    keep = idx >= 0  # U_{-1} = 0
+    b = np.zeros(k + 1)
+    np.add.at(b, idx[keep], (h * np.sign(e) if s else h)[keep])
+    rev = b[::-1]  # a view: each sum runs from T_k down
+    for r in range(s):
+        rev[r::s] = np.cumsum(rev[r::s])
+    if s:
+        b[1:] *= 2.0
+    return b
 
 
 @functools.lru_cache(maxsize=None)  # k is bounded by the n + m cap
@@ -168,10 +175,9 @@ def _chebyshev_interpolant(k: int, a: float, f) -> ChebSeries:
 def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor) -> OrthoPoly:
     """Orthonormal polynomial of degree k for the factor's weight.
 
-    Evaluates the recipe at the k + 1 Chebyshev points of [-a, 1] and keeps
-    the interpolant's Chebyshev coefficients there.  Only h(0) reaches T_k, so
-    c_k is h(0) times the recipe's constant (times 2, the T_k coefficient of U_k
-    and W_k, for k >= 1); a fitted c_k below eps sum |c_j| could take either sign.
+    Its Chebyshev series is read off h's power coefficients (`_recipe_series`); the
+    threshold l < 2k + s keeps every folded index inside 0..k.  c_k is h(0) times the
+    recipe's constant, times 2 (the T_k coefficient of U_k and W_k) for k >= 1.
     """
     s, const = _recipe(measure_factor)
     l = expected_rho_degree(factor.spec)
@@ -180,12 +186,8 @@ def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor
             f"degree k={k} below threshold for l={l}, measure {measure_factor.name}"
         )
     a = factor.spec.a
-    poly = _chebyshev_interpolant(
-        k, a, lambda t: szego_factor_poly_values(factor, k, measure_factor, t)
-    )
-    c = poly.coeffs.copy()
-    c[-1] = const(a) * (2.0 if s and k else 1.0) * factor.h.coeffs[0]
-    return OrthoPoly(poly=ChebSeries(c, a), weight=factor.spec.with_measure(measure_factor))
+    poly = ChebSeries(const(a) * _recipe_series(factor.h.coeffs, k, s), a)
+    return OrthoPoly(poly=poly, weight=factor.spec.with_measure(measure_factor))
 
 
 # X(N) Y(M) of `continued_block`, X = S or C, Y = Sh or Ch (sign(t) S Sh for two sines),
@@ -273,9 +275,9 @@ def _explicit_roots(spec: WeightSpec):
 def explicit_family(spec: WeightSpec) -> OrthoPoly:
     """The distinguished orthonormal polynomial with closed-form roots.
 
-    lead * prod (t - root) over the exact roots, interpolated at the same
-    Chebyshev points as `szego_orthonormal`; lead comes from one evaluation
-    of the closed form at a probe point away from every root, and sets c_k,
+    lead * prod (t - root) over the exact roots, interpolated at the k + 1
+    Chebyshev points of [-a, 1]; lead comes from one evaluation of the
+    closed form at a probe point away from every root, and sets c_k,
     which the fit resolves only to about eps sum |c_j| (1e-4 relative at
     high degree).  The closed form may carry either sign; lead is its modulus,
     since the sign of a fitted c_k near eps sum |c_j| would be noise.
@@ -317,12 +319,12 @@ def kernel_eval(p_list: Sequence[OrthoPoly], t: float, u: float) -> float:
 
 
 def leading_ratio_check(spec: WeightSpec) -> float:
-    """Deviation of kappa_{k+1}/kappa_k from 4/(1+a) for odd n, m; k = (m+n)/2."""
+    """Deviation of kappa_{k+1}/kappa_k from 4/(1+a) for odd n, m; k = (m+n)/2: kappa_k from
+    the closed form (`explicit_family`), kappa_{k+1} from h(0), which alone gives 4/(1+a)."""
     if spec.family is not Family.CosPlusCosh or spec.n % 2 == 0 or spec.m % 2 == 0:
         raise ParityError("leading ratio statement needs odd n, m for cos-plus-cosh")
-    factor = build_szego_factor(spec)
     k = (spec.n + spec.m) // 2
-    pk = szego_orthonormal(factor, k, MeasureFactor.InvSqrtBoth)
-    pk1 = szego_orthonormal(factor, k + 1, MeasureFactor.InvSqrtBoth)
+    pk = explicit_family(spec.with_measure(MeasureFactor.InvSqrtBoth))
+    pk1 = szego_orthonormal(build_szego_factor(spec), k + 1, MeasureFactor.InvSqrtBoth)
     ratio = pk1.leading_coeff / pk.leading_coeff
     return abs(ratio - 4.0 / (1.0 + spec.a))

@@ -273,10 +273,7 @@ class SzegoFactor:
 
     spec: WeightSpec
     h: RealPolynomial
-    max_factorization_residual: float
-
-    def circle_values(self, theta):
-        return self.h(np.exp(1j * np.asarray(theta, dtype=float)))
+    relative_residual: float  # max ||h|^2 - rho| / max rho on the grid of `_validate_factor`
 
 
 def _circle_form(spec: WeightSpec, t):
@@ -352,6 +349,8 @@ def _certify_zero_free(spec: WeightSpec) -> float:
 
 
 def _validate_factor(spec: WeightSpec, h: RealPolynomial) -> float:
+    """max ||h|^2 - rho| / max rho on 512 points of theta in [0, pi], or FactorizationResidual
+    where h has the wrong degree, h(0) <= 0 or the residual exceeds 1e-9 max rho."""
     deg = expected_rho_degree(spec)
     if h.degree != deg:
         raise FactorizationResidual(
@@ -364,12 +363,12 @@ def _validate_factor(spec: WeightSpec, h: RealPolynomial) -> float:
     rho = rho_eval(spec, t)
     # h is real, so the real FFT's k-th value is conj h(e^{i theta_k}): |h| on the grid
     h_abs = np.abs(np.fft.rfft(h.coeffs, 2 * _RESIDUAL_POINTS - 2))
-    resid = float(np.max(np.abs(h_abs ** 2 - rho)))
-    if not resid <= 1e-9 * float(np.max(rho)):  # a NaN residual fails too
+    resid, rho_max = float(np.max(np.abs(h_abs ** 2 - rho))), float(np.max(rho))
+    if not resid <= 1e-9 * rho_max:  # a NaN residual fails too
         raise FactorizationResidual(
             f"|h|^2 - rho residual {resid:.3e} above 1e-9 * max rho"
         )
-    return resid
+    return resid / rho_max
 
 
 def build_szego_factor(spec: WeightSpec) -> SzegoFactor:
@@ -409,7 +408,7 @@ def build_szego_factor(spec: WeightSpec) -> SzegoFactor:
     h = RealPolynomial(coeffs[: deg + 1].real)
     resid = _validate_factor(spec, h)
     _certify_zero_free(spec)
-    return SzegoFactor(spec=spec, h=h, max_factorization_residual=resid)
+    return SzegoFactor(spec=spec, h=h, relative_residual=resid)
 
 
 def weight_base(spec: WeightSpec):

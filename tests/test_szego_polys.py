@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bszego import szego_polys
-from bszego.errors import DegreeThreshold, DomainError, ParityError
+from bszego.errors import BszegoError, DegreeThreshold, DomainError, ParityError
 from bszego.poly_core import ChebSeries, RealPolynomial
 from bszego.quadrature import weighted_oracle_integral
 from bszego.szego_polys import (
@@ -22,6 +22,7 @@ from bszego.weight_models import (
     WeightSpec,
     _validate_factor,
     build_szego_factor,
+    expected_rho_degree,
     rho_eval,
     xi_eta_eval,
 )
@@ -54,13 +55,12 @@ class TestSzegoConstruction:
         (spec_cpc(1, 1, 1.0, MeasureFactor.SqrtRatio), 0),
     ], ids=["inv_sqrt_both", "sqrt_both", "sqrt_both-k0", "sqrt_ratio", "sqrt_ratio-k0"])
     def test_top_coefficient_from_h0(self, spec, k):
-        # c_k is set from h(0); at low degree the fit resolves it as well
+        # only h(0) reaches T_k: c_k is h(0) times the recipe's constant, times 2, the
+        # T_k coefficient of U_k and W_k, for k >= 1
         factor = build_szego_factor(spec)
         p = szego_orthonormal(factor, k, spec.measure_factor)
-        fit = szego_polys._chebyshev_interpolant(
-            k, spec.a, lambda t: szego_polys.szego_factor_poly_values(factor, k, spec.measure_factor, t))
-        assert np.array_equal(p.poly.coeffs[:-1], fit.coeffs[:-1])
-        assert abs(p.poly.coeffs[-1] - fit.coeffs[-1]) <= 1e-14 * np.sum(np.abs(fit.coeffs))
+        s, const = szego_polys._RECIPE[spec.measure_factor]
+        assert p.poly.coeffs[-1] == const(spec.a) * (2.0 if s and k else 1.0) * factor.h.coeffs[0]
 
     def test_next_degree_closed_form(self):
         # p_{k+1} = (2/sqrt pi) { t eta - sqrt(1-t^2) xi } at a = 1
@@ -403,6 +403,22 @@ class TestLeadingRatio:
         dev = leading_ratio_check(spec_cpc(n, m, a))
         assert dev < 1e-10 * (1.0 + 4.0 / (1.0 + a))
 
+    @pytest.mark.parametrize("n,m,a", [(1, 1, 1.0), (3, 5, 0.7), (7, 9, 2.0)])
+    def test_kappa_k_does_not_come_from_the_factor(self, n, m, a, monkeypatch):
+        # kappa_k and kappa_{k+1} both from h(0) give 4/(1+a) for any h, so a wrong
+        # h(0) must show as a deviation
+        build = szego_polys.build_szego_factor
+
+        def scaled(spec):
+            factor = build(spec)
+            c = factor.h.coeffs.copy()
+            c[0] *= 1.0 + 1e-8
+            return SzegoFactor(spec, RealPolynomial(c), factor.relative_residual)
+
+        assert leading_ratio_check(spec_cpc(n, m, a)) <= 1e-14 * 4.0 / (1.0 + a)
+        monkeypatch.setattr(szego_polys, "build_szego_factor", scaled)
+        assert leading_ratio_check(spec_cpc(n, m, a)) >= 1e-9
+
     def test_parity_guard(self):
         with pytest.raises(ParityError):
             leading_ratio_check(spec_cpc(2, 4, 1.0))
@@ -515,13 +531,6 @@ class TestChebyshevInterpolant:
             f = ChebSeries(rng.standard_normal(k + 1), a)
             got = szego_polys._chebyshev_interpolant(k, a, f).coeffs
             assert np.array_equal(got, _uncached_interpolant(k, a, f))
-        # the generic route, whose top coefficient is set from h(0) afterwards
-        mf = MeasureFactor.InvSqrtBoth
-        for spec, k in ((spec_cpc(31, 33, 2.0), 17), (spec_cpc(3, 5, 0.7), 4)):
-            factor = build_szego_factor(spec)
-            want = _uncached_interpolant(
-                k, spec.a, lambda t: szego_polys.szego_factor_poly_values(factor, k, mf, t))
-            assert np.array_equal(szego_orthonormal(factor, k, mf).poly.coeffs[:-1], want[:-1])
 
     def test_agrees_with_least_squares_fit(self):
         # the transform at the roots of T_{k+1} against numpy's chebfit there
@@ -534,3 +543,79 @@ class TestChebyshevInterpolant:
             got = szego_polys._chebyshev_interpolant(k, a, f).coeffs
             want = np.polynomial.chebyshev.chebfit(x, f(t), k)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.sum(np.abs(want))
+
+
+_MEASURES = (MeasureFactor.InvSqrtBoth, MeasureFactor.SqrtBoth, MeasureFactor.SqrtRatio)
+
+
+def _pointwise_recipe(factor, k, mf, t):
+    """The recipe evaluated at t through the circle, with h(e^{i theta}) by Horner's rule."""
+    s, const = szego_polys._RECIPE[mf]
+    a = factor.spec.a
+    theta = np.arccos(np.clip((2.0 * t - 1.0 + a) / (1.0 + a), -1.0, 1.0))
+    z = np.exp(1j * (k + 0.5 * s) * theta) * np.conj(factor.h(np.exp(1j * theta)))
+    if s == 0:
+        return const(a) * np.real(z)
+    return const(a) * np.imag(z) / np.sin(0.5 * s * theta)
+
+
+def _lattice_factors():
+    """Built factors of a seeded lattice over both base families with n + m <= 64."""
+    rng = np.random.default_rng(19)
+    factors = []
+    for family in (Family.CosPlusCosh, Family.CoshMinusCosOverT):
+        for _ in range(40):
+            n = int(rng.integers(1, 64))
+            m = int(rng.integers(1, 65 - n))
+            off_dyadic = np.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            a = float(rng.choice([0.5, 1.0, 2.0, off_dyadic]))
+            try:
+                factors.append(build_szego_factor(WeightSpec(n, m, a, family)))
+            except BszegoError:  # off-dyadic a (ROADMAP item 5)
+                continue
+    return factors
+
+
+class TestRecipeSeries:
+    """`szego_orthonormal` reads its Chebyshev series off h's power coefficients."""
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_unit_factor_gives_T_U_W(self, k):
+        # h = [1] (rho = 1): the recipes are T_k, U_k = 2(T_k + T_{k-2} + ...) with T_0
+        # counted once, and W_k = 2(T_k + ... + T_1) + T_0
+        T = np.zeros(k + 1)
+        T[k] = 1.0
+        U = np.zeros(k + 1)
+        U[k::-2] = 2.0
+        U[0] *= 0.5
+        W = np.full(k + 1, 2.0)
+        W[0] = 1.0
+        for s, want in ((0, T), (2, U), (1, W)):
+            assert np.array_equal(szego_polys._recipe_series(np.array([1.0]), k, s), want)
+        theta = np.linspace(0.1, 3.0, 7)
+        x = np.cos(theta)
+        cheb = np.polynomial.chebyshev.chebval
+        assert np.allclose(cheb(x, U), np.sin((k + 1) * theta) / np.sin(theta), atol=1e-13)
+        assert np.allclose(cheb(x, W), np.sin((k + 0.5) * theta) / np.sin(0.5 * theta), atol=1e-13)
+
+    def test_agrees_with_the_pointwise_recipe(self):
+        # the threshold degree folds the most negative indices k - j; the explicit k and
+        # k + 1 are the degrees the suites and perfbench build
+        factors = _lattice_factors()
+        assert len(factors) >= 50
+        for factor in factors:
+            spec = factor.spec
+            l = expected_rho_degree(spec)
+            explicit_k = (spec.n + spec.m - (spec.family is Family.CoshMinusCosOverT)) // 2
+            for mf in _MEASURES:
+                s = szego_polys._RECIPE[mf][0]
+                threshold = max(0, (l - s) // 2 + 1)
+                k_top = max(threshold, explicit_k)
+                for k in sorted({threshold, k_top, k_top + 1}):
+                    got = szego_orthonormal(factor, k, mf).poly.coeffs
+                    want = szego_polys._chebyshev_interpolant(
+                        k, spec.a, lambda t: _pointwise_recipe(factor, k, mf, t)).coeffs
+                    assert np.max(np.abs(got - want)) <= 5e-14 * np.sum(np.abs(want))
+                    if k == threshold:
+                        with pytest.raises(DegreeThreshold):
+                            szego_orthonormal(factor, k - 1, mf)
