@@ -6,11 +6,13 @@ The basic building block is
 
 a polynomial in t equal to T_n(1-2t) + T_m(1+2t/a).  The cosh-minus-cos
 family divides the difference by t (removable singularity at 0), and the
-squared / product / mixed families combine such blocks.  For the two base
-families the Fejer-Riesz factor h(z) with |h(e^{i theta})|^2 = rho(cos theta),
-h zero-free in the open unit disk and h(0) > 0, is recovered from samples of
-the defining trigonometric expression on the unit circle by one FFT, whose
-coefficients serve the degree, symmetry and imaginary-residue checks alike;
+squared / product / mixed families multiply two such blocks.  One table,
+`_BLOCKS`, lists each family's blocks, and rho's values, its degree, the m'
+rule of `WeightSpec` and the families with a factor are all read from it.  For
+the two one-block families the Fejer-Riesz factor h(z) with
+|h(e^{i theta})|^2 = rho(cos theta), h zero-free in the open unit disk and
+h(0) > 0, is recovered from samples of the defining trigonometric expression
+on the unit circle by one FFT, whose coefficients serve the degree check;
 its residual |h|^2 - rho is read from one real FFT of its coefficients, and it
 is certified zero-free by a winding count at the paper's known roots, not by
 root finding.
@@ -56,7 +58,7 @@ __all__ = [
 
 _SERIES_RADIUS = 1e-6
 _PARAM_CAP = 64
-_SYMMETRY_TOL = 1e-9  # of max|sample|: the conjugate symmetry and imaginary residue bound
+_SYMMETRY_TOL = 1e-9  # of max|sample|: the conjugate symmetry bound
 _RESIDUAL_POINTS = 512  # theta_k = k pi/511: the first half of the 1022nd roots of unity
 
 
@@ -76,11 +78,17 @@ class MeasureFactor(enum.Enum):
     PlainDt = "plain_dt"             # 1 / rho
 
 
-_PRODUCT_FAMILIES = (
-    Family.ProductCosPlusCosh,
-    Family.ProductCoshMinusCos,
-    Family.MixedPlusMinus,
-)
+# rho of each family is the product of its blocks.  A block (quotient, second) is
+# T_n(1-2t) + T_m(1+2t/a), or (T_m(1+2t/a) - T_n(1-2t))/t when quotient, with m'
+# in place of m when second.
+_BLOCKS = {
+    Family.CosPlusCosh: ((False, False),),
+    Family.SquaredCosPlusCosh: ((False, False), (False, False)),
+    Family.CoshMinusCosOverT: ((True, False),),
+    Family.ProductCosPlusCosh: ((False, False), (False, True)),
+    Family.ProductCoshMinusCos: ((True, False), (True, True)),
+    Family.MixedPlusMinus: ((False, False), (True, True)),
+}
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,7 @@ class WeightSpec:
             raise ValueError(f"a must be positive and finite, got {self.a!r}")
         if self.n + self.m > _PARAM_CAP:
             raise ValueError(f"n + m capped at {_PARAM_CAP} to control interpolation error")
-        if self.family in _PRODUCT_FAMILIES:
+        if any(second for _, second in _BLOCKS[self.family]):
             if self.m_prime is None or self.m_prime < 1:
                 raise ValueError("product/mixed families require m_prime >= 1")
             if (self.m + self.m_prime) % 2 != 0:
@@ -193,22 +201,14 @@ def _rho_cmc(t, n, m, a):
 def rho_eval(spec: WeightSpec, t):
     """Evaluate the selected family's rho at t in [-a, 1] (scalar or array)."""
     tt = _check_domain(t, spec.a)
-    n, m, a = spec.n, spec.m, spec.a
-    fam = spec.family
-    if fam is Family.CosPlusCosh:
-        out = _rho_cpc(tt, n, m, a)
-    elif fam is Family.SquaredCosPlusCosh:
-        out = _rho_cpc(tt, n, m, a) ** 2
-    elif fam is Family.CoshMinusCosOverT:
-        out = _rho_cmc(tt, n, m, a)
-    elif fam is Family.ProductCosPlusCosh:
-        out = _rho_cpc(tt, n, m, a) * _rho_cpc(tt, n, spec.m_prime, a)
-    elif fam is Family.ProductCoshMinusCos:
-        out = _rho_cmc(tt, n, m, a) * _rho_cmc(tt, n, spec.m_prime, a)
-    elif fam is Family.MixedPlusMinus:
-        out = _rho_cpc(tt, n, m, a) * _rho_cmc(tt, n, spec.m_prime, a)
-    else:  # pragma: no cover
-        raise ValueError(fam)
+    blocks = _BLOCKS[spec.family]
+    values = {}  # each distinct block once
+    for quotient, second in set(blocks):
+        block = _rho_cmc if quotient else _rho_cpc
+        values[quotient, second] = block(tt, spec.n, spec.m_prime if second else spec.m, spec.a)
+    out = 1.0
+    for block in blocks:  # a running product: the squared family's x * x, bit for bit
+        out = out * values[block]
     return out if np.ndim(t) else float(out[0])
 
 
@@ -232,39 +232,20 @@ def xi_eta_eval(spec: WeightSpec, t):
 
 
 def expected_rho_degree(spec: WeightSpec) -> int:
-    """Degree of rho as a polynomial in t.
+    """Degree of rho as a polynomial in t: the sum over its blocks.
 
     T_n(1-2t) + T_m(1+2t/a) has degree max(m, n) except when m = n, n odd,
     a = 1, where the leading terms cancel and the degree drops to n - 1.
     For the cosh-minus-cos quotient the difference loses its leading term
     when m = n, n even, a = 1, and the division by t lowers the degree by 1.
     """
-    n, m, a = spec.n, spec.m, spec.a
-    fam = spec.family
-
-    def cpc_deg(mm):
-        if mm != n:
-            return max(mm, n)
-        return n - 1 if (n % 2 == 1 and a == 1.0) else n
-
-    def cmc_deg(mm):
-        if mm != n:
-            return max(mm, n) - 1
-        return n - 2 if (n % 2 == 0 and a == 1.0) else n - 1
-
-    if fam is Family.CosPlusCosh:
-        return cpc_deg(m)
-    if fam is Family.SquaredCosPlusCosh:
-        return 2 * cpc_deg(m)
-    if fam is Family.CoshMinusCosOverT:
-        return cmc_deg(m)
-    if fam is Family.ProductCosPlusCosh:
-        return cpc_deg(m) + cpc_deg(spec.m_prime)
-    if fam is Family.ProductCoshMinusCos:
-        return cmc_deg(m) + cmc_deg(spec.m_prime)
-    if fam is Family.MixedPlusMinus:
-        return cpc_deg(m) + cmc_deg(spec.m_prime)
-    raise ValueError(fam)  # pragma: no cover
+    n, a = spec.n, spec.a
+    deg = 0
+    for quotient, second in _BLOCKS[spec.family]:
+        mm = spec.m_prime if second else spec.m
+        cancels = mm == n and a == 1.0 and n % 2 == (0 if quotient else 1)
+        deg += max(mm, n) - quotient - cancels
+    return deg
 
 
 @dataclass(frozen=True)
@@ -276,34 +257,45 @@ class SzegoFactor:
     relative_residual: float  # max ||h|^2 - rho| / max rho on the grid of `_validate_factor`
 
 
+def _one_block(spec: WeightSpec, what: str) -> bool:
+    """Whether the family's one block is a quotient; ParityError for the
+    two-block families, which have no circle form."""
+    blocks = _BLOCKS[spec.family]
+    if len(blocks) != 1:
+        raise ParityError(f"no {what} for family {spec.family}")
+    return blocks[0][0]
+
+
 def _circle_form(spec: WeightSpec, t):
     """(q, c, G) with h(e^{i theta}) = c e^{i q theta / 2} G(t) for theta in [0, pi]:
     G = xi + i eta, q = n + m for cos-plus-cosh, G = sqrt(2/|t|) (S Ch - i C Sh),
     q = n + m - 1 for the quotient family; c is a constant."""
+    quotient = _one_block(spec, "circle sampling formula")
     n, m, a = spec.n, spec.m, spec.a
     C, S, Ch, Sh = continued_block(t, n, m, a)
-    if spec.family is Family.CosPlusCosh:
+    if not quotient:
         return n + m, (1j ** (-n)) * np.sqrt(2.0), C * Ch + 1j * (np.sign(t) * S * Sh)
-    if spec.family is Family.CoshMinusCosOverT:
-        # sqrt(2/t) sin(n asin sqrt t - i m asinh sqrt(t/a)) is an even
-        # function of sqrt(t): analytic across t = 0 with this limit.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = np.sqrt(2.0 / np.abs(t)) * (S * Ch - 1j * C * Sh)
-        c0 = block_series(n, m, a, True, False)[0] - 1j * block_series(n, m, a, False, True)[0]
-        F = series_guard(t, F, 1.0, np.sqrt(2.0) * c0, 0.0)  # the constant term only
-        return n + m - 1, 1j ** (1 - n), F
-    raise ParityError(f"no circle sampling formula for family {spec.family}")
+    # sqrt(2/t) sin(n asin sqrt t - i m asinh sqrt(t/a)) is an even
+    # function of sqrt(t): analytic across t = 0 with this limit.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F = np.sqrt(2.0 / np.abs(t)) * (S * Ch - 1j * C * Sh)
+    c0 = block_series(n, m, a, True, False)[0] - 1j * block_series(n, m, a, False, True)[0]
+    F = series_guard(t, F, 1.0, np.sqrt(2.0) * c0, 0.0)  # the constant term only
+    return n + m - 1, 1j ** (1 - n), F
+
+
+def _circle_t(theta, a):
+    """The t of [-a, 1] under e^{i theta}: ((1 - a) + (1 + a) cos theta)/2."""
+    return np.clip(0.5 * ((1.0 - a) + (1.0 + a) * np.cos(theta)), -a, 1.0)
 
 
 def _theta_grid_samples(spec: WeightSpec, n_samples: int):
     """h(e^{i theta_k}) on the uniform grid, theta in [0, pi] by formula and
-    (pi, 2pi) by conjugate symmetry."""
-    a = spec.a
+    (pi, 2pi) as exact conjugates of those on (0, pi)."""
     theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
     upper = theta <= np.pi + 1e-15
     th = theta[upper]
-    t = np.clip(0.5 * ((1.0 - a) + (1.0 + a) * np.cos(th)), -a, 1.0)
-    q, c, G = _circle_form(spec, t)
+    q, c, G = _circle_form(spec, _circle_t(th, spec.a))
     vals = np.empty(n_samples, dtype=complex)
     vals[upper] = c * np.exp(1j * q * th / 2.0) * G
     lower = ~upper
@@ -359,8 +351,7 @@ def _validate_factor(spec: WeightSpec, h: RealPolynomial) -> float:
     if not h.coeffs[0] > 0.0:
         raise FactorizationResidual(f"h(0) = {h.coeffs[0]} is not positive")
     theta = np.linspace(0.0, np.pi, _RESIDUAL_POINTS)
-    t = np.clip(0.5 * ((1.0 - spec.a) + (1.0 + spec.a) * np.cos(theta)), -spec.a, 1.0)
-    rho = rho_eval(spec, t)
+    rho = rho_eval(spec, _circle_t(theta, spec.a))
     # h is real, so the real FFT's k-th value is conj h(e^{i theta_k}): |h| on the grid
     h_abs = np.abs(np.fft.rfft(h.coeffs, 2 * _RESIDUAL_POINTS - 2))
     resid, rho_max = float(np.max(np.abs(h_abs ** 2 - rho))), float(np.max(rho))
@@ -372,17 +363,18 @@ def _validate_factor(spec: WeightSpec, h: RealPolynomial) -> float:
 
 
 def build_szego_factor(spec: WeightSpec) -> SzegoFactor:
-    """Construct and validate the Fejer-Riesz factor for the base families.
+    """Construct and validate the Fejer-Riesz factor for the one-block families.
 
     Samples the defining expression at the N-th roots of unity with N the
     smallest power of two >= 2 (deg + 1) and takes their FFT once; the headroom
     makes degree mistakes visible as non-negligible trailing coefficients,
-    checked first.  The samples must then be conjugate symmetric, and the
-    coefficients real, within 1e-9 * max|sample|; the imaginary residue is
-    discarded.
+    checked first.  The samples must then be conjugate symmetric within
+    1e-9 * max|sample|.  Those on (pi, 2 pi) are the exact conjugates of those
+    on (0, pi), so the symmetry residual is 2 max |Im h| over h(1) and h(-1);
+    the imaginary residue of the coefficients, which is discarded, is at most
+    that residual over N, plus FFT rounding.
     """
-    if spec.family not in (Family.CosPlusCosh, Family.CoshMinusCosOverT):
-        raise ParityError(f"no direct factorization for family {spec.family}")
+    _one_block(spec, "direct factorization")
     deg = expected_rho_degree(spec)
     n_samples = 1
     while n_samples < 2 * (deg + 1):
@@ -395,15 +387,10 @@ def build_szego_factor(spec: WeightSpec) -> SzegoFactor:
             f"trailing coefficient mass {tail:.3e} signals a degree mismatch"
         )
     scale = np.max(np.abs(vals))
-    sym = np.max(np.abs(vals - np.conj(vals[(-np.arange(n_samples)) % n_samples])))
+    sym = 2.0 * np.max(np.abs(vals[[0, n_samples // 2]].imag))
     if sym > _SYMMETRY_TOL * scale:
         raise SymmetryViolation(
             f"conjugate symmetry residual {sym:.3e} exceeds {_SYMMETRY_TOL:.1e} * {scale:.3e}"
-        )
-    imag_res = np.max(np.abs(coeffs.imag))
-    if imag_res > _SYMMETRY_TOL * scale:
-        raise SymmetryViolation(
-            f"imaginary coefficient residue {imag_res:.3e} exceeds tolerance"
         )
     h = RealPolynomial(coeffs[: deg + 1].real)
     resid = _validate_factor(spec, h)

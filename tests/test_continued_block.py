@@ -356,7 +356,7 @@ def _roots_outcome(roots_of, spec):
 
 def root_specs(a, top=17):
     for family, mf, n, m in product(Family, MeasureFactor, range(1, top), range(1, top)):
-        if family in weight_models._PRODUCT_FAMILIES:
+        if any(second for _, second in weight_models._BLOCKS[family]):
             for mp in range(2 - m % 2, 9, 2):  # m + m' even
                 yield WeightSpec(n, m, a, family, mf, mp)
         else:

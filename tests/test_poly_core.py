@@ -11,9 +11,10 @@ from reference_roots import poly_roots
 
 def poly_from_circle_samples(values, degree):
     """Real coefficients of p from p(exp(2 pi i k / N)), k < N, N > degree: the
-    checks and the FFT that `build_szego_factor` applies to its circle samples,
-    on their own.  Conjugate symmetry and the imaginary residue of the
-    coefficients must stay within 1e-9 * max|value|; the residue is discarded."""
+    symmetry check and the FFT of `build_szego_factor`, for samples of any
+    symmetry.  Conjugate symmetry and the imaginary residue of the coefficients
+    must stay within 1e-9 * max|value|; the residue is discarded.  (On the
+    factor's own samples the symmetry bound implies the residue bound.)"""
     values = np.asarray(values, dtype=complex)
     N = len(values)
     assert N > degree

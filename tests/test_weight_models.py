@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -288,6 +289,31 @@ class TestFactor:
             build_szego_factor(WeightSpec(2, 1, 1.0, Family.ProductCosPlusCosh, m_prime=1))
 
 
+def _degree_specs(family):
+    """n, m <= 6 at a = 0.5, 1, 2 and an off-dyadic a, with m' = m - 2 and m + 2
+    where the family has a second block, so m' = n and m = n at a = 1 are reached."""
+    second = any(uses_m_prime for _, uses_m_prime in weight_models._BLOCKS[family])
+    for a, n, m in itertools.product((0.5, 1.0, 2.0, 1.1434609861934242), range(1, 7), range(1, 7)):
+        for m_prime in ((m - 2, m + 2) if second else (None,)):
+            if m_prime is None or m_prime >= 1:
+                yield WeightSpec(n, m, a, family, m_prime=m_prime)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_degree_is_that_of_the_values(family):
+    # rho's Chebyshev interpolant on [-a, 1] at degree d + 2 ends at degree d,
+    # the a = 1 cancellations of each block included
+    specs = list(_degree_specs(family))
+    assert any(spec.a == 1.0 and spec.n == spec.m for spec in specs)
+    for spec in specs:
+        d, a = expected_rho_degree(spec), spec.a
+        c = np.polynomial.chebyshev.chebinterpolate(
+            lambda x: rho_eval(spec, 0.5 * ((1.0 - a) + (1.0 + a) * x)), d + 2)
+        top = np.max(np.abs(c))
+        assert abs(c[d]) > 1e-9 * top, spec
+        assert np.all(np.abs(c[d + 1:]) < 1e-12 * top), spec
+
+
 def _lattice_specs(count=400, seed=12):
     """Seeded specs over both base families, n + m <= 64, a log-uniform in
     [0.5, 2] (so almost every a is off the dyadic grid)."""
@@ -452,6 +478,24 @@ class TestFactorResidual:
             c[-2] = bad
             with np.errstate(invalid="ignore"), pytest.raises(FactorizationResidual):
                 weight_models._validate_factor(factor.spec, RealPolynomial(c))
+
+    def test_symmetry_residual_bounds_the_imaginary_residue(self):
+        # the samples on (pi, 2 pi) are exact conjugates, so the symmetry residual is
+        # that of h(1) and h(-1) alone, and the coefficients' imaginary residue, which
+        # the build discards, keeps below half the bound wherever the residual passes
+        passed = 0
+        for spec in _lattice_specs():
+            deg, N = expected_rho_degree(spec), 1
+            while N < 2 * (deg + 1):
+                N *= 2
+            vals = weight_models._theta_grid_samples(spec, N)
+            sym = np.max(np.abs(vals - np.conj(vals[-np.arange(N) % N])))
+            assert sym == 2.0 * max(abs(vals[0].imag), abs(vals[N // 2].imag))
+            bound = 1e-9 * np.max(np.abs(vals))
+            if sym <= bound:
+                assert np.max(np.abs(np.fft.fft(vals).imag)) / N < 0.5 * bound, spec
+                passed += 1
+        assert passed >= 300
 
     def test_degree_mismatch_is_reported_before_symmetry(self):
         # these samples break conjugate symmetry too, but the trailing coefficient
