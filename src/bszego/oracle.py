@@ -14,11 +14,22 @@ a sample that is not finite, or no agreement by _TRAP_MAX intervals, sends
 them back to adaptive bisection. The plain dt measure (an |sin(theta)| kink),
 finite intervals and infinite ranges always use bisection.
 
-Bisection runs one depth level at a time: both halves of every panel still
-open at that depth are evaluated together, so an evaluator is called once per
-level rather than once per panel. Each panel is still accepted or split on
-its own, so the accepted panels are those a depth-first refinement would
-accept, and they are summed in position order.
+An evaluator call costs far more to start than per point, and most
+integrals stop after a few refinement levels, so an integral's first call
+holds every point of its first levels, up to _FIRST_CALL points: the nodes
+of the nested trapezoid rules T_64 ... T_512, which share their nodes, or
+the complete bisection tree down to 16 panels (31 panels). The levels are
+then read from that table in turn, each with its own finiteness and
+convergence checks, so the points of a level that is never reached are never
+read; only the levels below the table call the evaluator again.
+
+Below the first call, bisection runs one depth level at a time: both halves
+of every panel still open at that depth are evaluated together, so an
+evaluator is called once per level rather than once per panel. Each panel is
+still accepted or split on its own, so the accepted panels are those a
+depth-first refinement would accept, and they are summed in position order.
+A panel's 15-point sum is an elementwise product summed over its own nodes,
+so it does not depend on how many panels share the call.
 
 Evaluators may be vector-valued: an evaluator mapping an array of points of
 shape (npts,) to shape (npts,) or (npts, K) integrates K components in one
@@ -65,6 +76,11 @@ _MAX_PANELS = 2 ** 16
 _TRAP_START = 64  # exact for cos(k theta), k < 128: any polynomial in t of degree < 128
 _TRAP_MAX = 2 ** 17
 _TRAP_CHUNK = 4096  # points per evaluator call on either path, bounding (npts, K) arrays
+# Points of an integral's first evaluator call (no more than _TRAP_CHUNK): the nodes of
+# T_64 ... T_512 (513), or the complete bisection tree down to 16 panels (31 panels, 465
+# points).  A call costs far more to start than per point, so the refinement levels most
+# integrals stop at share one.
+_FIRST_CALL = 513
 _FOURIER_POINTS = 4096  # uniform samples per fourier_coeff
 _MAX_BLOCKS = 400  # blocks per side of an exponential-tail improper_integral
 
@@ -134,7 +150,9 @@ def _panels(f, lo, hi):
     """15-point Gauss values of f on the panels [lo[i], hi[i]]; shape (P,), (P, K) or (P, G, K).
 
     Consecutive panels share one evaluator call of at most _TRAP_CHUNK points,
-    and only that call's points are ever tabulated.
+    and only that call's points are ever tabulated.  Each panel's sum is an
+    elementwise product summed over its own 15 nodes, so it does not depend
+    on how many panels share the call (a matrix product would).
     """
     per = _TRAP_CHUNK // _GX.size
     sums = []
@@ -143,12 +161,10 @@ def _panels(f, lo, hi):
         hw = 0.5 * (hi[start:start + per] - lo[start:start + per])
         block = mid[:, None] + hw[:, None] * _GX
         vals = np.asarray(f(block.ravel()))
-        if vals.ndim == 1:
-            sums.append(hw * (vals.reshape(block.shape) @ _GW))
-        else:
-            # one (P, 15, G*K) weighted sum for every component of every group
-            panel = (_GW @ vals.reshape(block.shape + (-1,))).reshape(hw.shape + vals.shape[1:])
-            sums.append(hw.reshape(hw.shape + (1,) * (vals.ndim - 1)) * panel)
+        vals = vals.reshape(block.shape + vals.shape[1:])
+        trail = (1,) * (vals.ndim - 2)
+        panel = (vals * _GW.reshape(_GW.shape + trail)).sum(axis=1)
+        sums.append(hw.reshape(hw.shape + trail) * panel)
     return np.concatenate(sums)
 
 
@@ -168,6 +184,12 @@ def _worst(d):
     return np.ascontiguousarray(d.transpose(2, 0, 1)).max(axis=0)
 
 
+def _halves(a, b):
+    """Both halves of every panel [a[i], b[i]], as (lo, hi) in position order."""
+    edges = np.array([a, 0.5 * (a + b), b])
+    return edges[:2].T.ravel(), edges[1:].T.ravel()
+
+
 def _adaptive(f, lo, hi, tol):
     """Globally adaptive bisection.
 
@@ -180,17 +202,27 @@ def _adaptive(f, lo, hi, tol):
     coarse being the group's one-panel value, and split otherwise; a panel at
     depth _MAX_DEPTH changed by more than its whole share ends the group with
     NoConvergence, and so does a partition past _MAX_PANELS subintervals.
-    Refinement runs one depth level at a time: both halves of every panel some
-    group still holds are evaluated in calls of at most _TRAP_CHUNK points, so
-    the evaluator is called about once per level. Each group's accepted panels
-    are those of a depth-first refinement of that group alone; their values
-    and their refinement changes / 15 are summed in position order, so value
-    and err_est agree with the depth-first sums to rounding and repeat exactly
-    from run to run.
+    The first evaluator call holds the complete tree down to the level whose
+    panels fit _FIRST_CALL points, and the first levels' halves are read from
+    it.  Below it, refinement runs one depth level at a time: both halves of
+    every panel some group still holds are evaluated in calls of at most
+    _TRAP_CHUNK points, so the evaluator is called about once per level.
+    Each group's accepted panels are those of a depth-first refinement of that
+    group alone; their values and their refinement changes / 15 are summed in
+    position order, so value and err_est agree with the depth-first sums to
+    rounding and repeat exactly from run to run, whatever the first call holds.
     """
     width = hi - lo
     a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
-    first = _panels(f, a, b)
+    # the complete tree down to the level whose panels still fit _FIRST_CALL points, every
+    # level in position order, from one evaluator call; level L starts at row 2^L - 1
+    tree_lo, tree_hi = [a], [b]
+    while _GX.size * (2 ** (len(tree_lo) + 1) - 1) <= _FIRST_CALL:
+        half_lo, half_hi = _halves(tree_lo[-1], tree_hi[-1])
+        tree_lo.append(half_lo)
+        tree_hi.append(half_hi)
+    tree = _panels(f, np.concatenate(tree_lo), np.concatenate(tree_hi))
+    first = tree[:1]
     grouped = first.ndim == 3
     one = first.shape[2:] if grouped else first.shape[1:]  # one group's value
 
@@ -206,10 +238,14 @@ def _adaptive(f, lo, hi, tol):
     # level in turn, with their values and refinement changes; sorted once at the end
     los, done_pair, done_val, done_diff = [], [], [], []
     seen = accepted = 0
+    place = np.zeros(1, dtype=np.int64)  # the open panels' positions in their tree level
     for depth in range(_MAX_DEPTH + 1):
-        edges = np.array([a, 0.5 * (a + b), b])
-        half_lo, half_hi = edges[:2].T.ravel(), edges[1:].T.ravel()
-        halves = _by_group(_panels(f, half_lo, half_hi))
+        half_lo, half_hi = _halves(a, b)
+        kids = (2 * place[:, None] + np.arange(2)).ravel()
+        if depth + 1 < len(tree_lo):  # the halves are tree level depth + 1
+            halves = _by_group(tree[2 ** (depth + 1) - 1 + kids])
+        else:
+            halves = _by_group(_panels(f, half_lo, half_hi))
         fine = halves[0::2] + halves[1::2]
         diff = _worst(np.abs(fine - coarse))
         budget = share * np.maximum((b - a) / width, 1e-6)[:, None]
@@ -252,7 +288,7 @@ def _adaptive(f, lo, hi, tol):
         if not held.any():
             break
         split = np.repeat(held, 2)
-        a, b, coarse = half_lo[split], half_hi[split], halves[split]
+        a, b, coarse, place = half_lo[split], half_hi[split], halves[split], kids[split]
         if groups > 1:
             live = np.repeat(open_[held], 2, axis=0)
     panel, group = np.divmod(np.concatenate(done_pair), groups)
@@ -289,24 +325,43 @@ def _theta_integrand(f, a, p):
     return g
 
 
+def _midpoints(n):
+    """The n midpoints that T_2n adds to the nodes of T_n on [0, pi]."""
+    return (np.arange(n) + 0.5) * (np.pi / n)
+
+
 def _periodic(g, tol):
     """Trapezoid rule on [0, pi] for an even 2pi-periodic g; returns (value, err_est) or None.
 
-    Starts at _TRAP_START intervals; each doubling samples only the new
-    midpoints. Accepts when max|T_2N - T_N| <= tol * (1 + max|T_2N|) and
-    returns T_2N with that difference as its error estimate. None when a
-    sample is not finite or no doubling up to _TRAP_MAX intervals is accepted.
+    Starts at _TRAP_START intervals; each doubling adds only the new
+    midpoints.  The nodes of every rule up to _FIRST_CALL points, T_64's and
+    the midpoints of each doubling to T_512, come from one evaluator call
+    in that order, and each doubling reads its midpoints from that table;
+    later doublings call the evaluator for theirs.  Accepts when
+    max|T_2N - T_N| <= tol * (1 + max|T_2N|) and returns T_2N with that
+    difference as its error estimate.  None when a sample of a rule that is
+    reached is not finite, or no doubling up to _TRAP_MAX intervals is
+    accepted.
     """
     n = _TRAP_START
-    vals = np.asarray(g(np.linspace(0.0, np.pi, n + 1)))
+    nodes, top = [np.linspace(0.0, np.pi, n + 1)], n  # top: the finest rule in the table
+    while 2 * top + 1 <= _FIRST_CALL:  # T_2top's nodes fit in the first call
+        nodes.append(_midpoints(top))
+        top *= 2
+    table = np.asarray(g(np.concatenate(nodes)))
+    vals = table[:n + 1]
     if not np.all(np.isfinite(vals)):
         return None
     total = vals.sum(axis=0) - 0.5 * (vals[0] + vals[-1])
     coarse = total * (np.pi / n)
     while n < _TRAP_MAX:
-        mids = (np.arange(n) + 0.5) * (np.pi / n)
-        for start in range(0, n, _TRAP_CHUNK):
-            vals = np.asarray(g(mids[start:start + _TRAP_CHUNK]))
+        if n < top:
+            chunks = [table[n + 1:2 * n + 1]]
+        else:
+            mids = _midpoints(n)
+            chunks = (g(mids[start:start + _TRAP_CHUNK]) for start in range(0, n, _TRAP_CHUNK))
+        for vals in chunks:
+            vals = np.asarray(vals)
             if not np.all(np.isfinite(vals)):
                 return None
             total = total + vals.sum(axis=0)

@@ -17,7 +17,8 @@ checks read as their right-hand side.  A measure is a pair with one draw
 
 Many (phi, form) draws on one pair are evaluated together:
 `densities(pair, draws, x)` gives one column per draw, with p_k and p_{k-1}
-evaluated once per point and phi of all draws as one array.
+evaluated once per point and phi of all draws as one array; an oracle pass
+builds the draws' padded pole table once, not at every evaluator call.
 `moment_match_all(pair, draws)` integrates the moments j <= 2k-2 of every
 draw in one oracle pass, each draw its own integral with its own error
 control, so one draw that does not converge fails alone.
@@ -77,6 +78,23 @@ class PickFunction:
                 raise ValueError("poles must lie in the lower half plane")
 
 
+class _Phis(tuple):
+    """Pick functions with their arrays built once: beta, gamma, and the pole terms
+    padded with c_r = 0, z_r = -i to the most any of them has, c and z of shape
+    (width, count)."""
+
+    def __new__(cls, phis):
+        self = super().__new__(cls, phis)
+        shape = (max((len(phi.terms) for phi in self), default=0), len(self))
+        self.beta = np.array([phi.beta for phi in self])
+        self.gamma = np.array([complex(phi.gamma) for phi in self])
+        self.c, self.z = np.zeros(shape), np.full(shape, -1j)
+        for d, phi in enumerate(self):
+            for r, (c_r, z_r) in enumerate(phi.terms):
+                self.c[r, d], self.z[r, d] = c_r, z_r
+        return self
+
+
 def pick_eval(phis, x):
     """phi(x) of each Pick function in phis on real points; shape x.shape + (len(phis),).
 
@@ -84,13 +102,10 @@ def pick_eval(phis, x):
     Im phi(x) >= Im gamma since every pole term contributes nonnegative
     imaginary part for Im z_r < 0.
     """
+    phis = phis if isinstance(phis, _Phis) else _Phis(phis)
     x = np.asarray(x, dtype=float)[..., None]
-    width = max((len(phi.terms) for phi in phis), default=0)
-    padded = [tuple(phi.terms) + ((0.0, -1j),) * (width - len(phi.terms)) for phi in phis]
-    out = np.array([phi.beta for phi in phis]) * x + np.array([complex(phi.gamma) for phi in phis])
-    for r in range(width):
-        c_r = np.array([terms[r][0] for terms in padded], dtype=float)
-        z_r = np.array([complex(terms[r][1]) for terms in padded])
+    out = phis.beta * x + phis.gamma
+    for c_r, z_r in zip(phis.c, phis.z):
         out = out - c_r / (x - z_r)
     return out
 
@@ -148,6 +163,19 @@ def _check_form(form):
         raise ValueError("form must be 'measure2' or 'measure5'")
 
 
+class _Draws(tuple):
+    """(phi, form) draws with their `_Phis` and measure2 mask built once, so an oracle
+    pass over many evaluator calls does not rebuild them at each."""
+
+    def __new__(cls, draws):
+        self = super().__new__(cls, draws)
+        for _, form in self:
+            _check_form(form)
+        self.phis = _Phis(phi for phi, _ in self)
+        self.measure2 = np.array([form == "measure2" for _, form in self])
+        return self
+
+
 def densities(pair: MatchedPair, draws, x):
     """Densities of the (phi, form) draws on one pair; shape x.shape + (len(draws),).
 
@@ -156,16 +184,14 @@ def densities(pair: MatchedPair, draws, x):
     Im phi > 0 away from the real zeros of p_k, and at those zeros the other
     factor is nonzero by interlacing, so neither denominator form can vanish.
     """
-    for _, form in draws:
-        _check_form(form)
-    ph = pick_eval([phi for phi, _ in draws], x)
+    draws = draws if isinstance(draws, _Draws) else _Draws(draws)
+    ph = pick_eval(draws.phis, x)
     # |phi p_k - p_{k-1}|^2 (measure2) and |p_k + phi p_{k-1}|^2 = |phi p_{k-1} - (-p_k)|^2
     # (measure5) as one |phi u - v|^2
-    measure2 = np.array([form == "measure2" for _, form in draws])
     x = np.asarray(x, dtype=float)[..., None]
     pk, pkm1 = pair.p_k(x), pair.p_km1(x)
-    u = np.where(measure2, pk, pkm1)
-    v = np.where(measure2, pkm1, -pk)
+    u = np.where(draws.measure2, pk, pkm1)
+    v = np.where(draws.measure2, pkm1, -pk)
     return np.imag(ph) / np.pi / np.abs(ph * u - v) ** 2
 
 
@@ -178,6 +204,7 @@ def boundary_moments(pair: MatchedPair, draws, tol: float = 1e-8):
     the pair's oracle moment mu_{2k-1}, the same for every draw.
     """
     j = 2 * pair.k - 1
+    draws = _Draws(draws)
 
     def f(x):
         return (np.asarray(x) ** j)[:, None] * densities(pair, draws, x)
@@ -196,6 +223,7 @@ def moment_match_all(pair: MatchedPair, draws, tol: float = 1e-8):
     moments mu_0..mu_{2k-2}, the same for every draw.
     """
     count = 2 * pair.k - 1
+    draws = _Draws(draws)
 
     def f(x):
         return np.vander(x, count, increasing=True)[:, None, :] * densities(pair, draws, x)[..., None]

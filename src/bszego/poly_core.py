@@ -101,12 +101,12 @@ def cheb_T(n: int, x):
     """Chebyshev polynomial of the first kind, T_n(x) = cos(n arccos x).
 
     Stable for all real x: trig form on [-1,1], hyperbolic form outside
-    with the sign (-1)^n for x < -1.
+    with the sign (-1)^n for x < -1.  NaN where x is NaN.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    out = np.full_like(x, np.nan)  # a NaN x falls in none of the three forms
     inside = np.abs(x) <= 1.0
     out[inside] = np.cos(n * np.arccos(x[inside]))
     hi = x > 1.0

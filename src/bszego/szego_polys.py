@@ -241,13 +241,26 @@ def explicit_eval(spec: WeightSpec, t):
     d = _distinguished(spec, check=False)
     C, S, Ch, Sh = continued_block(tt, d.N, d.M, a)
     X, Y = (S if d.sine_pos else C), (Sh if d.sine_neg else Ch)
+    one_minus, a_plus = 1.0 - tt, a + tt
+    # The endpoint root divides a sine of even degree K, which vanishes there: a removable
+    # 0/0, sin(K theta)/cos(theta) -> -K cos(K pi/2) at theta = pi/2, with theta = asin sqrt t
+    # and sqrt(1 - t) = cos(theta) at t = 1, or theta = asin sqrt(-t/a) and
+    # sqrt(a + t) = sqrt(a) cos(theta) at t = -a; the root's factor becomes 1 there.
+    if d.endpoint and d.N % 2 == 0:
+        top = tt == 1.0
+        X = np.where(top, -d.N * math.cos(d.N * math.pi / 2), X)
+        one_minus = np.where(top, 1.0, one_minus)
+    if d.endpoint == 2 and d.M % 2 == 0:
+        bottom = tt == -a
+        Y = np.where(bottom, -d.M * math.cos(d.M * math.pi / 2) / math.sqrt(a), Y)
+        a_plus = np.where(bottom, 1.0, a_plus)
     val = (np.sign(tt) * X if d.sine_pos and d.sine_neg else X) * Y
     if d.over_t or d.sine_pos != d.sine_neg:
         den = tt if d.over_t else np.sqrt(np.abs(tt))
         val = series_guard(tt, val, den, *block_series(d.N, d.M, a, d.sine_pos, d.sine_neg))
     out = d.const * val
     if d.endpoint:
-        out = out / np.sqrt((1.0 - tt) * (a + tt) if d.endpoint == 2 else 1.0 - tt)
+        out = out / np.sqrt(one_minus * a_plus if d.endpoint == 2 else one_minus)
     return out if np.ndim(t) else float(out[0])
 
 

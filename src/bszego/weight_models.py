@@ -131,8 +131,8 @@ class WeightSpec:
 def _check_domain(t, a):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     slack = 1e-9 * (1.0 + a)
-    if ((t < -a - slack) | (t > 1.0 + slack)).any():
-        raise DomainError(f"t outside [{-a}, 1]")
+    if not ((t >= -a - slack) & (t <= 1.0 + slack)).all():  # NaN included
+        raise DomainError(f"t outside [{-a}, 1] or NaN")
     return np.minimum(np.maximum(t, -a), 1.0)  # np.clip, at half the cost on short arrays
 
 

@@ -327,7 +327,12 @@ def test_explicit_eval_unchanged(a):
     for spec in specs:
         with np.errstate(divide="ignore", invalid="ignore"):  # sqrt kernel is 0 at both ends
             new, old = explicit_eval(spec, t), ref_explicit_eval(spec, t)
-        assert_same(new, old, t)
+        # where the root divides a sine that vanishes there, the reference's 0/0 gives
+        # +-inf and explicit_eval its limit (checked against the polynomial in
+        # test_szego_polys); that happens at the two ends only
+        limit = np.isinf(old) & np.isfinite(new)
+        assert np.all((t[limit] == -a) | (t[limit] == 1.0))
+        assert_same(new[~limit], old[~limit], t[~limit])
 
 
 def _explicit_outcome(spec):

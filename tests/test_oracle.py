@@ -216,7 +216,7 @@ def test_non_finite_sample_falls_back_to_bisection():
     spec = IntegrandSpec(f, ThetaSubstituted(1.0, weight_power=+1))
     val, err = oracle.integrate(spec, tol=1e-12)
     ref, ref_err = oracle._adaptive(oracle._theta_integrand(f, 1.0, +1), 0.0, math.pi, 1e-12)
-    assert seen[0] == oracle._TRAP_START + 1  # the trapezoid rule was tried first
+    assert seen[0] == oracle._FIRST_CALL  # the trapezoid rule was tried first: T_64 ... T_512
     assert (val, err) == (ref, ref_err)
     # int_{-1}^{1} e^t sqrt(1 - t^2) dt = pi I_1(1)
     assert val == pytest.approx(math.pi * 0.5651591039924851, abs=1e-12)
@@ -471,3 +471,94 @@ def test_per_panel_worst_component_is_the_trailing_max(shape):
     d = np.abs(rng.standard_normal(shape)) * 10.0 ** rng.uniform(-30.0, 30.0, shape)
     d.flat[rng.integers(0, d.size, 3)] = [np.nan, np.inf, 0.0]
     assert np.array_equal(oracle._worst(d), d.max(axis=2), equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the first evaluator call: the nested rules up to _FIRST_CALL points at once
+
+
+def _one_level_per_call(monkeypatch, run):
+    """run() with a first call of one level (T_64's nodes, or the one-panel tree)."""
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_FIRST_CALL", 0)
+        return run()
+
+
+def _near_pole(theta):
+    # 1/(1 + 1e-4 - cos theta): the doublings run past T_512 before they agree
+    return 1.0 / (1.0001 - np.cos(np.asarray(theta)))
+
+
+def _near_pole_columns(theta):
+    theta = np.asarray(theta)
+    return _near_pole(theta)[:, None] * np.stack([np.ones_like(theta), np.cos(theta)], axis=-1)
+
+
+@pytest.mark.parametrize("g", [_near_pole, _near_pole_columns, lambda x: np.exp(np.cos(x))],
+                         ids=["scalar", "npts_by_2", "settles_in_the_batch"])
+def test_trapezoid_first_call_equals_one_level_per_call(monkeypatch, g):
+    f, batched = _recording(g)
+    h, reference = _recording(g)
+    value, err = oracle._periodic(f, 1e-13)
+    ref_value, ref_err = _one_level_per_call(monkeypatch, lambda: oracle._periodic(h, 1e-13))
+    assert np.array_equal(value, ref_value) and err == ref_err
+    assert batched[0].size == oracle._FIRST_CALL and reference[0].size == oracle._TRAP_START + 1
+    # the first call starts with the nodes the reference takes in its first four calls
+    first = np.concatenate(reference[:4])
+    assert np.array_equal(batched[0][:first.size], first)
+    assert [c.size for c in batched[1:]] == [c.size for c in reference[4:]]
+
+
+@pytest.mark.parametrize("f", [_kinked, _kinked_columns, _grouped(3, _GROUPS), np.exp],
+                         ids=["scalar", "npts_by_3", "grouped", "settles_in_the_batch"])
+def test_bisection_first_call_equals_one_level_per_call(monkeypatch, f):
+    g, batched = _recording(f)
+    h, reference = _recording(f)
+    outcome = oracle._adaptive(g, 0.0, 3.0, 1e-12)
+    ref_outcome = _one_level_per_call(monkeypatch, lambda: oracle._adaptive(h, 0.0, 3.0, 1e-12))
+    if not isinstance(outcome, list):
+        outcome, ref_outcome = [outcome], [ref_outcome]
+    for (value, err), (ref_value, ref_err) in zip(outcome, ref_outcome):
+        assert np.array_equal(value, ref_value) and err == ref_err
+    # one call for the complete tree to 16 panels (31 panels), one per level below it
+    assert batched[0].size == oracle._GX.size * 31 <= oracle._FIRST_CALL
+    assert reference[0].size == oracle._GX.size
+    assert len(batched) == max(1, len(reference) - 4)
+
+
+def test_panel_sums_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(7)
+    lo = np.sort(rng.uniform(0.0, 3.0, 300))
+    hi = lo + rng.uniform(1e-6, 1.0, lo.size)
+    for f in (_kinked, _kinked_columns, _grouped(3, _GROUPS)):
+        together = oracle._panels(f, lo, hi)
+        alone = [oracle._panels(f, lo[i:i + 1], hi[i:i + 1]) for i in range(lo.size)]
+        assert np.array_equal(together, np.concatenate(alone))
+
+
+def test_nan_beyond_the_reached_rules_changes_nothing():
+    # exp(cos theta) settles at T_128, and a panel polynomial at the first bisection;
+    # NaN at every node that only an unreached finer rule or panel holds is never read
+    def poisoned(f, size, clean):
+        def g(x):
+            out = np.array(f(x), dtype=float)
+            if x.size == size:
+                out[clean:] = np.nan
+            return out
+        return _recording(g)
+
+    smooth = lambda theta: np.exp(np.cos(theta))  # noqa: E731
+    g, calls = poisoned(smooth, oracle._FIRST_CALL, 2 * 128 + 1)  # T_512's own nodes
+    assert oracle._periodic(g, 1e-12) == oracle._periodic(smooth, 1e-12)
+    assert len(calls) == 1
+    cubic = lambda x: x ** 3 - x  # noqa: E731
+    g, calls = poisoned(cubic, oracle._GX.size * 31, oracle._GX.size * 3)  # levels 2 to 4
+    assert oracle._adaptive(g, 0.0, 1.0, 1e-12) == oracle._adaptive(cubic, 0.0, 1.0, 1e-12)
+    assert len(calls) == 1
+
+
+def test_an_integral_settled_in_the_first_call_calls_once():
+    for interval in (ThetaSubstituted(1.0, -1), ThetaSubstituted(0.5, +1), FiniteDirect(0.0, 1.0)):
+        f, calls = _recording(np.exp)
+        oracle.integrate(IntegrandSpec(f, interval), tol=1e-12)
+        assert len(calls) == 1, interval

@@ -53,6 +53,23 @@ class TestChebT:
         direct = 4 * x**3 - 3 * x
         assert np.max(np.abs(cheb_T(3, x) - direct)) < 1e-11
 
+    def test_nan_gives_nan(self):
+        # every x that none of the three forms takes must come out NaN, not whatever
+        # the output buffer held
+        out = cheb_T(3, [math.nan] * 8 + [0.5])
+        assert np.isnan(out[:8]).all() and out[8] == cheb_T(3, 0.5)
+        assert math.isnan(cheb_T(4, math.nan))
+
+    def test_nan_leaves_the_other_values_alone(self):
+        x = np.linspace(-3, 3, 61)
+        mixed = x.copy()
+        mixed[::4] = np.nan
+        for n in (0, 1, 5, 12):
+            out = cheb_T(n, mixed)
+            assert np.isnan(out[::4]).all()
+            keep = ~np.isnan(mixed)
+            assert np.array_equal(out[keep], cheb_T(n, x[keep]))
+
 
 class TestRealPolynomial:
     def test_constant_eval(self):

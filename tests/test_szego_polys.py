@@ -316,6 +316,13 @@ class TestExplicitEvalDomain:
             assert type(value) is float
             assert value == explicit_eval(spec, np.array([t]))[0]
 
+    @pytest.mark.parametrize("spec", _ONE_PER_FAMILY, ids=lambda s: s.family.value)
+    def test_nan_raises(self, spec):
+        with pytest.raises(DomainError):
+            explicit_eval(spec, math.nan)
+        with pytest.raises(DomainError):
+            explicit_eval(spec, np.array([0.2, math.nan]))
+
     def test_quotient_family_angle_is_not_clamped(self):
         # min(-t/a, 1) clamped the angle and gave 10.155 at t = -1.5, outside
         # [-1, 1], where the polynomial has |p(-1.5)| = 71.09
@@ -619,3 +626,31 @@ class TestRecipeSeries:
                     if k == threshold:
                         with pytest.raises(DegreeThreshold):
                             szego_orthonormal(factor, k - 1, mf)
+
+
+def _endpoint_specs():
+    """Small grids of the families whose polynomial divides by an endpoint root."""
+    specs = []
+    for a in (0.5, 1.3, 2.0):
+        specs += [spec_cpc(n, m, a, MeasureFactor.SqrtBoth) for n, m in ((2, 2), (2, 4), (4, 2))]
+        for n, m in ((1, 1), (2, 3), (3, 2)):
+            specs.append(WeightSpec(n, m, a, Family.SquaredCosPlusCosh, MeasureFactor.SqrtBoth))
+            for family in (Family.ProductCosPlusCosh, Family.ProductCoshMinusCos):
+                specs.append(WeightSpec(n, m, a, family, MeasureFactor.SqrtBoth, m + 2))
+            specs.append(WeightSpec(n, m, a, Family.MixedPlusMinus, MeasureFactor.SqrtRatio, m + 2))
+    return specs
+
+
+@pytest.mark.parametrize("spec", _endpoint_specs(),
+                         ids=lambda s: f"{s.family.value}-{s.n}-{s.m}-{s.a}")
+def test_explicit_eval_takes_the_limit_at_an_endpoint_root(spec):
+    # sqrt(1 - t) and sqrt(a + t) divide sines that vanish there: the closed form is
+    # 0/0 at the end, and must give the polynomial's value, not +-inf
+    p = explicit_family(spec)
+    scale = np.sum(np.abs(p.poly.coeffs))
+    inner = np.linspace(-spec.a, 1.0, 41)[1:-1]
+    sign = np.sign(explicit_eval(spec, inner) @ p(inner))  # the closed form's sign
+    ends = np.array([-spec.a, 1.0])
+    values = explicit_eval(spec, ends)
+    assert np.all(np.abs(values - sign * p(ends)) <= 1e-9 * scale), (values, sign * p(ends))
+    assert [explicit_eval(spec, t) for t in ends] == values.tolist()

@@ -89,6 +89,16 @@ def test_rho_domain_error():
         rho_eval(spec, -1.1)
 
 
+def test_nan_is_outside_the_domain():
+    # NaN fails every comparison, so it must be rejected rather than let through
+    spec = WeightSpec(2, 3, 1.0)
+    for t in (math.nan, np.array([0.2, math.nan]), np.array([math.nan, -0.5])):
+        with pytest.raises(DomainError):
+            rho_eval(spec, t)
+        with pytest.raises(DomainError):
+            xi_eta_eval(spec, t)
+
+
 def test_rho_cosh_minus_cos_series_guard():
     spec = WeightSpec(3, 2, 1.0, Family.CoshMinusCosOverT)
     # limit value at 0 is 2(m^2/a + n^2) = 2(4 + 9) = 26
