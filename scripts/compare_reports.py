@@ -5,15 +5,18 @@ Usage:
     python scripts/compare_reports.py OLD NEW
 
 Records are matched by (theorem_id, params).  Prints every record whose
-closed_form, oracle_value or abs_error moved, largest shift first, and
-every record whose verdict or tolerance changed.  Exits 0 when the two
-reports hold the same records with the same verdicts and tolerances, and 1
-when a verdict, a tolerance or the record set changed; moved values alone
-do not fail the comparison.
+verdict or tolerance changed and every record in one report only, then
+every record whose closed_form, oracle_value or abs_error moved, largest
+shift first, so `compare_reports.py OLD NEW | head` shows the problems.
+Exits 0 when the two reports hold the same records with the same verdicts
+and tolerances, and 1 when a verdict, a tolerance or the record set
+changed; moved values alone do not fail the comparison.  A reader that
+stops early ends the output quietly, with the same exit status.
 """
 import argparse
 import json
 import math
+import os
 import sys
 
 VALUES = ("closed_form", "oracle_value", "abs_error")
@@ -67,6 +70,19 @@ def compare(old, new):
     return moved, sorted(problems)
 
 
+def _print(old, new, moved, problems):
+    records = len({row[1] for row in moved})
+    print(f"{len(old)} records in OLD, {len(new)} in NEW; "
+          f"{records} moved ({len(moved)} values), {len(problems)} verdict or record-set changes")
+    for message in problems:
+        print(message)
+    if moved:
+        print(f"largest shift {moved[0][0]:.3e}: {moved[0][1][0]} {moved[0][1][1]} {moved[0][2]}")
+        print("shift\ttheorem_id\tparams\tfield\told\tnew")
+        for shift, (theorem, params), field, was, now in moved:
+            print(f"{shift:.3e}\t{theorem}\t{params}\t{field}\t{was!r}\t{now!r}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", metavar="OLD", help="the earlier report (verify --format json)")
@@ -75,16 +91,12 @@ def main() -> int:
 
     old, new = _records(args.old), _records(args.new)
     moved, problems = compare(old, new)
-    records = len({row[1] for row in moved})
-    print(f"{len(old)} records in OLD, {len(new)} in NEW; "
-          f"{records} moved ({len(moved)} values), {len(problems)} verdict or record-set changes")
-    if moved:
-        print(f"largest shift {moved[0][0]:.3e}: {moved[0][1][0]} {moved[0][1][1]} {moved[0][2]}")
-        print("shift\ttheorem_id\tparams\tfield\told\tnew")
-        for shift, (theorem, params), field, was, now in moved:
-            print(f"{shift:.3e}\t{theorem}\t{params}\t{field}\t{was!r}\t{now!r}")
-    for message in problems:
-        print(message)
+    try:
+        _print(old, new, moved, problems)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if problems else 0
 
 

@@ -36,6 +36,19 @@ shape (npts,) to shape (npts,) or (npts, K) integrates K components in one
 pass, refining on the worst component. No evaluator call on either path gets
 more than _TRAP_CHUNK points, which bounds the (npts, K) arrays.
 
+Every sum over nodes is taken in an order that the table's shape fixes, so
+it depends only on the values: not on the memory layout of the evaluator's
+table, and not on how many levels or panels share a call. A trapezoid
+level's samples are summed by numpy's pairwise sum along a contiguous node
+axis (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+sec. 4.2): the table is made node-major once per call (_node_major), which
+reads a node-contiguous table, such as the (npts, K) transpose view of K
+node rows, in place, and copies a C-ordered one, whose sum over axis 0
+numpy would take one short row at a time. A panel's 15 Gauss terms go the
+other way: the weight multiply writes them into a C-ordered (P, 15, ...)
+buffer, whatever the evaluator's layout, and numpy sums its middle axis
+column by column, with no reduction call per row of 15.
+
 Bisection (and so improper_integral with decay "RationalOrder2") also takes
 grouped evaluators, of shape (npts, G, K): G independent integrals of K
 components each, run in lock-step on shared evaluator calls (as in Shampine,
@@ -146,13 +159,23 @@ def _guarded(evaluator, guards):
     return wrapped
 
 
+def _node_major(vals):
+    """Evaluator values with the node axis moved last and made contiguous: (npts, K) as
+    (K, npts).  Node-contiguous values, such as the transpose view of a node-major
+    buffer, are not copied."""
+    vals = np.asarray(vals)
+    return np.ascontiguousarray(vals.transpose(*range(1, vals.ndim), 0))
+
+
 def _panels(f, lo, hi):
     """15-point Gauss values of f on the panels [lo[i], hi[i]]; shape (P,), (P, K) or (P, G, K).
 
     Consecutive panels share one evaluator call of at most _TRAP_CHUNK points,
     and only that call's points are ever tabulated.  Each panel's sum is an
-    elementwise product summed over its own 15 nodes, so it does not depend
-    on how many panels share the call (a matrix product would).
+    elementwise product, written into a C-ordered buffer, summed over its own
+    15 nodes, so it depends only on those values: not on how many panels share
+    the call (a matrix product would), nor on the memory layout of the
+    evaluator's table.
     """
     per = _TRAP_CHUNK // _GX.size
     sums = []
@@ -163,8 +186,9 @@ def _panels(f, lo, hi):
         vals = np.asarray(f(block.ravel()))
         vals = vals.reshape(block.shape + vals.shape[1:])
         trail = (1,) * (vals.ndim - 2)
-        panel = (vals * _GW.reshape(_GW.shape + trail)).sum(axis=1)
-        sums.append(hw.reshape(hw.shape + trail) * panel)
+        terms = np.empty(vals.shape, np.result_type(vals, _GW))  # C-ordered, whatever vals' layout
+        np.multiply(vals, _GW.reshape(_GW.shape + trail), out=terms)
+        sums.append(hw.reshape(hw.shape + trail) * terms.sum(axis=1))
     return np.concatenate(sums)
 
 
@@ -318,9 +342,7 @@ def _theta_integrand(f, a, p):
         if p == -1:
             return vals
         jac = (0.5 * (1.0 + a) * np.sin(theta)) ** (p + 1)
-        if vals.ndim == 2:
-            return vals * jac[:, None]
-        return vals * jac
+        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))  # keeps vals' layout
 
     return g
 
@@ -337,34 +359,35 @@ def _periodic(g, tol):
     midpoints.  The nodes of every rule up to _FIRST_CALL points, T_64's and
     the midpoints of each doubling to T_512, come from one evaluator call
     in that order, and each doubling reads its midpoints from that table;
-    later doublings call the evaluator for theirs.  Accepts when
-    max|T_2N - T_N| <= tol * (1 + max|T_2N|) and returns T_2N with that
-    difference as its error estimate.  None when a sample of a rule that is
-    reached is not finite, or no doubling up to _TRAP_MAX intervals is
-    accepted.
+    later doublings call the evaluator for theirs.  Each level's samples
+    are summed pairwise along the node-major table's contiguous node axis.
+    Accepts when max|T_2N - T_N| <= tol * (1 + max|T_2N|) and returns T_2N
+    with that difference as its error estimate.  None when a sample of a
+    rule that is reached is not finite, or no doubling up to _TRAP_MAX
+    intervals is accepted.
     """
     n = _TRAP_START
     nodes, top = [np.linspace(0.0, np.pi, n + 1)], n  # top: the finest rule in the table
     while 2 * top + 1 <= _FIRST_CALL:  # T_2top's nodes fit in the first call
         nodes.append(_midpoints(top))
         top *= 2
-    table = np.asarray(g(np.concatenate(nodes)))
-    vals = table[:n + 1]
+    table = _node_major(g(np.concatenate(nodes)))
+    vals = table[..., :n + 1]
     if not np.all(np.isfinite(vals)):
         return None
-    total = vals.sum(axis=0) - 0.5 * (vals[0] + vals[-1])
+    total = vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1])
     coarse = total * (np.pi / n)
     while n < _TRAP_MAX:
         if n < top:
-            chunks = [table[n + 1:2 * n + 1]]
+            chunks = [table[..., n + 1:2 * n + 1]]
         else:
             mids = _midpoints(n)
-            chunks = (g(mids[start:start + _TRAP_CHUNK]) for start in range(0, n, _TRAP_CHUNK))
+            chunks = (_node_major(g(mids[start:start + _TRAP_CHUNK]))
+                      for start in range(0, n, _TRAP_CHUNK))
         for vals in chunks:
-            vals = np.asarray(vals)
             if not np.all(np.isfinite(vals)):
                 return None
-            total = total + vals.sum(axis=0)
+            total = total + vals.sum(axis=-1)
         n *= 2
         fine = total * (np.pi / n)
         diff = np.max(np.abs(np.atleast_1d(fine - coarse)))

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import oracle
 from .errors import DegreeThreshold
+from .poly_core import power_table
 from .quadrature import oracle_moments
 from .szego_polys import OrthoPoly, explicit_family, szego_orthonormal
 from .weight_models import (
@@ -225,8 +226,10 @@ def moment_match_all(pair: MatchedPair, draws, tol: float = 1e-8):
     count = 2 * pair.k - 1
     draws = _Draws(draws)
 
-    def f(x):
-        return np.vander(x, count, increasing=True)[:, None, :] * densities(pair, draws, x)[..., None]
+    def f(x):  # node-major: the (npts, G, K) view of a (G, K, npts) buffer
+        table = np.empty((len(draws), count, len(x)))
+        np.multiply(densities(pair, draws, x).T[:, None, :], power_table(x, count).T, out=table)
+        return table.transpose(2, 0, 1)
 
     rows = oracle.improper_integral(f, decay="RationalOrder2", tol=tol)
     return rows, pair.kappa_ratio * np.asarray(pair.moments[:count])

@@ -13,6 +13,8 @@ __all__ = [
     "ChebSeries",
     "RealPolynomial",
     "cheb_T",
+    "cheb_T_table",
+    "power_table",
 ]
 
 
@@ -101,11 +103,15 @@ def cheb_T(n: int, x):
     """Chebyshev polynomial of the first kind, T_n(x) = cos(n arccos x).
 
     Stable for all real x: trig form on [-1,1], hyperbolic form outside
-    with the sign (-1)^n for x < -1.  NaN where x is NaN.
+    with the sign (-1)^n for x < -1.  NaN where x is NaN; T_0 is 1 at every
+    other x, +-inf included.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     x = np.asarray(x, dtype=float)
+    if n == 0:  # the hyperbolic form would give cosh(0 * inf) = NaN at +-inf
+        out = np.where(np.isnan(x), np.nan, 1.0)
+        return out if out.shape else out[()]
     out = np.full_like(x, np.nan)  # a NaN x falls in none of the three forms
     inside = np.abs(x) <= 1.0
     out[inside] = np.cos(n * np.arccos(x[inside]))
@@ -114,3 +120,44 @@ def cheb_T(n: int, x):
     lo = x < -1.0
     out[lo] = ((-1.0) ** n) * np.cosh(n * np.arccosh(-x[lo]))
     return out if out.shape else out[()]
+
+
+# The oracle integrates an (npts, K) table per evaluator call and sums it over the nodes.
+# These builders fill K node-contiguous rows and return their (npts, K) transpose view, so
+# each column is one contiguous run of node values.
+
+
+def power_table(t, count: int) -> np.ndarray:
+    """t^0 ... t^(count-1) at the points t, shape (npts, count): np.vander(t, count,
+    increasing=True) bit for bit, t^j being t^(j-1) * t, in node-contiguous columns."""
+    t = np.asarray(t, dtype=float)
+    rows = np.empty((count, t.size))
+    if count:
+        rows[0] = 1.0
+    if count > 1:
+        rows[1] = t
+    for j in range(2, count):
+        np.multiply(rows[j - 1], t, out=rows[j])
+    return rows.T
+
+
+def cheb_T_table(x, count: int) -> np.ndarray:
+    """T_0(x) ... T_(count-1)(x), shape (npts, count): cheb_T(u, x) bit for bit, in
+    node-contiguous columns.  The split into the trig and the hyperbolic forms and their
+    arccos / arccosh are taken once for every degree."""
+    x = np.asarray(x, dtype=float)
+    rows = np.full((count, x.size), np.nan)  # a NaN x falls in none of the three forms
+    if count:
+        rows[0] = np.where(np.isnan(x), np.nan, 1.0)
+    inside, hi, lo = (np.flatnonzero(c) for c in (np.abs(x) <= 1.0, x > 1.0, x < -1.0))
+    forms = []  # (points, cos or cosh, their angle, the sign of an odd degree)
+    for at, wave, theta, odd in ((inside, np.cos, np.arccos(x[inside]), 1.0),
+                                 (hi, np.cosh, np.arccosh(x[hi]), 1.0),
+                                 (lo, np.cosh, np.arccosh(-x[lo]), -1.0)):
+        if at.size:
+            forms.append((slice(None) if at.size == x.size else at, wave, theta, odd))
+    for u in range(1, count):
+        for at, wave, theta, odd in forms:
+            vals = wave(u * theta)
+            rows[u, at] = -vals if odd < 0 and u % 2 else vals
+    return rows.T

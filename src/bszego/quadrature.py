@@ -22,7 +22,7 @@ from .errors import (
     RangeError,
     SlowConvergence,
 )
-from .poly_core import RealPolynomial, cheb_T
+from .poly_core import RealPolynomial, cheb_T, power_table
 from .szego_polys import _ladder
 from .weight_models import Family, MeasureFactor, WeightSpec, _rung_sine, weight_base
 
@@ -134,10 +134,8 @@ def weighted_oracle_integral(spec: WeightSpec, f, tol: float = 1e-11):
 
     def integrand(t):
         vals = np.asarray(f(t))
-        w = base(t)
-        if vals.ndim == 2:
-            return vals * np.asarray(w)[:, None]
-        return vals * w
+        w = np.asarray(base(t))
+        return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))  # keeps vals' layout
 
     value, _ = oracle.integrate(
         oracle.IntegrandSpec(
@@ -152,13 +150,13 @@ def weighted_oracle_integral(spec: WeightSpec, f, tol: float = 1e-11):
 def oracle_moments(spec: WeightSpec, degree_max: int, tol: float = 1e-11) -> np.ndarray:
     """Weighted moments mu_j = int t^j w(t) dt for j = 0..degree_max, one pass.
 
-    The integrand is one monomial table per evaluator call, built by
-    cumulative products (``np.vander``); t^j then carries at most j
-    rounding errors.
+    The integrand is one monomial table per evaluator call, built node-major
+    by successive products (``poly_core.power_table``); t^j then carries at
+    most j rounding errors.
     """
 
     def f(t):
-        return np.vander(t, degree_max + 1, increasing=True)
+        return power_table(t, degree_max + 1)
 
     return np.asarray(weighted_oracle_integral(spec, f, tol=tol))
 

@@ -34,7 +34,7 @@ from . import quadrature as quad
 from . import trig_identities as trig
 from .errors import BszegoError, NoConvergence, UnknownSuite
 from .pick_measures import PickFunction, boundary_moments, matched_pair, moment_match_all
-from .poly_core import ChebSeries, RealPolynomial, cheb_T
+from .poly_core import ChebSeries, RealPolynomial, cheb_T_table, power_table
 from .szego_polys import szego_orthonormal
 from .weight_models import (
     _PARAM_CAP,
@@ -178,6 +178,14 @@ _A = [0.5, 1.0, 2.0]
 # orthogonality rows and rule exactness
 
 
+def _head_and_scaled_powers(head, scale, t, count):
+    """The node-major table [head, scale, scale t, ..., scale t^(count-1)], (npts, count + 1)."""
+    rows = np.empty((count + 1, t.size))
+    rows[0] = head
+    np.multiply(power_table(t, count).T, scale, out=rows[1:])
+    return rows.T
+
+
 def _orthogonality_rows(spec, scale, j_sin, cos_measure, j_cos):
     """Worst deviation of the rows scale * int eta/t = pi/2 and int eta t^j = 0,
     j <= j_sin (against spec), and int xi t^j = 0, j <= j_cos (against cos_measure)."""
@@ -186,14 +194,16 @@ def _orthogonality_rows(spec, scale, j_sin, cos_measure, j_cos):
         t = np.asarray(t)
         eta = xi_eta_eval(spec, t)[1]
         eta_t = series_guard(t, eta, t, *block_series(spec.n, spec.m, spec.a, True, True))
-        return np.column_stack([eta_t, eta[:, None] * np.vander(t, j_sin + 1, increasing=True)])
+        return _head_and_scaled_powers(eta_t, eta, t, j_sin + 1)
 
     vals = scale * np.asarray(quad.weighted_oracle_integral(spec, f_sin, tol=1e-11))
     worst = max(abs(vals[0] - math.pi / 2), float(np.max(np.abs(vals[1:]))))
     if j_cos >= 0:
         def f_cos(t):
             xi = xi_eta_eval(spec, t)[0]
-            return xi[:, None] * np.vander(t, j_cos + 1, increasing=True)
+            powers = power_table(t, j_cos + 1)
+            powers *= xi[:, None]
+            return powers
 
         cspec = spec.with_measure(cos_measure)
         vals2 = np.asarray(quad.weighted_oracle_integral(cspec, f_cos, tol=1e-11))
@@ -226,7 +236,7 @@ def _square(n, m, a):
         _, S, _, Sh = continued_block(t, 2 * n, 2 * m, a)
         plain = np.sign(t) * S * Sh  # sin(2n asin sqrt t) sinh(2m asinh sqrt(t/a))
         over_t = series_guard(t, plain, t, *block_series(2 * n, 2 * m, a, True, True))
-        return np.column_stack([over_t, plain[:, None] * np.vander(t, m + n - 1, increasing=True)])
+        return _head_and_scaled_powers(over_t, plain, t, m + n - 1)
 
     vals = np.asarray(quad.weighted_oracle_integral(spec, f, tol=1e-11))
     return max(abs(vals[0] - math.pi / 2), float(np.max(np.abs(vals[1:]))))
@@ -295,8 +305,7 @@ _NMA7 = {"n": list(range(1, 8)), "m": list(range(1, 8)), "a": _A}
 @_cells("gen_fn", _NMA7)
 def _gen_fn(n, m, a):
     def f(t):
-        t = np.asarray(t)
-        return np.stack([cheb_T(u, 1.0 - 2.0 * t) for u in range(n)], axis=-1)
+        return cheb_T_table(1.0 - 2.0 * np.asarray(t), n)
 
     mu = np.atleast_1d(np.asarray(quad.weighted_oracle_integral(WeightSpec(n, m, a), f, tol=1e-11)))
     return max(abs(quad.sum_form(n, m, a, u) - float(mu[u])) for u in range(n))

@@ -408,6 +408,22 @@ def _grouped(columns, groups):
 _GROUPS = (_kinked, lambda x: np.cos(7.0 * x), lambda x: 1e6 * x ** 3 * np.exp(-x))
 
 
+def _c_ordered(f):
+    """f with its values copied into a C-ordered table."""
+    return lambda x: np.ascontiguousarray(f(x))
+
+
+def _node_contiguous(f):
+    """f with its (npts, ...) values returned as the view of a node-major buffer, whose
+    node axis is last and contiguous (the layout of `poly_core.power_table`)."""
+
+    def g(x):
+        vals = np.asarray(f(x))
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(vals, 0, -1)), -1, 0)
+
+    return g
+
+
 @pytest.mark.parametrize("columns", [1, 2, 3])
 def test_lock_step_groups_equal_solo_runs(columns):
     tol = 1e-12
@@ -494,8 +510,10 @@ def _near_pole_columns(theta):
     return _near_pole(theta)[:, None] * np.stack([np.ones_like(theta), np.cos(theta)], axis=-1)
 
 
-@pytest.mark.parametrize("g", [_near_pole, _near_pole_columns, lambda x: np.exp(np.cos(x))],
-                         ids=["scalar", "npts_by_2", "settles_in_the_batch"])
+@pytest.mark.parametrize("g", [_near_pole, _near_pole_columns, _node_contiguous(_near_pole_columns),
+                               lambda x: np.exp(np.cos(x))],
+                         ids=["scalar", "npts_by_2", "npts_by_2_node_contiguous",
+                              "settles_in_the_batch"])
 def test_trapezoid_first_call_equals_one_level_per_call(monkeypatch, g):
     f, batched = _recording(g)
     h, reference = _recording(g)
@@ -509,8 +527,10 @@ def test_trapezoid_first_call_equals_one_level_per_call(monkeypatch, g):
     assert [c.size for c in batched[1:]] == [c.size for c in reference[4:]]
 
 
-@pytest.mark.parametrize("f", [_kinked, _kinked_columns, _grouped(3, _GROUPS), np.exp],
-                         ids=["scalar", "npts_by_3", "grouped", "settles_in_the_batch"])
+@pytest.mark.parametrize("f", [_kinked, _kinked_columns, _node_contiguous(_kinked_columns),
+                               _grouped(3, _GROUPS), np.exp],
+                         ids=["scalar", "npts_by_3", "npts_by_3_node_contiguous", "grouped",
+                              "settles_in_the_batch"])
 def test_bisection_first_call_equals_one_level_per_call(monkeypatch, f):
     g, batched = _recording(f)
     h, reference = _recording(f)
@@ -530,10 +550,52 @@ def test_panel_sums_do_not_depend_on_the_batch():
     rng = np.random.default_rng(7)
     lo = np.sort(rng.uniform(0.0, 3.0, 300))
     hi = lo + rng.uniform(1e-6, 1.0, lo.size)
-    for f in (_kinked, _kinked_columns, _grouped(3, _GROUPS)):
+    for f in (_kinked, _kinked_columns, _node_contiguous(_kinked_columns), _grouped(3, _GROUPS)):
         together = oracle._panels(f, lo, hi)
         alone = [oracle._panels(f, lo[i:i + 1], hi[i:i + 1]) for i in range(lo.size)]
         assert np.array_equal(together, np.concatenate(alone))
+
+
+# ---------------------------------------------------------------------------
+# the evaluator's memory layout: node sums take an order that the table's shape fixes
+
+
+def _outcomes_equal(one, other):
+    one, other = (x if isinstance(x, list) else [x] for x in (one, other))
+    assert len(one) == len(other)
+    for (value, err), (other_value, other_err) in zip(one, other):
+        assert np.array_equal(value, other_value) and err == other_err
+
+
+def _near_pole_moments(theta):
+    theta = np.asarray(theta)
+    return _near_pole(theta)[:, None] * np.cos(theta)[:, None] ** np.arange(9)
+
+
+@pytest.mark.parametrize("g", [_near_pole_columns, _near_pole_moments], ids=["npts_by_2", "npts_by_9"])
+def test_trapezoid_sums_do_not_depend_on_the_layout(g):
+    node = _node_contiguous(g)
+    assert node(np.linspace(0.0, 1.0, 5)).flags.f_contiguous
+    _outcomes_equal(oracle._periodic(node, 1e-13), oracle._periodic(_c_ordered(g), 1e-13))
+
+
+@pytest.mark.parametrize("f", [_kinked_columns, _grouped(3, _GROUPS), _grouped(1, _GROUPS)],
+                         ids=["npts_by_3", "grouped", "grouped_one_column"])
+def test_bisection_sums_do_not_depend_on_the_layout(f):
+    _outcomes_equal(oracle._adaptive(_node_contiguous(f), 0.0, 3.0, 1e-12),
+                    oracle._adaptive(_c_ordered(f), 0.0, 3.0, 1e-12))
+
+
+@pytest.mark.parametrize("interval", [ThetaSubstituted(0.5, +1), ThetaSubstituted(2.0, -1),
+                                      ThetaSubstituted(1.0, 0), FiniteDirect(-0.5, 1.0)],
+                         ids=["theta_plus", "theta_minus", "theta_plain", "finite"])
+def test_integrate_does_not_depend_on_the_layout(interval):
+    def f(t):  # a near pole at t = -0.4 with eight moments
+        t = np.asarray(t)
+        return (1.0 / (1e-3 + (t + 0.4) ** 2))[:, None] * t[:, None] ** np.arange(8)
+
+    _outcomes_equal(oracle.integrate(IntegrandSpec(_node_contiguous(f), interval), tol=1e-12),
+                    oracle.integrate(IntegrandSpec(_c_ordered(f), interval), tol=1e-12))
 
 
 def test_nan_beyond_the_reached_rules_changes_nothing():

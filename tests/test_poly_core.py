@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bszego.errors import NoConvergence, SymmetryViolation
-from bszego.poly_core import RealPolynomial, cheb_T
+from bszego.poly_core import RealPolynomial, cheb_T, cheb_T_table, power_table
 from reference_roots import poly_roots
 
 
@@ -58,6 +59,62 @@ class TestChebT:
         # the output buffer held
         out = cheb_T(3, [math.nan] * 8 + [0.5])
         assert np.isnan(out[:8]).all() and out[8] == cheb_T(3, 0.5)
+
+    def test_degree_zero_is_one_at_infinity(self):
+        # cosh(0 * arccosh(inf)) would be cosh(NaN): T_0 takes no form
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cheb_T(0, [math.inf, -math.inf, 2.0]).tolist() == [1.0, 1.0, 1.0]
+            assert cheb_T(0, -math.inf) == 1.0
+
+    def test_degree_zero_is_nan_at_nan(self):
+        out = cheb_T(0, [math.nan, 0.5])
+        assert math.isnan(out[0]) and out[1] == 1.0
+        assert math.isnan(cheb_T(0, math.nan))
+
+
+def _bits(a):
+    """a's shape and its values' bytes in C order: signed zeros and NaN compare bit for bit."""
+    return a.shape, np.ascontiguousarray(a).tobytes()
+
+
+class TestNodeMajorTables:
+    """The oracle's integrand tables: (npts, K) transpose views of K node-contiguous rows,
+    with the values of np.vander and of cheb_T bit for bit."""
+
+    @pytest.mark.parametrize("t", [
+        np.random.default_rng(5).uniform(-3.0, 3.0, 300),
+        np.array([]),
+        np.array([-1.7]),
+        np.array([math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.0, math.nan]),
+    ], ids=["random", "empty", "one_point", "special"])
+    def test_power_table_is_vander(self, t):
+        for count in range(1, 66):
+            table = power_table(t, count)
+            assert _bits(table) == _bits(np.vander(t, count, increasing=True)), count
+            assert table.T.flags.c_contiguous
+
+    def test_cheb_table_rows_are_cheb_T(self):
+        x = np.concatenate([np.random.default_rng(6).uniform(-3.0, 3.0, 300),
+                            np.linspace(-3.0, 3.0, 25), [1.0, -1.0, math.nan, -0.0]])
+        assert {1.0, -1.0, 0.0} <= set(x.tolist())
+        finite = x[np.isfinite(x)]  # below: one form takes every point
+        for x_n in (x, np.clip(finite, -1.0, 1.0), np.abs(finite) + 1.5, -np.abs(finite) - 1.5):
+            for n in range(0, 65):
+                table = cheb_T_table(x_n, n)
+                rows = np.array([cheb_T(u, x_n) for u in range(n)]).reshape(n, x_n.size)
+                assert _bits(table.T) == _bits(rows), n
+                assert table.shape == (x_n.size, n) and table.T.flags.c_contiguous
+
+    def test_cheb_table_degree_zero_at_infinity(self):
+        x = np.array([math.inf, -math.inf, math.nan, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = cheb_T_table(x, 4)
+        assert _bits(table[:, 0]) == _bits(cheb_T(0, x))
+        assert table[:2, 0].tolist() == [1.0, 1.0] and math.isnan(table[2, 0])
+        assert table[0, 1:].tolist() == [math.inf] * 3
+        assert table[1, 1:].tolist() == [-math.inf, math.inf, -math.inf]
         assert math.isnan(cheb_T(4, math.nan))
 
     def test_nan_leaves_the_other_values_alone(self):

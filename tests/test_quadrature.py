@@ -642,8 +642,9 @@ def _loop_exactness(rule, seed, signed=False):
 
 
 class TestMonomialTables:
-    """Power-moment integrands are cumulative-product Vandermonde tables,
-    and the rule-exactness check is two matrix products."""
+    """Power-moment integrands are node-major tables of successive products
+    (`poly_core.power_table`, np.vander's values bit for bit), and the
+    rule-exactness check is two matrix products."""
 
     @pytest.mark.parametrize("builder, n, m, a, seed, signed, bound", [
         (rule_cos_plus_cosh, 3, 5, 0.5, suites._SEED + 3 * 37 + 5, False, 1e-14),

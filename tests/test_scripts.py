@@ -61,3 +61,30 @@ def test_compare_reports_lists_moved_values_and_fails_on_a_changed_verdict(tmp_p
     fewer = _report(tmp_path / "fewer.json", [record(1, 1.0)])
     proc = _run("compare_reports.py", old, fewer, cwd=tmp_path)
     assert proc.returncode == 1 and "only in OLD" in proc.stdout
+
+
+def test_compare_reports_prints_problems_first_and_survives_an_early_close(tmp_path):
+    # enough moved values to fill the pipe: the reader takes two lines and closes it
+    def record(k, value, passed=True):
+        return {"theorem_id": "t", "params": {"k": k}, "closed_form": 1.0, "oracle_value": value,
+                "abs_error": abs(value - 1.0), "tol": 1e-8, "passed": passed}
+
+    count = 5000
+    old = _report(tmp_path / "old.json", [record(k, 1.0) for k in range(count)])
+    new = _report(tmp_path / "new.json", [record(k, 1.0 + k * 1e-15, passed=k != 7)
+                                          for k in range(count)])
+    proc = _run("compare_reports.py", old, new, cwd=tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[1] == 'passed changed: t {"k": 7}: True -> False'
+    assert len(lines) > 2 * count
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    with subprocess.Popen([sys.executable, str(SCRIPTS / "compare_reports.py"), old, new],
+                          cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as head:
+        first = [head.stdout.readline() for _ in range(2)]
+        head.stdout.close()
+        stderr = head.stderr.read()
+        status = head.wait(timeout=120)
+    assert first[1].startswith("passed changed")
+    assert status == 1 and stderr == ""
