@@ -41,10 +41,8 @@ from .weight_models import (
     Family,
     MeasureFactor,
     WeightSpec,
-    block_series,
     build_szego_factor,
     continued_block,
-    series_guard,
     xi_eta_eval,
 )
 
@@ -191,10 +189,9 @@ def _orthogonality_rows(spec, scale, j_sin, cos_measure, j_cos):
     j <= j_sin (against spec), and int xi t^j = 0, j <= j_cos (against cos_measure)."""
 
     def f_sin(t):
-        t = np.asarray(t)
-        eta = xi_eta_eval(spec, t)[1]
-        eta_t = series_guard(t, eta, t, *block_series(spec.n, spec.m, spec.a, True, True))
-        return _head_and_scaled_powers(eta_t, eta, t, j_sin + 1)
+        _, s, _, sh = continued_block(t, spec.n, spec.m, spec.a)
+        eta_t = s * sh  # eta/t
+        return _head_and_scaled_powers(eta_t, t * eta_t, t, j_sin + 1)
 
     vals = scale * np.asarray(quad.weighted_oracle_integral(spec, f_sin, tol=1e-11))
     worst = max(abs(vals[0] - math.pi / 2), float(np.max(np.abs(vals[1:]))))
@@ -232,11 +229,9 @@ def _square(n, m, a):
     spec = WeightSpec(n, m, a, Family.SquaredCosPlusCosh, MeasureFactor.PlainDt)
 
     def f(t):
-        t = np.asarray(t)
-        _, S, _, Sh = continued_block(t, 2 * n, 2 * m, a)
-        plain = np.sign(t) * S * Sh  # sin(2n asin sqrt t) sinh(2m asinh sqrt(t/a))
-        over_t = series_guard(t, plain, t, *block_series(2 * n, 2 * m, a, True, True))
-        return _head_and_scaled_powers(over_t, plain, t, m + n - 1)
+        _, s, _, sh = continued_block(t, 2 * n, 2 * m, a)
+        over_t = s * sh  # sin(2n asin sqrt t) sinh(2m asinh sqrt(t/a)) / t
+        return _head_and_scaled_powers(over_t, t * over_t, t, m + n - 1)
 
     vals = np.asarray(quad.weighted_oracle_integral(spec, f, tol=1e-11))
     return max(abs(vals[0] - math.pi / 2), float(np.max(np.abs(vals[1:]))))

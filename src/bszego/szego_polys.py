@@ -8,11 +8,11 @@ Two construction routes are provided and cross-checked in the tests:
   interpolated at the k + 1 Chebyshev points of [-a, 1].
 
 Each family's distinguished polynomial is described once (`_distinguished`):
-degrees (N, M), a factor S or C of `continued_block` at N and Sh or Ch at M,
-a division by sqrt|t| or t, an endpoint root and a constant.  Its values
-(`explicit_eval`), its series at t = 0 (`block_series`) and its known roots,
-the zeros of the two factors inside (-a, 1) (`_ladder`), which are also the
-nodes of the Gauss rules, are all read from that description.
+degrees (N, M), a factor s or C of `continued_block` at N and sh or Ch at M,
+whether two sines are divided by t, an endpoint root and a constant.  Its
+values (`explicit_eval`), a product of those entire factors, and its known
+roots, the zeros of the two factors inside (-a, 1) (`_ladder`), which are also
+the nodes of the Gauss rules, are both read from that description.
 
 Both routes store Chebyshev coefficients on [-a, 1] (`ChebSeries`), never the
 power coefficients in t, which are ill-conditioned at high degree.  The
@@ -57,11 +57,9 @@ from .weight_models import (
     WeightSpec,
     _check_domain,
     _rung_sine,
-    block_series,
     build_szego_factor,
     continued_block,
     expected_rho_degree,
-    series_guard,
 )
 
 __all__ = [
@@ -190,9 +188,9 @@ def szego_orthonormal(factor: SzegoFactor, k: int, measure_factor: MeasureFactor
     return OrthoPoly(poly=poly, weight=factor.spec.with_measure(measure_factor))
 
 
-# X(N) Y(M) of `continued_block`, X = S or C, Y = Sh or Ch (sign(t) S Sh for two sines),
-# divided by sqrt|t| when one factor is a sine or by t when over_t, then by the endpoint
-# root (0: none, 1: sqrt(1-t), 2: sqrt((1-t)(a+t))), times const
+# S(N) or C(N) times Sh(M) or Ch(M), the block factors of `continued_block`, divided by
+# sqrt|t| when one factor is a sine (S/sqrt|t| = s) and by t when over_t (sign(t) S Sh/t =
+# s sh), then by the endpoint root (0: none, 1: sqrt(1-t), 2: sqrt((1-t)(a+t))), times const
 _Distinguished = namedtuple("_Distinguished", "N M sine_pos sine_neg over_t endpoint const")
 _C2 = 2.0 / math.sqrt(math.pi)
 _C2PI = math.sqrt(2.0 / math.pi)
@@ -239,25 +237,25 @@ def explicit_eval(spec: WeightSpec, t):
     a = spec.a
     tt = _check_domain(t, a)
     d = _distinguished(spec, check=False)
-    C, S, Ch, Sh = continued_block(tt, d.N, d.M, a)
-    X, Y = (S if d.sine_pos else C), (Sh if d.sine_neg else Ch)
+    C, s, Ch, sh = continued_block(tt, d.N, d.M, a)
+    X, Y = (s if d.sine_pos else C), (sh if d.sine_neg else Ch)
     one_minus, a_plus = 1.0 - tt, a + tt
     # The endpoint root divides a sine of even degree K, which vanishes there: a removable
     # 0/0, sin(K theta)/cos(theta) -> -K cos(K pi/2) at theta = pi/2, with theta = asin sqrt t
     # and sqrt(1 - t) = cos(theta) at t = 1, or theta = asin sqrt(-t/a) and
-    # sqrt(a + t) = sqrt(a) cos(theta) at t = -a; the root's factor becomes 1 there.
+    # sqrt(a + t) = sqrt(a) cos(theta) at t = -a, where sh = sin(K theta)/sqrt(a); the root's
+    # factor becomes 1 there.
     if d.endpoint and d.N % 2 == 0:
         top = tt == 1.0
         X = np.where(top, -d.N * math.cos(d.N * math.pi / 2), X)
         one_minus = np.where(top, 1.0, one_minus)
     if d.endpoint == 2 and d.M % 2 == 0:
         bottom = tt == -a
-        Y = np.where(bottom, -d.M * math.cos(d.M * math.pi / 2) / math.sqrt(a), Y)
+        Y = np.where(bottom, -d.M * math.cos(d.M * math.pi / 2) / a, Y)
         a_plus = np.where(bottom, 1.0, a_plus)
-    val = (np.sign(tt) * X if d.sine_pos and d.sine_neg else X) * Y
-    if d.over_t or d.sine_pos != d.sine_neg:
-        den = tt if d.over_t else np.sqrt(np.abs(tt))
-        val = series_guard(tt, val, den, *block_series(d.N, d.M, a, d.sine_pos, d.sine_neg))
+    val = X * Y
+    if d.sine_pos and d.sine_neg and not d.over_t:
+        val = tt * val  # sign(t) S Sh = t s sh
     out = d.const * val
     if d.endpoint:
         out = out / np.sqrt(one_minus * a_plus if d.endpoint == 2 else one_minus)
@@ -265,8 +263,8 @@ def explicit_eval(spec: WeightSpec, t):
 
 
 def _ladder(spec: WeightSpec):
-    """(zero, rungs): whether t = 0 is a root of `_distinguished` (sign(t) S Sh not divided
-    by t), and its roots in (-a, 1) of the two factors as rungs (t, N, M, k, s) with
+    """(zero, rungs): whether t = 0 is a root of `_distinguished` (t s sh, two sines not
+    divided by t), and its roots in (-a, 1) of the two factors as rungs (t, N, M, k, s) with
     s = `_rung_sine`(k, N), k even for S and odd for C: t = s^2 at the degree N of the
     first factor, t = -a s^2 at that of the second; M is the other factor's degree."""
     d = _distinguished(spec)

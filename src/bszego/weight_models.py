@@ -2,7 +2,7 @@
 
 The basic building block is
 
-    rho_a(t) = cos(2n asin sqrt(t)) + cosh(2m asinh sqrt(t/a)),
+    rho_a(t) = cos(2n asin sqrt(t)) + cosh(2m asinh sqrt(t/a)) = cos 2x + cosh 2y,
 
 a polynomial in t equal to T_n(1-2t) + T_m(1+2t/a).  The cosh-minus-cos
 family divides the difference by t (removable singularity at 0), and the
@@ -19,15 +19,17 @@ root finding.
 
 Negative t is always handled by the explicit real continuations
 asin(sqrt(t)) = i asinh(sqrt(-t)) and asinh(sqrt(t/a)) = i asin(sqrt(-t/a)),
-never by complex square roots.  They are written once, in `continued_block`,
-which returns the four factors cos, sin, cosh, sinh of the block on both sides
-of t = 0; `series_guard` swaps a quotient by t or sqrt|t| for its two-term
-Taylor series near t = 0, and `block_series` gives that series for any
-product of two factors from the one-factor expansions.  Every closed form in
-the package (rho, xi/eta, the explicit orthonormal polynomials, the circle
-samples of the factor) is built from these.  The rho quotient `_rho_cmc`
-evaluates a difference of Chebyshev polynomials, but reads its series from
-`block_series` too: it is 2 [(S/sqrt|t|)^2 + (Sh/sqrt|t|)^2].
+never by complex square roots.  They are written once, in `_block_angles`,
+which gives the block's trigonometric angle x and hyperbolic angle y on both
+sides of t = 0.  Every block factor is an entire function of t:
+`continued_block` returns cos, sin/sqrt|t|, cosh and sinh/sqrt|t|, and the
+two quotients take their limits at t = 0, the one removable point, in
+`_sines_over_root`.  Every other closed form in the package (xi/eta, the
+explicit orthonormal polynomials, the circle samples of the factor) is a
+product of these, with no sign(t) and no division by t.  rho's blocks are sums
+of squares of the two angles' functions, in which no term cancels:
+cos 2x + cosh 2y = 2(cos^2 x + sinh^2 y), and the quotient block
+(cosh 2y - cos 2x)/|t| is 2((sin x/sqrt|t|)^2 + (sinh y/sqrt|t|)^2).
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, FactorizationResidual, ParityError, RootInDisk, SymmetryViolation
-from .poly_core import RealPolynomial, cheb_T
+from .poly_core import RealPolynomial
 
 __all__ = [
     "Family",
@@ -49,14 +51,11 @@ __all__ = [
     "rho_eval",
     "xi_eta_eval",
     "continued_block",
-    "series_guard",
-    "block_series",
     "expected_rho_degree",
     "build_szego_factor",
     "weight_base",
 ]
 
-_SERIES_RADIUS = 1e-6
 _PARAM_CAP = 64
 _SYMMETRY_TOL = 1e-9  # of max|sample|: the conjugate symmetry bound
 _RESIDUAL_POINTS = 512  # theta_k = k pi/511: the first half of the 1022nd roots of unity
@@ -80,7 +79,7 @@ class MeasureFactor(enum.Enum):
 
 # rho of each family is the product of its blocks.  A block (quotient, second) is
 # T_n(1-2t) + T_m(1+2t/a), or (T_m(1+2t/a) - T_n(1-2t))/t when quotient, with m'
-# in place of m when second.
+# in place of m when second (`_rho_block`).
 _BLOCKS = {
     Family.CosPlusCosh: ((False, False),),
     Family.SquaredCosPlusCosh: ((False, False), (False, False)),
@@ -136,66 +135,57 @@ def _check_domain(t, a):
     return np.minimum(np.maximum(t, -a), 1.0)  # np.clip, at half the cost on short arrays
 
 
-def _rho_cpc(t, n, m, a):
-    return cheb_T(n, 1.0 - 2.0 * t) + cheb_T(m, 1.0 + 2.0 * t / a)
+def _block_angles(t, n, m, a):
+    """The block's trigonometric angle x and hyperbolic angle y, real on both sides of t = 0.
+
+    x = n asin sqrt t and y = m asinh sqrt(t/a) for t >= 0; x = m asin sqrt(-t/a) and
+    y = n asinh sqrt(-t) for t < 0.  So cos(2n asin sqrt t) + cosh(2m asinh sqrt(t/a)) is
+    cos 2x + cosh 2y on both sides, and their difference is cosh 2y - cos 2x times sign(t).
+    """
+    t = np.asarray(t, dtype=float)
+    x, y = np.empty_like(t), np.empty_like(t)
+    pos = t >= 0.0
+    tp, tn = t[pos], t[~pos]
+    x[pos], y[pos] = n * np.arcsin(np.sqrt(tp)), m * np.arcsinh(np.sqrt(tp / a))
+    x[~pos] = m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))
+    y[~pos] = n * np.arcsinh(np.sqrt(-tn))
+    return x, y
+
+
+def _sines_over_root(t, x, y, n, m, a):
+    """(sin x/sqrt|t|, sinh y/sqrt|t|) for the angles of `_block_angles`: entire in t, with
+    their limits n and m/sqrt(a) (those of t >= 0) taken at t = 0, the one removable point."""
+    zero = t == 0.0
+    root = np.where(zero, 1.0, np.sqrt(np.abs(t)))
+    return (np.where(zero, n, np.sin(x) / root),
+            np.where(zero, m / math.sqrt(a), np.sinh(y) / root))
 
 
 def continued_block(t, n, m, a):
-    """The factors (C, S, Ch, Sh) of the block, continued to t < 0.
+    """The factors (C, s, Ch, sh) of the block, continued to t < 0: entire functions of t.
 
     For t >= 0, with A = n asin sqrt t and B = m asinh sqrt(t/a), they are
-    (cos A, sin A, cosh B, sinh B).  For t < 0, with Q = n asinh sqrt(-t) and
-    P = m asin sqrt(min(-t/a, 1)), they are (cosh Q, sinh Q, cos P, sin P).
-    So cos(n asin sqrt t) cosh(m asinh sqrt(t/a)) = C Ch on both sides,
-    sin(n asin sqrt t) sinh(m asinh sqrt(t/a)) = sign(t) S Sh, and
-    sin(n asin sqrt t)/sqrt t = S/sqrt|t|, likewise for Sh.
+    (cos A, sin A/sqrt t, cosh B, sinh B/sqrt t).  For t < 0, with Q = n asinh sqrt(-t)
+    and P = m asin sqrt(min(-t/a, 1)), they are (cosh Q, sinh Q/sqrt|t|, cos P,
+    sin P/sqrt|t|).  So cos(n asin sqrt t) cosh(m asinh sqrt(t/a)) = C Ch on both sides,
+    sin(n asin sqrt t) sinh(m asinh sqrt(t/a)) = t s sh, and
+    sin(n asin sqrt t)/sqrt t = s, likewise sh; s(0) = n and sh(0) = m/sqrt(a).
     """
     t = np.asarray(t, dtype=float)
-    C, S, Ch, Sh = (np.empty_like(t) for _ in range(4))
+    x, y = _block_angles(t, n, m, a)
+    sx, shy = _sines_over_root(t, x, y, n, m, a)
+    cx, chy = np.cos(x), np.cosh(y)
     pos = t >= 0.0
-    tp, tn = t[pos], t[~pos]
-    A = n * np.arcsin(np.sqrt(tp))
-    B = m * np.arcsinh(np.sqrt(tp / a))
-    C[pos], S[pos], Ch[pos], Sh[pos] = np.cos(A), np.sin(A), np.cosh(B), np.sinh(B)
-    Q = n * np.arcsinh(np.sqrt(-tn))
-    P = m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))
-    C[~pos], S[~pos], Ch[~pos], Sh[~pos] = np.cosh(Q), np.sinh(Q), np.cos(P), np.sin(P)
-    return C, S, Ch, Sh
+    return (np.where(pos, cx, chy), np.where(pos, sx, shy),
+            np.where(pos, chy, cx), np.where(pos, shy, sx))
 
 
-def series_guard(t, num, den, c0, c1):
-    """num/den, or the two-term Taylor series c0 + c1 t where |t| < 1e-6.
-
-    Near t = 0 the quotient of a removable singularity cancels; the caller
-    supplies its own series coefficients.
-    """
-    t = np.asarray(t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(t) < _SERIES_RADIUS, c0 + c1 * t, num / den)
-
-
-def block_series(N, M, a, sine_pos, sine_neg):
-    """(c0, c1) with X Y / sqrt|t|^(sine_pos + sine_neg) = c0 + c1 t + O(t^2) on both sides
-    of t = 0, for X = S or C of `continued_block` at N and Y = Sh or Ch at M: the product
-    of S/sqrt|t| = N (1 + (1 - N^2) t/6), C = 1 - N^2 t/2,
-    Sh/sqrt|t| = (M/sqrt a)(1 + (M^2 - 1) t/(6a)) and Ch = 1 + M^2 t/(2a)."""
-    c0 = (N if sine_pos else 1.0) * (M if sine_neg else 1.0) / (math.sqrt(a) if sine_neg else 1.0)
-    slope_pos = (1.0 - N * N) / 6.0 if sine_pos else -(N * N / 2.0)
-    slope_neg = (M * M - 1.0) / (6.0 * a) if sine_neg else M * M / (2.0 * a)
-    return c0, c0 * (slope_pos + slope_neg)
-
-
-def _rho_cmc(t, n, m, a):
-    """(cosh(2m asinh sqrt(t/a)) - cos(2n asin sqrt(t))) / t with series fallback.
-
-    Direct evaluation cancels catastrophically near t = 0; below |t| < 1e-6 a
-    two-term Taylor series keeps the relative error under 1e-12; it is that of
-    2 [(S/sqrt|t|)^2 + (Sh/sqrt|t|)^2], S at n and Sh at m, from `block_series`.
-    """
-    diff = cheb_T(m, 1.0 + 2.0 * t / a) - cheb_T(n, 1.0 - 2.0 * t)
-    s0, s1 = block_series(n, 0, a, True, False)
-    h0, h1 = block_series(0, m, a, False, True)
-    return series_guard(t, diff, t, 2.0 * (s0 * s0 + h0 * h0), 4.0 * (s0 * s1 + h0 * h1))
+def _rho_block(t, n, m, a, quotient):
+    """One block of rho as a sum of squares: the plus block 2(cos^2 x + sinh^2 y), the
+    quotient block 2((sin x/sqrt|t|)^2 + (sinh y/sqrt|t|)^2), 2(n^2 + m^2/a) at t = 0."""
+    x, y = _block_angles(t, n, m, a)
+    u, v = _sines_over_root(t, x, y, n, m, a) if quotient else (np.cos(x), np.sinh(y))
+    return 2.0 * (u * u + v * v)
 
 
 def rho_eval(spec: WeightSpec, t):
@@ -204,8 +194,8 @@ def rho_eval(spec: WeightSpec, t):
     blocks = _BLOCKS[spec.family]
     values = {}  # each distinct block once
     for quotient, second in set(blocks):
-        block = _rho_cmc if quotient else _rho_cpc
-        values[quotient, second] = block(tt, spec.n, spec.m_prime if second else spec.m, spec.a)
+        mm = spec.m_prime if second else spec.m
+        values[quotient, second] = _rho_block(tt, spec.n, mm, spec.a, quotient)
     out = 1.0
     for block in blocks:  # a running product: the squared family's x * x, bit for bit
         out = out * values[block]
@@ -220,12 +210,12 @@ def xi_eta_eval(spec: WeightSpec, t):
     for t < 0 the real continuations are
     xi_a = cos(m asin sqrt(-t/a)) cosh(n asinh sqrt(-t)),
     eta_a = -sin(m asin sqrt(-t/a)) sinh(n asinh sqrt(-t)).
-    Satisfies 2(xi^2 + eta^2) = rho_a identically.
+    Satisfies 2(xi^2 + eta^2) = rho_a identically.  eta is t s sh of `continued_block`.
     """
     tt = _check_domain(t, spec.a)
-    C, S, Ch, Sh = continued_block(tt, spec.n, spec.m, spec.a)
+    C, s, Ch, sh = continued_block(tt, spec.n, spec.m, spec.a)
     xi = C * Ch
-    eta = np.sign(tt) * S * Sh
+    eta = tt * s * sh
     if np.ndim(t):
         return xi, eta
     return float(xi[0]), float(eta[0])
@@ -268,20 +258,14 @@ def _one_block(spec: WeightSpec, what: str) -> bool:
 
 def _circle_form(spec: WeightSpec, t):
     """(q, c, G) with h(e^{i theta}) = c e^{i q theta / 2} G(t) for theta in [0, pi]:
-    G = xi + i eta, q = n + m for cos-plus-cosh, G = sqrt(2/|t|) (S Ch - i C Sh),
+    G = xi + i eta, q = n + m for cos-plus-cosh, G = s Ch - i C sh of `continued_block`,
     q = n + m - 1 for the quotient family; c is a constant."""
     quotient = _one_block(spec, "circle sampling formula")
     n, m, a = spec.n, spec.m, spec.a
-    C, S, Ch, Sh = continued_block(t, n, m, a)
+    C, s, Ch, sh = continued_block(t, n, m, a)
     if not quotient:
-        return n + m, (1j ** (-n)) * np.sqrt(2.0), C * Ch + 1j * (np.sign(t) * S * Sh)
-    # sqrt(2/t) sin(n asin sqrt t - i m asinh sqrt(t/a)) is an even
-    # function of sqrt(t): analytic across t = 0 with this limit.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F = np.sqrt(2.0 / np.abs(t)) * (S * Ch - 1j * C * Sh)
-    c0 = block_series(n, m, a, True, False)[0] - 1j * block_series(n, m, a, False, True)[0]
-    F = series_guard(t, F, 1.0, np.sqrt(2.0) * c0, 0.0)  # the constant term only
-    return n + m - 1, 1j ** (1 - n), F
+        return n + m, (1j ** (-n)) * np.sqrt(2.0), C * Ch + 1j * (t * s * sh)
+    return n + m - 1, (1j ** (1 - n)) * np.sqrt(2.0), s * Ch - 1j * (C * sh)
 
 
 def _circle_t(theta, a):

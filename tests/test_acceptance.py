@@ -185,6 +185,15 @@ def test_full_sweep_record_counts():
     assert all(r.error is None for r in records)
 
 
+@pytest.mark.parametrize("n, m", [(1, 63), (63, 1)])
+def test_quad1_cap_cells_at_a_one_pass(n, m):
+    # outside the default grid: with rho a sum of squares, 1/rho has relative accuracy
+    # where rho dips to its minimum, and the oracle settles these cells
+    grid = {"n": [n], "m": [m], "a": [1.0], "n_plus_m_max": 64}
+    (record,) = _run_verify("quad1", grids={"quad1": grid})
+    assert record.passed and record.error is None, record
+
+
 def test_cell_whose_integral_never_settles_fails_in_bounded_memory():
     # the kernel integrand at (1, 31, 1) never settles: bisection must stop at
     # its panel budget with one NoConvergence record, not grow its point

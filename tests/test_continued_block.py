@@ -1,11 +1,17 @@
-"""The t < 0 continuation of the block cos(n asin sqrt t), cosh(m asinh sqrt(t/a)).
+"""The block cos(n asin sqrt t), cosh(m asinh sqrt(t/a)) and every closed form built on it.
 
-The reference functions below write the branch t >= 0 / t < 0 and the series
-mask out by hand at each use, as independent copies of what `continued_block`
-and `series_guard` compute.  The library must agree with them bit for bit
-outside the series band |t| < 1e-6; inside it, 1e-15 relative, because the
-library folds each series into c0 + c1 t, which may round the last bit
-differently from the c0 (1 + c t) written here.
+`continued_block` gives the block's four factors as entire functions of t,
+on both sides of t = 0, and rho's blocks are sums of squares of the two
+angles' functions.  Their values, and those of xi/eta, the factor's circle
+samples and the explicit orthonormal polynomials, are checked against the
+40-digit mpmath reference of `mp_reference.py` (block factors from complex
+asin and asinh, rho from Chebyshev polynomials), on the same `PAIRS` x
+`A_VALUES` x `t_grid` inputs.  Each
+bound is relative: to |xi| + |eta|, to |rho| or |h|, which have no zeros, or,
+for a product of block factors, which has, to the same product with each
+factor replaced by its pair's |C| + |s| or |Ch| + |sh|.  The known roots are
+pinned bit for bit against a hand-written copy, and the last section keeps
+the continuation, the root ladders and the rules written once.
 """
 import ast
 import math
@@ -16,9 +22,9 @@ import mpmath
 import numpy as np
 import pytest
 
+import mp_reference as ref
 from bszego import quadrature, suites, szego_polys, weight_models
 from bszego.errors import FactorizationResidual, ParityError
-from bszego.poly_core import cheb_T
 from bszego.szego_polys import explicit_eval
 from bszego.weight_models import (
     Family,
@@ -26,183 +32,150 @@ from bszego.weight_models import (
     WeightSpec,
     build_szego_factor,
     continued_block,
-    series_guard,
+    rho_eval,
     xi_eta_eval,
 )
 
-_R = 1e-6
 A_VALUES = [0.5, 1.1434609861934242, 2.0]
 PAIRS = [(1, 1), (1, 2), (2, 1), (3, 5), (4, 6), (5, 2), (6, 3), (7, 9), (12, 7), (31, 33)]
 
 
 def t_grid(a, size=200):
     rng = np.random.default_rng([20240718, int(a * 1e6)])
-    special = [-a, -_R, -1e-7, 0.0, 1e-7, _R, 1.0]
+    special = [-a, -1e-6, -1e-7, 0.0, 1e-7, 1e-6, 1.0]
     return np.sort(np.concatenate([special, rng.uniform(-a, 1.0, size)]))
 
 
-def assert_same(new, old, t):
-    """Equal bits outside the series band, 1e-15 relative inside it."""
-    band = np.abs(t) < _R
-    assert np.array_equal(new[~band], old[~band], equal_nan=True)
-    assert np.all(np.abs(new[band] - old[band]) <= 1e-15 * np.abs(old[band]))
+def assert_within(got, want, scale, bound):
+    """|got - want| <= bound * scale, where a zero scale (t s sh at t = 0) needs got == want."""
+    with np.errstate(invalid="ignore"):
+        err = np.where(got == want, 0.0, np.abs(got - want) / scale)
+    assert np.all(err <= bound), (float(np.max(err)), int(np.argmax(err)))
 
 
 # ---------------------------------------------------------------------------
-# the hand-written copies the helper replaced
+# the closed forms against the 40-digit reference
 
 
-def ref_xi_eta(spec, t):
-    n, m, a = spec.n, spec.m, spec.a
-    tt = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), -a, 1.0)
-    xi = np.empty_like(tt)
-    eta = np.empty_like(tt)
-    pos = tt >= 0.0
-    tp = tt[pos]
-    A = n * np.arcsin(np.sqrt(tp))
-    B = m * np.arcsinh(np.sqrt(tp / a))
-    xi[pos] = np.cos(A) * np.cosh(B)
-    eta[pos] = np.sin(A) * np.sinh(B)
-    tn = tt[~pos]
-    P = m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))
-    Q = n * np.arcsinh(np.sqrt(-tn))
-    xi[~pos] = np.cos(P) * np.cosh(Q)
-    eta[~pos] = -np.sin(P) * np.sinh(Q)
-    return xi, eta
+@pytest.mark.parametrize("a", A_VALUES)
+@pytest.mark.parametrize("n, m", PAIRS)
+def test_xi_eta_against_reference(n, m, a):
+    t = t_grid(a)
+    xi, eta = xi_eta_eval(WeightSpec(n, m, a), t)
+    want_xi, want_eta = ref.xi_eta(t, n, m, a)
+    scale = np.abs(want_xi) + np.abs(want_eta)
+    assert_within(xi, want_xi, scale, 1e-13)
+    assert_within(eta, want_eta, scale, 1e-13)
 
 
-def ref_rho_cmc(t, n, m, a):
-    out = np.empty_like(t)
-    small = np.abs(t) < _R
-    ts = t[small]
-    out[small] = (
-        2.0 * (m * m / a + n * n)
-        + (2.0 * ts / 3.0) * ((m ** 4 - m * m) / (a * a) - (n ** 4 - n * n))
-    )
-    tb = t[~small]
-    out[~small] = (cheb_T(m, 1.0 + 2.0 * tb / a) - cheb_T(n, 1.0 - 2.0 * tb)) / tb
-    return out
+@pytest.mark.parametrize("a", A_VALUES)
+@pytest.mark.parametrize("n, m", PAIRS)
+def test_rho_quotient_against_reference(n, m, a):
+    t = t_grid(a)
+    want = ref.rho_block(t, n, m, a, True)
+    assert_within(rho_eval(WeightSpec(n, m, a, Family.CoshMinusCosOverT), t), want, want, 5e-14)
 
 
-def ref_theta_grid_samples(spec, n_samples):
-    n, m, a = spec.n, spec.m, spec.a
-    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    upper = theta <= np.pi + 1e-15
-    th = theta[upper]
-    t = np.clip(0.5 * ((1.0 - a) + (1.0 + a) * np.cos(th)), -a, 1.0)
-    if spec.family is Family.CosPlusCosh:
-        xi, eta = ref_xi_eta(spec, t)
-        phase = (1j ** (-n)) * np.exp(1j * (n + m) * th / 2.0)
-        vals_upper = phase * np.sqrt(2.0) * (xi + 1j * eta)
-    else:
-        F = np.empty(len(th), dtype=complex)
-        pos = t > _R
-        tp = t[pos]
-        A = n * np.arcsin(np.sqrt(tp))
-        B = m * np.arcsinh(np.sqrt(tp / a))
-        F[pos] = np.sqrt(2.0 / tp) * (np.sin(A) * np.cosh(B) - 1j * np.cos(A) * np.sinh(B))
-        neg = t < -_R
-        tn = t[neg]
-        P = m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))
-        Q = n * np.arcsinh(np.sqrt(-tn))
-        F[neg] = np.sqrt(-2.0 / tn) * (np.cos(P) * np.sinh(Q) - 1j * np.sin(P) * np.cosh(Q))
-        mid = ~(pos | neg)
-        F[mid] = np.sqrt(2.0) * ((n - 1j * m / np.sqrt(a)) + t[mid] * 0.0)
-        phase = (1j ** (1 - n)) * np.exp(1j * (n + m - 1) * th / 2.0)
-        vals_upper = phase * F
-    vals = np.empty(n_samples, dtype=complex)
-    vals[upper] = vals_upper
-    idx = np.arange(n_samples)[~upper]
-    vals[idx] = np.conj(vals[n_samples - idx])
-    return vals
+@pytest.mark.parametrize("a", A_VALUES)
+@pytest.mark.parametrize("family", [Family.CosPlusCosh, Family.CoshMinusCosOverT])
+@pytest.mark.parametrize("n, m", PAIRS)
+def test_theta_grid_samples_against_reference(n, m, a, family):
+    spec = WeightSpec(n, m, a, family)
+    # theta_k = 2 pi k/N: the grids of 8 and 64 samples are every 32nd and 4th of 256's,
+    # the same floats, so the reference is taken once, on the upper half of 256
+    theta = 2.0 * np.pi * np.arange(129) / 256
+    reference = ref.circle_samples(theta, weight_models._circle_t(theta, a), n, m, a,
+                                   family is not Family.CosPlusCosh)
+    for n_samples in (8, 64, 256):
+        got = weight_models._theta_grid_samples(spec, n_samples)
+        theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
+        upper = theta <= np.pi + 1e-15
+        t = weight_models._circle_t(theta[upper], a)
+        want = reference[:: 256 // n_samples]
+        # where t rounds to an ulp inside an end, asin sqrt turns the rounding of t/a or
+        # of sqrt t into an angle error of sqrt(eps): the endpoint defect of ROADMAP item 5
+        off_end = ((np.abs(t + a) <= 4e-16 * a) & (t != -a)) | ((1.0 - t <= 4e-16) & (t != 1.0))
+        assert_within(got[upper][~off_end], want[~off_end], np.abs(want[~off_end]), 3e-13)
+        assert_within(got[upper][off_end], want[off_end], np.abs(want[off_end]), 1e-8 * (n + m))
+        # the samples on (pi, 2 pi) are the exact conjugates of those on (0, pi)
+        idx = np.flatnonzero(~upper)
+        assert np.array_equal(got[idx], np.conj(got[n_samples - idx]))
 
 
-def ref_sin2n_sinhM_over(t, n, M, a, t_power, series_const, series_slope):
-    out = np.empty_like(t)
-    small = np.abs(t) < (_R if t_power else -1.0)
-    pos = (t >= 0) & ~small
-    tp = t[pos]
-    out[pos] = (
-        np.sin(2.0 * n * np.arcsin(np.sqrt(tp)))
-        * np.sinh(M * np.arcsinh(np.sqrt(tp / a)))
-        / tp ** t_power
-    )
-    neg = (t < 0) & ~small
-    tn = t[neg]
-    out[neg] = (
-        -np.sinh(2.0 * n * np.arcsinh(np.sqrt(-tn)))
-        * np.sin(M * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0))))
-        / tn ** t_power
-    )
-    out[small] = series_const * (1.0 + series_slope * t[small])
-    return out
+@pytest.mark.parametrize("a", A_VALUES)
+@pytest.mark.parametrize("n, M", [(1, 2), (2, 4), (3, 8), (5, 6), (16, 30)])
+def test_sin2n_sinhM_products_against_reference(n, M, a):
+    # sin(2n asin sqrt t) sinh(M asinh sqrt(t/a)), bare and over t, as the square suite
+    # and the product families write them: t s sh and s sh
+    t = t_grid(a)
+    _, s, _, sh = continued_block(t, 2 * n, M, a)
+    over_t, scale = ref.product(t, 2 * n, M, a, True, True, False)
+    assert_within(s * sh, over_t, scale, 5e-14)
+    assert_within(t * s * sh, t * over_t, np.abs(t) * scale, 5e-14)
 
 
-def ref_explicit_eval(spec, t):
-    n, m, a = spec.n, spec.m, spec.a
-    fam, mf = spec.family, spec.measure_factor
-    c2pi = math.sqrt(2.0 / math.pi)
-    if fam is Family.CosPlusCosh and mf is MeasureFactor.InvSqrtBoth:
-        xi, eta = ref_xi_eta(spec, t)
-        return (2.0 / math.sqrt(math.pi)) * (eta if n % 2 == 1 else xi)
-    if fam is Family.CosPlusCosh and mf is MeasureFactor.SqrtBoth:
-        eta = ref_xi_eta(spec, t)[1]
-        return (2.0 / math.sqrt(math.pi)) * eta / np.sqrt((1.0 - t) * (a + t))
-    if fam is Family.SquaredCosPlusCosh:
-        val = ref_sin2n_sinhM_over(t, n, 2 * m, a, 0, 0.0, 0.0)
-        return c2pi * val / np.sqrt((1.0 - t) * (a + t))
-    if fam is Family.CoshMinusCosOverT:
-        out = np.empty_like(t)
-        small = np.abs(t) < _R
-        pos = (t >= 0) & ~small
-        neg = (t < 0) & ~small
-        tp, tn, ts = t[pos], t[neg], t[small]
-        if n % 2 == 1:
-            out[pos] = (
-                np.sin(n * np.arcsin(np.sqrt(tp)))
-                * np.cosh(m * np.arcsinh(np.sqrt(tp / a))) / np.sqrt(tp)
-            )
-            out[neg] = (
-                np.sinh(n * np.arcsinh(np.sqrt(-tn)))
-                * np.cos(m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))) / np.sqrt(-tn)
-            )
-            out[small] = n * (1.0 + ts * ((1.0 - n * n) / 6.0 + m * m / (2.0 * a)))
-        else:
-            out[pos] = (
-                np.cos(n * np.arcsin(np.sqrt(tp)))
-                * np.sinh(m * np.arcsinh(np.sqrt(tp / a))) / np.sqrt(tp)
-            )
-            out[neg] = (
-                np.cosh(n * np.arcsinh(np.sqrt(-tn)))
-                * np.sin(m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))) / np.sqrt(-tn)
-            )
-            out[small] = (m / math.sqrt(a)) * (
-                1.0 + ts * ((m * m - 1.0) / (6.0 * a) - n * n / 2.0)
-            )
-        return (2.0 / math.sqrt(math.pi)) * out
-    M = m + spec.m_prime
-    if fam is Family.ProductCosPlusCosh:
-        val = ref_sin2n_sinhM_over(t, n, M, a, 0, 0.0, 0.0)
-        return c2pi * val / np.sqrt((1.0 - t) * (a + t))
-    if fam is Family.ProductCoshMinusCos:
-        slope = (1.0 - 4.0 * n * n) / 6.0 + (M * M - 1.0) / (6.0 * a)
-        val = ref_sin2n_sinhM_over(t, n, M, a, 1, 2.0 * n * M / math.sqrt(a), slope)
-        return c2pi * val / np.sqrt((1.0 - t) * (a + t))
-    out = np.empty_like(t)
-    small = np.abs(t) < _R
-    pos = (t >= 0) & ~small
-    neg = (t < 0) & ~small
-    tp, tn, ts = t[pos], t[neg], t[small]
-    out[pos] = (
-        np.sin(2.0 * n * np.arcsin(np.sqrt(tp)))
-        * np.cosh(M * np.arcsinh(np.sqrt(tp / a))) / np.sqrt(tp)
-    )
-    out[neg] = (
-        np.sinh(2.0 * n * np.arcsinh(np.sqrt(-tn)))
-        * np.cos(M * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))) / np.sqrt(-tn)
-    )
-    out[small] = 2.0 * n * (1.0 + ts * ((1.0 - 4.0 * n * n) / 6.0 + M * M / (2.0 * a)))
-    return c2pi * out / np.sqrt(1.0 - t)
+def explicit_specs(a):
+    for n, m in PAIRS:
+        yield WeightSpec(n, m, a)
+        yield WeightSpec(n, m, a, measure_factor=MeasureFactor.SqrtBoth)
+        yield WeightSpec(n, m, a, Family.SquaredCosPlusCosh, MeasureFactor.SqrtBoth)
+        yield WeightSpec(n, m, a, Family.CoshMinusCosOverT)
+    for n, m, mp in [(1, 1, 1), (2, 3, 5), (3, 4, 2), (5, 7, 9), (8, 20, 10)]:
+        yield WeightSpec(n, m, a, Family.ProductCosPlusCosh, MeasureFactor.SqrtBoth, mp)
+        yield WeightSpec(n, m, a, Family.ProductCoshMinusCos, MeasureFactor.SqrtBoth, mp)
+        yield WeightSpec(n, m, a, Family.MixedPlusMinus, MeasureFactor.SqrtRatio, mp)
+
+
+def ref_explicit(spec, t):
+    """The reference's values and scales of the family's polynomial at each t."""
+    return ref.explicit(t, spec.family.value, spec.measure_factor.value, spec.n, spec.m,
+                        spec.a, spec.m_prime)
+
+
+@pytest.mark.parametrize("a", A_VALUES)
+def test_explicit_eval_against_reference(a):
+    t = t_grid(a)
+    specs = list(explicit_specs(a))
+    assert {s.family for s in specs} == set(Family)
+    for spec in specs:
+        with np.errstate(divide="ignore", invalid="ignore"):  # sqrt kernel is 0 at both ends
+            got = explicit_eval(spec, t)
+        want, scale = ref_explicit(spec, t)
+        # a pole where the endpoint root divides a factor that does not vanish, at the
+        # two ends only; where it does vanish, both sides take the limit
+        pole = np.isinf(want)
+        assert np.all((t[pole] == -a) | (t[pole] == 1.0))
+        assert np.all(np.isinf(got[pole]))
+        assert_within(got[~pole], want[~pole], scale[~pole], 5e-14)
+
+
+def _explicit_coeffs(spec):
+    try:
+        return szego_polys.explicit_family(spec).poly.coeffs
+    except (ParityError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("a", A_VALUES)
+def test_explicit_family_against_reference(a, monkeypatch):
+    # the coefficients come from one probe evaluation of explicit_eval, so with the
+    # reference's value at the probe they are the same up to that value's rounding
+    specs = list(explicit_specs(a))
+    got = [_explicit_coeffs(spec) for spec in specs]
+    monkeypatch.setattr(szego_polys, "explicit_eval",
+                        lambda spec, t: ref_explicit(spec, t)[0])
+    want = [_explicit_coeffs(spec) for spec in specs]
+    for g, w in zip(got, want):
+        if isinstance(w, str):
+            assert g == w
+        else:  # c_k is the lead's; the fit rounds the rest to about eps sum |c_j|
+            assert abs(g[-1] - w[-1]) <= 5e-14 * abs(w[-1])
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.sum(np.abs(w))
+    assert sum(not isinstance(w, str) for w in want) > len(want) // 2
+
+
+# ---------------------------------------------------------------------------
+# the known roots against a hand-written copy
 
 
 def ref_explicit_roots(spec):
@@ -261,97 +234,6 @@ def ref_explicit_roots(spec):
     raise ParityError(f"no explicit polynomial for {fam} with {mf}")
 
 
-# ---------------------------------------------------------------------------
-# the rewrite agrees with the copies
-
-
-@pytest.mark.parametrize("a", A_VALUES)
-@pytest.mark.parametrize("n, m", PAIRS)
-def test_xi_eta_unchanged(n, m, a):
-    t = t_grid(a)
-    spec = WeightSpec(n, m, a)
-    for new, old in zip(xi_eta_eval(spec, t), ref_xi_eta(spec, t)):
-        assert np.array_equal(new, old)
-
-
-@pytest.mark.parametrize("a", A_VALUES)
-@pytest.mark.parametrize("n, m", PAIRS)
-def test_rho_cmc_unchanged(n, m, a):
-    t = t_grid(a)
-    spec = WeightSpec(n, m, a, Family.CoshMinusCosOverT)
-    assert_same(weight_models.rho_eval(spec, t), ref_rho_cmc(t, n, m, a), t)
-
-
-@pytest.mark.parametrize("a", A_VALUES)
-@pytest.mark.parametrize("family", [Family.CosPlusCosh, Family.CoshMinusCosOverT])
-@pytest.mark.parametrize("n, m", PAIRS)
-def test_theta_grid_samples_unchanged(n, m, a, family):
-    spec = WeightSpec(n, m, a, family)
-    for n_samples in (8, 64, 256):
-        new = weight_models._theta_grid_samples(spec, n_samples)
-        assert np.array_equal(new, ref_theta_grid_samples(spec, n_samples))
-
-
-@pytest.mark.parametrize("a", A_VALUES)
-@pytest.mark.parametrize("n, M", [(1, 2), (2, 4), (3, 8), (5, 6), (16, 30)])
-def test_sin2n_sinhM_products_unchanged(n, M, a):
-    # sin(2n asin sqrt t) sinh(M asinh sqrt(t/a)), bare and over t, as the
-    # square suite and the product families now write them
-    t = t_grid(a)
-    _, S, _, Sh = continued_block(t, 2 * n, M, a)
-    plain = np.sign(t) * S * Sh
-    assert np.array_equal(plain, ref_sin2n_sinhM_over(t, n, M, a, 0, 0.0, 0.0))
-    c0 = 2.0 * n * M / math.sqrt(a)
-    slope = (1.0 - 4.0 * n * n) / 6.0 + (M * M - 1.0) / (6.0 * a)
-    assert_same(series_guard(t, plain, t, c0, c0 * slope),
-                ref_sin2n_sinhM_over(t, n, M, a, 1, c0, slope), t)
-
-
-def explicit_specs(a):
-    for n, m in PAIRS:
-        yield WeightSpec(n, m, a)
-        yield WeightSpec(n, m, a, measure_factor=MeasureFactor.SqrtBoth)
-        yield WeightSpec(n, m, a, Family.SquaredCosPlusCosh, MeasureFactor.SqrtBoth)
-        yield WeightSpec(n, m, a, Family.CoshMinusCosOverT)
-    for n, m, mp in [(1, 1, 1), (2, 3, 5), (3, 4, 2), (5, 7, 9), (8, 20, 10)]:
-        yield WeightSpec(n, m, a, Family.ProductCosPlusCosh, MeasureFactor.SqrtBoth, mp)
-        yield WeightSpec(n, m, a, Family.ProductCoshMinusCos, MeasureFactor.SqrtBoth, mp)
-        yield WeightSpec(n, m, a, Family.MixedPlusMinus, MeasureFactor.SqrtRatio, mp)
-
-
-@pytest.mark.parametrize("a", A_VALUES)
-def test_explicit_eval_unchanged(a):
-    t = t_grid(a)
-    specs = list(explicit_specs(a))
-    assert {s.family for s in specs} == set(Family)
-    for spec in specs:
-        with np.errstate(divide="ignore", invalid="ignore"):  # sqrt kernel is 0 at both ends
-            new, old = explicit_eval(spec, t), ref_explicit_eval(spec, t)
-        # where the root divides a sine that vanishes there, the reference's 0/0 gives
-        # +-inf and explicit_eval its limit (checked against the polynomial in
-        # test_szego_polys); that happens at the two ends only
-        limit = np.isinf(old) & np.isfinite(new)
-        assert np.all((t[limit] == -a) | (t[limit] == 1.0))
-        assert_same(new[~limit], old[~limit], t[~limit])
-
-
-def _explicit_outcome(spec):
-    try:
-        return szego_polys.explicit_family(spec).poly.coeffs.tobytes()
-    except (ParityError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-@pytest.mark.parametrize("a", A_VALUES)
-def test_explicit_family_unchanged(a, monkeypatch):
-    # the coefficients come from one probe evaluation of explicit_eval
-    specs = list(explicit_specs(a))
-    new = [_explicit_outcome(spec) for spec in specs]
-    monkeypatch.setattr(szego_polys, "explicit_eval", ref_explicit_eval)
-    assert new == [_explicit_outcome(spec) for spec in specs]
-    assert sum(isinstance(x, bytes) for x in new) > len(new) // 2
-
-
 def _roots_outcome(roots_of, spec):
     try:
         return np.sort(np.asarray(roots_of(spec), dtype=float)).tobytes()
@@ -386,61 +268,82 @@ def test_explicit_roots_unchanged(a):
 
 
 def _complex_block(t, n, m, a):
-    x = mpmath.mpf(float(t))
+    """cos A, sin A/sqrt t, cosh B and sinh B/sqrt t by complex asin and asinh, at 1e-60
+    for t = 0."""
+    x = mpmath.mpf(float(t)) if t else mpmath.mpf("1e-60")
     A = n * mpmath.asin(mpmath.sqrt(x))
     B = m * mpmath.asinh(mpmath.sqrt(x / a))
-    turn = 1j if t < 0 else 1
-    return [complex(mpmath.cos(A)), complex(mpmath.sin(A)) / turn,
-            complex(mpmath.cosh(B)), complex(mpmath.sinh(B)) / turn]
+    r = mpmath.sqrt(x)
+    return [complex(mpmath.cos(A)), complex(mpmath.sin(A) / r),
+            complex(mpmath.cosh(B)), complex(mpmath.sinh(B) / r)]
 
 
 @pytest.mark.parametrize("a", A_VALUES)
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 5), (7, 4), (31, 33), (64, 2)])
 def test_continued_block_matches_complex_functions(n, m, a):
     # for t < 0, asin sqrt t = i asinh sqrt(-t) and asinh sqrt(t/a) = i asin sqrt(-t/a):
-    # cos A and cosh B stay real, sin A and sinh B turn imaginary
+    # cos A, cosh B and the sines over sqrt t stay real, and s(0) = n, sh(0) = m/sqrt(a)
     t = t_grid(a, size=60)
-    C, S, Ch, Sh = continued_block(t, n, m, a)
+    C, s, Ch, sh = continued_block(t, n, m, a)
     with mpmath.workdps(40):
         want = [_complex_block(tk, n, m, a) for tk in t]
     for k, tk in enumerate(t):
-        got = [C[k], S[k], Ch[k], Sh[k]]
+        got = [C[k], s[k], Ch[k], sh[k]]
         for pair in (slice(0, 2), slice(2, 4)):
             scale = abs(want[k][pair][0]) + abs(want[k][pair][1])
             for g, w in zip(got[pair], want[k][pair]):
                 assert abs(w.imag) <= 1e-30 * scale
                 assert abs(g - w.real) <= 1e-13 * scale, (tk, g, w)
+    zero = np.flatnonzero(t == 0.0)
+    assert s[zero].tolist() == [n] and sh[zero].tolist() == [m / math.sqrt(a)]
 
 
-def test_series_guard_switches_at_the_radius():
-    t = np.array([-2e-6, -1e-6, -9.9e-7, 0.0, 9.9e-7, 1e-6, 2e-6])
-    out = series_guard(t, 3.0 * t, t, 5.0, 7.0)
-    assert np.array_equal(out, np.where(np.abs(t) < 1e-6, 5.0 + 7.0 * t, 3.0))
+def test_reference_imports_nothing_from_the_library():
+    tree = ast.parse(Path(ref.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.level, ast.dump(node)
+            names = [node.module]
+        else:
+            continue
+        assert all(name.split(".")[0] in ("functools", "mpmath", "numpy") for name in names), names
 
 
-def _block_product(t, N, M, a, sine_pos, sine_neg):
-    """X(N) Y(M) / sqrt|t|^(sine_pos + sine_neg) by complex asin and asinh at 50 digits."""
-    x = mpmath.mpf(t)
-    A = N * mpmath.asin(mpmath.sqrt(x))
-    B = M * mpmath.asinh(mpmath.sqrt(x / a))
-    X = mpmath.sin(A) / mpmath.sqrt(x) if sine_pos else mpmath.cos(A)
-    Y = mpmath.sinh(B) / mpmath.sqrt(x) if sine_neg else mpmath.cosh(B)
-    return mpmath.re(X * Y)
+# ---------------------------------------------------------------------------
+# accuracy where the sum and the difference of Chebyshev polynomials cancelled
 
 
-@pytest.mark.parametrize("a", A_VALUES)
-@pytest.mark.parametrize("N, M", [(1, 1), (2, 5), (7, 4), (62, 33)])
-@pytest.mark.parametrize("sine_pos, sine_neg", list(product([True, False], repeat=2)))
-def test_block_series_is_the_taylor_series(N, M, a, sine_pos, sine_neg):
-    # central differences at t = +-1e-20 leave an O(1e-40) error at 50 digits
-    h = mpmath.mpf("1e-20")
-    with mpmath.workdps(50):
-        up, down = (_block_product(s * h, N, M, a, sine_pos, sine_neg) for s in (1, -1))
-        want = [(up + down) / 2, (up - down) / (2 * h)]
-    got = weight_models.block_series(N, M, a, sine_pos, sine_neg)
-    scale = float(abs(want[0]) + abs(want[1]))  # c1 is 0 where the slopes cancel
-    for g, w in zip(got, want):
-        assert abs(g - float(w)) <= 1e-14 * scale
+@pytest.mark.parametrize("n, m, a", [(1, 63, 0.5), (1, 47, 0.5)])
+def test_rho_relative_accuracy_near_its_minimum(n, m, a):
+    # rho dips to 6.2e-4 at t = -3.1e-4 and to 1.1e-3 at t = -5.6e-4
+    t = -np.logspace(-4, -3, 101)
+    want = ref.rho_block(t, n, m, a, False)
+    assert_within(rho_eval(WeightSpec(n, m, a), t), want, want, 1e-13)
+
+
+@pytest.mark.parametrize("n, m, a", [(15, 16, 0.5), (31, 32, 2.0)])
+def test_quotient_rho_relative_accuracy_near_zero(n, m, a):
+    t = np.concatenate([-a * np.logspace(-12, 0, 61), np.logspace(-12, 0, 61)])
+    want = ref.rho_block(t, n, m, a, True)
+    assert_within(rho_eval(WeightSpec(n, m, a, Family.CoshMinusCosOverT), t), want, want, 1e-13)
+
+
+@pytest.mark.parametrize("spec", [
+    WeightSpec(31, 32, 0.5, Family.CoshMinusCosOverT),
+    WeightSpec(32, 31, 2.0, Family.CoshMinusCosOverT),
+    WeightSpec(15, 17, 1.0, Family.MixedPlusMinus, MeasureFactor.SqrtRatio, 31),
+    WeightSpec(31, 33, 0.5, Family.MixedPlusMinus, MeasureFactor.SqrtRatio, 31),
+    WeightSpec(15, 17, 2.0, Family.ProductCoshMinusCos, MeasureFactor.SqrtBoth, 31),
+    WeightSpec(31, 33, 0.5, Family.ProductCoshMinusCos, MeasureFactor.SqrtBoth, 33),
+], ids=lambda spec: f"{spec.family.value}-{spec.n}-{spec.m}-{spec.a}")
+def test_explicit_eval_relative_accuracy_near_zero(spec):
+    # degrees 31 to 62; none of these polynomials vanishes at t = 0
+    assert 31 <= len(szego_polys._explicit_roots(spec)) <= 62
+    t = np.concatenate([-spec.a * np.logspace(-12, -4, 41), np.logspace(-12, -4, 41)])
+    want = ref_explicit(spec, t)[0]
+    assert_within(explicit_eval(spec, t), want, np.abs(want), 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +371,30 @@ def _is_asin_of_sqrt(node):
     )
 
 
-def _is_series_not_from_block_series(node):
-    """A series_guard call whose Taylor data is not `*block_series(...)`."""
-    if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "series_guard"):
-        return False
-    last = node.args[-1] if node.args else None
-    return not (
-        isinstance(last, ast.Starred)
-        and isinstance(last.value, ast.Call)
-        and ast.unparse(last.value.func) == "block_series"
-    )
+def _mentions_t(node):
+    return any(isinstance(sub, ast.Name) and sub.id in ("t", "tt") for sub in ast.walk(node))
+
+
+def _is_t_or_root(node):
+    """t or tt, under any number of np.sqrt, np.abs and minus signs."""
+    while True:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.sqrt", "np.abs")
+              and len(node.args) == 1):
+            node = node.args[0]
+        else:
+            return isinstance(node, ast.Name) and node.id in ("t", "tt")
+
+
+def _is_sign_or_quotient_by_t(node):
+    """np.sign of t, a division by t, |t| or sqrt|t|, or sqrt|t| itself (t or tt)."""
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.sign":
+        return any(_mentions_t(arg) for arg in node.args)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        return _is_t_or_root(node.right)
+    return (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.sqrt"
+            and ast.unparse(node.args[0]) in ("np.abs(t)", "np.abs(tt)"))
 
 
 def _is_root_ladder(node):
@@ -517,13 +434,16 @@ def _asin_of_sqrt_sites(module):
 def test_continuation_is_written_once():
     sites = {mod.__name__: _asin_of_sqrt_sites(mod) for mod in (weight_models, szego_polys, suites)}
     assert sites == {
-        "bszego.weight_models": ["continued_block"] * 4,
+        "bszego.weight_models": ["_block_angles"] * 4,
         "bszego.szego_polys": [],
         "bszego.suites": [],
     }
-    # the Taylor data at t = 0 and the root ladders are written once too
+    # every closed form is a product of the entire block factors: the one quotient by
+    # sqrt|t|, with its limit at t = 0, is taken in _sines_over_root, and no sign(t) is left
+    assert _sites(_source(weight_models), _is_sign_or_quotient_by_t) == ["_sines_over_root"]
     for mod in (szego_polys, suites):
-        assert _sites(_source(mod), _is_series_not_from_block_series) == []
+        assert _sites(_source(mod), _is_sign_or_quotient_by_t) == []
+    # the root ladders are written once too
     # the ladder's sine is written once, in weight_models; the known roots, the
     # winding count's zeros and the Gauss rules read its rungs, and no rule is
     # built from another
@@ -536,10 +456,18 @@ def test_continuation_is_written_once():
 
 
 @pytest.mark.parametrize("module, before, after, match, owner", [
-    (suites, "*block_series(2 * n, 2 * m, a, True, True)", "c0, c1",
-     _is_series_not_from_block_series, "_square"),
-    (szego_polys, "*block_series(d.N, d.M, a, d.sine_pos, d.sine_neg)", "1.0, 0.0",
-     _is_series_not_from_block_series, "explicit_eval"),
+    (szego_polys, "val = X * Y", "val = np.sign(tt) * S * Sh", _is_sign_or_quotient_by_t,
+     "explicit_eval"),
+    (szego_polys, "val = X * Y", "val = X * Y / np.sqrt(np.abs(tt))", _is_sign_or_quotient_by_t,
+     "explicit_eval"),
+    (suites, "over_t = s * sh", "over_t = np.sign(t) * S * Sh / t", _is_sign_or_quotient_by_t,
+     "_square"),
+    (suites, "eta_t = s * sh", "eta_t = xi_eta_eval(spec, t)[1] / t", _is_sign_or_quotient_by_t,
+     "_orthogonality_rows"),
+    (weight_models, "s * Ch - 1j * (C * sh)", "np.sqrt(2.0 / np.abs(t)) * (S * Ch - 1j * C * Sh)",
+     _is_sign_or_quotient_by_t, "_circle_form"),
+    (weight_models, "eta = tt * s * sh", "eta = np.sign(tt) * S * Sh", _is_sign_or_quotient_by_t,
+     "xi_eta_eval"),
     (szego_polys, "out = d.const * val", "out = d.const * val * math.sin(math.pi / 3) ** 2",
      _is_root_ladder, "explicit_eval"),
     (szego_polys, "tt = _check_domain(t, a)", "tt = np.arcsin(np.sqrt(_check_domain(t, a)))",
@@ -556,7 +484,9 @@ def test_continuation_is_written_once():
      "reflected = n % 2 == 0 and rule_cosh_minus_cos(m, n, 1.0 / a)\n"
      "    spec = WeightSpec(n, m, a, Family.CoshMinusCosOverT",
      _is_rule_call, "rule_cosh_minus_cos"),
-], ids=["hand-written series in a suite", "hand-written series in explicit_eval",
+], ids=["sign(t) back in explicit_eval", "sqrt|t| quotient in explicit_eval",
+        "quotient by t in the square suite", "quotient by t in the orthogonality rows",
+        "sqrt(2/|t|) in the circle form", "sign(t) back in xi_eta_eval",
         "root ladder outside the helper", "continuation outside the helper",
         "rung sine outside the helper", "root ladder in the winding count's zeros",
         "hand-written ladder in a rule builder",

@@ -99,14 +99,18 @@ def test_nan_is_outside_the_domain():
             xi_eta_eval(spec, t)
 
 
-def test_rho_cosh_minus_cos_series_guard():
-    spec = WeightSpec(3, 2, 1.0, Family.CoshMinusCosOverT)
-    # limit value at 0 is 2(m^2/a + n^2) = 2(4 + 9) = 26
-    assert rho_eval(spec, 0.0) == pytest.approx(26.0, abs=1e-10)
-    # continuity across the guard boundary
-    left = rho_eval(spec, 0.9999999e-6)
-    right = rho_eval(spec, 1.0000001e-6)
-    assert abs(left - right) < 1e-9 * 26
+@pytest.mark.parametrize("n, m, a", [(3, 2, 1.0), (15, 16, 0.5), (31, 32, 2.0), (2, 3, 1e-7)])
+def test_rho_cosh_minus_cos_at_and_near_zero(n, m, a):
+    spec = WeightSpec(n, m, a, Family.CoshMinusCosOverT)
+    # the removable point takes its limit 2(n^2 + m^2/a), and the quotient is continuous
+    # there: rho changes by about rho'(0) t, with rho'(0) = (4/3)((m^4 - m^2)/a^2 - (n^4 - n^2))
+    at_zero = 2.0 * (n * n + m * m / a)
+    assert rho_eval(spec, 0.0) == pytest.approx(at_zero, rel=4e-16)
+    slope = (4.0 / 3.0) * ((m ** 4 - m * m) / (a * a) - (n ** 4 - n * n))
+    for t in (-1e-300, 1e-300, -1e-12, 1e-12):
+        if -t <= a:
+            near = rho_eval(spec, t)
+            assert abs(near - at_zero) <= abs(slope * t) * 1.01 + 1e-15 * at_zero, t
 
 
 def test_rho_positivity_all_families():
@@ -348,10 +352,10 @@ def _fine_grid_winding(spec, n_samples=2**16):
 
 
 def _form_without_sign(spec, t):
-    """The cos-plus-cosh circle form with sign(t) dropped from eta."""
+    """The cos-plus-cosh circle form with sign(t) dropped from eta = t s sh."""
     n, m, a = spec.n, spec.m, spec.a
-    C, S, Ch, Sh = continued_block(t, n, m, a)
-    return n + m, (1j ** (-n)) * np.sqrt(2.0), C * Ch + 1j * (S * Sh)
+    C, s, Ch, sh = continued_block(t, n, m, a)
+    return n + m, (1j ** (-n)) * np.sqrt(2.0), C * Ch + 1j * (np.abs(t) * s * sh)
 
 
 _circle_form = weight_models._circle_form
@@ -522,12 +526,6 @@ def test_quotient_family_builds_at_small_a(a):
     build_szego_factor(WeightSpec(2, 3, a, Family.CoshMinusCosOverT))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=FactorizationResidual,
-    reason="series_guard's band |t| < 1e-6 is absolute, but the quotient's two-term series "
-    "holds only for |t| << a/M^2: at a = 1e-7 the circle samples take their t = 0 value "
-    "over all of [-a, 0], and the trailing coefficient mass is 2.2e3",
-)
 def test_quotient_family_builds_below_the_series_radius():
+    # the circle samples are entire in t: no series band of |t| < 1e-6 covers [-a, 0]
     build_szego_factor(WeightSpec(2, 3, 1e-7, Family.CoshMinusCosOverT))
