@@ -298,6 +298,27 @@ def test_continued_block_matches_complex_functions(n, m, a):
     assert s[zero].tolist() == [n] and sh[zero].tolist() == [m / math.sqrt(a)]
 
 
+@pytest.mark.parametrize("a", A_VALUES)
+@pytest.mark.parametrize("N, M", [(1, 1), (2, 5), (7, 4), (62, 33)])
+@pytest.mark.parametrize("sine_pos, sine_neg", list(product([True, False], repeat=2)))
+def test_block_products_through_zero(N, M, a, sine_pos, sine_neg):
+    # the four products X(N) Y(M) of the closed forms, sines over sqrt|t|: from 1e-12 out to
+    # 1e-4 on either side they keep their digits, with no band or series to switch to; at
+    # t = 0 they are the limits' product, and at +-1e-300, where complex asin at 40 digits
+    # loses the reference, within an ulp or two of it
+    h = np.array([1e-12, 1e-8, 1e-7, 1e-6, 1e-4])
+    t = np.concatenate([-h[::-1], h])
+    C, s, Ch, sh = continued_block(t, N, M, a)
+    got = (s if sine_pos else C) * (sh if sine_neg else Ch)
+    want, _ = ref.product(t, N, M, a, sine_pos, sine_neg, False)
+    assert_within(got, want, np.abs(want), 1e-14)
+    at_zero = (N if sine_pos else 1.0) * (M / math.sqrt(a) if sine_neg else 1.0)
+    C, s, Ch, sh = continued_block(np.array([-1e-300, 0.0, 1e-300]), N, M, a)
+    got = (s if sine_pos else C) * (sh if sine_neg else Ch)
+    assert got[1] == at_zero
+    assert_within(got, at_zero, at_zero, 5e-16)
+
+
 def test_reference_imports_nothing_from_the_library():
     tree = ast.parse(Path(ref.__file__).read_text())
     for node in ast.walk(tree):
