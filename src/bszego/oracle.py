@@ -60,6 +60,17 @@ of that group alone; a panel is evaluated while any group still holds it.
 The result is one outcome per group, (value, err_est) or a NoConvergence: a
 group that does not converge stops being refined while the others finish.
 The shape of the output selects the mode.
+
+Bisection runs independent intervals in lock-step the same way: given
+arrays of I interval ends, it refines every interval's panels on shared
+evaluator calls, and each interval keeps its own width, tolerance share,
+depth and panel limits and its own outcome, equal bit for bit to that of a
+run over the interval alone. An exponential-tail improper_integral takes
+its blocks 8 at a time, as many first-call trees (8 x 465 points) as fit
+one call of _TRAP_CHUNK points, and reads their outcomes in block order, so
+the blocks past the truncation point are computed but never counted, and
+their failures never raised. fourier_coeff samples g once and reads every
+requested harmonic from one FFT of the samples.
 """
 from __future__ import annotations
 
@@ -214,39 +225,57 @@ def _halves(a, b):
     return edges[:2].T.ravel(), edges[1:].T.ravel()
 
 
+def _tree_levels():
+    """Levels of the complete bisection tree that an interval's first call holds: the
+    most whose 2^L - 1 panels fit _FIRST_CALL points, and at least the one panel."""
+    return max(1, (_FIRST_CALL // _GX.size + 1).bit_length() - 1)
+
+
 def _adaptive(f, lo, hi, tol):
-    """Globally adaptive bisection.
+    """Globally adaptive bisection of f over [lo, hi], or over each [lo[i], hi[i]].
 
-    For an evaluator of shape (npts,) or (npts, K) returns (value, err_est)
-    and raises NoConvergence; for a grouped one, (npts, G, K), returns one
-    outcome per group: (value, err_est), or the group's NoConvergence.
+    For scalar lo and hi and an evaluator of shape (npts,) or (npts, K)
+    returns (value, err_est) and raises NoConvergence; for a grouped one,
+    (npts, G, K), returns one outcome per group: (value, err_est), or the
+    group's NoConvergence.  For 1-D arrays lo and hi of I intervals it
+    returns a list of I entries, entry i being what the scalar call on
+    [lo[i], hi[i]] returns, with a NoConvergence returned instead of raised.
 
-    A group's panels are accepted when bisecting changes their value by less
-    than a quarter of their share of the group's budget tol * max(1, |coarse|),
-    coarse being the group's one-panel value, and split otherwise; a panel at
-    depth _MAX_DEPTH changed by more than its whole share ends the group with
-    NoConvergence, and so does a partition past _MAX_PANELS subintervals.
-    The first evaluator call holds the complete tree down to the level whose
-    panels fit _FIRST_CALL points, and the first levels' halves are read from
-    it.  Below it, refinement runs one depth level at a time: both halves of
-    every panel some group still holds are evaluated in calls of at most
-    _TRAP_CHUNK points, so the evaluator is called about once per level.
-    Each group's accepted panels are those of a depth-first refinement of that
-    group alone; their values and their refinement changes / 15 are summed in
-    position order, so value and err_est agree with the depth-first sums to
-    rounding and repeat exactly from run to run, whatever the first call holds.
+    Every (interval, group) is its own integral.  Its panels are accepted
+    when bisecting changes their value by less than a quarter of their share
+    of its budget tol * max(1, |coarse|), coarse being its one-panel value,
+    and the share being the panel's fraction of its interval's width; a panel
+    split otherwise.  A panel at depth _MAX_DEPTH changed by more than its
+    whole share ends that integral with NoConvergence, and so does a
+    partition of its interval past _MAX_PANELS subintervals.
+    The first evaluator call holds every interval's complete tree down to the
+    level whose panels fit _FIRST_CALL points (more intervals than fit one
+    call of _TRAP_CHUNK points take several), and the first levels' halves
+    are read from it.  Below it, refinement runs one depth level at a time:
+    both halves of every panel some integral still holds, over every
+    interval, are evaluated in calls of at most _TRAP_CHUNK points, so the
+    evaluator is called about once per level.  Each integral's accepted
+    panels are those of a depth-first refinement of that integral alone;
+    their values and their refinement changes / 15 are summed in position
+    order, so value and err_est agree with the depth-first sums to rounding,
+    and equal those of a run over that interval alone bit for bit, whatever
+    the first call holds and whatever other intervals share the calls.
     """
-    width = hi - lo
-    a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
-    # the complete tree down to the level whose panels still fit _FIRST_CALL points, every
-    # level in position order, from one evaluator call; level L starts at row 2^L - 1
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    solo = a.ndim == 0
+    a, b = a.reshape(-1), b.reshape(-1)
+    width = b - a
+    intervals = a.size
+    # every interval's complete tree down to the level whose panels still fit _FIRST_CALL
+    # points, level by level, each level interval by interval in position order, from one
+    # evaluator call; level L starts at row I (2^L - 1)
     tree_lo, tree_hi = [a], [b]
-    while _GX.size * (2 ** (len(tree_lo) + 1) - 1) <= _FIRST_CALL:
+    for _ in range(_tree_levels() - 1):
         half_lo, half_hi = _halves(tree_lo[-1], tree_hi[-1])
         tree_lo.append(half_lo)
         tree_hi.append(half_hi)
     tree = _panels(f, np.concatenate(tree_lo), np.concatenate(tree_hi))
-    first = tree[:1]
+    first = tree[:intervals]
     grouped = first.ndim == 3
     one = first.shape[2:] if grouped else first.shape[1:]  # one group's value
 
@@ -255,41 +284,54 @@ def _adaptive(f, lo, hi, tol):
 
     coarse = _by_group(first)
     groups = coarse.shape[1]
-    share = tol * np.fmax(1.0, np.abs(coarse[0]).max(axis=1))  # a NaN coarse value gives tol
-    live = True  # live[i, g]: group g still holds panel i (at first, every group every panel)
-    failed = {}
+    share = tol * np.fmax(1.0, np.abs(coarse).max(axis=2))  # (I, G); a NaN coarse value gives tol
+    live = True  # live[p, g]: group g still holds panel p (at first, every group every panel)
+    failed = {}  # NoConvergence by integral, i * G + g
     # accepted (panel, group) pairs as flat indices into the (panel, group) pairs of every
     # level in turn, with their values and refinement changes; sorted once at the end
-    los, done_pair, done_val, done_diff = [], [], [], []
+    los, owners, done_pair, done_val, done_diff = [], [], [], [], []
     seen = accepted = 0
-    place = np.zeros(1, dtype=np.int64)  # the open panels' positions in their tree level
+    # the open panels' intervals; a single interval's stays (1,) and broadcasts, and its
+    # budget reads its row of share and width without indexing by panel
+    owner = np.arange(intervals)
+    place = owner  # the open panels' positions in their tree level
+
+    def accepted_pairs():
+        """The accepted (panel, group) pairs so far, as (panel, integral i * G + g)."""
+        panel, slot = np.divmod(np.concatenate(done_pair), groups)
+        if intervals > 1:
+            slot += np.concatenate(owners)[panel] * groups
+        return panel, slot
+
     for depth in range(_MAX_DEPTH + 1):
         half_lo, half_hi = _halves(a, b)
         kids = (2 * place[:, None] + np.arange(2)).ravel()
         if depth + 1 < len(tree_lo):  # the halves are tree level depth + 1
-            halves = _by_group(tree[2 ** (depth + 1) - 1 + kids])
+            halves = _by_group(tree[intervals * (2 ** (depth + 1) - 1) + kids])
         else:
             halves = _by_group(_panels(f, half_lo, half_hi))
         fine = halves[0::2] + halves[1::2]
         diff = _worst(np.abs(fine - coarse))
-        budget = share * np.maximum((b - a) / width, 1e-6)[:, None]
+        row = owner if intervals > 1 else 0
+        budget = share[row] * np.maximum((b - a) / width[row], 1e-6)[:, None]
         if depth < _MAX_DEPTH:
             done = diff <= 0.25 * budget
         else:  # the last level accepts every panel
             done = np.ones(diff.shape, dtype=bool)
         if groups > 1:  # a single group holds every panel it has not accepted
             done &= live
-        if depth == _MAX_DEPTH:  # ... and ends a group with a panel past its whole share
-            missed = done & (diff > budget)
-            for g in np.flatnonzero(missed.any(axis=0)):
-                i = int(np.argmax(missed[:, g]))
-                failed[g] = NoConvergence(
-                    f"panel [{a[i]}, {b[i]}] not converged at depth {depth}",
-                    best=out(fine[i, g]),
-                    err_est=diff[i, g],
-                )
+        if depth == _MAX_DEPTH:  # ... and ends an integral with a panel past its whole share
+            for p, g in zip(*np.nonzero(done & (diff > budget))):  # its first such panel first
+                s = int(np.broadcast_to(owner, len(a))[p]) * groups + int(g)
+                if s not in failed:
+                    failed[s] = NoConvergence(
+                        f"panel [{a[p]}, {b[p]}] not converged at depth {depth}",
+                        best=out(fine[p, g]),
+                        err_est=diff[p, g],
+                    )
         pair = done.ravel().nonzero()[0]
         los.append(a)
+        owners.append(owner)
         done_pair.append(pair + seen)
         done_val.append(fine.reshape(-1, fine.shape[2])[pair])
         done_diff.append(diff.ravel()[pair])
@@ -298,38 +340,46 @@ def _adaptive(f, lo, hi, tol):
         open_ = ~done
         if groups > 1:
             open_ &= live
-        if accepted + 2 * len(a) > _MAX_PANELS:  # a group may be past its panel budget
-            group = np.concatenate(done_pair) % groups
-            counts = np.bincount(group, minlength=groups) + 2 * np.count_nonzero(open_, axis=0)
-            for g in np.flatnonzero(counts > _MAX_PANELS):
-                mine = group == g
-                best = np.concatenate(done_val)[mine].sum(axis=0) + fine[open_[:, g], g].sum(axis=0)
-                err = np.concatenate(done_diff)[mine].sum() / 15.0 + diff[open_[:, g], g].sum()
-                failed[g] = NoConvergence(f"more than {_MAX_PANELS} panels at depth {depth}",
+        if accepted + 2 * len(a) > _MAX_PANELS:  # an integral may be past its panel budget
+            slot = accepted_pairs()[1]
+            held_p, held_g = np.nonzero(open_)
+            held_slot = np.broadcast_to(owner, len(a))[held_p] * groups + held_g
+            counts = (np.bincount(slot, minlength=intervals * groups)
+                      + 2 * np.bincount(held_slot, minlength=intervals * groups))
+            for s in np.flatnonzero(counts > _MAX_PANELS).tolist():
+                i, g = divmod(s, groups)
+                mine, rows = slot == s, open_[:, g] & (owner == i)
+                best = np.concatenate(done_val)[mine].sum(axis=0) + fine[rows, g].sum(axis=0)
+                err = np.concatenate(done_diff)[mine].sum() / 15.0 + diff[rows, g].sum()
+                failed[s] = NoConvergence(f"more than {_MAX_PANELS} panels at depth {depth}",
                                           best=out(best), err_est=err)
-                open_[:, g] = False
+                open_[rows, g] = False
         held = open_.any(axis=1) if groups > 1 else open_[:, 0]
         if not held.any():
             break
         split = np.repeat(held, 2)
         a, b, coarse, place = half_lo[split], half_hi[split], halves[split], kids[split]
+        if intervals > 1:
+            owner = np.repeat(owner[held], 2)
         if groups > 1:
             live = np.repeat(open_[held], 2, axis=0)
-    panel, group = np.divmod(np.concatenate(done_pair), groups)
-    order = np.lexsort((np.concatenate(los)[panel], group))
+    panel, slot = accepted_pairs()
+    order = np.lexsort((np.concatenate(los)[panel], slot))
     values = np.concatenate(done_val)[order]
     errs = np.concatenate(done_diff)[order] / 15.0
     outcomes, start = [], 0
-    for g, count in enumerate(np.bincount(group, minlength=groups).tolist()):
+    for s, count in enumerate(np.bincount(slot, minlength=intervals * groups).tolist()):
         end = start + count
-        outcomes.append(failed[g] if g in failed else (
+        outcomes.append(failed[s] if s in failed else (
             out(np.add.accumulate(values[start:end])[-1]), np.add.accumulate(errs[start:end])[-1]))
         start = end
     if grouped:
+        outcomes = [outcomes[i * groups:(i + 1) * groups] for i in range(intervals)]
+    if not solo:
         return outcomes
-    if isinstance(outcomes[0], NoConvergence):
-        raise outcomes[0]
-    return outcomes[0]
+    if grouped or not isinstance(outcomes[0], NoConvergence):
+        return outcomes[0]
+    raise outcomes[0]
 
 
 def _theta_integrand(f, a, p):
@@ -427,27 +477,33 @@ def integrate(spec: IntegrandSpec, tol: float = 1e-10):
     return value, float(err)
 
 
-def fourier_coeff(g: Callable, harmonic: int, kind: str = "cos"):
-    """Fourier coefficient of a 2pi-periodic evaluator by uniform sampling.
+def fourier_coeff(g: Callable, harmonic, kind: str = "cos"):
+    """Fourier coefficients of a 2pi-periodic evaluator by uniform sampling.
 
-    kind "cos"/"sin" return the usual real coefficients (1/pi) int g cos/sin
-    (mean value for harmonic 0); "exp" returns (1/2pi) int g e^{-i h theta}.
+    kind "cos"/"sin" return the usual real coefficients (1/pi) int Re(g) cos/sin
+    (the mean value for harmonic 0); "exp" returns (1/2pi) int g e^{-i h theta}.
     The trapezoid rule on a uniform grid of _FOURIER_POINTS is spectrally
-    accurate for smooth periodic integrands.
+    accurate for smooth periodic integrands.  harmonic is an integer in
+    [0, _FOURIER_POINTS / 2), whose coefficient is returned as a float or
+    complex, or a sequence of them, returned as an array: g is sampled once,
+    and every harmonic is read from one FFT of the samples.
     """
-    if harmonic < 0:
-        raise ValueError("harmonic must be nonnegative")
+    if kind not in ("cos", "sin", "exp"):
+        raise ValueError(f"unknown kind {kind!r}")
+    h = np.asarray(harmonic)
+    if h.dtype.kind not in "iu" or np.any(h < 0) or np.any(h >= _FOURIER_POINTS // 2):
+        raise ValueError(f"harmonics must be integers in [0, {_FOURIER_POINTS // 2}), "
+                         f"not {harmonic!r}")
     theta = 2.0 * np.pi * np.arange(_FOURIER_POINTS) / _FOURIER_POINTS
     vals = np.asarray(g(theta))
     if kind == "exp":
-        return complex(np.mean(vals * np.exp(-1j * harmonic * theta)))
-    if harmonic == 0:
-        return float(np.mean(np.real(vals)))
-    if kind == "cos":
-        return float(2.0 * np.mean(np.real(vals * np.cos(harmonic * theta))))
-    if kind == "sin":
-        return float(2.0 * np.mean(np.real(vals * np.sin(harmonic * theta))))
-    raise ValueError(f"unknown kind {kind!r}")
+        coeff = np.fft.fft(vals)[h] / _FOURIER_POINTS
+        return complex(coeff) if h.ndim == 0 else coeff
+    spectrum = np.fft.rfft(np.real(vals))[h] / _FOURIER_POINTS
+    # (2/N) sum Re(g) cos(h theta) = 2 Re F_h and (2/N) sum Re(g) sin(h theta) = -2 Im F_h
+    part = spectrum.real if kind == "cos" else -spectrum.imag
+    coeff = np.where(h == 0, spectrum.real, 2.0 * part)  # harmonic 0: the mean
+    return float(coeff) if h.ndim == 0 else coeff
 
 
 def improper_integral(
@@ -462,30 +518,42 @@ def improper_integral(
     "Exponential": integrate [0, block], extend block by block until three
     consecutive blocks contribute below tol * |estimate|, within _MAX_BLOCKS
     blocks (mirrored when two_sided); err_est is the sum of the blocks' error
-    estimates. "RationalOrder2": substitute x = s/(1-s^2) and integrate the
+    estimates. The blocks are integrated as many at a time as their first
+    calls' trees fit one call of _TRAP_CHUNK points, in lock-step, and read
+    in order: a block's NoConvergence is raised, and its value counts, only
+    if the blocks before it did not stop the side, so the result is that of
+    one block at a time, bit for bit. block must be finite and positive.
+    "RationalOrder2": substitute x = s/(1-s^2) and integrate the
     smooth image over (-1, 1) in one adaptive pass, err_est being its estimate;
     a grouped evaluator, of shape (npts, G, K), gets one outcome per group,
     (value, err_est) or the group's NoConvergence, as from _adaptive.
     """
+    if not (np.isfinite(block) and block > 0.0):
+        raise ValueError(f"block must be finite and positive, not {block!r}")
     tol = max(tol, 1e-14)
     if decay == "Exponential":
+        per_call = _TRAP_CHUNK // (_GX.size * (2 ** _tree_levels() - 1))  # blocks
+
         def one_side(sign):
             total = err = 0.0
             quiet = 0
-            for k in range(_MAX_BLOCKS):
-                a = k * block
+            for start in range(0, _MAX_BLOCKS, per_call):
+                a = np.arange(start, min(start + per_call, _MAX_BLOCKS)) * block
                 b = a + block
                 if sign < 0:
                     a, b = -b, -a
-                contrib, contrib_err = _adaptive(evaluator, a, b, tol * 0.1)
-                total += contrib
-                err += contrib_err
-                if abs(contrib) < tol * max(1.0, abs(total)) * 0.25:
-                    quiet += 1
-                    if quiet >= 3:
-                        return total, err
-                else:
-                    quiet = 0
+                for outcome in _adaptive(evaluator, a, b, tol * 0.1):
+                    if isinstance(outcome, NoConvergence):
+                        raise outcome
+                    contrib, contrib_err = outcome
+                    total += contrib
+                    err += contrib_err
+                    if abs(contrib) < tol * max(1.0, abs(total)) * 0.25:
+                        quiet += 1
+                        if quiet >= 3:
+                            return total, err
+                    else:
+                        quiet = 0
             raise NoConvergence("exponential-tail truncation not reached", best=total, err_est=err)
 
         total, err = one_side(+1)

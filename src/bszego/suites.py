@@ -475,22 +475,17 @@ def _pf_cells(grid, tol):
 
 
 def _pf_T(rng, k, c):
-    worst = 0.0
-    for theta in rng.uniform(0.0, math.pi, 100):
-        lhs, rhs = trig.pf_reciprocal_T(k, float(theta), c)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs, rhs = trig.pf_reciprocal_T(k, rng.uniform(0.0, math.pi, 100), c)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def _pf_U(rng, k):
-    worst = 0.0
-    for _ in range(100):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-1.5, 1.5))
-        if min(abs(z - math.cos(math.pi * j / k)) for j in range(1, 2 * k + 1)) < 1e-3:
-            continue
-        lhs, rhs = trig.pf_reciprocal_U(k, z)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    draws = rng.uniform([-2.0, -1.5], [2.0, 1.5], size=(100, 2))  # 100 (Re z, Im z) pairs
+    z = draws[:, 0] + 1j * draws[:, 1]
+    poles = np.cos(np.pi * np.arange(1, 2 * k + 1) / k)
+    z = z[np.min(np.abs(z[:, None] - poles), axis=1) >= 1e-3]
+    lhs, rhs = trig.pf_reciprocal_U(k, z)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def _proof_ids_cells(grid, tol):

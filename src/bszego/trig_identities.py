@@ -107,23 +107,15 @@ def tsgf_fourier_check(n: int, R: int) -> float:
     if R > 40:
         raise RangeError("R capped at 40")
     g = lambda th: reciprocal_cheb_gen(n, th)
-    worst = 0.0
-    for r in range(1, R + 1):
-        h = 2 * r + 1
-        target = s_sum(n, h) / n
-        c_exp = oracle.fourier_coeff(g, h, "exp")
-        c_sin = oracle.fourier_coeff(lambda th: np.imag(g(th)), h, "sin")
-        c_cos = oracle.fourier_coeff(lambda th: np.real(g(th)), h, "cos")
-        worst = max(
-            worst,
-            abs(c_exp - target),
-            abs(c_sin - target),
-            abs(c_cos - target),
-        )
-    return worst
+    harmonics = np.arange(3, 2 * R + 2, 2)
+    target = np.array([s_sum(n, int(h)) for h in harmonics]) / n
+    c_exp = oracle.fourier_coeff(g, harmonics, "exp")
+    c_sin = oracle.fourier_coeff(lambda th: np.imag(g(th)), harmonics, "sin")
+    c_cos = oracle.fourier_coeff(lambda th: np.real(g(th)), harmonics, "cos")
+    return float(max(np.max(np.abs(c - target), initial=0.0) for c in (c_exp, c_sin, c_cos)))
 
 
-def pf_reciprocal_T(k: int, theta: float, c: float = 0.0):
+def pf_reciprocal_T(k: int, theta, c: float = 0.0):
     """Both sides of the shifted partial-fraction identity for 1/T_k.
 
     lhs evaluates the transcendental form 1/cos(k W); for theta <= pi/2,
@@ -131,42 +123,62 @@ def pf_reciprocal_T(k: int, theta: float, c: float = 0.0):
     v = (sin theta + c)/(1-c), which equals acos((e^{-i theta} - ic)/sqrt(1-c^2));
     past pi/2 the acos continuation defines the left side.  rhs is the
     rational pole sum.  c = 0 recovers the plain reciprocal-Chebyshev identity.
+    theta may be an array: lhs and rhs are then complex arrays of its shape,
+    and PoleProximity is raised if any theta is near a pole.
     """
     if not 0.0 <= c < 1.0:
         raise RangeError("c must lie in [0, 1)")
+    scalar = np.ndim(theta) == 0
+    # a scalar takes the array loops too, so it gets the value of its entry in an array
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     root = math.sqrt(1.0 - c * c)
-    zt = (np.exp(-1j * theta) - 1j * c) / root
-    if theta <= math.pi / 2.0 + 1e-12:
-        u = (math.sin(theta) + c) / (1.0 + c)
-        v = (math.sin(theta) + c) / (1.0 - c)
-        W = math.asin(math.sqrt(u)) + 1j * math.asinh(math.sqrt(v))
-    else:
-        W = np.arccos(zt + 0.0j)
+    rotor = np.exp(-1j * theta)
+    first = theta <= math.pi / 2.0 + 1e-12
+    W = np.empty(theta.shape, dtype=complex)
+    sin = np.sin(theta[first])
+    u = (sin + c) / (1.0 + c)
+    v = (sin + c) / (1.0 - c)
+    W[first] = np.arcsin(np.sqrt(u)) + 1j * np.arcsinh(np.sqrt(v))
+    W[~first] = np.arccos((rotor[~first] - 1j * c) / root + 0.0j)
     lhs = 1.0 / np.cos(k * W)
-    rhs = 0.0 + 0.0j
-    for j in range(k):
-        ang = math.pi * (2 * j + 1) / (2.0 * k)
-        denom = np.exp(-1j * theta) - root * math.cos(ang) - 1j * c
-        if abs(denom) < 1e-12:
-            raise PoleProximity(f"pole at angle index {j}")
-        rhs += ((-1.0) ** j) * root * math.sin(ang) / denom
+    angles = np.pi * (2 * np.arange(k) + 1) / (2.0 * k)
+    denoms = rotor[..., None] - root * np.cos(angles) - 1j * c
+    near = np.flatnonzero(np.abs(denoms) < 1e-12)
+    if near.size:
+        raise PoleProximity(f"pole at angle index {near[0] % k}")
+    rhs = np.zeros(theta.shape, dtype=complex)
+    for j in range(k):  # in index order, as the pole sum is written
+        rhs += ((-1.0) ** j) * root * np.sin(angles[j]) / denoms[..., j]
     rhs /= k
-    return complex(lhs), complex(rhs)
+    if scalar:
+        return complex(lhs[0]), complex(rhs[0])
+    return lhs, rhs
 
 
-def pf_reciprocal_U(k: int, z: complex):
-    """Both sides of 1/((1-z^2) U_{k-1}(z)) = (1/2k) sum (-1)^{j-1}/(z - cos(pi j/k))."""
-    z = complex(z)
-    poles = [math.cos(math.pi * j / k) for j in range(1, 2 * k + 1)]
-    if min(abs(z - p) for p in poles) < 1e-8 or abs(z - 1) < 1e-8 or abs(z + 1) < 1e-8:
+def pf_reciprocal_U(k: int, z):
+    """Both sides of 1/((1-z^2) U_{k-1}(z)) = (1/2k) sum (-1)^{j-1}/(z - cos(pi j/k)).
+
+    z may be an array: lhs and rhs are then complex arrays of its shape, and
+    PoleProximity is raised if any z is near a pole.
+    """
+    scalar = np.ndim(z) == 0
+    # a scalar takes the array loops too, so it gets the value of its entry in an array
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    poles = np.cos(np.pi * np.arange(1, 2 * k + 1) / k)  # -1 and 1 among them (j = k, 2k)
+    if np.any(np.abs(z[..., None] - poles) < 1e-8):
         raise PoleProximity("z too close to a pole")
     # U_{k-1} by recurrence
-    um1, u = 0.0 + 0.0j, 1.0 + 0.0j
+    um1, u = np.zeros_like(z), np.ones_like(z)
     for _ in range(k - 1):
         um1, u = u, 2.0 * z * u - um1
     lhs = 1.0 / ((1.0 - z * z) * u)
-    rhs = sum(((-1.0) ** (j - 1)) / (z - poles[j - 1]) for j in range(1, 2 * k + 1))
-    return lhs, rhs / (2.0 * k)
+    rhs = np.zeros_like(z)
+    for j in range(1, 2 * k + 1):
+        rhs += ((-1.0) ** (j - 1)) / (z - poles[j - 1])
+    rhs /= 2.0 * k
+    if scalar:
+        return complex(lhs[0]), complex(rhs[0])
+    return lhs, rhs
 
 
 def ramanujan_353_finite(n: int, k: int, tol: float = 1e-10):

@@ -624,3 +624,215 @@ def test_an_integral_settled_in_the_first_call_calls_once():
         f, calls = _recording(np.exp)
         oracle.integrate(IntegrandSpec(f, interval), tol=1e-12)
         assert len(calls) == 1, interval
+
+
+# ---------------------------------------------------------------------------
+# intervals in lock-step: independent integrals over different intervals on shared calls
+
+
+def _solo(f, lo, hi, tol):
+    """_adaptive over one interval, with a NoConvergence returned instead of raised."""
+    try:
+        return oracle._adaptive(f, lo, hi, tol)
+    except NoConvergence as exc:
+        return exc
+
+
+def _same_outcome(one, other):
+    """Bit-for-bit equality of two outcomes, or of two lists of them."""
+    if isinstance(one, list):
+        assert isinstance(other, list) and len(one) == len(other)
+        for x, y in zip(one, other):
+            _same_outcome(x, y)
+    elif isinstance(one, NoConvergence):
+        assert isinstance(other, NoConvergence) and str(one) == str(other)
+        assert np.array_equal(one.best, other.best) and one.err_est == other.err_est
+    else:
+        (value, err), (other_value, other_err) = one, other
+        assert np.array_equal(value, other_value) and err == other_err
+
+
+# reversed [3, 0], and [1, 1.7], [1.7, 3] adjacent
+_LO = np.array([0.0, 3.0, 1.0, 1.7, -0.5])
+_HI = np.array([1.0, 0.0, 1.7, 3.0, 0.25])
+
+
+@pytest.mark.parametrize("f", [_kinked, _kinked_columns, _grouped(3, _GROUPS)],
+                         ids=["scalar", "npts_by_3", "grouped"])
+def test_lock_step_intervals_equal_solo_runs(f):
+    g, calls = _recording(f)
+    outcomes = oracle._adaptive(g, _LO, _HI, 1e-12)
+    assert len(outcomes) == _LO.size
+    for outcome, lo, hi in zip(outcomes, _LO, _HI):
+        _same_outcome(outcome, _solo(f, lo, hi, 1e-12))
+    # the first call holds every interval's tree down to 16 panels
+    assert calls[0].size == _LO.size * oracle._GX.size * 31
+    assert max(c.size for c in calls) <= oracle._TRAP_CHUNK
+
+
+def _jump(x):
+    # a unit jump at 1/3 is never resolved: its panel still changes by about 2^-48 at
+    # depth _MAX_DEPTH, beyond the depth floor of its share
+    x = np.asarray(x)
+    return np.exp(x) + (x > 1.0 / 3.0)
+
+
+def test_an_interval_that_never_settles_fails_alone():
+    lo, hi = np.array([1.0, 0.0, 2.0]), np.array([2.0, 1.0, 3.0])
+    outcomes = oracle._adaptive(_jump, lo, hi, 1e-12)
+    restless = outcomes[1]
+    assert isinstance(restless, NoConvergence) and "depth" in str(restless)
+    assert np.isfinite(restless.best) and restless.err_est > 0.0
+    for outcome, a, b in zip(outcomes, lo, hi):
+        _same_outcome(outcome, _solo(_jump, a, b, 1e-12))
+    assert outcomes[0][0] == pytest.approx(math.e ** 2 - math.e + 1.0, abs=1e-10)
+
+
+def test_an_interval_past_its_panel_budget_stops_alone():
+    # sin(1e8 x) on [0, 1] runs out of panels, as in the solo test above, while the jump
+    # on [1, 2] still refines one level at a time: it goes on to fail at _MAX_DEPTH, and
+    # the smooth [2.5, 4] finishes, each with the outcome of its own run
+    def f(x):
+        x = np.asarray(x)
+        return np.where(x < 1.0, np.sin(1e8 * x), _jump(x - 1.0))
+
+    lo, hi = np.array([1.0, 0.0, 2.5]), np.array([2.0, 1.0, 4.0])
+    outcomes = oracle._adaptive(f, lo, hi, 1e-12)
+    assert "depth" in str(outcomes[0]) and "panels" in str(outcomes[1])
+    assert np.isfinite(outcomes[1].best) and outcomes[1].err_est > 1e-12
+    for outcome, a, b in zip(outcomes, lo, hi):
+        _same_outcome(outcome, _solo(f, a, b, 1e-12))
+
+
+def test_one_interval_array_returns_its_outcome():
+    _same_outcome(oracle._adaptive(_kinked, [0.0], [3.0], 1e-12),
+                  [oracle._adaptive(_kinked, 0.0, 3.0, 1e-12)])
+
+
+# ---------------------------------------------------------------------------
+# exponential tails: blocks in lock-step, read in order
+
+
+def _sequential_blocks(f, tol, two_sided=False, block=8.0):
+    """improper_integral(f, "Exponential", ...) one block per _adaptive call."""
+    tol = max(tol, 1e-14)
+
+    def one_side(sign):
+        total = err = 0.0
+        quiet = 0
+        for k in range(oracle._MAX_BLOCKS):
+            a = k * block
+            b = a + block
+            if sign < 0:
+                a, b = -b, -a
+            contrib, contrib_err = oracle._adaptive(f, a, b, tol * 0.1)
+            total += contrib
+            err += contrib_err
+            if abs(contrib) < tol * max(1.0, abs(total)) * 0.25:
+                quiet += 1
+                if quiet >= 3:
+                    return total, err
+            else:
+                quiet = 0
+        raise NoConvergence("exponential-tail truncation not reached", best=total, err_est=err)
+
+    total, err = one_side(+1)
+    if two_sided:
+        back, back_err = one_side(-1)
+        total, err = total + back, err + back_err
+    return total, err
+
+
+def _tail(x):
+    x = np.asarray(x)
+    return np.exp(-np.abs(x)) * (1.0 + np.cos(3.0 * x) ** 2)
+
+
+def _trapped_past_the_stop(x):
+    # at tol 1e-10 both sides stop after block [48, 56]; [56, 64], integrated in the same
+    # call as blocks 0 to 6, holds a jump that never settles
+    x = np.asarray(x)
+    return _tail(x) + (np.abs(x) > 60.3)
+
+
+@pytest.mark.parametrize("two_sided", [False, True], ids=["one_sided", "two_sided"])
+@pytest.mark.parametrize("f", [_tail, _trapped_past_the_stop],
+                         ids=["tail", "trapped_past_the_stop"])
+def test_exponential_blocks_equal_the_sequential_loop(f, two_sided):
+    g, calls = _recording(f)
+    value, err = oracle.improper_integral(g, "Exponential", tol=1e-10, two_sided=two_sided)
+    ref_value, ref_err = _sequential_blocks(f, 1e-10, two_sided)
+    assert value == ref_value and err == ref_err
+    # eight blocks' trees per first call: as many as fit _TRAP_CHUNK points
+    assert calls[0].size == 8 * oracle._GX.size * 31 <= oracle._TRAP_CHUNK
+    assert 0.0 < calls[0].min() and 56.0 < calls[0].max() < 64.0
+    with pytest.raises(NoConvergence):
+        oracle._adaptive(_trapped_past_the_stop, 56.0, 64.0, 1e-11)
+
+
+def test_exponential_block_before_the_stop_raises():
+    def f(x):  # the jump sits in block [8, 16], which the loop reaches
+        x = np.asarray(x)
+        return _tail(x) + 1e-3 * (x > 10.3)
+
+    with pytest.raises(NoConvergence) as batched:
+        oracle.improper_integral(f, "Exponential", tol=1e-10)
+    with pytest.raises(NoConvergence) as sequential:
+        _sequential_blocks(f, 1e-10)
+    _same_outcome(batched.value, sequential.value)
+
+
+@pytest.mark.parametrize("block", [-8.0, 0.0, math.nan, math.inf])
+def test_exponential_block_must_be_finite_and_positive(block):
+    f, calls = _recording(lambda x: np.exp(-np.abs(x)))
+    with pytest.raises(ValueError, match="block"):
+        oracle.improper_integral(f, "Exponential", block=block)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Fourier coefficients: every harmonic from one sampling
+
+
+def _fourier_reference(g, harmonic, kind):
+    """The coefficient as the mean of the samples times the harmonic."""
+    theta = 2.0 * np.pi * np.arange(oracle._FOURIER_POINTS) / oracle._FOURIER_POINTS
+    vals = np.asarray(g(theta))
+    if kind == "exp":
+        return np.mean(vals * np.exp(-1j * harmonic * theta))
+    if harmonic == 0:
+        return np.mean(np.real(vals))
+    wave = np.cos(harmonic * theta) if kind == "cos" else np.sin(harmonic * theta)
+    return 2.0 * np.mean(np.real(vals) * wave)
+
+
+@pytest.mark.parametrize("kind", ["cos", "sin", "exp"])
+def test_fourier_harmonics_from_one_fft(kind):
+    def g(theta):  # |g| <= 1, complex, with every harmonic present
+        return 0.5 / (1.5 - np.exp(1j * np.asarray(theta)))
+
+    harmonics = [0, 1, 2, 3, 5, 17, 100, oracle._FOURIER_POINTS // 2 - 1]
+    f, calls = _recording(g)
+    got = oracle.fourier_coeff(f, harmonics, kind)
+    assert len(calls) == 1 and got.shape == (len(harmonics),)
+    want = np.array([_fourier_reference(g, h, kind) for h in harmonics])
+    assert np.all(np.abs(got - want) <= 1e-15)
+    for h, value in zip(harmonics, got):
+        one = oracle.fourier_coeff(g, h, kind)
+        assert isinstance(one, complex if kind == "exp" else float) and one == value
+
+
+@pytest.mark.parametrize("harmonic", [-1, oracle._FOURIER_POINTS // 2, 2.5, 3.0, True, [1, -2]])
+def test_fourier_rejects_harmonics_that_alias(harmonic):
+    f, calls = _recording(np.cos)
+    with pytest.raises(ValueError, match="harmonics"):
+        oracle.fourier_coeff(f, harmonic, "cos")
+    assert calls == []
+
+
+@pytest.mark.parametrize("harmonic", [0, 3])
+def test_fourier_rejects_an_unknown_kind(harmonic):
+    f, calls = _recording(np.cos)
+    with pytest.raises(ValueError, match="kind"):
+        oracle.fourier_coeff(f, harmonic, "bogus")
+    assert calls == []

@@ -108,6 +108,16 @@ class TestPartialFractionT:
                     lhs, rhs = pf_reciprocal_T(k, float(theta), c)
                     assert abs(lhs - rhs) < 1e-10
 
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        for k in range(1, 9):
+            for c in (0.0, 0.3, 0.9):
+                thetas = rng.uniform(0, math.pi, 100)
+                lhs, rhs = pf_reciprocal_T(k, thetas, c)
+                assert lhs.shape == rhs.shape == thetas.shape
+                for theta, left, right in zip(thetas, lhs, rhs):
+                    assert pf_reciprocal_T(k, float(theta), c) == (left, right)
+
 
 class TestPartialFractionU:
     def test_k_one(self):
@@ -127,6 +137,27 @@ class TestPartialFractionU:
     def test_pole_guard(self):
         with pytest.raises(PoleProximity):
             pf_reciprocal_U(3, complex(math.cos(math.pi / 3), 0.0))
+        with pytest.raises(PoleProximity):  # one pole among the points
+            pf_reciprocal_U(3, np.array([0.4 + 0.2j, -1.0, 2.0]))
+
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        for k in range(1, 9):
+            draws = rng.uniform([-2.0, -1.5], [2.0, 1.5], size=(100, 2))
+            zs = draws[:, 0] + 1j * draws[:, 1]
+            lhs, rhs = pf_reciprocal_U(k, zs)
+            assert lhs.shape == rhs.shape == zs.shape
+            for z, left, right in zip(zs, lhs, rhs):
+                assert pf_reciprocal_U(k, complex(z)) == (left, right)
+
+    def test_paired_draws_equal_scalar_draws(self):
+        # the pf_U cells draw (Re z, Im z) pairs in one call; the stream is that of
+        # the pairs drawn one double at a time, and ends at the same place
+        batched, scalar = np.random.default_rng(11), np.random.default_rng(11)
+        draws = batched.uniform([-2.0, -1.5], [2.0, 1.5], size=(100, 2))
+        pairs = [(scalar.uniform(-2, 2), scalar.uniform(-1.5, 1.5)) for _ in range(100)]
+        assert np.array_equal(draws, np.array(pairs))
+        assert batched.uniform() == scalar.uniform()
 
 
 class TestRamanujan353:
