@@ -49,6 +49,13 @@ other way: the weight multiply writes them into a C-ordered (P, 15, ...)
 buffer, whatever the evaluator's layout, and numpy sums its middle axis
 column by column, with no reduction call per row of 15.
 
+An algebraically decaying integral over R takes bisection on its image
+under x = s/(1-s^2) over (-1, 1) (improper_integral with decay
+"RationalOrder2"). The map and its Jacobian (1+s^2)/(1-s^2)^2 are written
+once, in RationalImage, which callers also use for a truncation [-L, L]:
+its image is [-s*, s*] with s* = 2L/(1 + sqrt(1 + 4L^2)), and the map keeps
+features near the origin at their own width.
+
 Bisection (and so improper_integral with decay "RationalOrder2") also takes
 grouped evaluators, of shape (npts, G, K): G independent integrals of K
 components each, run in lock-step on shared evaluator calls (as in Shampine,
@@ -90,6 +97,7 @@ __all__ = [
     "integrate",
     "fourier_coeff",
     "improper_integral",
+    "RationalImage",
 ]
 
 _GX, _GW = leggauss(15)
@@ -244,7 +252,8 @@ def _adaptive(f, lo, hi, tol):
     Every (interval, group) is its own integral.  Its panels are accepted
     when bisecting changes their value by less than a quarter of their share
     of its budget tol * max(1, |coarse|), coarse being its one-panel value,
-    and the share being the panel's fraction of its interval's width; a panel
+    and the share being the panel's fraction of its interval's width (1 for
+    the one panel of a zero-width interval, whose integral is 0); a panel
     split otherwise.  A panel at depth _MAX_DEPTH changed by more than its
     whole share ends that integral with NoConvergence, and so does a
     partition of its interval past _MAX_PANELS subintervals.
@@ -313,7 +322,10 @@ def _adaptive(f, lo, hi, tol):
         fine = halves[0::2] + halves[1::2]
         diff = _worst(np.abs(fine - coarse))
         row = owner if intervals > 1 else 0
-        budget = share[row] * np.maximum((b - a) / width[row], 1e-6)[:, None]
+        # a panel's fraction of its interval's width; a zero-width interval's one panel
+        # holds all of it
+        frac = np.divide(b - a, width[row], out=np.ones_like(a), where=width[row] != 0.0)
+        budget = share[row] * np.maximum(frac, 1e-6)[:, None]
         if depth < _MAX_DEPTH:
             done = diff <= 0.25 * budget
         else:  # the last level accepts every panel
@@ -506,6 +518,31 @@ def fourier_coeff(g: Callable, harmonic, kind: str = "cos"):
     return float(coeff) if h.ndim == 0 else coeff
 
 
+def _rational_map(s):
+    """x = s/(1-s^2), which maps (-1, 1) onto R, and its Jacobian dx/ds = (1+s^2)/(1-s^2)^2."""
+    q = 1.0 - s * s
+    return s / q, (1.0 + s * s) / q ** 2
+
+
+@dataclass(frozen=True)
+class RationalImage:
+    """The evaluator of s -> evaluator(x) dx/ds under x = s/(1-s^2).
+
+    Its integral over (-1, 1) is the evaluator's over R, and over [-s, s] the
+    evaluator's over [-x(s), x(s)].  A function with algebraic decay becomes
+    smooth and bounded on (-1, 1); one with peaks near the origin keeps them
+    near s = 0, at about their own width, where bisection over a wide x range
+    starts from panels much wider than they are.
+    """
+
+    evaluator: Callable
+
+    def __call__(self, s):
+        x, jac = _rational_map(s)
+        vals = np.asarray(self.evaluator(x))
+        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))
+
+
 def improper_integral(
     evaluator: Callable,
     decay: str,
@@ -562,11 +599,5 @@ def improper_integral(
             total, err = total + back, err + back_err
         return total, err
     if decay == "RationalOrder2":
-        def g(s):
-            x = s / (1.0 - s * s)
-            jac = (1.0 + s * s) / (1.0 - s * s) ** 2
-            vals = np.asarray(evaluator(x))
-            return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))
-
-        return _adaptive(g, -1.0, 1.0, tol)
+        return _adaptive(RationalImage(evaluator), -1.0, 1.0, tol)
     raise ValueError(f"unknown decay class {decay!r}")

@@ -412,6 +412,30 @@ def _measure3(moments, row, n, m, phi, form):
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 
 
+def _boundary_draws(rng):
+    """The 30 random (phi, form) draws of a boundary cell.  A draw takes at most 9
+    uniforms, read in turn from one rng.random array; lo + (hi - lo) u is the double
+    rng.uniform(lo, hi) gives, so the draws are those of one rng.uniform call each."""
+    u = iter(rng.random(30 * 9).tolist())
+
+    def uniform(lo=0.0, hi=1.0):
+        return lo + (hi - lo) * next(u)
+
+    draws = []
+    for _ in range(30):
+        form = "measure2" if uniform() < 0.5 else "measure5"
+        beta = 0.0
+        if form == "measure5" and uniform() < 0.5:
+            beta = uniform(0.3, 1.5)
+        gamma = complex(uniform(-1.5, 1.5), uniform(0.2, 2.0))
+        terms = ()
+        if uniform() < 0.5:
+            c = uniform(0.2, 2.0)
+            terms = ((c, complex(uniform(-1.0, 1.0), -uniform(0.3, 1.5))),)
+        draws.append((PickFunction(beta, gamma, terms), form))
+    return draws
+
+
 def _measure3_boundary(pair, n, m):
     # boundary sharpness: moment 2k-1 must generically break (relative
     # deviation, matching the tolerance convention of the j <= 2k-2 rows).
@@ -419,20 +443,8 @@ def _measure3_boundary(pair, n, m):
     # linear growth restores the large-semicircle decay and the 2k-1
     # moment genuinely matches, so the boundary is not sharp in that
     # sub-class.  The 30 draws share the pair and one oracle pass.
-    rng = np.random.default_rng(_SEED + n * 13 + m)
-    draws = []
-    for _ in range(30):
-        form = "measure2" if rng.uniform() < 0.5 else "measure5"
-        beta = 0.0
-        if form == "measure5" and rng.uniform() < 0.5:
-            beta = float(rng.uniform(0.3, 1.5))
-        gamma = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 2.0))
-        terms = ()
-        if rng.uniform() < 0.5:
-            c = float(rng.uniform(0.2, 2.0))
-            terms = ((c, complex(rng.uniform(-1, 1), -float(rng.uniform(0.3, 1.5)))),)
-        draws.append((PickFunction(beta, gamma, terms), form))
-    lhs, rhs = boundary_moments(pair(), draws, tol=1e-8)
+    draws = _boundary_draws(np.random.default_rng(_SEED + n * 13 + m))
+    lhs, rhs = boundary_moments(pair(), draws, tol=1e-10)
     hits = np.count_nonzero(np.abs(lhs - rhs) > 1e-4 * np.maximum(1e-8, np.abs(lhs) + abs(rhs)))
     return max(0.0, 0.9 - hits / len(draws))
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -836,3 +837,53 @@ def test_fourier_rejects_an_unknown_kind(harmonic):
     with pytest.raises(ValueError, match="kind"):
         oracle.fourier_coeff(f, harmonic, "bogus")
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# a zero-width interval, and the rational map
+
+
+def _no_warnings(run):
+    """run(), with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run()
+
+
+def test_zero_width_interval_is_zero():
+    # its one panel holds all of its width: accepted at depth 0 with value 0 and error 0
+    g, calls = _recording(np.exp)
+    assert _no_warnings(lambda: oracle.integrate(IntegrandSpec(g, FiniteDirect(1.0, 1.0)))) == (0.0, 0.0)
+    assert len(calls) == 1
+    value, err = _no_warnings(lambda: oracle._adaptive(_kinked_columns, 2.0, 2.0, 1e-12))
+    assert np.array_equal(value, np.zeros(3)) and err == 0.0
+
+
+def test_zero_width_interval_in_a_group_run():
+    outcomes = _no_warnings(lambda: oracle._adaptive(_grouped(2, _GROUPS), 0.3, 0.3, 1e-12))
+    assert len(outcomes) == len(_GROUPS)
+    for value, err in outcomes:
+        assert np.array_equal(value, np.zeros(2)) and err == 0.0
+
+
+@pytest.mark.parametrize("f", [_kinked, _kinked_columns, _grouped(3, _GROUPS)],
+                         ids=["scalar", "npts_by_3", "grouped"])
+def test_zero_width_interval_beside_others(f):
+    # [1.7, 1.7] among the lock-step intervals: it is zero, and every other interval's
+    # outcome is that of the run without it, bit for bit
+    lo, hi = np.insert(_LO, 2, 1.7), np.insert(_HI, 2, 1.7)
+    outcomes = _no_warnings(lambda: oracle._adaptive(f, lo, hi, 1e-12))
+    _same_outcome(outcomes[:2] + outcomes[3:], oracle._adaptive(f, _LO, _HI, 1e-12))
+    for value, err in outcomes[2] if isinstance(outcomes[2], list) else [outcomes[2]]:
+        assert not np.any(value) and err == 0.0
+
+
+def test_rational_image_of_a_truncation():
+    # over [-s, s] the image integrates over [-x(s), x(s)]: int_{-5}^{5} dx/(1+x^2)
+    s = 10.0 / (1.0 + math.sqrt(101.0))
+    x, jac = oracle._rational_map(np.array([s]))
+    assert x[0] == pytest.approx(5.0, rel=1e-14)
+    assert jac[0] == pytest.approx((1.0 + s * s) / (1.0 - s * s) ** 2, rel=1e-15)
+    g = oracle.RationalImage(lambda x: 1.0 / (1.0 + x * x))
+    value, _ = oracle.integrate(IntegrandSpec(g, FiniteDirect(-s, s)), tol=1e-12)
+    assert value == pytest.approx(2.0 * math.atan(x[0]), rel=1e-12)

@@ -322,6 +322,51 @@ class TestBoundaryMoments:
             assert abs(got - want) <= 1e-9 * abs(want)
 
 
+    @pytest.mark.parametrize("n, m", [(7, 7), (5, 7), (7, 5)])
+    def test_boundary_pass_at_k_7_matches_a_tight_reference(self, monkeypatch, n, m):
+        # the pass on the rational map keeps 1e-9 where the pass over [-60, 60] in x
+        # lost digits (1.4e-7 off at (7, 7)); 4.8e-10 is the worst seen, at (7, 7)
+        self.test_batched_draws_match_a_tight_reference(monkeypatch, n, m)
+        # the map takes s* to 60 to within 2 ulp of s*: x changes by x'(s*) ulp(s*),
+        # about 113 ulp of 60, from one double s to the next
+        s = pick_measures._S_CUT
+        x, jac = oracle._rational_map(np.float64(s))
+        assert abs(x - pick_measures._CUT) <= 2.0 * np.spacing(s) * jac
+        assert pick_measures._CUT == 60.0
+
+    @pytest.mark.parametrize("seeds", ["pairs", "more"])
+    def test_boundary_draws_equal_scalar_draws(self, seeds):
+        # the draws read from one rng.random array are the doubles, in the same order,
+        # of one rng.uniform call per uniform, for the seed of every odd pair up to the
+        # n + m <= 64 cap and for 1000 more seeds
+        if seeds == "pairs":
+            seeds = sorted({suites._SEED + 13 * n + m
+                            for n in range(1, 64, 2) for m in range(1, 65 - n, 2)})
+        else:
+            seeds = range(10_000, 11_000)
+        for seed in seeds:
+            want = scalar_boundary_draws(np.random.default_rng(seed))
+            got = suites._boundary_draws(np.random.default_rng(seed))
+            assert got == want and repr(got) == repr(want)
+
+
+def scalar_boundary_draws(rng):
+    """The boundary cell's 30 draws, one rng.uniform call per uniform."""
+    draws = []
+    for _ in range(30):
+        form = "measure2" if rng.uniform() < 0.5 else "measure5"
+        beta = 0.0
+        if form == "measure5" and rng.uniform() < 0.5:
+            beta = float(rng.uniform(0.3, 1.5))
+        gamma = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 2.0))
+        terms = ()
+        if rng.uniform() < 0.5:
+            c = float(rng.uniform(0.2, 2.0))
+            terms = ((c, complex(rng.uniform(-1, 1), -float(rng.uniform(0.3, 1.5)))),)
+        draws.append((PickFunction(beta, gamma, terms), form))
+    return draws
+
+
 class TestMomentTable:
     @pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)])
     @pytest.mark.parametrize("phi, form", [("i", "measure2"), ("pole", "measure5")])
