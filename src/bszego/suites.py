@@ -711,7 +711,8 @@ def _positive_int(v):
 
 def _check_grids(grids):
     """Reject a malformed grid before any cell runs (ValueError names the suite and the axis,
-    or the params of a cell past the n + m cap; listing the cells runs none of them)."""
+    the params of a cell past the n + m cap, or a suite's grid that lists no cell; listing
+    the cells runs none of them)."""
     if not isinstance(grids, dict):
         raise ValueError(f"grids must map suite ids to grids, got {grids!r}")
     for name, grid in grids.items():
@@ -740,7 +741,10 @@ def _check_grids(grids):
             )
     for name, grid in grids.items():
         sources = _REGISTRY[name][2] if name in _REGISTRY else ()
-        for p in (cell.params for source in sources for cell in source(grid, None)):
+        params = [cell.params for source in sources for cell in source(grid, None)]
+        if sources and not params:
+            raise ValueError(f"grid of suite {name!r} lists no cell: {grid!r}")
+        for p in params:
             if "n" in p and "m" in p and p["n"] + p["m"] > _PARAM_CAP:
                 raise ValueError(f"grid of suite {name!r}: params {p!r} exceed "
                                  f"n + m <= {_PARAM_CAP}")

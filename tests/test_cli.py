@@ -168,6 +168,12 @@ USAGE_ERRORS = {
         tmp / "cfg.json", json.dumps({"grids": {"measure3": {"pairs": [[3, 5, 7]]}}}))],
     "measure3_pair_even": lambda tmp: ["verify", "--config", _write(
         tmp / "cfg.json", json.dumps({"grids": {"measure3": {"pairs": [[2, 4]]}}}))],
+    # a grid that lists no cell: a non-integer n, or a kernel pair of even degrees
+    "grid_lists_no_cell_quad1": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"suites": ["quad1"], "grids": {"quad1": {"n": [1.5]}}}))],
+    "grid_lists_no_cell_kernel": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"suites": ["kernel"],
+                                      "grids": {"kernel": {"n": [2], "m": [2]}}}))],
     "rule_a_inf": lambda tmp: ["rule", "--n", "3", "--m", "5", "--a", "inf",
                                "--family", "cos_plus_cosh"],
     "rule_a_nan": lambda tmp: ["rule", "--n", "3", "--m", "5", "--a", "nan",
@@ -222,6 +228,21 @@ def test_params_past_the_cap_rejected_before_any_suite_runs(capsys, tmp_path, mo
                              _write(tmp_path / "cfg.json", json.dumps(config)))
     assert code == 2
     assert err.startswith(message) and err.rstrip().endswith("exceed n + m <= 64")
+    assert ran == [] and out == ""
+
+
+@pytest.mark.parametrize("suite, grid", [("quad1", {"n": [1.5]}),
+                                         ("kernel", {"n": [2], "m": [2]})],
+                         ids=["quad1_non_integer_n", "kernel_even_pair"])
+def test_grid_that_lists_no_cell_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch,
+                                                                suite, grid):
+    ran = []
+    monkeypatch.setitem(SUITES, "corollary_B", lambda grid, tol: ran.append(grid) or [])
+    cfg = _write(tmp_path / "cfg.json",
+                 json.dumps({"suites": ["corollary_B", suite], "grids": {suite: grid}}))
+    code, out, err = run_cli(capsys, "verify", "--config", cfg)
+    assert code == 2
+    assert err.startswith(f"error: grid of suite {suite!r} lists no cell")
     assert ran == [] and out == ""
 
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bszego import oracle
 from bszego.errors import NoConvergence
@@ -184,7 +185,7 @@ def test_no_convergence_carries_best_estimate():
 
 
 # ---------------------------------------------------------------------------
-# the doubling trapezoid path for ThetaSubstituted with weight_power -1, +1
+# the doubling rules for ThetaSubstituted: the trapezoid, and the sine rule for plain dt
 
 
 def test_trapezoid_agrees_with_bisection_where_the_weight_nearly_vanishes():
@@ -204,7 +205,11 @@ def test_trapezoid_agrees_with_bisection_where_the_weight_nearly_vanishes():
     assert 0.0 < err <= 1e-12 * (1.0 + np.max(np.abs(mu)))
 
 
-def test_non_finite_sample_falls_back_to_bisection():
+@pytest.mark.parametrize("power, expected", [
+    (+1, math.pi * 0.5651591039924851),  # int_{-1}^{1} e^t sqrt(1 - t^2) dt = pi I_1(1)
+    (0, math.e - 1.0 / math.e),
+], ids=["sqrt_both", "plain_dt"])
+def test_non_finite_sample_falls_back_to_bisection(power, expected):
     # NaN at t = 0, the theta = pi/2 node of every trapezoid rule at a = 1;
     # no Gauss node of the bisection lands there
     seen = []
@@ -214,31 +219,102 @@ def test_non_finite_sample_falls_back_to_bisection():
         seen.append(t.size)
         return np.where(np.abs(t) < 1e-15, np.nan, np.exp(t))
 
-    spec = IntegrandSpec(f, ThetaSubstituted(1.0, weight_power=+1))
+    spec = IntegrandSpec(f, ThetaSubstituted(1.0, weight_power=power))
     val, err = oracle.integrate(spec, tol=1e-12)
-    ref, ref_err = oracle._adaptive(oracle._theta_integrand(f, 1.0, +1), 0.0, math.pi, 1e-12)
-    assert seen[0] == oracle._FIRST_CALL  # the trapezoid rule was tried first: T_64 ... T_512
+    ref, ref_err = oracle._adaptive(oracle._theta_integrand(f, 1.0, power), 0.0, math.pi, 1e-12)
+    assert seen[0] == oracle._FIRST_CALL  # the periodic rules were tried first: T_64 ... T_512
     assert (val, err) == (ref, ref_err)
-    # int_{-1}^{1} e^t sqrt(1 - t^2) dt = pi I_1(1)
-    assert val == pytest.approx(math.pi * 0.5651591039924851, abs=1e-12)
+    assert val == pytest.approx(expected, abs=1e-12)
 
 
-def test_plain_dt_never_takes_the_trapezoid(monkeypatch):
+def test_every_theta_integral_takes_the_periodic_rules(monkeypatch):
     taken = []
     periodic = oracle._periodic
 
-    def recording(g, tol):
-        taken.append(tol)
-        return periodic(g, tol)
+    def recording(g, tol, sine=False):
+        taken.append(sine)
+        return periodic(g, tol, sine)
 
     monkeypatch.setattr(oracle, "_periodic", recording)
-    spec = IntegrandSpec(lambda t: np.asarray(t) ** 2, ThetaSubstituted(1.0, weight_power=0))
-    val, _ = oracle.integrate(spec, tol=1e-12)
-    assert val == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert taken == []
-    for power in (-1, +1):
+    for power in (-1, 0, +1):
         oracle.integrate(IntegrandSpec(lambda t: np.ones_like(t), ThetaSubstituted(1.0, power)))
-    assert len(taken) == 2
+    assert taken == [False, True, False]  # the sine rule for the even power only
+
+
+def test_weight_power_below_minus_one_takes_bisection():
+    # the periodic rules sample theta = 0, where ((1-t)(1+t))^(-1) is infinite
+    def f(t):
+        t = np.asarray(t)
+        return 1.0 - t * t
+
+    spec = IntegrandSpec(f, ThetaSubstituted(1.0, weight_power=-2))
+    val, err = _no_warnings(lambda: oracle.integrate(spec, tol=1e-12))
+    assert (val, err) == oracle._adaptive(oracle._theta_integrand(f, 1.0, -2), 0.0, math.pi, 1e-12)
+    assert val == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("f, expected", [(lambda t: np.asarray(t) ** 2, 2.0 / 3.0),
+                                         (np.exp, math.e - 1.0 / math.e)], ids=["t2", "exp"])
+def test_plain_dt_of_a_smooth_integrand_settles_through_the_sine_rule(f, expected):
+    # g = f(cos theta) sin(theta) has a kink in its even extension: the trapezoid rule
+    # converges like 1/N^2 and cannot settle in the table, while the sine rule can
+    g, calls = _recording(f)
+    val, err = oracle.integrate(IntegrandSpec(g, ThetaSubstituted(1.0, 0)), tol=1e-12)
+    assert len(calls) == 1
+    assert abs(val - expected) <= 1e-15 and err <= 1e-12
+    trapezoid_only = oracle._periodic(oracle._theta_integrand(f, 1.0, 0), 1e-12)
+    assert trapezoid_only is None or trapezoid_only[0] != val
+
+
+def test_plain_dt_with_a_square_root_factor_settles_through_the_trapezoid():
+    # g = sin(theta)^2 e^(cos theta) is even and smooth: the trapezoid rule settles first
+    def f(t):
+        t = np.asarray(t)
+        return np.sqrt(1.0 - t * t) * np.exp(t)
+
+    g, calls = _recording(f)
+    val, err = oracle.integrate(IntegrandSpec(g, ThetaSubstituted(1.0, 0)), tol=1e-12)
+    assert len(calls) == 1
+    assert (val, err) == oracle._periodic(oracle._theta_integrand(f, 1.0, 0), 1e-12)
+    assert val == pytest.approx(math.pi * 0.5651591039924851, abs=1e-14)  # pi I_1(1)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_sine_weights_integrate_every_sine_below_n(n):
+    weights = oracle._SINE_WEIGHTS[n]
+    j = np.rint(oracle._THETA[:n + 1] * n / math.pi).astype(int)  # theta = j pi/n, table order
+    assert sorted(j.tolist()) == list(range(n + 1))
+    k = np.arange(1, n)
+    sines = np.sin((np.outer(k, j) % (2 * n)) * (math.pi / n))  # arguments reduced exactly
+    exact = (1.0 - (-1.0) ** k) / k  # int_0^pi sin(k theta) d theta
+    assert np.max(np.abs(sines @ weights - exact)) <= 1e-14
+    assert not weights.flags.writeable and not oracle._THETA.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.25, 4.0), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=41))
+def test_plain_dt_polynomials_match_exact_references(a, coeffs):
+    # p has degree <= 40 in x = (2t - (1 - a))/(1 + a), which maps [-a, 1] onto [-1, 1];
+    # dt = h dx and (1 - t)(a + t) = h^2 (1 - x^2), with h = (1 + a)/2
+    poly = np.polynomial.polynomial
+    coeffs = np.asarray(coeffs)
+    h = 0.5 * (1.0 + a)
+
+    def p(t):
+        return poly.polyval((2.0 * np.asarray(t) - (1.0 - a)) / (1.0 + a), coeffs)
+
+    def p_root(t):
+        t = np.asarray(t)
+        return p(t) * np.sqrt(np.clip((1.0 - t) * (a + t), 0.0, None))
+
+    antiderivative = poly.polyint(coeffs)
+    plain = h * (poly.polyval(1.0, antiderivative) - poly.polyval(-1.0, antiderivative))
+    # Gauss-Chebyshev of the second kind with 41 nodes: exact to degree 81 in x
+    angle = np.arange(1, 42) * (math.pi / 42)
+    root = h * h * math.pi / 42 * np.sum(np.sin(angle) ** 2 * poly.polyval(np.cos(angle), coeffs))
+    for f, ref in ((p, plain), (p_root, root)):
+        val, _ = oracle.integrate(IntegrandSpec(f, ThetaSubstituted(a, 0)), tol=1e-13)
+        assert abs(val - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
 def test_trapezoid_samples_in_bounded_chunks():
@@ -621,7 +697,8 @@ def test_nan_beyond_the_reached_rules_changes_nothing():
 
 
 def test_an_integral_settled_in_the_first_call_calls_once():
-    for interval in (ThetaSubstituted(1.0, -1), ThetaSubstituted(0.5, +1), FiniteDirect(0.0, 1.0)):
+    for interval in (ThetaSubstituted(1.0, -1), ThetaSubstituted(0.5, +1), ThetaSubstituted(0.5, 0),
+                     FiniteDirect(0.0, 1.0)):
         f, calls = _recording(np.exp)
         oracle.integrate(IntegrandSpec(f, interval), tol=1e-12)
         assert len(calls) == 1, interval
@@ -857,6 +934,19 @@ def test_zero_width_interval_is_zero():
     assert len(calls) == 1
     value, err = _no_warnings(lambda: oracle._adaptive(_kinked_columns, 2.0, 2.0, 1e-12))
     assert np.array_equal(value, np.zeros(3)) and err == 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FiniteDirect(math.nan, 1.0),
+    lambda: FiniteDirect(0.0, math.inf),
+    lambda: FiniteDirect(-math.inf, 0.0),
+    lambda: ThetaSubstituted(math.nan),
+    lambda: ThetaSubstituted(math.inf, 0),
+    lambda: ThetaSubstituted(-1.0, +1),  # -a = 1: the interval [1, 1] has no theta map
+], ids=["lo_nan", "hi_inf", "lo_minus_inf", "a_nan", "a_inf", "a_minus_one"])
+def test_malformed_interval_ends_are_rejected_up_front(make):
+    with pytest.raises(ValueError, match="needs"):
+        _no_warnings(make)
 
 
 def test_zero_width_interval_in_a_group_run():
