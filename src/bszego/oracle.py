@@ -11,21 +11,14 @@ turn a smooth g(t) into a smooth, even, 2pi-periodic function of theta, and
 for those the trapezoid rule on [0, pi] converges geometrically (Trefethen
 and Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev. 56,
 2014). Such integrals take the trapezoid rule, doubled until two successive
-rules agree. The plain dt measure, dt = (1+a)/2 sin(theta) d(theta), takes
-the same nodes and two rules on the same samples: the trapezoid, which
-converges geometrically when g carries the factor sqrt((1-t)(a+t)) (then the
-substituted integrand is smooth and even), and Fejer's second rule written
-over sin(theta), exact for sin(k theta) with k below its interval count
-(Waldvogel, "Fast construction of the Fejer and Clenshaw-Curtis quadrature
-rules", BIT 46, 2006), which converges geometrically when g itself is smooth
-(an |sin(theta)| kink). The first rule to settle its own doubling is
-returned, the trapezoid on a tie; the sine rule reads only the first call's
-rules, T_64 to T_512, and past them the trapezoid doubles on alone. A sample
+rules agree. So does the plain dt measure, dt = (1+a)/2 sin(theta) d(theta):
+when g carries the factor sqrt((1-t)(a+t)), as every plain-dt integrand of
+the suites does, the substituted integrand is smooth and even too. A sample
 that is not finite, or no agreement by _TRAP_MAX intervals, sends a theta
-integral back to adaptive bisection: an even-power integrand that neither
-rule settles by T_512 costs up to _TRAP_MAX trapezoid points first, the same
-bound as the other weights. Finite intervals and infinite ranges always use
-bisection.
+integral back to adaptive bisection. So a plain-dt integrand that is smooth
+in t (an |sin(theta)| kink, on which the trapezoid converges like 1/N^2)
+costs up to _TRAP_MAX trapezoid points first, the same bound as the other
+weights. Finite intervals and infinite ranges always use bisection.
 
 An evaluator call costs far more to start than per point, and most
 integrals stop after a few refinement levels, so an integral's first call
@@ -144,43 +137,21 @@ def _table_top():
     return top
 
 
-def _sine_weights(n):
-    """w_j = (4/n) sum_{k odd < n} sin(k theta_j)/k at theta_j = j pi/n, j = 0..n.
-
-    sum_j w_j g(theta_j) is exact for g = sin(k theta), 1 <= k < n: Fejer's second rule
-    with its sin(theta) factor left in g (Waldvogel, BIT 46, 2006).  The sum over k is
-    one FFT of length 2n: Im fft(c)_j = -sum_k c_k sin(k j pi/n).
-    """
-    c = np.zeros(2 * n)
-    c[1:n:2] = 1.0 / np.arange(1, n, 2)
-    return -(4.0 / n) * np.fft.fft(c)[:n + 1].imag
-
-
 def _theta_table():
-    """The first call's theta nodes in table order, and each table rule's sine weights.
-
-    The nodes are T_64's, then the midpoints that each doubling to T_top adds, so the
-    first N + 1 of them are T_N's nodes for every rule N in the table.  The sine
-    weights of rule N are in the same order, one per node of its prefix.
-    """
+    """The first call's theta nodes in table order: T_64's, then the midpoints that each
+    doubling to T_top adds, so the first N + 1 of them are T_N's nodes for every rule N
+    in the table."""
     n, top = _TRAP_START, _table_top()
     nodes = [np.linspace(0.0, np.pi, n + 1)]
     while n < top:
         nodes.append(_midpoints(n))
         n *= 2
     theta = np.concatenate(nodes)
-    j = np.rint(theta * (top / np.pi)).astype(int)  # theta = j pi/top
-    weights = {}
-    while n >= _TRAP_START:
-        weights[n] = _sine_weights(n)[j[:n + 1] // (top // n)]
-        n //= 2
-    for table in (theta, *weights.values()):
-        table.flags.writeable = False
-    return theta, weights
+    theta.flags.writeable = False
+    return theta
 
 
-# built once: a read-only table of the first call's theta nodes, and its rules' sine weights
-_THETA, _SINE_WEIGHTS = _theta_table()
+_THETA = _theta_table()  # built once, read-only
 
 
 @dataclass(frozen=True)
@@ -485,38 +456,30 @@ def _theta_integrand(f, a, p):
     return g
 
 
-def _periodic(g, tol, sine=False):
-    """Doubling rules on [0, pi] for g(theta); returns (value, err_est) or None.
+def _periodic(g, tol):
+    """Trapezoid rule on [0, pi] for an even 2pi-periodic g; returns (value, err_est) or None.
 
-    The trapezoid rule suits an even 2pi-periodic g; with sine, the sine rule
-    (_sine_weights) reads the same samples and suits g = sin(theta) h(cos(theta)) with
-    a smooth h, whose even extension has a kink where sin(theta) does.  Both start at
-    _TRAP_START intervals; each doubling adds only the new midpoints.  The nodes of
-    every rule up to _FIRST_CALL points, T_64's and the midpoints of each doubling to
-    T_512 (_THETA), come from one evaluator call in that order, and each doubling reads
-    its midpoints from that table; later doublings call the evaluator for theirs.  Each
-    level's samples, and their products with the sine weights, are summed pairwise along
-    the node-major table's contiguous node axis.  A rule is accepted when
-    max|R_2N - R_N| <= tol * (1 + max|R_2N|), and R_2N is returned with that difference
-    as its error estimate.  At each doubling the trapezoid is tested first, so it wins a
-    tie; the sine rule runs only on the rules in the table, and past it the trapezoid
-    doubles on alone.  None when a sample of a rule that is reached is not finite, or no
-    doubling up to _TRAP_MAX intervals is accepted.
+    Starts at _TRAP_START intervals; each doubling adds only the new
+    midpoints.  The nodes of every rule up to _FIRST_CALL points, T_64's and
+    the midpoints of each doubling to T_512 (_THETA, built at import, which a
+    later change of _FIRST_CALL may shorten but not lengthen), come from one
+    evaluator call in that order, and each doubling reads its midpoints from
+    that table; later doublings call the evaluator for theirs.  Each level's
+    samples are summed pairwise along the node-major table's contiguous node
+    axis.  Accepts when
+    max|T_2N - T_N| <= tol * (1 + max|T_2N|) and returns T_2N with that
+    difference as its error estimate.  None when a sample of a rule that is
+    reached is not finite, or no doubling up to _TRAP_MAX intervals is
+    accepted.
     """
-    n, top = _TRAP_START, _table_top()
-
-    def accepted(fine, coarse):
-        diff = np.max(np.abs(np.atleast_1d(fine - coarse)))
-        return diff <= tol * (1.0 + np.max(np.abs(np.atleast_1d(fine)))), float(diff)
-
+    n = _TRAP_START
+    top = min(_table_top(), _THETA.size - 1)  # the finest rule in the table
     table = _node_major(g(_THETA[:top + 1]))
     vals = table[..., :n + 1]
     if not np.all(np.isfinite(vals)):
         return None
     total = vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1])
     coarse = total * (np.pi / n)
-    if sine:
-        sine_coarse = (vals * _SINE_WEIGHTS[n]).sum(axis=-1)
     while n < _TRAP_MAX:
         if n < top:
             chunks = [table[..., n + 1:2 * n + 1]]
@@ -530,32 +493,25 @@ def _periodic(g, tol, sine=False):
             total = total + vals.sum(axis=-1)
         n *= 2
         fine = total * (np.pi / n)
-        done, diff = accepted(fine, coarse)
-        if done:
-            return fine, diff
+        diff = np.max(np.abs(np.atleast_1d(fine - coarse)))
+        if diff <= tol * (1.0 + np.max(np.abs(np.atleast_1d(fine)))):
+            return fine, float(diff)
         coarse = fine
-        if sine and n <= top:
-            sine_fine = (table[..., :n + 1] * _SINE_WEIGHTS[n]).sum(axis=-1)
-            done, diff = accepted(sine_fine, sine_coarse)
-            if done:
-                return sine_fine, diff
-            sine_coarse = sine_fine
     return None
 
 
 def integrate(spec: IntegrandSpec, tol: float = 1e-10):
     """Integrate spec; returns (value, err_est).
 
-    ThetaSubstituted integrals take the doubling rules of _periodic, whose
-    err_est is the change of the last doubling: the trapezoid rule alone for
-    an odd weight_power, where the substituted integrand is even and smooth
-    when g is; and for an even one, where it carries an odd power of
-    sin(theta), the trapezoid and the sine rule on the same samples, the
-    first to settle being returned.  When a sample is not finite or no
-    doubling settles by _TRAP_MAX intervals they fall back to adaptive
-    bisection, which a weight_power below -1 takes at once.  FiniteDirect
-    intervals use adaptive bisection, whose err_est is the sum of the
-    accepted panels' refinement changes / 15.
+    ThetaSubstituted integrals take the doubling trapezoid rule of
+    _periodic, whose err_est is the change of the last doubling; when a
+    sample is not finite or no doubling settles by _TRAP_MAX intervals they
+    fall back to adaptive bisection, which a weight_power below -1 takes at
+    once.  The rule converges geometrically when the substituted integrand
+    is smooth: for weight_power -1 or +1 when g is smooth, for 0 when g
+    carries sqrt((1-t)(a+t)).  FiniteDirect intervals use adaptive
+    bisection, whose err_est is the sum of the accepted panels' refinement
+    changes / 15.
     err_est <= tol * (1 + |value|) on success; NoConvergence carries the best
     estimate otherwise.
     """
@@ -564,8 +520,8 @@ def integrate(spec: IntegrandSpec, tol: float = 1e-10):
     iv = spec.interval
     if isinstance(iv, ThetaSubstituted):
         g = _theta_integrand(f, iv.a, iv.weight_power)
-        # the rules sample theta = 0 and pi, where a weight_power below -1 makes g infinite
-        found = _periodic(g, tol, sine=iv.weight_power % 2 == 0) if iv.weight_power >= -1 else None
+        # the trapezoid samples theta = 0 and pi, where a weight_power below -1 makes g infinite
+        found = _periodic(g, tol) if iv.weight_power >= -1 else None
         value, err = found if found is not None else _adaptive(g, 0.0, np.pi, tol)
     elif isinstance(iv, FiniteDirect):
         value, err = _adaptive(f, iv.lo, iv.hi, tol)

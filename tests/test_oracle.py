@@ -185,7 +185,7 @@ def test_no_convergence_carries_best_estimate():
 
 
 # ---------------------------------------------------------------------------
-# the doubling rules for ThetaSubstituted: the trapezoid, and the sine rule for plain dt
+# the doubling trapezoid path for every ThetaSubstituted weight_power >= -1
 
 
 def test_trapezoid_agrees_with_bisection_where_the_weight_nearly_vanishes():
@@ -231,14 +231,14 @@ def test_every_theta_integral_takes_the_periodic_rules(monkeypatch):
     taken = []
     periodic = oracle._periodic
 
-    def recording(g, tol, sine=False):
-        taken.append(sine)
-        return periodic(g, tol, sine)
+    def recording(g, tol):
+        taken.append(tol)
+        return periodic(g, tol)
 
     monkeypatch.setattr(oracle, "_periodic", recording)
     for power in (-1, 0, +1):
         oracle.integrate(IntegrandSpec(lambda t: np.ones_like(t), ThetaSubstituted(1.0, power)))
-    assert taken == [False, True, False]  # the sine rule for the even power only
+    assert len(taken) == 3
 
 
 def test_weight_power_below_minus_one_takes_bisection():
@@ -253,19 +253,6 @@ def test_weight_power_below_minus_one_takes_bisection():
     assert val == pytest.approx(2.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("f, expected", [(lambda t: np.asarray(t) ** 2, 2.0 / 3.0),
-                                         (np.exp, math.e - 1.0 / math.e)], ids=["t2", "exp"])
-def test_plain_dt_of_a_smooth_integrand_settles_through_the_sine_rule(f, expected):
-    # g = f(cos theta) sin(theta) has a kink in its even extension: the trapezoid rule
-    # converges like 1/N^2 and cannot settle in the table, while the sine rule can
-    g, calls = _recording(f)
-    val, err = oracle.integrate(IntegrandSpec(g, ThetaSubstituted(1.0, 0)), tol=1e-12)
-    assert len(calls) == 1
-    assert abs(val - expected) <= 1e-15 and err <= 1e-12
-    trapezoid_only = oracle._periodic(oracle._theta_integrand(f, 1.0, 0), 1e-12)
-    assert trapezoid_only is None or trapezoid_only[0] != val
-
-
 def test_plain_dt_with_a_square_root_factor_settles_through_the_trapezoid():
     # g = sin(theta)^2 e^(cos theta) is even and smooth: the trapezoid rule settles first
     def f(t):
@@ -277,18 +264,6 @@ def test_plain_dt_with_a_square_root_factor_settles_through_the_trapezoid():
     assert len(calls) == 1
     assert (val, err) == oracle._periodic(oracle._theta_integrand(f, 1.0, 0), 1e-12)
     assert val == pytest.approx(math.pi * 0.5651591039924851, abs=1e-14)  # pi I_1(1)
-
-
-@pytest.mark.parametrize("n", [64, 128, 256, 512])
-def test_sine_weights_integrate_every_sine_below_n(n):
-    weights = oracle._SINE_WEIGHTS[n]
-    j = np.rint(oracle._THETA[:n + 1] * n / math.pi).astype(int)  # theta = j pi/n, table order
-    assert sorted(j.tolist()) == list(range(n + 1))
-    k = np.arange(1, n)
-    sines = np.sin((np.outer(k, j) % (2 * n)) * (math.pi / n))  # arguments reduced exactly
-    exact = (1.0 - (-1.0) ** k) / k  # int_0^pi sin(k theta) d theta
-    assert np.max(np.abs(sines @ weights - exact)) <= 1e-14
-    assert not weights.flags.writeable and not oracle._THETA.flags.writeable
 
 
 @settings(max_examples=40, deadline=None)
@@ -604,6 +579,29 @@ def test_trapezoid_first_call_equals_one_level_per_call(monkeypatch, g):
     assert [c.size for c in batched[1:]] == [c.size for c in reference[4:]]
 
 
+def test_theta_table_holds_the_nested_rules_of_the_first_call():
+    theta = oracle._THETA
+    assert theta.size == oracle._FIRST_CALL and not theta.flags.writeable
+    n = oracle._TRAP_START
+    while n + 1 <= theta.size:
+        j = theta[:n + 1] * (n / math.pi)  # T_n's nodes are j pi/n, j = 0..n, in table order
+        assert np.array_equal(np.sort(np.rint(j)), np.arange(n + 1.0))
+        assert np.max(np.abs(j - np.rint(j))) <= 1e-12
+        n *= 2
+
+
+def test_first_call_larger_than_the_table_reads_it_whole(monkeypatch):
+    # a _FIRST_CALL raised after import may not truncate a rule: T_1024 and beyond take
+    # their midpoints from the evaluator, and the result equals the imported setting's
+    value, err = oracle._periodic(_near_pole, 1e-13)
+    g, calls = _recording(_near_pole)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_FIRST_CALL", 4 * oracle._FIRST_CALL)
+        assert oracle._periodic(g, 1e-13) == (value, err)
+    assert calls[0].size == oracle._THETA.size and len(calls) > 1
+    assert value == pytest.approx(math.pi / math.sqrt(1.0001 ** 2 - 1.0), rel=1e-12)
+
+
 @pytest.mark.parametrize("f", [_kinked, _kinked_columns, _node_contiguous(_kinked_columns),
                                _grouped(3, _GROUPS), np.exp],
                          ids=["scalar", "npts_by_3", "npts_by_3_node_contiguous", "grouped",
@@ -697,11 +695,14 @@ def test_nan_beyond_the_reached_rules_changes_nothing():
 
 
 def test_an_integral_settled_in_the_first_call_calls_once():
-    for interval in (ThetaSubstituted(1.0, -1), ThetaSubstituted(0.5, +1), ThetaSubstituted(0.5, 0),
-                     FiniteDirect(0.0, 1.0)):
+    for interval in (ThetaSubstituted(1.0, -1), ThetaSubstituted(0.5, +1), FiniteDirect(0.0, 1.0)):
         f, calls = _recording(np.exp)
         oracle.integrate(IntegrandSpec(f, interval), tol=1e-12)
         assert len(calls) == 1, interval
+    # plain dt with the factor sqrt((1-t)(a+t)) that every plain-dt integrand of the suites has
+    f, calls = _recording(lambda t: np.sqrt(np.clip((1.0 - t) * (0.5 + t), 0.0, None)) * np.exp(t))
+    oracle.integrate(IntegrandSpec(f, ThetaSubstituted(0.5, 0)), tol=1e-12)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
