@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -709,10 +710,27 @@ def _positive_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
 
 
+def _numeric_axis_values(grid):
+    """(axis, value) for every value on the grid's n, m, a and n_plus_m_max axes."""
+    for axis in ("n", "m", "a", "n_plus_m_max"):
+        if axis in grid:
+            values = grid[axis]
+            for v in [values] if axis in _SCALAR_GRID_KEYS else values:
+                yield axis, v
+
+
+def _bad_axis_value(name, axis, v):
+    want = "finite positive reals" if axis == "a" else "positive integers"
+    return ValueError(f"grid of suite {name!r}: axis {axis!r} needs {want}, got {v!r}")
+
+
 def _check_grids(grids):
     """Reject a malformed grid before any cell runs (ValueError names the suite and the axis,
-    the params of a cell past the n + m cap, or a suite's grid that lists no cell; listing
-    the cells runs none of them)."""
+    and the value of a bad n, m, a or n_plus_m_max, the params of a cell past the n + m cap,
+    or a suite's grid that lists no cell; listing the cells runs none of them).  A value on
+    those axes that is not a real number is rejected before the cells are listed, since
+    listing compares it, and a real outside the axis's domain after, so a grid whose
+    non-integer n lists no cell is reported as listing none."""
     if not isinstance(grids, dict):
         raise ValueError(f"grids must map suite ids to grids, got {grids!r}")
     for name, grid in grids.items():
@@ -723,6 +741,9 @@ def _check_grids(grids):
                 raise ValueError(
                     f"grid of suite {name!r}: axis {axis!r} needs a list of values, got {values!r}"
                 )
+        for axis, v in _numeric_axis_values(grid):
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                raise _bad_axis_value(name, axis, v)
     for pair in grids.get("measure3", {}).get("pairs", []):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(_positive_int(v) and v % 2 == 1 for v in pair)):
@@ -748,6 +769,9 @@ def _check_grids(grids):
             if "n" in p and "m" in p and p["n"] + p["m"] > _PARAM_CAP:
                 raise ValueError(f"grid of suite {name!r}: params {p!r} exceed "
                                  f"n + m <= {_PARAM_CAP}")
+        for axis, v in _numeric_axis_values(grid):
+            if not (math.isfinite(v) and v > 0 if axis == "a" else _positive_int(v)):
+                raise _bad_axis_value(name, axis, v)
 
 
 def _check_tolerances(tolerances, tol_override):

@@ -15,7 +15,9 @@ h(0) > 0, is recovered from samples of the defining trigonometric expression
 on the unit circle by one FFT, whose coefficients serve the degree check;
 its residual |h|^2 - rho is read from one real FFT of its coefficients, and it
 is certified zero-free by a winding count at the paper's known roots, not by
-root finding.
+root finding.  The build evaluates the block once: one `_block_angles` call on
+the FFT samples' t, the winding count's points and the residual grid, joined,
+gives the circle form on the first two sets and rho on the third.
 
 Negative t is always handled by the explicit real continuations
 asin(sqrt(t)) = i asinh(sqrt(-t)) and asinh(sqrt(t/a)) = i asin(sqrt(-t/a)),
@@ -59,6 +61,11 @@ __all__ = [
 _PARAM_CAP = 64
 _SYMMETRY_TOL = 1e-9  # of max|sample|: the conjugate symmetry bound
 _RESIDUAL_POINTS = 512  # theta_k = k pi/511: the first half of the 1022nd roots of unity
+# the residual grid of `_validate_factor` and its cos theta, read-only; the build takes rho
+# on them from the same block evaluation as its samples
+_RESIDUAL_THETA = np.linspace(0.0, np.pi, _RESIDUAL_POINTS)
+_RESIDUAL_COS = np.cos(_RESIDUAL_THETA)
+_RESIDUAL_THETA.flags.writeable = _RESIDUAL_COS.flags.writeable = False
 
 
 class Family(enum.Enum):
@@ -172,7 +179,12 @@ def continued_block(t, n, m, a):
     sin(n asin sqrt t)/sqrt t = s, likewise sh; s(0) = n and sh(0) = m/sqrt(a).
     """
     t = np.asarray(t, dtype=float)
-    x, y = _block_angles(t, n, m, a)
+    return _block_factors(t, _block_angles(t, n, m, a), n, m, a)
+
+
+def _block_factors(t, angles, n, m, a):
+    """`continued_block` at t from the block's angles (x, y) of `_block_angles` at t."""
+    x, y = angles
     sx, shy = _sines_over_root(t, x, y, n, m, a)
     cx, chy = np.cos(x), np.cosh(y)
     pos = t >= 0.0
@@ -180,10 +192,11 @@ def continued_block(t, n, m, a):
             np.where(pos, chy, cx), np.where(pos, shy, sx))
 
 
-def _rho_block(t, n, m, a, quotient):
+def _rho_block(t, n, m, a, quotient, angles=None):
     """One block of rho as a sum of squares: the plus block 2(cos^2 x + sinh^2 y), the
-    quotient block 2((sin x/sqrt|t|)^2 + (sinh y/sqrt|t|)^2), 2(n^2 + m^2/a) at t = 0."""
-    x, y = _block_angles(t, n, m, a)
+    quotient block 2((sin x/sqrt|t|)^2 + (sinh y/sqrt|t|)^2), 2(n^2 + m^2/a) at t = 0.
+    `angles` are those of `_block_angles` at t, if the caller has them."""
+    x, y = _block_angles(t, n, m, a) if angles is None else angles
     u, v = _sines_over_root(t, x, y, n, m, a) if quotient else (np.cos(x), np.sinh(y))
     return 2.0 * (u * u + v * v)
 
@@ -256,36 +269,53 @@ def _one_block(spec: WeightSpec, what: str) -> bool:
     return blocks[0][0]
 
 
-def _circle_form(spec: WeightSpec, t):
+def _circle_form(spec: WeightSpec, t, angles=None):
     """(q, c, G) with h(e^{i theta}) = c e^{i q theta / 2} G(t) for theta in [0, pi]:
     G = xi + i eta, q = n + m for cos-plus-cosh, G = s Ch - i C sh of `continued_block`,
-    q = n + m - 1 for the quotient family; c is a constant."""
+    q = n + m - 1 for the quotient family; c is a constant.  `angles` are those of
+    `_block_angles` at t, if the caller has them."""
     quotient = _one_block(spec, "circle sampling formula")
     n, m, a = spec.n, spec.m, spec.a
-    C, s, Ch, sh = continued_block(t, n, m, a)
+    if angles is None:
+        C, s, Ch, sh = continued_block(t, n, m, a)
+    else:
+        C, s, Ch, sh = _block_factors(t, angles, n, m, a)
     if not quotient:
         return n + m, (1j ** (-n)) * np.sqrt(2.0), C * Ch + 1j * (t * s * sh)
     return n + m - 1, (1j ** (1 - n)) * np.sqrt(2.0), s * Ch - 1j * (C * sh)
 
 
-def _circle_t(theta, a):
+def _cos_to_t(cos_theta, a):
     """The t of [-a, 1] under e^{i theta}: ((1 - a) + (1 + a) cos theta)/2."""
-    return np.clip(0.5 * ((1.0 - a) + (1.0 + a) * np.cos(theta)), -a, 1.0)
+    return np.minimum(np.maximum(0.5 * ((1.0 - a) + (1.0 + a) * cos_theta), -a), 1.0)
+
+
+def _circle_t(theta, a):
+    """The t of [-a, 1] under e^{i theta}."""
+    return _cos_to_t(np.cos(theta), a)
+
+
+def _sample_angles(n_samples):
+    """The angles 2 pi k/n_samples in [0, pi] of the n_samples-th roots of unity, k = 0 up."""
+    return 2.0 * np.pi * np.arange(n_samples // 2 + 1) / n_samples
+
+
+def _circle_samples(q, c, theta, G, n_samples):
+    """h(e^{i theta_k}) on the uniform grid from the circle form (q, c, G) at the angles
+    `theta` of `_sample_angles`; those on (pi, 2pi) are exact conjugates of those on (0, pi)."""
+    vals = np.empty(n_samples, dtype=complex)
+    k = theta.size
+    vals[:k] = c * np.exp(1j * q * theta / 2.0) * G
+    vals[k:] = np.conj(vals[n_samples - k:0:-1])
+    return vals
 
 
 def _theta_grid_samples(spec: WeightSpec, n_samples: int):
     """h(e^{i theta_k}) on the uniform grid, theta in [0, pi] by formula and
     (pi, 2pi) as exact conjugates of those on (0, pi)."""
-    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    upper = theta <= np.pi + 1e-15
-    th = theta[upper]
-    q, c, G = _circle_form(spec, _circle_t(th, spec.a))
-    vals = np.empty(n_samples, dtype=complex)
-    vals[upper] = c * np.exp(1j * q * th / 2.0) * G
-    lower = ~upper
-    idx = np.arange(n_samples)[lower]
-    vals[idx] = np.conj(vals[n_samples - idx])
-    return vals
+    theta = _sample_angles(n_samples)
+    q, c, G = _circle_form(spec, _circle_t(theta, spec.a))
+    return _circle_samples(q, c, theta, G, n_samples)
 
 
 def _rung_sine(k, N):
@@ -302,19 +332,27 @@ def _block_zeros(spec: WeightSpec):
     return np.concatenate([pos, neg])
 
 
-def _certify_zero_free(spec: WeightSpec) -> float:
+def _certificate_t(spec: WeightSpec):
+    """The points of the winding count: t = 1, t = -a and the midpoints between `_block_zeros`."""
+    z = _block_zeros(spec)
+    return np.concatenate([z[:1], 0.5 * (z[:-1] + z[1:]), z[-1:]])
+
+
+def _certify_zero_free(spec: WeightSpec, form=None) -> float:
     """Winding number of h on the unit circle: 0 up to rounding, or RootInDisk.
 
     For real h it is the change of arg h over theta in [0, pi] divided by pi,
     that is q/2 plus the change of arg G as t runs from 1 to -a.  The parts of
     G vanish only at `_block_zeros`, where they interlace; sampled at t = 1,
-    t = -a and midway between zeros, G crosses at most one axis per step (two
-    mean a zero is missing from the list), so each principal step, the angle
-    of G[i+1] conj G[i], is exact and their sum is the change of arg G.
+    t = -a and midway between zeros (`_certificate_t`), G crosses at most one
+    axis per step (two mean a zero is missing from the list), so each principal
+    step, the angle of G[i+1] conj G[i], is exact and their sum is the change of
+    arg G.  `form` is (q, G) of `_circle_form` at those points, if the caller has it.
     """
-    z = _block_zeros(spec)
-    t = np.concatenate([z[:1], 0.5 * (z[:-1] + z[1:]), z[-1:]])
-    q, _, G = _circle_form(spec, t)
+    if form is None:
+        q, _, G = _circle_form(spec, _certificate_t(spec))
+    else:
+        q, G = form
     re, im = np.sign(G.real), np.sign(G.imag)
     if np.any((re[1:] != re[:-1]) & (im[1:] != im[:-1])):
         raise RootInDisk("a step of the winding count crosses both axes: a zero of G is missing")
@@ -324,9 +362,10 @@ def _certify_zero_free(spec: WeightSpec) -> float:
     return winding
 
 
-def _validate_factor(spec: WeightSpec, h: RealPolynomial) -> float:
-    """max ||h|^2 - rho| / max rho on 512 points of theta in [0, pi], or FactorizationResidual
-    where h has the wrong degree, h(0) <= 0 or the residual exceeds 1e-9 max rho."""
+def _validate_factor(spec: WeightSpec, h: RealPolynomial, rho=None) -> float:
+    """max ||h|^2 - rho| / max rho on the 512 points `_RESIDUAL_THETA` of [0, pi], or
+    FactorizationResidual where h has the wrong degree, h(0) <= 0 or the residual exceeds
+    1e-9 max rho.  `rho` is rho at their t, if the caller has it."""
     deg = expected_rho_degree(spec)
     if h.degree != deg:
         raise FactorizationResidual(
@@ -334,8 +373,8 @@ def _validate_factor(spec: WeightSpec, h: RealPolynomial) -> float:
         )
     if not h.coeffs[0] > 0.0:
         raise FactorizationResidual(f"h(0) = {h.coeffs[0]} is not positive")
-    theta = np.linspace(0.0, np.pi, _RESIDUAL_POINTS)
-    rho = rho_eval(spec, _circle_t(theta, spec.a))
+    if rho is None:
+        rho = rho_eval(spec, _cos_to_t(_RESIDUAL_COS, spec.a))
     # h is real, so the real FFT's k-th value is conj h(e^{i theta_k}): |h| on the grid
     h_abs = np.abs(np.fft.rfft(h.coeffs, 2 * _RESIDUAL_POINTS - 2))
     resid, rho_max = float(np.max(np.abs(h_abs ** 2 - rho))), float(np.max(rho))
@@ -349,6 +388,12 @@ def _validate_factor(spec: WeightSpec, h: RealPolynomial) -> float:
 def build_szego_factor(spec: WeightSpec) -> SzegoFactor:
     """Construct and validate the Fejer-Riesz factor for the one-block families.
 
+    The block is evaluated once, by one `_block_angles` call on three point sets
+    joined: the t of the FFT samples on [0, pi], the winding count's points
+    (`_certificate_t`) and the t of the residual grid `_RESIDUAL_THETA`.  The
+    circle form G of the first two sets is one `_circle_form` call, and rho on
+    the third is the sum of squares `_rho_block` that `rho_eval` returns.
+
     Samples the defining expression at the N-th roots of unity with N the
     smallest power of two >= 2 (deg + 1) and takes their FFT once; the headroom
     makes degree mistakes visible as non-negligible trailing coefficients,
@@ -356,14 +401,23 @@ def build_szego_factor(spec: WeightSpec) -> SzegoFactor:
     1e-9 * max|sample|.  Those on (pi, 2 pi) are the exact conjugates of those
     on (0, pi), so the symmetry residual is 2 max |Im h| over h(1) and h(-1);
     the imaginary residue of the coefficients, which is discarded, is at most
-    that residual over N, plus FFT rounding.
+    that residual over N, plus FFT rounding.  Then come the residual check of
+    `_validate_factor` and the winding count of `_certify_zero_free`.
     """
-    _one_block(spec, "direct factorization")
+    quotient = _one_block(spec, "direct factorization")
+    n, m, a = spec.n, spec.m, spec.a
     deg = expected_rho_degree(spec)
     n_samples = 1
     while n_samples < 2 * (deg + 1):
         n_samples *= 2
-    vals = _theta_grid_samples(spec, n_samples)
+    theta = _sample_angles(n_samples)
+    circle = np.concatenate([_circle_t(theta, a), _certificate_t(spec)])
+    t = np.concatenate([circle, _cos_to_t(_RESIDUAL_COS, a)])
+    x, y = _block_angles(t, n, m, a)
+    k, j = theta.size, circle.size
+    q, c, G = _circle_form(spec, circle, (x[:j], y[:j]))
+    rho = _rho_block(t[j:], n, m, a, quotient, (x[j:], y[j:]))
+    vals = _circle_samples(q, c, theta, G[:k], n_samples)
     coeffs = np.fft.fft(vals) / n_samples
     tail = np.max(np.abs(coeffs[deg + 1:])) if deg + 1 < n_samples else 0.0
     if tail > 1e-8 * np.max(np.abs(coeffs)):
@@ -377,8 +431,8 @@ def build_szego_factor(spec: WeightSpec) -> SzegoFactor:
             f"conjugate symmetry residual {sym:.3e} exceeds {_SYMMETRY_TOL:.1e} * {scale:.3e}"
         )
     h = RealPolynomial(coeffs[: deg + 1].real)
-    resid = _validate_factor(spec, h)
-    _certify_zero_free(spec)
+    resid = _validate_factor(spec, h, rho)
+    _certify_zero_free(spec, (q, G[k:]))
     return SzegoFactor(spec=spec, h=h, relative_residual=resid)
 
 

@@ -246,6 +246,30 @@ def test_grid_that_lists_no_cell_rejected_before_any_suite_runs(capsys, tmp_path
     assert ran == [] and out == ""
 
 
+@pytest.mark.parametrize("suite, axis, value", [
+    ("quad1", "n", ["a"]),
+    ("quad1", "a", ["x"]),
+    ("quad1", "n_plus_m_max", "x"),
+    ("gen_fn", "n", [True]),
+    ("tt", "n", [0]),
+], ids=["quad1_n_a_string", "quad1_a_a_string", "quad1_cap_a_string", "gen_fn_n_bool",
+        "tt_n_zero"])
+def test_bad_axis_value_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch,
+                                                       suite, axis, value):
+    # before, the first three ended in a TypeError traceback, gen_fn in "an integer is
+    # required" and tt in "0/4 passed", all with exit 1
+    ran = []
+    monkeypatch.setitem(SUITES, "corollary_B", lambda grid, tol: ran.append(grid) or [])
+    cfg = _write(tmp_path / "cfg.json",
+                 json.dumps({"suites": ["corollary_B", suite], "grids": {suite: {axis: value}}}))
+    code, out, err = run_cli(capsys, "verify", "--config", cfg)
+    bad = value if axis == "n_plus_m_max" else value[0]
+    assert code == 2
+    assert err.startswith(f"error: grid of suite {suite!r}: axis {axis!r} needs ")
+    assert err.rstrip().endswith(f"got {bad!r}") and "Traceback" not in err
+    assert ran == [] and out == ""
+
+
 def test_zero_tolerance_is_accepted(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "corollary_B", "--tol", "0")
     assert code in (0, 1) and err == ""

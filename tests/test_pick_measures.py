@@ -228,9 +228,9 @@ class TestMatchedPair:
         certified, checks = [], []
         winding, batched = weight_models._certify_zero_free, suites.boundary_moments
 
-        def counted_winding(spec):
+        def counted_winding(spec, *form):
             certified.append(spec)
-            return winding(spec)
+            return winding(spec, *form)
 
         def recorded_batch(pair, draws, tol):
             lhs, rhs = batched(pair, draws, tol=tol)
@@ -248,7 +248,7 @@ class TestMatchedPair:
         certified = []
         winding = weight_models._certify_zero_free
         monkeypatch.setattr(weight_models, "_certify_zero_free",
-                            lambda spec: certified.append(spec) or winding(spec))
+                            lambda spec, *form: certified.append(spec) or winding(spec, *form))
         # and the eight moment rows of a pair are one oracle pass
         passes = []
         improper = oracle.improper_integral

@@ -88,3 +88,20 @@ def test_compare_reports_prints_problems_first_and_survives_an_early_close(tmp_p
         status = head.wait(timeout=120)
     assert first[1].startswith("passed changed")
     assert status == 1 and stderr == ""
+
+
+def test_bench_layers_prints_every_layer_and_spec(tmp_path):
+    import json
+
+    proc = _run("bench_layers.py", "--repeat", "1", "--number", "1", "--json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["repeat"], doc["number"]) == (1, 1)
+    assert sorted(doc["layers"]) == ["_certify_zero_free", "build_szego_factor",
+                                     "explicit_family", "szego_orthonormal"]
+    for row in doc["layers"].values():
+        assert list(row) == ["cos_plus_cosh(1, 1, 1.0)", "cos_plus_cosh(15, 17, 1.0)",
+                             "cos_plus_cosh(31, 33, 2.0)", "cosh_minus_cos_over_t(15, 16, 1.0)"]
+        assert all(value > 0 for value in row.values())
+    proc = _run("bench_layers.py", "--repeat", "0", cwd=tmp_path)
+    assert proc.returncode == 2 and "--repeat and --number" in proc.stderr

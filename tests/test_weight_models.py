@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bszego import weight_models
-from bszego.errors import BszegoError, DomainError, FactorizationResidual, ParityError, RootInDisk
+from bszego.errors import (BszegoError, DomainError, FactorizationResidual, ParityError, RootInDisk,
+                           SymmetryViolation)
 from bszego.poly_core import RealPolynomial
 from bszego.weight_models import (
     Family,
@@ -529,3 +530,144 @@ def test_quotient_family_builds_at_small_a(a):
 def test_quotient_family_builds_below_the_series_radius():
     # the circle samples are entire in t: no series band of |t| < 1e-6 covers [-a, 0]
     build_szego_factor(WeightSpec(2, 3, 1e-7, Family.CoshMinusCosOverT))
+
+
+# ---------------------------------------------------------------------------
+# one block evaluation per build
+
+
+def _three_evaluation_build(spec):
+    """The build as it was before it shared one block evaluation: the FFT samples, rho on
+    the residual grid and the circle form at the winding count's points each evaluate the
+    block on their own.  Its checks and messages are those of `build_szego_factor`."""
+    n, m, a = spec.n, spec.m, spec.a
+    quotient = Family(spec.family) is Family.CoshMinusCosOverT
+
+    def circle_form(t):
+        C, s, Ch, sh = continued_block(t, n, m, a)
+        if not quotient:
+            return n + m, (1j ** (-n)) * np.sqrt(2.0), C * Ch + 1j * (t * s * sh)
+        return n + m - 1, (1j ** (1 - n)) * np.sqrt(2.0), s * Ch - 1j * (C * sh)
+
+    def circle_t(theta):
+        return np.clip(0.5 * ((1.0 - a) + (1.0 + a) * np.cos(theta)), -a, 1.0)
+
+    deg = expected_rho_degree(spec)
+    N = 1
+    while N < 2 * (deg + 1):
+        N *= 2
+    theta = 2.0 * np.pi * np.arange(N) / N
+    upper = theta <= np.pi + 1e-15
+    q, c, G = circle_form(circle_t(theta[upper]))
+    vals = np.empty(N, dtype=complex)
+    vals[upper] = c * np.exp(1j * q * theta[upper] / 2.0) * G
+    idx = np.arange(N)[~upper]
+    vals[idx] = np.conj(vals[N - idx])
+    coeffs = np.fft.fft(vals) / N
+    tail = np.max(np.abs(coeffs[deg + 1:])) if deg + 1 < N else 0.0
+    if tail > 1e-8 * np.max(np.abs(coeffs)):
+        raise FactorizationResidual(f"trailing coefficient mass {tail:.3e} signals a degree mismatch")
+    scale = np.max(np.abs(vals))
+    sym = 2.0 * np.max(np.abs(vals[[0, N // 2]].imag))
+    if sym > 1e-9 * scale:
+        raise SymmetryViolation(f"conjugate symmetry residual {sym:.3e} exceeds {1e-9:.1e} * {scale:.3e}")
+    h = RealPolynomial(coeffs[: deg + 1].real)
+    if h.degree != deg:
+        raise FactorizationResidual(f"factor degree {h.degree} does not match rho degree {deg}")
+    if not h.coeffs[0] > 0.0:
+        raise FactorizationResidual(f"h(0) = {h.coeffs[0]} is not positive")
+    rho = rho_eval(spec, circle_t(np.linspace(0.0, np.pi, 512)))
+    h_abs = np.abs(np.fft.rfft(h.coeffs, 1022))
+    resid, rho_max = float(np.max(np.abs(h_abs ** 2 - rho))), float(np.max(rho))
+    if not resid <= 1e-9 * rho_max:
+        raise FactorizationResidual(f"|h|^2 - rho residual {resid:.3e} above 1e-9 * max rho")
+    z = weight_models._block_zeros(spec)
+    q, _, G = circle_form(np.concatenate([z[:1], 0.5 * (z[:-1] + z[1:]), z[-1:]]))
+    re, im = np.sign(G.real), np.sign(G.imag)
+    if np.any((re[1:] != re[:-1]) & (im[1:] != im[:-1])):
+        raise RootInDisk("a step of the winding count crosses both axes: a zero of G is missing")
+    winding = float(np.sum(np.angle(G[1:] * np.conj(G[:-1])))) / np.pi + q / 2.0
+    if abs(winding) >= 0.25:
+        raise RootInDisk(f"winding number {winding:.3f}: h has zeros in the unit disk")
+    return weight_models.SzegoFactor(spec, h, resid / rho_max)
+
+
+def _outcome(build, spec):
+    """(h bytes, relative residual) of a build, or the type and message of its error."""
+    try:
+        factor = build(spec)
+    except BszegoError as exc:
+        return type(exc), str(exc)
+    return factor.h.coeffs.tobytes(), factor.relative_residual
+
+
+# off the dyadic a: the endpoint cell of the strict xfail, and draws of the benchmark's
+# factor workload that raise the trailing-mass and the symmetry errors
+_RAISING_SPECS = [
+    WeightSpec(1, 1, 1.1434609861934242),
+    WeightSpec(1, 1, 1.1434609861934242, Family.CoshMinusCosOverT),
+    WeightSpec(31, 33, 1.1434609861934242),
+    WeightSpec(10, 41, 1.344493213747833, Family.CoshMinusCosOverT),
+    WeightSpec(35, 19, 1.0468412036032542),
+    WeightSpec(4, 46, 1.8516460497995413),
+    WeightSpec(1, 14, 1.3714919847916989, Family.CoshMinusCosOverT),
+    WeightSpec(55, 5, 0.7378421873473152),
+]
+
+
+class TestOneBlockEvaluation:
+    """`build_szego_factor` evaluates the block once, on the samples, the winding count's
+    points and the residual grid joined, and builds what three evaluations built."""
+
+    def test_equals_the_three_evaluation_build(self):
+        specs = _lattice_specs() + _RAISING_SPECS
+        outcomes = [(_outcome(build_szego_factor, s), _outcome(_three_evaluation_build, s))
+                    for s in specs]
+        assert all(new == old for new, old in outcomes)
+        kinds = {new[0] if isinstance(new[0], type) else "built" for new, _ in outcomes}
+        assert kinds == {"built", FactorizationResidual, SymmetryViolation}
+
+    @pytest.mark.parametrize("family", [Family.CosPlusCosh, Family.CoshMinusCosOverT])
+    def test_equals_the_three_evaluation_build_on_a_missing_zero(self, monkeypatch, family):
+        # the winding count raises after the residual check, in both builds alike
+        spec = WeightSpec(7, 9, 0.7, family)
+        zeros = weight_models._block_zeros(spec)
+        monkeypatch.setattr(weight_models, "_block_zeros", lambda s: np.delete(zeros, 4))
+        new = _outcome(build_szego_factor, spec)
+        assert new[0] is RootInDisk and new == _outcome(_three_evaluation_build, spec)
+
+    def test_one_block_angles_call_per_build(self, monkeypatch):
+        calls = []
+        angles = weight_models._block_angles
+        monkeypatch.setattr(weight_models, "_block_angles",
+                            lambda *args: calls.append(args) or angles(*args))
+        for spec in _lattice_specs(40) + _RAISING_SPECS:
+            del calls[:]
+            try:
+                build_szego_factor(spec)
+            except BszegoError:
+                pass
+            assert len(calls) == 1, spec
+
+    @pytest.mark.parametrize("family", [Family.CosPlusCosh, Family.CoshMinusCosOverT])
+    def test_residual_grid_rho_is_rho_eval(self, monkeypatch, family):
+        theta = np.linspace(0.0, np.pi, 512)
+        assert np.array_equal(weight_models._RESIDUAL_THETA, theta)
+        assert np.array_equal(weight_models._RESIDUAL_COS, np.cos(theta))
+        assert not (weight_models._RESIDUAL_THETA.flags.writeable
+                    or weight_models._RESIDUAL_COS.flags.writeable)
+        seen = []
+        validate = weight_models._validate_factor
+        monkeypatch.setattr(weight_models, "_validate_factor",
+                            lambda spec, h, rho: seen.append((spec, rho)) or validate(spec, h, rho))
+        for spec in _lattice_specs(100):
+            if spec.family is family:
+                try:
+                    build_szego_factor(spec)
+                except BszegoError:
+                    pass
+        assert len(seen) >= 40
+        for spec, rho in seen:
+            a = spec.a
+            t = np.clip(0.5 * ((1.0 - a) + (1.0 + a) * np.cos(theta)), -a, 1.0)
+            assert rho.tobytes() == rho_eval(spec, t).tobytes()
