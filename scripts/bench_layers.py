@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Time the spectral-factor layers: the least of R repeats of K calls, per call.
+"""Time the spectral-factor and matched-measure layers: the least of R repeats of K
+calls, per call.
 
 Times `build_szego_factor`, `_certify_zero_free`, `szego_orthonormal` (degree k of
 the explicit family, measure inv_sqrt_both, on a factor built beforehand) and
-`explicit_family` on four specs, and prints one row per layer and spec in
-microseconds per call, or one JSON document with --json.  The least of the
-repeats is the figure least disturbed by other load on the host; compare two
-commits by running this script from each checkout on the same host, in turns.
+`explicit_family` on four specs, and the matched-measure layers on the five pairs
+the measure3 cells run: `matched_pair`, and on a pair built beforehand
+`pick_eval` and `densities` (465 points in [-60, 60], the boundary cell's 30
+draws, their arrays built once as an oracle pass builds them), `boundary_moments`
+(those 30 draws, tol 1e-10) and `moment_match_all` (the eight draws of the moment
+cells, tol 1e-9), as the cells call them.  Prints one row per layer and spec in microseconds per
+call, or one JSON document with --json.  The least of the repeats is the figure
+least disturbed by other load on the host; compare two commits by running this
+script from each checkout on the same host, in turns.
 
 Usage:
     python scripts/bench_layers.py [--repeat 7] [--number 200] [--json]
@@ -20,7 +26,15 @@ import timeit
 # Import bszego from this checkout's src, so the script runs without installing.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from bszego import weight_models  # noqa: E402
+import numpy as np  # noqa: E402
+
+from bszego import pick_measures, suites, weight_models  # noqa: E402
+from bszego.pick_measures import (  # noqa: E402
+    boundary_moments,
+    matched_pair,
+    moment_match_all,
+    pick_eval,
+)
 from bszego.szego_polys import explicit_family, szego_orthonormal  # noqa: E402
 from bszego.weight_models import Family, MeasureFactor, WeightSpec, build_szego_factor  # noqa: E402
 
@@ -30,6 +44,10 @@ SPECS = [
     WeightSpec(31, 33, 2.0),
     WeightSpec(15, 16, 1.0, Family.CoshMinusCosOverT),
 ]
+
+
+# the pairs of the measure3 cells
+PAIRS = [WeightSpec(n, m, 1.0) for n, m in [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)]]
 
 
 def _label(spec):
@@ -48,6 +66,24 @@ def _calls(spec):
     ]
 
 
+def _pair_calls(spec):
+    """(layer name, zero-argument call) of the matched-measure layers on the pair, with the
+    draws of its boundary cell and of its moment cells; the pair is built once, up front."""
+    pair = matched_pair(spec)
+    boundary = suites._boundary_draws(np.random.default_rng(suites._SEED + 13 * spec.n + spec.m))
+    draws = pick_measures._Draws(boundary)
+    x = np.linspace(-60.0, 60.0, 465)
+    moments = [(suites._PHI_SET[phi], form) for phi in suites._PHI_SET
+               for form in ("measure2", "measure5")]
+    return [
+        ("matched_pair", lambda: matched_pair(spec)),
+        ("pick_eval", lambda: pick_eval(draws.phis, x)),
+        ("densities", lambda: pick_measures.densities(pair, draws, x)),
+        ("boundary_moments", lambda: boundary_moments(pair, boundary, tol=1e-10)),
+        ("moment_match_all", lambda: moment_match_all(pair, moments, tol=1e-9)),
+    ]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=7, help="R, the repeats (default 7)")
@@ -57,10 +93,11 @@ def main() -> int:
     if args.repeat < 1 or args.number < 1:
         ap.error("--repeat and --number must be at least 1")
     us = {}
-    for spec in SPECS:
-        for layer, call in _calls(spec):
-            least = min(timeit.repeat(call, number=args.number, repeat=args.repeat))
-            us.setdefault(layer, {})[_label(spec)] = round(1e6 * least / args.number, 2)
+    timed = [(spec, call) for spec in SPECS for call in _calls(spec)]
+    timed += [(spec, call) for spec in PAIRS for call in _pair_calls(spec)]
+    for spec, (layer, call) in timed:
+        least = min(timeit.repeat(call, number=args.number, repeat=args.repeat))
+        us.setdefault(layer, {})[_label(spec)] = round(1e6 * least / args.number, 2)
     if args.json:
         print(json.dumps({"unit": "us per call", "repeat": args.repeat, "number": args.number,
                           "layers": us}, indent=2))

@@ -18,7 +18,11 @@ checks read as their right-hand side.  A measure is a pair with one draw
 Many (phi, form) draws on one pair are evaluated together:
 `densities(pair, draws, x)` gives one column per draw, with p_k and p_{k-1}
 evaluated once per point and phi of all draws as one array; an oracle pass
-builds the draws' padded pole table once, not at every evaluator call.
+builds the draws' padded pole table once, not at every evaluator call.  phi
+and the densities are computed in real arithmetic, in place: one reciprocal
+per pole term gives Re phi and Im phi (`_pick_parts`), and each density is
+Im phi / (pi ((Re phi u - v)^2 + (Im phi u)^2)) for the form's polynomials
+(u, v), so no complex number is formed; `pick_eval` joins the same two parts.
 `moment_match_all(pair, draws)` integrates the moments j <= 2k-2 of every
 draw in one oracle pass, each draw its own integral with its own error
 control, so one draw that does not converge fails alone.
@@ -89,34 +93,63 @@ class PickFunction:
 
 
 class _Phis(tuple):
-    """Pick functions with their arrays built once: beta, gamma, and the pole terms
-    padded with c_r = 0, z_r = -i to the most any of them has, c and z of shape
-    (width, count)."""
+    """Pick functions with their arrays built once, in real arithmetic: beta, Re gamma and
+    Im gamma of shape (count,), and the pole terms z_r = p_r - i q_r padded with c_r = 0,
+    z_r = -i to the most any of them has, c, p, q and q^2 of shape (width, count)."""
 
     def __new__(cls, phis):
         self = super().__new__(cls, phis)
         shape = (max((len(phi.terms) for phi in self), default=0), len(self))
         self.beta = np.array([phi.beta for phi in self])
-        self.gamma = np.array([complex(phi.gamma) for phi in self])
-        self.c, self.z = np.zeros(shape), np.full(shape, -1j)
+        self.gamma_re = np.array([complex(phi.gamma).real for phi in self])
+        self.gamma_im = np.array([complex(phi.gamma).imag for phi in self])
+        self.c, self.p, self.q = np.zeros(shape), np.zeros(shape), np.ones(shape)
         for d, phi in enumerate(self):
             for r, (c_r, z_r) in enumerate(phi.terms):
-                self.c[r, d], self.z[r, d] = c_r, z_r
+                z_r = complex(z_r)
+                self.c[r, d], self.p[r, d], self.q[r, d] = c_r, z_r.real, -z_r.imag
+        self.q2 = self.q * self.q
         return self
+
+
+def _pick_parts(phis: _Phis, x):
+    """(Re phi, Im phi) of each Pick function on real points, each of shape
+    x.shape + (len(phis),), in real arithmetic.
+
+    With d = x - p_r, each pole term takes one reciprocal w = c_r/(d^2 + q_r^2):
+    -c_r/(x - z_r) = -w d + i w q_r, so Re phi = beta x + Re gamma - sum w d and
+    Im phi = Im gamma + sum w q_r, term after term in place.  A padding term adds
+    w = 0: Im phi keeps its bits, and Re phi at most the sign of a zero.
+    """
+    x = np.asarray(x, dtype=float)[..., None]
+    re = phis.beta * x
+    re += phis.gamma_re
+    im = np.empty_like(re)
+    im[...] = phis.gamma_im
+    d, w = np.empty_like(re), np.empty_like(re)
+    for c_r, p_r, q_r, q2_r in zip(phis.c, phis.p, phis.q, phis.q2):
+        np.subtract(x, p_r, out=d)
+        np.multiply(d, d, out=w)
+        w += q2_r
+        np.divide(c_r, w, out=w)
+        d *= w
+        re -= d
+        w *= q_r
+        im += w
+    return re, im
 
 
 def pick_eval(phis, x):
     """phi(x) of each Pick function in phis on real points; shape x.shape + (len(phis),).
 
-    All phis are evaluated at once, their pole terms padded with c_r = 0.
-    Im phi(x) >= Im gamma since every pole term contributes nonnegative
-    imaginary part for Im z_r < 0.
+    All phis are evaluated at once, their pole terms padded with c_r = 0, from the
+    real and imaginary parts of `_pick_parts`.  Im phi(x) >= Im gamma since every
+    pole term contributes nonnegative imaginary part c_r q_r/|x - z_r|^2 for
+    Im z_r = -q_r < 0.
     """
-    phis = phis if isinstance(phis, _Phis) else _Phis(phis)
-    x = np.asarray(x, dtype=float)[..., None]
-    out = phis.beta * x + phis.gamma
-    for c_r, z_r in zip(phis.c, phis.z):
-        out = out - c_r / (x - z_r)
+    re, im = _pick_parts(phis if isinstance(phis, _Phis) else _Phis(phis), x)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 
@@ -174,7 +207,7 @@ def _check_form(form):
 
 
 class _Draws(tuple):
-    """(phi, form) draws with their `_Phis` and measure2 mask built once, so an oracle
+    """(phi, form) draws with their `_Phis` and form columns built once, so an oracle
     pass over many evaluator calls does not rebuild them at each."""
 
     def __new__(cls, draws):
@@ -182,7 +215,9 @@ class _Draws(tuple):
         for _, form in self:
             _check_form(form)
         self.phis = _Phis(phi for phi, _ in self)
-        self.measure2 = np.array([form == "measure2" for _, form in self])
+        # the columns of (p_k, p_{k-1}, -p_k) that are u and v of |phi u - v|^2
+        self.u = np.array([0 if form == "measure2" else 1 for _, form in self], dtype=np.intp)
+        self.v = self.u + 1
         return self
 
 
@@ -190,19 +225,29 @@ def densities(pair: MatchedPair, draws, x):
     """Densities of the (phi, form) draws on one pair; shape x.shape + (len(draws),).
 
     p_k and p_{k-1} are evaluated once per point, and phi of every draw at
-    once.  Each column is strictly positive on R: Im(phi - p_{k-1}/p_k) =
+    once, in real arithmetic (`_pick_parts`).  Both forms are |phi u - v|^2:
+    (u, v) = (p_k, p_{k-1}) for measure2, and (p_{k-1}, -p_k) for measure5,
+    since |p_k + phi p_{k-1}| = |phi p_{k-1} - (-p_k)|.  The density is
+    Im phi / (pi ((Re phi u - v)^2 + (Im phi u)^2)), built in place on the
+    buffers of phi.  Each column is strictly positive on R: Im(phi - p_{k-1}/p_k) =
     Im phi > 0 away from the real zeros of p_k, and at those zeros the other
     factor is nonzero by interlacing, so neither denominator form can vanish.
     """
     draws = draws if isinstance(draws, _Draws) else _Draws(draws)
-    ph = pick_eval(draws.phis, x)
-    # |phi p_k - p_{k-1}|^2 (measure2) and |p_k + phi p_{k-1}|^2 = |phi p_{k-1} - (-p_k)|^2
-    # (measure5) as one |phi u - v|^2
+    re, im = _pick_parts(draws.phis, x)
     x = np.asarray(x, dtype=float)[..., None]
-    pk, pkm1 = pair.p_k(x), pair.p_km1(x)
-    u = np.where(draws.measure2, pk, pkm1)
-    v = np.where(draws.measure2, pkm1, -pk)
-    return np.imag(ph) / np.pi / np.abs(ph * u - v) ** 2
+    pk = pair.p_k(x)
+    polys = np.concatenate([pk, pair.p_km1(x), -pk], axis=-1)
+    u, v = polys[..., draws.u], polys[..., draws.v]
+    re *= u
+    re -= v
+    re *= re
+    u *= im
+    u *= u
+    re += u
+    re *= np.pi
+    im /= re
+    return im
 
 
 def boundary_moments(pair: MatchedPair, draws, tol: float = 1e-10):

@@ -726,11 +726,11 @@ def _bad_axis_value(name, axis, v):
 
 def _check_grids(grids):
     """Reject a malformed grid before any cell runs (ValueError names the suite and the axis,
-    and the value of a bad n, m, a or n_plus_m_max, the params of a cell past the n + m cap,
-    or a suite's grid that lists no cell; listing the cells runs none of them).  A value on
-    those axes that is not a real number is rejected before the cells are listed, since
-    listing compares it, and a real outside the axis's domain after, so a grid whose
-    non-integer n lists no cell is reported as listing none."""
+    and the value of a bad n, m, a or n_plus_m_max, the params of a cell past the n + m cap
+    or whose n or m alone is past it, or a suite's grid that lists no cell; listing the
+    cells runs none of them).  A value on those axes that is not a real number is rejected
+    before the cells are listed, since listing compares it, and a real outside the axis's
+    domain after, so a grid whose non-integer n lists no cell is reported as listing none."""
     if not isinstance(grids, dict):
         raise ValueError(f"grids must map suite ids to grids, got {grids!r}")
     for name, grid in grids.items():
@@ -769,6 +769,10 @@ def _check_grids(grids):
             if "n" in p and "m" in p and p["n"] + p["m"] > _PARAM_CAP:
                 raise ValueError(f"grid of suite {name!r}: params {p!r} exceed "
                                  f"n + m <= {_PARAM_CAP}")
+            for axis in ("n", "m"):
+                if p.get(axis, 0) > _PARAM_CAP:
+                    raise ValueError(f"grid of suite {name!r}: params {p!r} exceed "
+                                     f"{axis} <= {_PARAM_CAP}")
         for axis, v in _numeric_axis_values(grid):
             if not (math.isfinite(v) and v > 0 if axis == "a" else _positive_int(v)):
                 raise _bad_axis_value(name, axis, v)

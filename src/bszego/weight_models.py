@@ -319,16 +319,19 @@ def _theta_grid_samples(spec: WeightSpec, n_samples: int):
 
 
 def _rung_sine(k, N):
-    """sin(k pi/(2N)); its square is a zero of S (k even) or C (k odd) at degree N."""
-    return math.sin(math.pi * k / (2 * N))
+    """sin(k pi/(2N)), a float for an int k and an array for an int array k; its square is
+    a zero of S (k even) or C (k odd) at degree N.  np.sin gives the bits of math.sin on
+    every rung up to N = 64, for an int and an array alike."""
+    s = np.sin(np.pi * k / (2 * N))
+    return s if s.ndim else float(s)
 
 
 def _block_zeros(spec: WeightSpec):
     """The paper's roots sin^2(k pi/(2n)), -a sin^2(j pi/(2m)) from 1 down to -a:
     every zero of C, S, Ch and Sh of `continued_block` in [-a, 1] (`_rung_sine`)."""
     n, m, a = spec.n, spec.m, spec.a
-    pos = np.array([_rung_sine(k, n) for k in range(n, -1, -1)]) ** 2
-    neg = -a * np.array([_rung_sine(j, m) for j in range(1, m + 1)]) ** 2
+    pos = _rung_sine(np.arange(n, -1, -1), n) ** 2
+    neg = -a * _rung_sine(np.arange(1, m + 1), m) ** 2
     return np.concatenate([pos, neg])
 
 

@@ -270,6 +270,28 @@ def test_bad_axis_value_rejected_before_any_suite_runs(capsys, tmp_path, monkeyp
     assert ran == [] and out == ""
 
 
+@pytest.mark.parametrize("n", [1000000000, 65], ids=["n_1e9", "n_65"])
+def test_integer_n_past_the_cap_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch,
+                                                               recwarn, n):
+    # before, corollary_B at n = 10^9 warned of an overflow in cosh and printed
+    # "0/1 passed", exit 1; an n or m alone past the cap is now a usage error
+    ran = []
+    monkeypatch.setitem(SUITES, "corollary_A", lambda grid, tol: ran.append(grid) or [])
+    cfg = _write(tmp_path / "cfg.json", json.dumps(
+        {"suites": ["corollary_A", "corollary_B"], "grids": {"corollary_B": {"n": [n]}}}))
+    code, out, err = run_cli(capsys, "verify", "--config", cfg)
+    assert code == 2
+    assert err == f"error: grid of suite 'corollary_B': params {{'n': {n}}} exceed n <= 64\n"
+    assert ran == [] and out == "" and len(recwarn) == 0
+
+
+def test_integer_n_at_the_cap_runs(capsys, tmp_path):
+    cfg = _write(tmp_path / "cfg.json", json.dumps(
+        {"suites": ["corollary_B"], "grids": {"corollary_B": {"n": [64]}}}))
+    code, out, err = run_cli(capsys, "verify", "--config", cfg)
+    assert (code, err) == (0, "") and "1/1 passed" in out
+
+
 def test_zero_tolerance_is_accepted(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "corollary_B", "--tol", "0")
     assert code in (0, 1) and err == ""

@@ -495,7 +495,7 @@ def test_continuation_is_written_once():
      _is_asin_of_sqrt, "explicit_eval"),
     (szego_polys, "(k, _rung_sine(k, N))", "(k, math.sin(math.pi * k / (2 * N)))",
      _is_rung_sine, "_ladder"),
-    (weight_models, "np.array([_rung_sine(j, m) for j in range(1, m + 1)]) ** 2",
+    (weight_models, "_rung_sine(np.arange(1, m + 1), m) ** 2",
      "np.sin(np.pi * np.arange(1, m + 1) / (2 * m)) ** 2", _is_root_ladder, "_block_zeros"),
     (quadrature, "return _gauss_rule(spec, _tanh_over_sinh, math.pi",
      "nodes = [math.sin(math.pi * i / n) ** 2 for i in range(1, (n + 1) // 2)]\n"

@@ -97,11 +97,18 @@ def test_bench_layers_prints_every_layer_and_spec(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert (doc["repeat"], doc["number"]) == (1, 1)
-    assert sorted(doc["layers"]) == ["_certify_zero_free", "build_szego_factor",
-                                     "explicit_family", "szego_orthonormal"]
-    for row in doc["layers"].values():
-        assert list(row) == ["cos_plus_cosh(1, 1, 1.0)", "cos_plus_cosh(15, 17, 1.0)",
-                             "cos_plus_cosh(31, 33, 2.0)", "cosh_minus_cos_over_t(15, 16, 1.0)"]
+    factor_layers = ["build_szego_factor", "_certify_zero_free", "szego_orthonormal",
+                     "explicit_family"]
+    pair_layers = ["matched_pair", "pick_eval", "densities", "boundary_moments",
+                   "moment_match_all"]
+    assert list(doc["layers"]) == factor_layers + pair_layers
+    for layer, row in doc["layers"].items():
+        if layer in factor_layers:
+            assert list(row) == ["cos_plus_cosh(1, 1, 1.0)", "cos_plus_cosh(15, 17, 1.0)",
+                                 "cos_plus_cosh(31, 33, 2.0)", "cosh_minus_cos_over_t(15, 16, 1.0)"]
+        else:
+            assert list(row) == [f"cos_plus_cosh({n}, {m}, 1.0)"
+                                 for n, m in [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)]]
         assert all(value > 0 for value in row.values())
     proc = _run("bench_layers.py", "--repeat", "0", cwd=tmp_path)
     assert proc.returncode == 2 and "--repeat and --number" in proc.stderr

@@ -428,6 +428,21 @@ class TestZeroFreeCertificate:
         with pytest.raises(RootInDisk):
             weight_models._certify_zero_free(spec)
 
+    def test_rung_sine_is_math_sin_bit_for_bit(self):
+        # np.sin gives the bits of math.sin on every rung k = 0..2N up to N = 64, so the
+        # winding count's zeros (one array call per side) and the scalar callers
+        # (szego_polys._ladder, quadrature._alternating_sum) keep the rungs math.sin gave
+        for N in range(1, 65):
+            want = np.array([math.sin(math.pi * k / (2 * N)) for k in range(2 * N + 1)])
+            scalar = [weight_models._rung_sine(k, N) for k in range(2 * N + 1)]
+            assert all(type(s) is float for s in scalar)
+            assert np.array(scalar).tobytes() == want.tobytes()
+            assert weight_models._rung_sine(np.arange(2 * N + 1), N).tobytes() == want.tobytes()
+        spec = WeightSpec(31, 33, 2.0)
+        pos = np.array([math.sin(math.pi * k / 62) for k in range(31, -1, -1)]) ** 2
+        neg = -2.0 * np.array([math.sin(math.pi * j / 66) for j in range(1, 34)]) ** 2
+        assert weight_models._block_zeros(spec).tobytes() == np.concatenate([pos, neg]).tobytes()
+
     def test_winding_is_the_unwrapped_change_of_arg(self):
         # the sum of principal steps angle(G[i+1] conj G[i]) against np.unwrap
         for spec in _lattice_specs():
