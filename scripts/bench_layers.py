@@ -9,10 +9,14 @@ the measure3 cells run: `matched_pair`, and on a pair built beforehand
 `pick_eval` and `densities` (465 points in [-60, 60], the boundary cell's 30
 draws, their arrays built once as an oracle pass builds them), `boundary_moments`
 (those 30 draws, tol 1e-10) and `moment_match_all` (the eight draws of the moment
-cells, tol 1e-9), as the cells call them.  Prints one row per layer and spec in microseconds per
-call, or one JSON document with --json.  The least of the repeats is the figure
-least disturbed by other load on the host; compare two commits by running this
-script from each checkout on the same host, in turns.
+cells, tol 1e-9), as the cells call them.  Times `oracle.improper_integral` on three
+limiting cells: the call each cell makes, with its integrand and arguments, caught
+while the cell runs once (one-sided arctan1 at a = 1, two-sided two_cosh_series at
+(1.5, 0.7, 2), one-sided glaisher_theta at a = 2), with the evaluator points of one
+call.  Prints one row per layer and spec in microseconds per call, or one JSON
+document with --json.  The least of the repeats is the figure least disturbed by
+other load on the host; compare two commits by running this script from each
+checkout on the same host, in turns.
 
 Usage:
     python scripts/bench_layers.py [--repeat 7] [--number 200] [--json]
@@ -28,7 +32,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from bszego import pick_measures, suites, weight_models  # noqa: E402
+from bszego import oracle, pick_measures, suites, weight_models  # noqa: E402
 from bszego.pick_measures import (  # noqa: E402
     boundary_moments,
     matched_pair,
@@ -84,6 +88,37 @@ def _pair_calls(spec):
     ]
 
 
+# the limiting cells whose improper integral is timed
+IMPROPER = [
+    ("arctan1", {"a": 1.0}),
+    ("two_cosh_series", {"alpha": 1.5, "beta": 0.7, "deg": 2}),
+    ("glaisher_theta", {"a": 2.0}),
+]
+
+
+def _improper_calls():
+    """(label, zero-argument call, evaluator points per call) of the improper_integral call
+    each IMPROPER cell makes, caught while the cell runs once."""
+    cells = {(c.theorem_id, json.dumps(c.params, sort_keys=True)): c
+             for c in suites._limiting_cells({}, None)}
+    real = oracle.improper_integral
+    calls = []
+    for theorem_id, params in IMPROPER:
+        cell = cells[(theorem_id, json.dumps(params, sort_keys=True))]
+        seen = []
+        oracle.improper_integral = lambda *args, **kw: seen.append((args, kw)) or real(*args, **kw)
+        try:
+            cell.run(**cell.params)
+        finally:
+            oracle.improper_integral = real
+        (f, *args), kw = seen[0]
+        points = []
+        real(lambda x: points.append(np.size(x)) or f(x), *args, **kw)
+        label = f"{theorem_id}({', '.join(str(v) for v in params.values())})"
+        calls.append((label, lambda f=f, args=args, kw=kw: real(f, *args, **kw), sum(points)))
+    return calls
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=7, help="R, the repeats (default 7)")
@@ -92,19 +127,23 @@ def main() -> int:
     args = ap.parse_args()
     if args.repeat < 1 or args.number < 1:
         ap.error("--repeat and --number must be at least 1")
-    us = {}
-    timed = [(spec, call) for spec in SPECS for call in _calls(spec)]
-    timed += [(spec, call) for spec in PAIRS for call in _pair_calls(spec)]
-    for spec, (layer, call) in timed:
+    us, points = {}, {}
+    timed = [(_label(spec), call) for spec in SPECS for call in _calls(spec)]
+    timed += [(_label(spec), call) for spec in PAIRS for call in _pair_calls(spec)]
+    for label, call, count in _improper_calls():
+        timed.append((label, ("improper_integral", call)))
+        points[label] = count
+    for label, (layer, call) in timed:
         least = min(timeit.repeat(call, number=args.number, repeat=args.repeat))
-        us.setdefault(layer, {})[_label(spec)] = round(1e6 * least / args.number, 2)
+        us.setdefault(layer, {})[label] = round(1e6 * least / args.number, 2)
     if args.json:
         print(json.dumps({"unit": "us per call", "repeat": args.repeat, "number": args.number,
-                          "layers": us}, indent=2))
+                          "layers": us, "improper_integral points per call": points}, indent=2))
         return 0
     for layer, row in us.items():
         for label, value in row.items():
-            print(f"{layer:20s} {label:36s} {value:10.2f} us")
+            count = f" {points[label]:8d} points" if layer == "improper_integral" else ""
+            print(f"{layer:20s} {label:36s} {value:10.2f} us{count}")
     return 0
 
 

@@ -2,9 +2,9 @@
 
 Everything here is deliberately generic: a nested trapezoid rule for smooth
 periodic integrands, adaptive 15-point Gauss panels with bisection refinement
-for everything else, endpoint substitutions for the interval kinds that need
-them, and series guards near removable singularities. No closed-form result
-from the rest of the package is ever used on this side of a comparison.
+for everything else, and endpoint substitutions for the interval kinds and
+infinite ranges that need them. No closed-form result from the rest of the
+package is ever used on this side of a comparison.
 
 After t = ((1-a) + (1+a) cos(theta))/2 the weights ((1-t)(a+t))^(+-1/2) dt
 turn a smooth g(t) into a smooth, even, 2pi-periodic function of theta, and
@@ -55,40 +55,33 @@ other way: the weight multiply writes them into a C-ordered (P, 15, ...)
 buffer, whatever the evaluator's layout, and numpy sums its middle axis
 column by column, with no reduction call per row of 15.
 
-An algebraically decaying integral over R takes bisection on its image
-under x = s/(1-s^2) over (-1, 1) (improper_integral with decay
-"RationalOrder2"). The map and its Jacobian (1+s^2)/(1-s^2)^2 are written
-once, in RationalImage, which callers also use for a truncation [-L, L]:
-its image is [-s*, s*] with s* = 2L/(1 + sqrt(1 + 4L^2)), and the map keeps
-features near the origin at their own width.
+An integral over (0, inf) or over R takes bisection on its image under
+x = s/(1-s^2) over (0, 1) or (-1, 1) (improper_integral): the variable
+transformation of Takahasi and Mori ("Double exponential formulas for
+numerical integration", Publ. RIMS 9, 1974) with an algebraic map, which
+maps the range onto a finite interval instead of truncating it. The map and
+its Jacobian (1+s^2)/(1-s^2)^2 are written once, in RationalImage, which
+callers also use for a truncation [-L, L]: its image is [-s*, s*] with
+s* = 2L/(1 + sqrt(1 + 4L^2)), and the map keeps features near the origin at
+their own width.
 
-Bisection (and so improper_integral with decay "RationalOrder2") also takes
-grouped evaluators, of shape (npts, G, K): G independent integrals of K
-components each, run in lock-step on shared evaluator calls (as in Shampine,
-"Vectorized adaptive quadrature in MATLAB", J. Comput. Appl. Math. 211,
-2008). Each group keeps its own tolerance share, its own panel decisions on
-its own worst component, and its own depth and panel limits, as QUADPACK's
-QAG keeps them for one integral, so its accepted panels are those of a run
-of that group alone; a panel is evaluated while any group still holds it.
-The result is one outcome per group, (value, err_est) or a NoConvergence: a
-group that does not converge stops being refined while the others finish.
-The shape of the output selects the mode.
-
-Bisection runs independent intervals in lock-step the same way: given
-arrays of I interval ends, it refines every interval's panels on shared
-evaluator calls, and each interval keeps its own width, tolerance share,
-depth and panel limits and its own outcome, equal bit for bit to that of a
-run over the interval alone. An exponential-tail improper_integral takes
-its blocks 8 at a time, as many first-call trees (8 x 465 points) as fit
-one call of _TRAP_CHUNK points, and reads their outcomes in block order, so
-the blocks past the truncation point are computed but never counted, and
-their failures never raised. fourier_coeff samples g once and reads every
-requested harmonic from one FFT of the samples.
+Bisection (and so improper_integral) also takes grouped evaluators, of
+shape (npts, G, K): G independent integrals of K components each, run in
+lock-step on shared evaluator calls (as in Shampine, "Vectorized adaptive
+quadrature in MATLAB", J. Comput. Appl. Math. 211, 2008). Each group keeps
+its own tolerance share, its own panel decisions on its own worst
+component, and its own depth and panel limits, as QUADPACK's QAG keeps them
+for one integral, so its accepted panels are those of a run of that group
+alone; a panel is evaluated while any group still holds it. The result is
+one outcome per group, (value, err_est) or a NoConvergence: a group that
+does not converge stops being refined while the others finish. The shape
+of the output selects the mode. fourier_coeff samples g once and reads
+every requested harmonic from one FFT of the samples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -96,7 +89,6 @@ from numpy.polynomial.legendre import leggauss
 from .errors import NoConvergence
 
 __all__ = [
-    "SingularityGuard",
     "ThetaSubstituted",
     "FiniteDirect",
     "IntegrandSpec",
@@ -120,7 +112,6 @@ _TRAP_CHUNK = 4096  # points per evaluator call on either path, bounding (npts, 
 # integrals stop at share one.
 _FIRST_CALL = 513
 _FOURIER_POINTS = 4096  # uniform samples per fourier_coeff
-_MAX_BLOCKS = 400  # blocks per side of an exponential-tail improper_integral
 
 
 def _midpoints(n):
@@ -152,15 +143,6 @@ def _theta_table():
 
 
 _THETA = _theta_table()  # built once, read-only
-
-
-@dataclass(frozen=True)
-class SingularityGuard:
-    """Replace evaluator(x) by series(x) on |x - center| < radius."""
-
-    center: float
-    radius: float
-    series: Callable
 
 
 @dataclass(frozen=True)
@@ -196,33 +178,6 @@ class FiniteDirect:
 class IntegrandSpec:
     evaluator: Callable
     interval: object
-    singularity_guards: Sequence[SingularityGuard] = field(default_factory=tuple)
-
-
-def _guarded(evaluator, guards):
-    if not guards:
-        return evaluator
-
-    def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        out = None
-        untouched = np.ones(x.shape, dtype=bool)
-        for g in guards:
-            near = np.abs(x - g.center) < g.radius
-            if np.any(near):
-                vals = np.asarray(g.series(x[near]))
-                if out is None:
-                    proto = np.zeros(x.shape + vals.shape[1:], dtype=vals.dtype)
-                    out = proto
-                out[near] = vals
-                untouched &= ~near
-        direct = np.asarray(evaluator(x[untouched]))
-        if out is None:
-            out = np.zeros(x.shape + direct.shape[1:], dtype=direct.dtype)
-        out[untouched] = direct
-        return out
-
-    return wrapped
 
 
 def _node_major(vals):
@@ -248,9 +203,9 @@ def _panels(f, lo, hi):
     for start in range(0, len(lo), per):
         mid = 0.5 * (lo[start:start + per] + hi[start:start + per])
         hw = 0.5 * (hi[start:start + per] - lo[start:start + per])
-        block = mid[:, None] + hw[:, None] * _GX
-        vals = np.asarray(f(block.ravel()))
-        vals = vals.reshape(block.shape + vals.shape[1:])
+        nodes = mid[:, None] + hw[:, None] * _GX
+        vals = np.asarray(f(nodes.ravel()))
+        vals = vals.reshape(nodes.shape + vals.shape[1:])
         trail = (1,) * (vals.ndim - 2)
         terms = np.empty(vals.shape, np.result_type(vals, _GW))  # C-ordered, whatever vals' layout
         np.multiply(vals, _GW.reshape(_GW.shape + trail), out=terms)
@@ -287,51 +242,41 @@ def _tree_levels():
 
 
 def _adaptive(f, lo, hi, tol):
-    """Globally adaptive bisection of f over [lo, hi], or over each [lo[i], hi[i]].
+    """Globally adaptive bisection of f over [lo, hi].
 
-    For scalar lo and hi and an evaluator of shape (npts,) or (npts, K)
-    returns (value, err_est) and raises NoConvergence; for a grouped one,
-    (npts, G, K), returns one outcome per group: (value, err_est), or the
-    group's NoConvergence.  For 1-D arrays lo and hi of I intervals it
-    returns a list of I entries, entry i being what the scalar call on
-    [lo[i], hi[i]] returns, with a NoConvergence returned instead of raised.
+    For an evaluator of shape (npts,) or (npts, K) returns (value, err_est)
+    and raises NoConvergence; for a grouped one, (npts, G, K), returns one
+    outcome per group: (value, err_est), or the group's NoConvergence.
 
-    Every (interval, group) is its own integral.  Its panels are accepted
-    when bisecting changes their value by less than a quarter of their share
-    of its budget tol * max(1, |coarse|), coarse being its one-panel value,
-    and the share being the panel's fraction of its interval's width (1 for
-    the one panel of a zero-width interval, whose integral is 0); a panel
-    split otherwise.  A panel at depth _MAX_DEPTH changed by more than its
-    whole share ends that integral with NoConvergence, and so does a
-    partition of its interval past _MAX_PANELS subintervals.
-    The first evaluator call holds every interval's complete tree down to the
-    level whose panels fit _FIRST_CALL points (more intervals than fit one
-    call of _TRAP_CHUNK points take several), and the first levels' halves
-    are read from it.  Below it, refinement runs one depth level at a time:
-    both halves of every panel some integral still holds, over every
-    interval, are evaluated in calls of at most _TRAP_CHUNK points, so the
-    evaluator is called about once per level.  Each integral's accepted
-    panels are those of a depth-first refinement of that integral alone;
-    their values and their refinement changes / 15 are summed in position
-    order, so value and err_est agree with the depth-first sums to rounding,
-    and equal those of a run over that interval alone bit for bit, whatever
-    the first call holds and whatever other intervals share the calls.
+    Every group is its own integral.  Its panels are accepted when bisecting
+    changes their value by less than a quarter of their share of its budget
+    tol * max(1, |coarse|), coarse being its one-panel value, and the share
+    being the panel's fraction of the interval's width (1 for the one panel
+    of a zero-width interval, whose integral is 0); a panel splits
+    otherwise.  A panel at depth _MAX_DEPTH changed by more than its whole
+    share ends that integral with NoConvergence, and so does a partition of
+    the interval past _MAX_PANELS subintervals.
+    The first evaluator call holds the complete tree down to the level whose
+    panels fit _FIRST_CALL points, and the first levels' halves are read from
+    it.  Below it, refinement runs one depth level at a time: both halves of
+    every panel some group still holds are evaluated in calls of at most
+    _TRAP_CHUNK points, so the evaluator is called about once per level.
+    Each group's accepted panels are those of a depth-first refinement of
+    that group alone; their values and their refinement changes / 15 are
+    summed in position order, so value and err_est agree with the
+    depth-first sums to rounding, whatever the first call holds.
     """
-    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    solo = a.ndim == 0
-    a, b = a.reshape(-1), b.reshape(-1)
-    width = b - a
-    intervals = a.size
-    # every interval's complete tree down to the level whose panels still fit _FIRST_CALL
-    # points, level by level, each level interval by interval in position order, from one
-    # evaluator call; level L starts at row I (2^L - 1)
+    a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
+    width = b[0] - a[0]
+    # the complete tree down to the level whose panels still fit _FIRST_CALL points, level
+    # by level, from one evaluator call; level L starts at row 2^L - 1
     tree_lo, tree_hi = [a], [b]
     for _ in range(_tree_levels() - 1):
         half_lo, half_hi = _halves(tree_lo[-1], tree_hi[-1])
         tree_lo.append(half_lo)
         tree_hi.append(half_hi)
     tree = _panels(f, np.concatenate(tree_lo), np.concatenate(tree_hi))
-    first = tree[:intervals]
+    first = tree[:1]
     grouped = first.ndim == 3
     one = first.shape[2:] if grouped else first.shape[1:]  # one group's value
 
@@ -340,57 +285,47 @@ def _adaptive(f, lo, hi, tol):
 
     coarse = _by_group(first)
     groups = coarse.shape[1]
-    share = tol * np.fmax(1.0, np.abs(coarse).max(axis=2))  # (I, G); a NaN coarse value gives tol
+    share = tol * np.fmax(1.0, np.abs(coarse[0]).max(axis=1))  # (G,); a NaN coarse value gives tol
     live = True  # live[p, g]: group g still holds panel p (at first, every group every panel)
-    failed = {}  # NoConvergence by integral, i * G + g
+    failed = {}  # NoConvergence by group
     # accepted (panel, group) pairs as flat indices into the (panel, group) pairs of every
     # level in turn, with their values and refinement changes; sorted once at the end
-    los, owners, done_pair, done_val, done_diff = [], [], [], [], []
+    los, done_pair, done_val, done_diff = [], [], [], []
     seen = accepted = 0
-    # the open panels' intervals; a single interval's stays (1,) and broadcasts, and its
-    # budget reads its row of share and width without indexing by panel
-    owner = np.arange(intervals)
-    place = owner  # the open panels' positions in their tree level
+    place = np.zeros(1, dtype=int)  # the open panels' positions in their tree level
 
     def accepted_pairs():
-        """The accepted (panel, group) pairs so far, as (panel, integral i * G + g)."""
-        panel, slot = np.divmod(np.concatenate(done_pair), groups)
-        if intervals > 1:
-            slot += np.concatenate(owners)[panel] * groups
-        return panel, slot
+        """The accepted pairs so far, as (panel, group)."""
+        return np.divmod(np.concatenate(done_pair), groups)
 
     for depth in range(_MAX_DEPTH + 1):
         half_lo, half_hi = _halves(a, b)
         kids = (2 * place[:, None] + np.arange(2)).ravel()
         if depth + 1 < len(tree_lo):  # the halves are tree level depth + 1
-            halves = _by_group(tree[intervals * (2 ** (depth + 1) - 1) + kids])
+            halves = _by_group(tree[2 ** (depth + 1) - 1 + kids])
         else:
             halves = _by_group(_panels(f, half_lo, half_hi))
         fine = halves[0::2] + halves[1::2]
         diff = _worst(np.abs(fine - coarse))
-        row = owner if intervals > 1 else 0
-        # a panel's fraction of its interval's width; a zero-width interval's one panel
-        # holds all of it
-        frac = np.divide(b - a, width[row], out=np.ones_like(a), where=width[row] != 0.0)
-        budget = share[row] * np.maximum(frac, 1e-6)[:, None]
+        # a panel's fraction of the width; a zero-width interval's one panel holds all of it
+        frac = np.divide(b - a, width, out=np.ones_like(a), where=width != 0.0)
+        budget = share * np.maximum(frac, 1e-6)[:, None]
         if depth < _MAX_DEPTH:
             done = diff <= 0.25 * budget
         else:  # the last level accepts every panel
             done = np.ones(diff.shape, dtype=bool)
         if groups > 1:  # a single group holds every panel it has not accepted
             done &= live
-        if depth == _MAX_DEPTH:  # ... and ends an integral with a panel past its whole share
+        if depth == _MAX_DEPTH:  # ... and ends a group with a panel past its whole share
             for p, g in zip(*np.nonzero(done & (diff > budget))):  # its first such panel first
-                s = int(np.broadcast_to(owner, len(a))[p]) * groups + int(g)
-                if s not in failed:
-                    failed[s] = NoConvergence(
+                if g not in failed:
+                    failed[g] = NoConvergence(
                         f"panel [{a[p]}, {b[p]}] not converged at depth {depth}",
                         best=out(fine[p, g]),
                         err_est=diff[p, g],
                     )
         pair = done.ravel().nonzero()[0]
         los.append(a)
-        owners.append(owner)
         done_pair.append(pair + seen)
         done_val.append(fine.reshape(-1, fine.shape[2])[pair])
         done_diff.append(diff.ravel()[pair])
@@ -399,18 +334,15 @@ def _adaptive(f, lo, hi, tol):
         open_ = ~done
         if groups > 1:
             open_ &= live
-        if accepted + 2 * len(a) > _MAX_PANELS:  # an integral may be past its panel budget
+        if accepted + 2 * len(a) > _MAX_PANELS:  # a group may be past its panel budget
             slot = accepted_pairs()[1]
-            held_p, held_g = np.nonzero(open_)
-            held_slot = np.broadcast_to(owner, len(a))[held_p] * groups + held_g
-            counts = (np.bincount(slot, minlength=intervals * groups)
-                      + 2 * np.bincount(held_slot, minlength=intervals * groups))
-            for s in np.flatnonzero(counts > _MAX_PANELS).tolist():
-                i, g = divmod(s, groups)
-                mine, rows = slot == s, open_[:, g] & (owner == i)
+            counts = (np.bincount(slot, minlength=groups)
+                      + 2 * np.bincount(np.nonzero(open_)[1], minlength=groups))
+            for g in np.flatnonzero(counts > _MAX_PANELS).tolist():
+                mine, rows = slot == g, open_[:, g]
                 best = np.concatenate(done_val)[mine].sum(axis=0) + fine[rows, g].sum(axis=0)
                 err = np.concatenate(done_diff)[mine].sum() / 15.0 + diff[rows, g].sum()
-                failed[s] = NoConvergence(f"more than {_MAX_PANELS} panels at depth {depth}",
+                failed[g] = NoConvergence(f"more than {_MAX_PANELS} panels at depth {depth}",
                                           best=out(best), err_est=err)
                 open_[rows, g] = False
         held = open_.any(axis=1) if groups > 1 else open_[:, 0]
@@ -418,8 +350,6 @@ def _adaptive(f, lo, hi, tol):
             break
         split = np.repeat(held, 2)
         a, b, coarse, place = half_lo[split], half_hi[split], halves[split], kids[split]
-        if intervals > 1:
-            owner = np.repeat(owner[held], 2)
         if groups > 1:
             live = np.repeat(open_[held], 2, axis=0)
     panel, slot = accepted_pairs()
@@ -427,18 +357,16 @@ def _adaptive(f, lo, hi, tol):
     values = np.concatenate(done_val)[order]
     errs = np.concatenate(done_diff)[order] / 15.0
     outcomes, start = [], 0
-    for s, count in enumerate(np.bincount(slot, minlength=intervals * groups).tolist()):
+    for g, count in enumerate(np.bincount(slot, minlength=groups).tolist()):
         end = start + count
-        outcomes.append(failed[s] if s in failed else (
+        outcomes.append(failed[g] if g in failed else (
             out(np.add.accumulate(values[start:end])[-1]), np.add.accumulate(errs[start:end])[-1]))
         start = end
     if grouped:
-        outcomes = [outcomes[i * groups:(i + 1) * groups] for i in range(intervals)]
-    if not solo:
         return outcomes
-    if grouped or not isinstance(outcomes[0], NoConvergence):
-        return outcomes[0]
-    raise outcomes[0]
+    if isinstance(outcomes[0], NoConvergence):
+        raise outcomes[0]
+    return outcomes[0]
 
 
 def _theta_integrand(f, a, p):
@@ -516,8 +444,7 @@ def integrate(spec: IntegrandSpec, tol: float = 1e-10):
     estimate otherwise.
     """
     tol = max(tol, 1e-14)
-    f = _guarded(spec.evaluator, spec.singularity_guards)
-    iv = spec.interval
+    f, iv = spec.evaluator, spec.interval
     if isinstance(iv, ThetaSubstituted):
         g = _theta_integrand(f, iv.a, iv.weight_power)
         # the trapezoid samples theta = 0 and pi, where a weight_power below -1 makes g infinite
@@ -575,8 +502,8 @@ class RationalImage:
     """The evaluator of s -> evaluator(x) dx/ds under x = s/(1-s^2).
 
     Its integral over (-1, 1) is the evaluator's over R, and over [-s, s] the
-    evaluator's over [-x(s), x(s)].  A function with algebraic decay becomes
-    smooth and bounded on (-1, 1); one with peaks near the origin keeps them
+    evaluator's over [-x(s), x(s)].  A function that falls off like 1/x^2 or
+    faster becomes bounded on (-1, 1); one with peaks near the origin keeps them
     near s = 0, at about their own width, where bisection over a wide x range
     starts from panels much wider than they are.
     """
@@ -589,61 +516,14 @@ class RationalImage:
         return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))
 
 
-def improper_integral(
-    evaluator: Callable,
-    decay: str,
-    tol: float = 1e-8,
-    two_sided: bool = False,
-    block: float = 8.0,
-):
-    """Integral over an infinite range; returns (value, err_est).
+def improper_integral(evaluator: Callable, tol: float = 1e-8, two_sided: bool = False):
+    """Integral of the evaluator over (0, inf), or over R when two_sided; returns
+    (value, err_est).
 
-    "Exponential": integrate [0, block], extend block by block until three
-    consecutive blocks contribute below tol * |estimate|, within _MAX_BLOCKS
-    blocks (mirrored when two_sided); err_est is the sum of the blocks' error
-    estimates. The blocks are integrated as many at a time as their first
-    calls' trees fit one call of _TRAP_CHUNK points, in lock-step, and read
-    in order: a block's NoConvergence is raised, and its value counts, only
-    if the blocks before it did not stop the side, so the result is that of
-    one block at a time, bit for bit. block must be finite and positive.
-    "RationalOrder2": substitute x = s/(1-s^2) and integrate the
-    smooth image over (-1, 1) in one adaptive pass, err_est being its estimate;
-    a grouped evaluator, of shape (npts, G, K), gets one outcome per group,
-    (value, err_est) or the group's NoConvergence, as from _adaptive.
+    Substitutes x = s/(1-s^2) (RationalImage) and integrates the image over
+    (0, 1), or (-1, 1), in one adaptive pass, err_est being its estimate.  The
+    Gauss nodes never touch a panel's end, so a one-sided call evaluates no
+    x <= 0.  A grouped evaluator, of shape (npts, G, K), gets one outcome per
+    group, (value, err_est) or the group's NoConvergence, as from _adaptive.
     """
-    if not (np.isfinite(block) and block > 0.0):
-        raise ValueError(f"block must be finite and positive, not {block!r}")
-    tol = max(tol, 1e-14)
-    if decay == "Exponential":
-        per_call = _TRAP_CHUNK // (_GX.size * (2 ** _tree_levels() - 1))  # blocks
-
-        def one_side(sign):
-            total = err = 0.0
-            quiet = 0
-            for start in range(0, _MAX_BLOCKS, per_call):
-                a = np.arange(start, min(start + per_call, _MAX_BLOCKS)) * block
-                b = a + block
-                if sign < 0:
-                    a, b = -b, -a
-                for outcome in _adaptive(evaluator, a, b, tol * 0.1):
-                    if isinstance(outcome, NoConvergence):
-                        raise outcome
-                    contrib, contrib_err = outcome
-                    total += contrib
-                    err += contrib_err
-                    if abs(contrib) < tol * max(1.0, abs(total)) * 0.25:
-                        quiet += 1
-                        if quiet >= 3:
-                            return total, err
-                    else:
-                        quiet = 0
-            raise NoConvergence("exponential-tail truncation not reached", best=total, err_est=err)
-
-        total, err = one_side(+1)
-        if two_sided:
-            back, back_err = one_side(-1)
-            total, err = total + back, err + back_err
-        return total, err
-    if decay == "RationalOrder2":
-        return _adaptive(RationalImage(evaluator), -1.0, 1.0, tol)
-    raise ValueError(f"unknown decay class {decay!r}")
+    return _adaptive(RationalImage(evaluator), -1.0 if two_sided else 0.0, 1.0, max(tol, 1e-14))

@@ -232,6 +232,7 @@ def densities(pair: MatchedPair, draws, x):
     buffers of phi.  Each column is strictly positive on R: Im(phi - p_{k-1}/p_k) =
     Im phi > 0 away from the real zeros of p_k, and at those zeros the other
     factor is nonzero by interlacing, so neither denominator form can vanish.
+    The result is a new array, which a caller may scale in place.
     """
     draws = draws if isinstance(draws, _Draws) else _Draws(draws)
     re, im = _pick_parts(draws.phis, x)
@@ -271,7 +272,9 @@ def boundary_moments(pair: MatchedPair, draws, tol: float = 1e-10):
     draws = _Draws(draws)
 
     def f(x):
-        return (np.asarray(x) ** j)[:, None] * densities(pair, draws, x)
+        dens = densities(pair, draws, x)
+        dens *= (np.asarray(x) ** j)[:, None]
+        return dens
 
     spec = oracle.IntegrandSpec(oracle.RationalImage(f), oracle.FiniteDirect(-_S_CUT, _S_CUT))
     lhs, _ = oracle.integrate(spec, tol=tol)
@@ -295,5 +298,5 @@ def moment_match_all(pair: MatchedPair, draws, tol: float = 1e-8):
         np.multiply(densities(pair, draws, x).T[:, None, :], power_table(x, count).T, out=table)
         return table.transpose(2, 0, 1)
 
-    rows = oracle.improper_integral(f, decay="RationalOrder2", tol=tol)
+    rows = oracle.improper_integral(f, tol=tol, two_sided=True)
     return rows, pair.kappa_ratio * np.asarray(pair.moments[:count])

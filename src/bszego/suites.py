@@ -531,7 +531,7 @@ def _limiting_cells(grid, tol):
         yield _Cell("coscosheven", {"n": n}, _coscosheven, tol)
     for alpha in grid.get("alpha", [math.pi / 6, math.pi / 4, 1.0]):
         yield _Cell("alpha_integral", {"alpha": alpha}, _alpha_integral, tol)
-    # limiting series vs truncated oracle integrals
+    # limiting series vs oracle integrals over R
     for (alpha, beta), deg in product(grid.get("two_cosh", [(1.0, 1.0), (1.5, 0.7)]), range(3)):
         params = {"alpha": alpha, "beta": beta, "deg": deg}
         yield _Cell("two_cosh_series", params, _two_cosh_series, tol, relative=True)
@@ -542,18 +542,12 @@ def _limiting_cells(grid, tol):
     yield _Cell("product_cmc_series", params, _product_cmc_series, tol, relative=True)
     yield _Cell("mixed_series", {"alpha": 1.0, "beta": 1.0}, _mixed_series, tol, relative=True)
     for a in a_list:
-        yield _Cell("glaisher_theta", {"a": a}, lambda a: trig.glaisher_pair(a, tol=1e-8), tol)
+        yield _Cell("glaisher_theta", {"a": a}, lambda a: trig.glaisher_pair(a, tol=1e-10), tol)
 
 
-def _guard(series):
-    return (oracle.SingularityGuard(0.0, 1e-6, series),)
-
-
-def _improper(f, guard=None, **kwargs):
-    """Oracle integral of f up to an exponentially small tail, series-guarded near 0."""
-    if guard is not None:
-        f = oracle._guarded(f, _guard(guard))
-    value, _ = oracle.improper_integral(f, "Exponential", tol=1e-9, **kwargs)
+def _improper(f, two_sided=False):
+    """Oracle integral of f over (0, inf), or over R when two_sided."""
+    value, _ = oracle.improper_integral(f, tol=1e-10, two_sided=two_sided)
     return value
 
 
@@ -582,14 +576,14 @@ def _continued(g, at_zero=None):
 
 def _arctan1(a):
     def f(x):
-        return np.sin(x) * np.sinh(x / a) / (np.cos(2 * x) + np.cosh(2 * x / a)) / x
+        return np.sinc(x / np.pi) * trig._sinh_over_cos_cosh(x, x / a)
 
-    return math.atan(a) / 2.0, _improper(f, guard=lambda x: x / (2.0 * a))
+    return math.atan(a) / 2.0, _improper(f)
 
 
 def _vanishing_moment(k):
     def f(x):
-        return np.sin(x) * np.sinh(x) / (np.cos(2 * x) + np.cosh(2 * x)) * x ** (4 * k - 1)
+        return np.sin(x) * trig._sinh_over_cos_cosh(x, x) * x ** (4 * k - 1)
 
     return 0.0, _improper(f)
 
@@ -603,8 +597,7 @@ def _form1(n, a):
             (np.cos(2 * A) + np.cosh(2 * B)) * t * np.sqrt(1 + t * t / (a * a))
         )
 
-    guard = _guard(lambda psi: n * n * psi / (2.0 * a))
-    spec = oracle.IntegrandSpec(f, oracle.FiniteDirect(0.0, math.pi / 2), guard)
+    spec = oracle.IntegrandSpec(f, oracle.FiniteDirect(0.0, math.pi / 2))
     return math.atan(a) / 2.0, oracle.integrate(spec, tol=1e-10)[0]
 
 
@@ -623,9 +616,13 @@ def _alpha_integral(alpha):
     sa, ca = math.sin(alpha), math.cos(alpha)
 
     def f(x):
-        return np.sin(x * sa) * np.sinh(x * ca) / ((np.cosh(x * ca) + np.cos(x * sa)) ** 2) / x
+        # sin v / x * sinh u / (cosh u + cos v)^2 with u = x ca, v = x sa, in factors of e^-u
+        u, v = x * ca, x * sa
+        e = np.exp(-u)
+        quotient = 2.0 * e * -np.expm1(-2.0 * u) / (1.0 + 2.0 * np.cos(v) * e + e * e) ** 2
+        return sa * np.sinc(v / np.pi) * quotient
 
-    return alpha / 2.0, _improper(f, guard=lambda x: x * sa * ca / 4.0)
+    return alpha / 2.0, _improper(f)
 
 
 _TWO_COSH_COEFFS = ([1.0], [0.0, 1.0], [0.3, -1.2, 0.7])  # test polynomial by degree
@@ -637,7 +634,7 @@ def _two_cosh_series(alpha, beta, deg):
         lambda x, r, cos, cosh: p(x) / ((cos(r) + cosh(alpha * r)) * (cos(r) + cosh(beta * r)))
     )
     series = quad.limit_series("TwoCoshProduct", alpha, beta, p)
-    return series, _improper(f, two_sided=True, block=20.0)
+    return series, _improper(f, two_sided=True)
 
 
 def _cmc_series_parity(alpha):
@@ -653,7 +650,7 @@ def _cmc_series(alpha):
         at_zero=2.0 * p(0.0) / (alpha * alpha + 1.0),
     )
     v0 = quad.limit_series("CoshMinusCosX", alpha, None, p, variant=0)
-    return v0, _improper(f, two_sided=True, block=30.0) / (4.0 * math.pi ** 4)
+    return v0, _improper(f, two_sided=True) / (4.0 * math.pi ** 4)
 
 
 def _product_cmc_series(alpha, beta):
@@ -662,7 +659,7 @@ def _product_cmc_series(alpha, beta):
         at_zero=4.0 / ((alpha ** 2 + 1) * (beta ** 2 + 1)),
     )
     series = quad.limit_series("ProductCoshMinusCosX2", alpha, beta, RealPolynomial([1.0]))
-    return series, _improper(f, two_sided=True, block=30.0) / (2.0 * math.pi ** 6)
+    return series, _improper(f, two_sided=True) / (2.0 * math.pi ** 6)
 
 
 def _mixed_series(alpha, beta):
@@ -671,7 +668,7 @@ def _mixed_series(alpha, beta):
         lambda x, r, cos, cosh: x / ((cosh(r) + cos(r)) * (cosh(r) - cos(r))), at_zero=0.5
     )
     series = quad.limit_series("MixedX", alpha, beta, RealPolynomial([1.0]))
-    return series, _improper(f, two_sided=True, block=30.0) / (2.0 * math.pi ** 4)
+    return series, _improper(f, two_sided=True) / (2.0 * math.pi ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -724,13 +721,26 @@ def _bad_axis_value(name, axis, v):
     return ValueError(f"grid of suite {name!r}: axis {axis!r} needs {want}, got {v!r}")
 
 
+class _ReadAxes(dict):
+    """A grid that records the axes its cell sources read; they read them with get."""
+
+    def __init__(self, grid):
+        super().__init__(grid)
+        self.read = set()
+
+    def get(self, axis, default=None):
+        self.read.add(axis)
+        return super().get(axis, default)
+
+
 def _check_grids(grids):
     """Reject a malformed grid before any cell runs (ValueError names the suite and the axis,
     and the value of a bad n, m, a or n_plus_m_max, the params of a cell past the n + m cap
     or whose n or m alone is past it, or a suite's grid that lists no cell; listing the
-    cells runs none of them).  A value on those axes that is not a real number is rejected
-    before the cells are listed, since listing compares it, and a real outside the axis's
-    domain after, so a grid whose non-integer n lists no cell is reported as listing none."""
+    cells runs none of them), or an axis that none of the suite's cell sources reads while
+    listing them.  A value on those axes that is not a real number is rejected before the
+    cells are listed, since listing compares it, and a real outside the axis's domain
+    after, so a grid whose non-integer n lists no cell is reported as listing none."""
     if not isinstance(grids, dict):
         raise ValueError(f"grids must map suite ids to grids, got {grids!r}")
     for name, grid in grids.items():
@@ -762,9 +772,14 @@ def _check_grids(grids):
             )
     for name, grid in grids.items():
         sources = _REGISTRY[name][2] if name in _REGISTRY else ()
-        params = [cell.params for source in sources for cell in source(grid, None)]
+        listed = _ReadAxes(grid)
+        params = [cell.params for source in sources for cell in source(listed, None)]
         if sources and not params:
             raise ValueError(f"grid of suite {name!r} lists no cell: {grid!r}")
+        for axis in grid:
+            if sources and axis not in listed.read:
+                raise ValueError(f"grid of suite {name!r}: unknown axis {axis!r}; its cells "
+                                 f"read {sorted(listed.read)}")
         for p in params:
             if "n" in p and "m" in p and p["n"] + p["m"] > _PARAM_CAP:
                 raise ValueError(f"grid of suite {name!r}: params {p!r} exceed "

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ParityError, PoleProximity, RangeError
-from .oracle import FiniteDirect, IntegrandSpec, SingularityGuard
+from .oracle import FiniteDirect, IntegrandSpec
 
 __all__ = [
     "s_sum",
@@ -184,8 +184,8 @@ def pf_reciprocal_U(k: int, z):
 def ramanujan_353_finite(n: int, k: int, tol: float = 1e-10):
     """Oracle value of the finite Ramanujan-353 integral and its target pi/4.
 
-    n even, k odd.  With t = sin(psi) the integrand is smooth on [0, pi/2];
-    near psi = 0 it tends to kn/2 (series guard).
+    n even, k odd.  With t = sin(psi) the integrand is smooth on [0, pi/2]
+    and tends to kn/2 as psi -> 0; the Gauss nodes never evaluate psi = 0.
     """
     if n % 2 == 1 or k % 2 == 0 or n < 2 or k < 1:
         raise ParityError("finite analog needs even n and odd k")
@@ -196,13 +196,7 @@ def ramanujan_353_finite(n: int, k: int, tol: float = 1e-10):
         den = (np.cos(n * psi) + np.cosh(n * np.arcsinh(s))) * s
         return num / den
 
-    def series(psi):
-        return 0.5 * k * n * (1.0 + (1.0 - (k * n) ** 2) * psi ** 2 / 6.0)
-
-    spec = IntegrandSpec(
-        f, FiniteDirect(0.0, math.pi / 2.0), (SingularityGuard(0.0, 1e-6, series),)
-    )
-    val, _ = oracle.integrate(spec, tol=tol)
+    val, _ = oracle.integrate(IntegrandSpec(f, FiniteDirect(0.0, math.pi / 2.0)), tol=tol)
     return val, math.pi / 4.0
 
 
@@ -275,12 +269,19 @@ def proof_identities_check(z: float, n: int, m: int, u: int) -> float:
     return max(err_a, err_b, err_c)
 
 
+def _sinh_over_cos_cosh(x, u):
+    """sinh u / (cos 2x + cosh 2u) for u >= 0, in factors of e^-u that cannot overflow."""
+    e = np.exp(-2.0 * u)
+    return np.exp(-u) * -np.expm1(-2.0 * u) / (2.0 * np.cos(2.0 * x) * e + 1.0 + e * e)
+
+
 def glaisher_pair(a: float, tol: float = 1e-9):
     """Theta-series value and oracle integral for the limiting sine transform.
 
     series = (pi^2/8) sum (-1)^j (2j+1) exp(-pi^2 (2j+1)^2 a / 8);
     integral = int_0^inf sin(sqrt x) sinh(sqrt x)/(cos 2 sqrt x + cosh 2 sqrt x)
-               sin(a x) dx, computed after x = y^2.
+               sin(a x) dx, computed after x = y^2, with the sinh/cosh quotient
+               written in factors of e^-y, which cannot overflow.
     """
     series = 0.0
     for j in range(200):
@@ -291,10 +292,7 @@ def glaisher_pair(a: float, tol: float = 1e-9):
     series *= math.pi ** 2 / 8.0
 
     def f(y):
-        return (
-            2.0 * y * np.sin(y) * np.sinh(y) / (np.cos(2 * y) + np.cosh(2 * y))
-            * np.sin(a * y * y)
-        )
+        return 2.0 * y * np.sin(y) * _sinh_over_cos_cosh(y, y) * np.sin(a * y * y)
 
-    integral, _ = oracle.improper_integral(f, decay="Exponential", tol=tol, block=4.0)
+    integral, _ = oracle.improper_integral(f, tol=tol)
     return series, integral

@@ -134,6 +134,28 @@ def test_c15_limiting_and_improper():
     _assert_all("criterion 15 (limiting/improper checks)", run_verify("limiting"))
 
 
+def test_c15_improper_integrals_on_the_map_are_accurate(monkeypatch):
+    # every limiting record whose oracle value is an improper integral lands within
+    # 1e-12 (1 + |closed form|): on the rational map the integral over R is one pass,
+    # with no truncation and no tail budget
+    from bszego import oracle, suites
+
+    calls = []
+    improper = oracle.improper_integral
+    monkeypatch.setattr(oracle, "improper_integral",
+                        lambda *args, **kwargs: calls.append(args) or improper(*args, **kwargs))
+    checked = []
+    for cell in suites._limiting_cells({}, suites._REGISTRY["limiting"][1]):
+        before = len(calls)
+        (record,) = suites._run_cells([cell])
+        if len(calls) > before:
+            checked.append(record)
+    assert len(checked) == 21
+    bad = [(r.theorem_id, r.params, r.abs_error) for r in checked
+           if not r.abs_error <= 1e-12 * (1.0 + abs(r.closed_form))]
+    assert not bad, bad
+
+
 def test_c16_proof_identities():
     _assert_all("criterion 16 (discrete proof identities)", run_verify("proof_ids"))
 

@@ -285,6 +285,36 @@ def test_integer_n_past_the_cap_rejected_before_any_suite_runs(capsys, tmp_path,
     assert ran == [] and out == "" and len(recwarn) == 0
 
 
+@pytest.mark.parametrize("suite, axis, value", [
+    ("quad1", "bogus", [1]),
+    ("corollary_B", "m", [3]),
+    ("measure3", "a", [1.0]),
+], ids=["quad1_bogus", "corollary_B_m", "measure3_a"])
+def test_unknown_axis_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch,
+                                                     suite, axis, value):
+    # before, the axis was ignored: quad1 with "bogus" ran its 108 default records, exit 0
+    ran = []
+    monkeypatch.setitem(SUITES, "tt", lambda grid, tol: ran.append(grid) or [])
+    cfg = _write(tmp_path / "cfg.json",
+                 json.dumps({"suites": ["tt", suite], "grids": {suite: {axis: value}}}))
+    code, out, err = run_cli(capsys, "verify", "--config", cfg)
+    assert code == 2
+    assert err.startswith(f"error: grid of suite {suite!r}: unknown axis {axis!r}; its cells read ")
+    assert "Traceback" not in err and ran == [] and out == ""
+
+
+@pytest.mark.parametrize("suite, n, m", [
+    ("T1star", 1, 1), ("even_parity", 2, 2), ("square", 1, 1), ("quad1", 1, 1),
+    ("quad_squared", 1, 1), ("quad_signed", 1, 2), ("gen_fn", 1, 1), ("kernel", 1, 1),
+])
+def test_single_cell_n_m_a_grids_stay_valid(suite, n, m):
+    # the single-cell configs of these suites name n, m and a; every one is an axis their
+    # cells read, so none is rejected as unknown
+    from bszego.suites import _check_grids
+
+    _check_grids({suite: {"n": [n], "m": [m], "a": [1.0]}})
+
+
 def test_integer_n_at_the_cap_runs(capsys, tmp_path):
     cfg = _write(tmp_path / "cfg.json", json.dumps(
         {"suites": ["corollary_B"], "grids": {"corollary_B": {"n": [64]}}}))

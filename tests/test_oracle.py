@@ -7,12 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from bszego import oracle
 from bszego.errors import NoConvergence
-from bszego.oracle import (
-    FiniteDirect,
-    IntegrandSpec,
-    SingularityGuard,
-    ThetaSubstituted,
-)
+from bszego.oracle import FiniteDirect, IntegrandSpec, ThetaSubstituted
+from bszego.trig_identities import _sinh_over_cos_cosh  # sinh u/(cos 2x + cosh 2u), no overflow
 
 
 def test_chebyshev_mass():
@@ -57,10 +53,7 @@ def test_one_parameter_family_integral():
             (np.cos(2 * A) + np.cosh(2 * B)) * t * np.sqrt(1 + t * t / (a * a))
         )
 
-    def series(psi):
-        return n * n * psi / (2.0 * a)
-
-    spec = IntegrandSpec(f, FiniteDirect(0.0, math.pi / 2), (SingularityGuard(0.0, 1e-6, series),))
+    spec = IntegrandSpec(f, FiniteDirect(0.0, math.pi / 2))  # no Gauss node at psi = 0
     val, _ = oracle.integrate(spec, tol=1e-11)
     assert val == pytest.approx(math.atan(a) / 2, abs=1e-9)
 
@@ -82,47 +75,40 @@ def test_fourier_cross_module_generating_function():
 
 def test_improper_glaisher_arctan():
     def f(x):
-        return np.sin(x) * np.sinh(x) / (np.cos(2 * x) + np.cosh(2 * x)) / x
+        return np.sinc(x / np.pi) * _sinh_over_cos_cosh(x, x)
 
-    def series(x):
-        return x / 2.0
-
-    wrapped = oracle._guarded(f, (SingularityGuard(0.0, 1e-6, series),))
-    val, err = oracle.improper_integral(wrapped, "Exponential", tol=1e-10)
+    val, err = oracle.improper_integral(f, tol=1e-10)
     assert val == pytest.approx(math.pi / 8, abs=1e-8)
     assert 0.0 < err <= 1e-10
 
 
 def test_improper_fourth_moment_vanishes():
     def f(x):
-        return np.sin(x) * np.sinh(x) / (np.cos(2 * x) + np.cosh(2 * x)) * x**3
+        return np.sin(x) * _sinh_over_cos_cosh(x, x) * x**3
 
-    val, err = oracle.improper_integral(f, "Exponential", tol=1e-10)
+    val, err = oracle.improper_integral(f, tol=1e-10)
     assert abs(val) < 1e-8
     assert 0.0 < err <= 1e-10
 
 
 def test_improper_squared_denominator():
     alpha = math.pi / 4
+    sa, ca = math.sin(alpha), math.cos(alpha)
 
     def f(x):
-        return (
-            np.sin(x * math.sin(alpha)) * np.sinh(x * math.cos(alpha))
-            / (np.cosh(x * math.cos(alpha)) + np.cos(x * math.sin(alpha))) ** 2 / x
-        )
+        # sin v / x * sinh u / (cosh u + cos v)^2 with u = x ca, v = x sa, in factors of e^-u
+        e = np.exp(-x * ca)
+        quotient = 2.0 * e * -np.expm1(-2.0 * x * ca) / (1.0 + 2.0 * np.cos(x * sa) * e + e * e) ** 2
+        return sa * np.sinc(x * sa / np.pi) * quotient
 
-    def series(x):
-        return x * math.sin(alpha) * math.cos(alpha) / 4.0
-
-    wrapped = oracle._guarded(f, (SingularityGuard(0.0, 1e-6, series),))
-    val, err = oracle.improper_integral(wrapped, "Exponential", tol=1e-10)
+    val, err = oracle.improper_integral(f, tol=1e-10)
     assert val == pytest.approx(alpha / 2, abs=1e-8)
     assert 0.0 < err <= 1e-10
 
 
 def test_rational_substitution():
     # int_R dx/(1+x^2) = pi
-    val, err = oracle.improper_integral(lambda x: 1.0 / (1.0 + x * x), "RationalOrder2", tol=1e-11)
+    val, err = oracle.improper_integral(lambda x: 1.0 / (1.0 + x * x), tol=1e-11, two_sided=True)
     assert val == pytest.approx(math.pi, abs=1e-10)
     assert 0.0 < err <= 1e-11 * (1.0 + abs(val))
 
@@ -149,29 +135,8 @@ def test_self_consistency_tolerance_halving():
     assert abs(v1 - v2) <= max(e1, 1e-12)
 
 
-def test_guard_boundary_continuity():
-    # eta/t integrand: the two-term series and the direct formula must agree
-    # at the guard boundary to 1e-9.
-    n, m, a = 3, 5, 2.0
-
-    def direct(t):
-        t = np.asarray(t)
-        A = n * np.arcsin(np.sqrt(t))
-        B = m * np.arcsinh(np.sqrt(t / a))
-        return np.sin(A) * np.sinh(B) / t
-
-    def series(t):
-        c = n * m / math.sqrt(a)
-        slope = (1 - n * n) / 6.0 + (m * m - 1) / (6.0 * a)
-        return c * (1.0 + slope * np.asarray(t))
-
-    edge = np.array([1e-6, 1.0000001e-6, 0.9999999e-6])
-    assert np.max(np.abs(direct(edge) - series(edge))) < 1e-9
-
-
 def test_rational_interval_kind_through_integrate():
-    val, err = oracle.improper_integral(lambda x: 1.0 / (4.0 + x * x), decay="RationalOrder2",
-                                        tol=1e-10)
+    val, err = oracle.improper_integral(lambda x: 1.0 / (4.0 + x * x), tol=1e-10, two_sided=True)
     assert val == pytest.approx(math.pi / 2, abs=1e-9)
     assert 0.0 < err <= 1e-10 * (1.0 + abs(val))
 
@@ -522,10 +487,73 @@ def test_grouped_rational_substitution():
     def f(x):
         return (1.0 / (cs ** 2 + np.asarray(x)[:, None] ** 2))[:, :, None]
 
-    outcomes = oracle.improper_integral(f, "RationalOrder2", tol=1e-11)
+    outcomes = oracle.improper_integral(f, tol=1e-11, two_sided=True)
     for c, (value, err) in zip(cs, outcomes):
         assert value[0] == pytest.approx(math.pi / c, abs=1e-10)
         assert err <= 1e-11 * (1.0 + abs(value[0]))
+
+
+def _solo(f, lo, hi, tol):
+    """_adaptive over one interval, with a NoConvergence returned instead of raised."""
+    try:
+        return oracle._adaptive(f, lo, hi, tol)
+    except NoConvergence as exc:
+        return exc
+
+
+def _same_outcome(one, other):
+    """Bit-for-bit equality of two outcomes, or of two lists of them."""
+    if isinstance(one, list):
+        assert isinstance(other, list) and len(one) == len(other)
+        for x, y in zip(one, other):
+            _same_outcome(x, y)
+    elif isinstance(one, NoConvergence):
+        assert isinstance(other, NoConvergence) and str(one) == str(other)
+        assert np.array_equal(one.best, other.best) and one.err_est == other.err_est
+    else:
+        (value, err), (other_value, other_err) = one, other
+        assert np.array_equal(value, other_value) and err == other_err
+
+
+def _lorentzians(x):
+    # int_R dx/(c^2 + x^2) = pi/c, in three columns
+    return 1.0 / (np.array([1.0, 2.0, 30.0]) ** 2 + np.asarray(x)[:, None] ** 2)
+
+
+def _step_on_a_bump(x):
+    # exp(-x^2) doubled past x = 1/3: the jump is never resolved, and on either map the
+    # integral ends at _MAX_DEPTH
+    x = np.asarray(x)
+    return np.exp(-x * x) * (1.0 + (x > 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("two_sided", [False, True], ids=["one_sided", "two_sided"])
+@pytest.mark.parametrize("f", [lambda x: 1.0 / (1.0 + x * x), _lorentzians,
+                               lambda x: _lorentzians(x)[:, :, None], _step_on_a_bump],
+                         ids=["scalar", "npts_by_3", "grouped", "never_settles"])
+def test_improper_integral_is_one_pass_on_the_map(f, two_sided):
+    try:
+        outcome = oracle.improper_integral(f, tol=1e-11, two_sided=two_sided)
+    except NoConvergence as exc:
+        outcome = exc
+    lo = -1.0 if two_sided else 0.0
+    _same_outcome(outcome, _solo(oracle.RationalImage(f), lo, 1.0, 1e-11))
+    if f is _step_on_a_bump:
+        assert isinstance(outcome, NoConvergence) and "depth" in str(outcome)
+
+
+@pytest.mark.parametrize("two_sided", [False, True], ids=["one_sided", "two_sided"])
+def test_one_sided_improper_integral_evaluates_no_negative_x(two_sided):
+    # the first panel of the one-sided map starts at s = 0, which no Gauss node touches;
+    # the two-sided map evaluates both signs and, from its first panel, s = 0 itself
+    g, calls = _recording(lambda x: np.exp(-np.asarray(x) ** 2))
+    value, _ = oracle.improper_integral(g, tol=1e-12, two_sided=two_sided)
+    x = np.concatenate(calls)
+    assert value == pytest.approx(math.sqrt(math.pi) / (1.0 if two_sided else 2.0), rel=1e-12)
+    if two_sided:
+        assert x.min() < 0.0 < x.max() and np.any(x == 0.0)
+    else:
+        assert x.min() > 0.0
 
 
 @pytest.mark.parametrize("shape", [
@@ -706,170 +734,6 @@ def test_an_integral_settled_in_the_first_call_calls_once():
 
 
 # ---------------------------------------------------------------------------
-# intervals in lock-step: independent integrals over different intervals on shared calls
-
-
-def _solo(f, lo, hi, tol):
-    """_adaptive over one interval, with a NoConvergence returned instead of raised."""
-    try:
-        return oracle._adaptive(f, lo, hi, tol)
-    except NoConvergence as exc:
-        return exc
-
-
-def _same_outcome(one, other):
-    """Bit-for-bit equality of two outcomes, or of two lists of them."""
-    if isinstance(one, list):
-        assert isinstance(other, list) and len(one) == len(other)
-        for x, y in zip(one, other):
-            _same_outcome(x, y)
-    elif isinstance(one, NoConvergence):
-        assert isinstance(other, NoConvergence) and str(one) == str(other)
-        assert np.array_equal(one.best, other.best) and one.err_est == other.err_est
-    else:
-        (value, err), (other_value, other_err) = one, other
-        assert np.array_equal(value, other_value) and err == other_err
-
-
-# reversed [3, 0], and [1, 1.7], [1.7, 3] adjacent
-_LO = np.array([0.0, 3.0, 1.0, 1.7, -0.5])
-_HI = np.array([1.0, 0.0, 1.7, 3.0, 0.25])
-
-
-@pytest.mark.parametrize("f", [_kinked, _kinked_columns, _grouped(3, _GROUPS)],
-                         ids=["scalar", "npts_by_3", "grouped"])
-def test_lock_step_intervals_equal_solo_runs(f):
-    g, calls = _recording(f)
-    outcomes = oracle._adaptive(g, _LO, _HI, 1e-12)
-    assert len(outcomes) == _LO.size
-    for outcome, lo, hi in zip(outcomes, _LO, _HI):
-        _same_outcome(outcome, _solo(f, lo, hi, 1e-12))
-    # the first call holds every interval's tree down to 16 panels
-    assert calls[0].size == _LO.size * oracle._GX.size * 31
-    assert max(c.size for c in calls) <= oracle._TRAP_CHUNK
-
-
-def _jump(x):
-    # a unit jump at 1/3 is never resolved: its panel still changes by about 2^-48 at
-    # depth _MAX_DEPTH, beyond the depth floor of its share
-    x = np.asarray(x)
-    return np.exp(x) + (x > 1.0 / 3.0)
-
-
-def test_an_interval_that_never_settles_fails_alone():
-    lo, hi = np.array([1.0, 0.0, 2.0]), np.array([2.0, 1.0, 3.0])
-    outcomes = oracle._adaptive(_jump, lo, hi, 1e-12)
-    restless = outcomes[1]
-    assert isinstance(restless, NoConvergence) and "depth" in str(restless)
-    assert np.isfinite(restless.best) and restless.err_est > 0.0
-    for outcome, a, b in zip(outcomes, lo, hi):
-        _same_outcome(outcome, _solo(_jump, a, b, 1e-12))
-    assert outcomes[0][0] == pytest.approx(math.e ** 2 - math.e + 1.0, abs=1e-10)
-
-
-def test_an_interval_past_its_panel_budget_stops_alone():
-    # sin(1e8 x) on [0, 1] runs out of panels, as in the solo test above, while the jump
-    # on [1, 2] still refines one level at a time: it goes on to fail at _MAX_DEPTH, and
-    # the smooth [2.5, 4] finishes, each with the outcome of its own run
-    def f(x):
-        x = np.asarray(x)
-        return np.where(x < 1.0, np.sin(1e8 * x), _jump(x - 1.0))
-
-    lo, hi = np.array([1.0, 0.0, 2.5]), np.array([2.0, 1.0, 4.0])
-    outcomes = oracle._adaptive(f, lo, hi, 1e-12)
-    assert "depth" in str(outcomes[0]) and "panels" in str(outcomes[1])
-    assert np.isfinite(outcomes[1].best) and outcomes[1].err_est > 1e-12
-    for outcome, a, b in zip(outcomes, lo, hi):
-        _same_outcome(outcome, _solo(f, a, b, 1e-12))
-
-
-def test_one_interval_array_returns_its_outcome():
-    _same_outcome(oracle._adaptive(_kinked, [0.0], [3.0], 1e-12),
-                  [oracle._adaptive(_kinked, 0.0, 3.0, 1e-12)])
-
-
-# ---------------------------------------------------------------------------
-# exponential tails: blocks in lock-step, read in order
-
-
-def _sequential_blocks(f, tol, two_sided=False, block=8.0):
-    """improper_integral(f, "Exponential", ...) one block per _adaptive call."""
-    tol = max(tol, 1e-14)
-
-    def one_side(sign):
-        total = err = 0.0
-        quiet = 0
-        for k in range(oracle._MAX_BLOCKS):
-            a = k * block
-            b = a + block
-            if sign < 0:
-                a, b = -b, -a
-            contrib, contrib_err = oracle._adaptive(f, a, b, tol * 0.1)
-            total += contrib
-            err += contrib_err
-            if abs(contrib) < tol * max(1.0, abs(total)) * 0.25:
-                quiet += 1
-                if quiet >= 3:
-                    return total, err
-            else:
-                quiet = 0
-        raise NoConvergence("exponential-tail truncation not reached", best=total, err_est=err)
-
-    total, err = one_side(+1)
-    if two_sided:
-        back, back_err = one_side(-1)
-        total, err = total + back, err + back_err
-    return total, err
-
-
-def _tail(x):
-    x = np.asarray(x)
-    return np.exp(-np.abs(x)) * (1.0 + np.cos(3.0 * x) ** 2)
-
-
-def _trapped_past_the_stop(x):
-    # at tol 1e-10 both sides stop after block [48, 56]; [56, 64], integrated in the same
-    # call as blocks 0 to 6, holds a jump that never settles
-    x = np.asarray(x)
-    return _tail(x) + (np.abs(x) > 60.3)
-
-
-@pytest.mark.parametrize("two_sided", [False, True], ids=["one_sided", "two_sided"])
-@pytest.mark.parametrize("f", [_tail, _trapped_past_the_stop],
-                         ids=["tail", "trapped_past_the_stop"])
-def test_exponential_blocks_equal_the_sequential_loop(f, two_sided):
-    g, calls = _recording(f)
-    value, err = oracle.improper_integral(g, "Exponential", tol=1e-10, two_sided=two_sided)
-    ref_value, ref_err = _sequential_blocks(f, 1e-10, two_sided)
-    assert value == ref_value and err == ref_err
-    # eight blocks' trees per first call: as many as fit _TRAP_CHUNK points
-    assert calls[0].size == 8 * oracle._GX.size * 31 <= oracle._TRAP_CHUNK
-    assert 0.0 < calls[0].min() and 56.0 < calls[0].max() < 64.0
-    with pytest.raises(NoConvergence):
-        oracle._adaptive(_trapped_past_the_stop, 56.0, 64.0, 1e-11)
-
-
-def test_exponential_block_before_the_stop_raises():
-    def f(x):  # the jump sits in block [8, 16], which the loop reaches
-        x = np.asarray(x)
-        return _tail(x) + 1e-3 * (x > 10.3)
-
-    with pytest.raises(NoConvergence) as batched:
-        oracle.improper_integral(f, "Exponential", tol=1e-10)
-    with pytest.raises(NoConvergence) as sequential:
-        _sequential_blocks(f, 1e-10)
-    _same_outcome(batched.value, sequential.value)
-
-
-@pytest.mark.parametrize("block", [-8.0, 0.0, math.nan, math.inf])
-def test_exponential_block_must_be_finite_and_positive(block):
-    f, calls = _recording(lambda x: np.exp(-np.abs(x)))
-    with pytest.raises(ValueError, match="block"):
-        oracle.improper_integral(f, "Exponential", block=block)
-    assert calls == []
-
-
-# ---------------------------------------------------------------------------
 # Fourier coefficients: every harmonic from one sampling
 
 
@@ -955,18 +819,6 @@ def test_zero_width_interval_in_a_group_run():
     assert len(outcomes) == len(_GROUPS)
     for value, err in outcomes:
         assert np.array_equal(value, np.zeros(2)) and err == 0.0
-
-
-@pytest.mark.parametrize("f", [_kinked, _kinked_columns, _grouped(3, _GROUPS)],
-                         ids=["scalar", "npts_by_3", "grouped"])
-def test_zero_width_interval_beside_others(f):
-    # [1.7, 1.7] among the lock-step intervals: it is zero, and every other interval's
-    # outcome is that of the run without it, bit for bit
-    lo, hi = np.insert(_LO, 2, 1.7), np.insert(_HI, 2, 1.7)
-    outcomes = _no_warnings(lambda: oracle._adaptive(f, lo, hi, 1e-12))
-    _same_outcome(outcomes[:2] + outcomes[3:], oracle._adaptive(f, _LO, _HI, 1e-12))
-    for value, err in outcomes[2] if isinstance(outcomes[2], list) else [outcomes[2]]:
-        assert not np.any(value) and err == 0.0
 
 
 def test_rational_image_of_a_truncation():

@@ -482,5 +482,5 @@ class TestMomentTable:
             dens = one_draw_density(pair, suites._PHI_SET[phi], form, x)
             return np.asarray(x)[:, None] ** powers[None, :] * dens[:, None]
 
-        want, _ = oracle.improper_integral(f, decay="RationalOrder2", tol=1e-9)
+        want, _ = oracle.improper_integral(f, tol=1e-9, two_sided=True)
         assert np.max(np.abs(lhs - want)) <= 1e-12

@@ -528,7 +528,7 @@ class TestLimitSeries:
             out[~pos] = 1.0 / (np.cosh(r) + np.cos(r)) ** 2
             return out
 
-        want, _ = oracle.improper_integral(f, "Exponential", tol=1e-9, two_sided=True)
+        want, _ = oracle.improper_integral(f, tol=1e-9, two_sided=True)
         assert val == pytest.approx(want, abs=1e-6)
 
     def test_two_cosh_product_quadratic(self):
@@ -549,7 +549,7 @@ class TestLimitSeries:
             )
             return out
 
-        want, _ = oracle.improper_integral(f, "Exponential", tol=1e-9, two_sided=True, block=20.0)
+        want, _ = oracle.improper_integral(f, tol=1e-9, two_sided=True)
         assert val == pytest.approx(want, abs=1e-6 * (1 + abs(want)))
 
     def test_cosh_minus_cos_variants_agree(self):
@@ -575,7 +575,7 @@ class TestLimitSeries:
             out[~(pos | neg)] = 2.0 / (alpha**2 + 1.0)
             return out
 
-        want, _ = oracle.improper_integral(f, "Exponential", tol=1e-9, two_sided=True, block=30.0)
+        want, _ = oracle.improper_integral(f, tol=1e-9, two_sided=True)
         assert series == pytest.approx(want / (4 * math.pi**4), abs=1e-6 * (1 + abs(series)))
 
     def test_mixed_against_oracle(self):
@@ -595,7 +595,7 @@ class TestLimitSeries:
             out[~(pos | neg)] = 1.0 / (beta**2 + 1.0)
             return out
 
-        want, _ = oracle.improper_integral(f, "Exponential", tol=1e-9, two_sided=True, block=30.0)
+        want, _ = oracle.improper_integral(f, tol=1e-9, two_sided=True)
         assert series == pytest.approx(want / (2 * math.pi**4), abs=1e-6 * (1 + abs(series)))
 
     def test_product_cosh_minus_cos_against_oracle(self):
@@ -619,7 +619,7 @@ class TestLimitSeries:
             out[~(pos | neg)] = 4.0 / ((alpha**2 + 1) * (beta**2 + 1))
             return out
 
-        want, _ = oracle.improper_integral(f, "Exponential", tol=1e-9, two_sided=True, block=30.0)
+        want, _ = oracle.improper_integral(f, tol=1e-9, two_sided=True)
         assert series == pytest.approx(want / (2 * math.pi**6), abs=1e-6 * (1 + abs(series)))
 
 

@@ -101,11 +101,16 @@ def test_bench_layers_prints_every_layer_and_spec(tmp_path):
                      "explicit_family"]
     pair_layers = ["matched_pair", "pick_eval", "densities", "boundary_moments",
                    "moment_match_all"]
-    assert list(doc["layers"]) == factor_layers + pair_layers
+    improper = ["arctan1(1.0)", "two_cosh_series(1.5, 0.7, 2)", "glaisher_theta(2.0)"]
+    assert list(doc["layers"]) == factor_layers + pair_layers + ["improper_integral"]
+    points = doc["improper_integral points per call"]
+    assert list(points) == improper and all(count > 0 for count in points.values())
     for layer, row in doc["layers"].items():
         if layer in factor_layers:
             assert list(row) == ["cos_plus_cosh(1, 1, 1.0)", "cos_plus_cosh(15, 17, 1.0)",
                                  "cos_plus_cosh(31, 33, 2.0)", "cosh_minus_cos_over_t(15, 16, 1.0)"]
+        elif layer == "improper_integral":
+            assert list(row) == improper
         else:
             assert list(row) == [f"cos_plus_cosh({n}, {m}, 1.0)"
                                  for n, m in [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)]]
