@@ -13,21 +13,22 @@ and Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev. 56,
 2014). Such integrals take the trapezoid rule, doubled until two successive
 rules agree. So does the plain dt measure, dt = (1+a)/2 sin(theta) d(theta):
 when g carries the factor sqrt((1-t)(a+t)), as every plain-dt integrand of
-the suites does, the substituted integrand is smooth and even too. A sample
-that is not finite, or no agreement by _TRAP_MAX intervals, sends a theta
-integral back to adaptive bisection. So a plain-dt integrand that is smooth
-in t (an |sin(theta)| kink, on which the trapezoid converges like 1/N^2)
-costs up to _TRAP_MAX trapezoid points first, the same bound as the other
-weights. Finite intervals and infinite ranges always use bisection.
+the suites does, the substituted integrand is smooth and even too. A level
+whose node sum is not finite (it holds a sample that is not finite, or finite
+samples that overflow the sum), or no agreement by _TRAP_MAX intervals,
+sends a theta integral back to adaptive bisection. So a plain-dt integrand
+that is smooth in t (an |sin(theta)| kink, on which the trapezoid converges
+like 1/N^2) costs up to _TRAP_MAX trapezoid points first, the same bound as
+the other weights. Finite intervals and infinite ranges always use bisection.
 
 An evaluator call costs far more to start than per point, and most
 integrals stop after a few refinement levels, so an integral's first call
 holds every point of its first levels, up to _FIRST_CALL points: the nodes
 of the nested trapezoid rules T_64 ... T_512, which share their nodes, or
 the complete bisection tree down to 16 panels (31 panels). The levels are
-then read from that table in turn, each with its own finiteness and
-convergence checks, so the points of a level that is never reached are never
-read; only the levels below the table call the evaluator again.
+then read from that table in turn, each checked for a node sum that is not
+finite and for convergence, so the points of a level that is never reached
+are never read; only the levels below the table call the evaluator again.
 
 Below the first call, bisection runs one depth level at a time: both halves
 of every panel still open at that depth are evaluated together, so an
@@ -40,7 +41,11 @@ so it does not depend on how many panels share the call.
 Evaluators may be vector-valued: an evaluator mapping an array of points of
 shape (npts,) to shape (npts,) or (npts, K) integrates K components in one
 pass, refining on the worst component. No evaluator call on either path gets
-more than _TRAP_CHUNK points, which bounds the (npts, K) arrays.
+more than _TRAP_CHUNK points, which bounds the (npts, K) arrays. An evaluator
+returns a new array per call, and the oracle may scale it in place: on the
+theta path the Jacobian multiplies the evaluator's own table (_scaled), so a
+call allocates one (npts, K) table. An int table, a read-only view or one
+value per call is multiplied out of place.
 
 Every sum over nodes is taken in an order that the table's shape fixes, so
 it depends only on the values: not on the memory layout of the evaluator's
@@ -114,9 +119,10 @@ _FIRST_CALL = 513
 _FOURIER_POINTS = 4096  # uniform samples per fourier_coeff
 
 
-def _midpoints(n):
-    """The n midpoints that T_2n adds to the nodes of T_n on [0, pi]."""
-    return (np.arange(n) + 0.5) * (np.pi / n)
+def _midpoints(n, start=0, stop=None):
+    """The n midpoints that T_2n adds to the nodes of T_n on [0, pi], or those numbered
+    start up to stop."""
+    return (np.arange(start, n if stop is None else stop) + 0.5) * (np.pi / n)
 
 
 def _table_top():
@@ -369,17 +375,29 @@ def _adaptive(f, lo, hi, tol):
     return outcomes[0]
 
 
+def _scaled(vals, w):
+    """vals * w, where w holds one factor per node of vals' first axis.  In place, which
+    keeps vals' layout and allocates nothing, when vals is a writeable float64 array with
+    w's node count and w is float64; out of place otherwise (an int table, a read-only
+    view, one value per call), as numpy broadcasts them.  Both give the same bits."""
+    vals, w = np.asarray(vals), np.asarray(w)
+    w = w.reshape(w.shape + (1,) * (vals.ndim - 1))
+    if (vals.dtype == w.dtype == np.float64 and vals.flags.writeable
+            and vals.shape[:1] == w.shape[:1]):
+        return np.multiply(vals, w, out=vals)
+    return vals * w
+
+
 def _theta_integrand(f, a, p):
-    """theta -> f(t) * ((1-t)(a+t))^(p/2) dt/dtheta on [0, pi]."""
+    """theta -> f(t) * ((1-t)(a+t))^(p/2) dt/dtheta on [0, pi]; the Jacobian scales f's
+    table in place (_scaled)."""
 
     def g(theta):
         t = 0.5 * ((1.0 - a) + (1.0 + a) * np.cos(theta))
-        t = np.clip(t, -a, 1.0)
-        vals = np.asarray(f(t))
+        vals = f(np.minimum(np.maximum(t, -a), 1.0))  # np.clip, at half the cost
         if p == -1:
-            return vals
-        jac = (0.5 * (1.0 + a) * np.sin(theta)) ** (p + 1)
-        return vals * jac.reshape(jac.shape + (1,) * (vals.ndim - 1))  # keeps vals' layout
+            return np.asarray(vals)
+        return _scaled(vals, (0.5 * (1.0 + a) * np.sin(theta)) ** (p + 1))
 
     return g
 
@@ -396,29 +414,33 @@ def _periodic(g, tol):
     samples are summed pairwise along the node-major table's contiguous node
     axis.  Accepts when
     max|T_2N - T_N| <= tol * (1 + max|T_2N|) and returns T_2N with that
-    difference as its error estimate.  None when a sample of a rule that is
-    reached is not finite, or no doubling up to _TRAP_MAX intervals is
-    accepted.
+    difference as its error estimate.  None when the node sum of a level that
+    is reached (T_64's nodes, a doubling's midpoints in the table, or a chunk
+    of them below it) is not finite, or no doubling up to _TRAP_MAX intervals
+    is accepted.  A sum is finite only if every sample in it is, so no table
+    of finiteness flags is built; finite samples whose sum overflows end in
+    bisection as well.
     """
     n = _TRAP_START
     top = min(_table_top(), _THETA.size - 1)  # the finest rule in the table
     table = _node_major(g(_THETA[:top + 1]))
     vals = table[..., :n + 1]
-    if not np.all(np.isfinite(vals)):
+    total = vals.sum(axis=-1)
+    if not np.all(np.isfinite(total)):
         return None
-    total = vals.sum(axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1])
+    total = total - 0.5 * (vals[..., 0] + vals[..., -1])
     coarse = total * (np.pi / n)
     while n < _TRAP_MAX:
         if n < top:
             chunks = [table[..., n + 1:2 * n + 1]]
-        else:
-            mids = _midpoints(n)
-            chunks = (_node_major(g(mids[start:start + _TRAP_CHUNK]))
+        else:  # each chunk's own midpoints, so no 2^16-point node array is built
+            chunks = (_node_major(g(_midpoints(n, start, min(n, start + _TRAP_CHUNK))))
                       for start in range(0, n, _TRAP_CHUNK))
         for vals in chunks:
-            if not np.all(np.isfinite(vals)):
+            level = vals.sum(axis=-1)
+            if not np.all(np.isfinite(level)):
                 return None
-            total = total + vals.sum(axis=-1)
+            total = total + level
         n *= 2
         fine = total * (np.pi / n)
         diff = np.max(np.abs(np.atleast_1d(fine - coarse)))

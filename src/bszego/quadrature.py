@@ -129,13 +129,15 @@ def weighted_oracle_integral(spec: WeightSpec, f, tol: float = 1e-11):
     """Oracle integral of f(t) against the spec's weight over [-a, 1].
 
     f may be vector-valued (shape (npts, K)).  Returns the value(s) only.
+    The weight multiplies f's table in place when it is a writeable float64
+    array with the node axis first (`oracle._scaled`), so f returns a new
+    array per call, as every oracle evaluator does; any other result of f is
+    multiplied out of place, to the same bits.
     """
     base, power = weight_base(spec)
 
     def integrand(t):
-        vals = np.asarray(f(t))
-        w = np.asarray(base(t))
-        return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))  # keeps vals' layout
+        return oracle._scaled(f(t), base(t))  # f(t) first: f may return t itself
 
     value, _ = oracle.integrate(
         oracle.IntegrandSpec(
@@ -199,38 +201,54 @@ def weights_from_moments(
     )
 
 
-def _alternating_sum(N: int, M: int, a: float, positive: bool, value) -> float:
-    """pi/(2N) sum_j (-1)^(j-1) tanh(x_j/2N) {tanh(M x_j/2N)}^(-(-1)^j) value(j, s_j, x_j),
-    j = 1..2N, over s_j = sin(pi j/2N) and the angles x_j: alpha_j with N, M = n, m, or
-    beta_j with N, M = m, n.
+def _alternating_rows(n: int, m: int, a: float, beta: bool = False) -> list:
+    """The rows (j, s_j, x_j, (-1)^(j-1) tanh(x_j/2N) {tanh(M x_j/2N)}^(-(-1)^j)),
+    j = 1..2N, of the single sum at (n, m, a): of `sum_form` over the angles x_j = alpha_j
+    with N, M = n, m, or of `sum_form_beta` (beta) over x_j = beta_j with N, M = m, n;
+    s_j = sin(pi j/2N).  They do not depend on u, so a caller summing many u builds
+    them once.
 
     For odd j the tanh power is a coth; x_j > 0 there since s_j > 0 for
     j <= 2N-1, and the j = 2N term vanishes through its tanh factors (even
     exponent).
     """
-    total = 0.0
+    N, M = (m, n) if beta else (n, m)
+    rows = []
     for j in range(1, 2 * N + 1):
         s = _rung_sine(j, N)
-        x = _angle(s, N, a, positive)
+        x = _angle(s, N, a, not beta)
         t1 = math.tanh(x / (2.0 * N))
         tm = math.tanh(M * x / (2.0 * N))
         term = t1 / tm if j % 2 == 1 else t1 * tm
-        total += ((-1.0) ** (j - 1)) * term * value(j, s, x)
-    return math.pi / (2.0 * N) * total
+        rows.append((j, s, x, ((-1.0) ** (j - 1)) * term))
+    return rows
 
 
-def sum_form(n: int, m: int, a: float, u: int) -> float:
-    """Single-sum value of the integral with numerator cos(2u asin sqrt t)."""
+def _alternating_sum(rows, value) -> float:
+    """pi/(2N) sum_j coef_j value(j, s_j, x_j) over the rows (j, s_j, x_j, coef_j) of
+    `_alternating_rows`, in row order."""
+    total = 0.0
+    for j, s, x, coef in rows:
+        total += coef * value(j, s, x)
+    return math.pi / len(rows) * total
+
+
+def sum_form(n: int, m: int, a: float, u: int, rows=None) -> float:
+    """Single-sum value of the integral with numerator cos(2u asin sqrt t).  `rows` are
+    `_alternating_rows(n, m, a)`, if the caller has them."""
     if abs(u) >= n:
         raise RangeError(f"|u| = {abs(u)} must be below n = {n}")
-    return _alternating_sum(n, m, a, True, lambda j, s, x: math.cos(math.pi * j * u / n))
+    rows = _alternating_rows(n, m, a) if rows is None else rows
+    return _alternating_sum(rows, lambda j, s, x: math.cos(math.pi * j * u / n))
 
 
-def sum_form_beta(n: int, m: int, a: float, u: int) -> float:
-    """The beta-side transformation of the single sum, valid for |u| < m."""
+def sum_form_beta(n: int, m: int, a: float, u: int, rows=None) -> float:
+    """The beta-side transformation of the single sum, valid for |u| < m.  `rows` are
+    `_alternating_rows(n, m, a, beta=True)`, if the caller has them."""
     if abs(u) >= m:
         raise RangeError(f"|u| = {abs(u)} must be below m = {m}")
-    return _alternating_sum(m, n, a, False, lambda j, s, x: math.cosh(u * x / m))
+    rows = _alternating_rows(n, m, a, beta=True) if rows is None else rows
+    return _alternating_sum(rows, lambda j, s, x: math.cosh(u * x / m))
 
 
 def corollary_eval(which: str, n: int, m: Optional[int] = None, a: Optional[float] = None,

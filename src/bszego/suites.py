@@ -304,13 +304,15 @@ def _gen_fn(n, m, a):
         return cheb_T_table(1.0 - 2.0 * np.asarray(t), n)
 
     mu = np.atleast_1d(np.asarray(quad.weighted_oracle_integral(WeightSpec(n, m, a), f, tol=1e-11)))
-    return max(abs(quad.sum_form(n, m, a, u) - float(mu[u])) for u in range(n))
+    rows = quad._alternating_rows(n, m, a)  # one rung table for every u
+    return max(abs(quad.sum_form(n, m, a, u, rows) - float(mu[u])) for u in range(n))
 
 
 @_cells("gen_fn_beta", _NMA7, tol=1e-10)
 def _gen_fn_beta(n, m, a):
-    us = range(min(n, m))
-    deviations = (abs(quad.sum_form_beta(n, m, a, u) - quad.sum_form(n, m, a, u)) for u in us)
+    rows, rows_beta = quad._alternating_rows(n, m, a), quad._alternating_rows(n, m, a, beta=True)
+    deviations = (abs(quad.sum_form_beta(n, m, a, u, rows_beta) - quad.sum_form(n, m, a, u, rows))
+                  for u in range(min(n, m)))
     return max(deviations, default=0.0)
 
 
@@ -733,8 +735,17 @@ class _ReadAxes(dict):
         return super().get(axis, default)
 
 
+def _check_suite_ids(what, by_suite):
+    """Reject a key of a config's grids or tolerances that is no suite id, which would
+    otherwise be ignored: ValueError names it and the known ids."""
+    for name in by_suite:
+        if name not in _REGISTRY:
+            raise ValueError(f"{what}: unknown suite {name!r}; known: {sorted(SUITES)}")
+
+
 def _check_grids(grids):
-    """Reject a malformed grid before any cell runs (ValueError names the suite and the axis,
+    """Reject a malformed grid before any cell runs: a key that is no suite id
+    (`_check_suite_ids`), or (ValueError names the suite and the axis,
     and the value of a bad n, m, a or n_plus_m_max, the params of a cell past the n + m cap
     or whose n or m alone is past it, or a suite's grid that lists no cell; listing the
     cells runs none of them), or an axis that none of the suite's cell sources reads while
@@ -743,6 +754,7 @@ def _check_grids(grids):
     after, so a grid whose non-integer n lists no cell is reported as listing none."""
     if not isinstance(grids, dict):
         raise ValueError(f"grids must map suite ids to grids, got {grids!r}")
+    _check_suite_ids("grids", grids)
     for name, grid in grids.items():
         if not isinstance(grid, dict):
             raise ValueError(f"grid of suite {name!r} must map axes to values, got {grid!r}")
@@ -771,13 +783,12 @@ def _check_grids(grids):
                 f"entries with a known family and positive integers n, m, got {combo!r}"
             )
     for name, grid in grids.items():
-        sources = _REGISTRY[name][2] if name in _REGISTRY else ()
         listed = _ReadAxes(grid)
-        params = [cell.params for source in sources for cell in source(listed, None)]
-        if sources and not params:
+        params = [cell.params for source in _REGISTRY[name][2] for cell in source(listed, None)]
+        if not params:
             raise ValueError(f"grid of suite {name!r} lists no cell: {grid!r}")
         for axis in grid:
-            if sources and axis not in listed.read:
+            if axis not in listed.read:
                 raise ValueError(f"grid of suite {name!r}: unknown axis {axis!r}; its cells "
                                  f"read {sorted(listed.read)}")
         for p in params:
@@ -799,6 +810,7 @@ def _check_tolerances(tolerances, tol_override):
     (fails every record).  The ValueError names the suite or the override."""
     if not isinstance(tolerances, dict):
         raise ValueError(f"tolerances must map suite ids to numbers, got {tolerances!r}")
+    _check_suite_ids("tolerances", tolerances)
     named = [(f"suite {name!r}", tol) for name, tol in tolerances.items()]
     if tol_override is not None:
         named.append(("the override", tol_override))

@@ -195,10 +195,15 @@ def _block_factors(t, angles, n, m, a):
 def _rho_block(t, n, m, a, quotient, angles=None):
     """One block of rho as a sum of squares: the plus block 2(cos^2 x + sinh^2 y), the
     quotient block 2((sin x/sqrt|t|)^2 + (sinh y/sqrt|t|)^2), 2(n^2 + m^2/a) at t = 0.
-    `angles` are those of `_block_angles` at t, if the caller has them."""
+    `angles` are those of `_block_angles` at t, if the caller has them.  The squares and
+    their sum are taken in place, in u's array."""
     x, y = _block_angles(t, n, m, a) if angles is None else angles
     u, v = _sines_over_root(t, x, y, n, m, a) if quotient else (np.cos(x), np.sinh(y))
-    return 2.0 * (u * u + v * v)
+    u *= u
+    v *= v
+    u += v
+    u *= 2.0
+    return u
 
 
 def rho_eval(spec: WeightSpec, t):
@@ -209,8 +214,8 @@ def rho_eval(spec: WeightSpec, t):
     for quotient, second in set(blocks):
         mm = spec.m_prime if second else spec.m
         values[quotient, second] = _rho_block(tt, spec.n, mm, spec.a, quotient)
-    out = 1.0
-    for block in blocks:  # a running product: the squared family's x * x, bit for bit
+    out = values[blocks[0]]
+    for block in blocks[1:]:  # a running product: the squared family's x * x, bit for bit
         out = out * values[block]
     return out if np.ndim(t) else float(out[0])
 

@@ -337,6 +337,22 @@ def test_unknown_suite_rejected_before_any_suite_runs(capsys, tmp_path, monkeypa
     assert ran == [] and out == ""
 
 
+@pytest.mark.parametrize("config, what", [
+    ({"grids": {"quadl": {"n": [3]}}}, "grids"),
+    ({"tolerances": {"quadl": 1e-3}}, "tolerances"),
+], ids=["grids", "tolerances"])
+def test_unknown_suite_id_in_a_config_rejected_before_any_suite_runs(capsys, tmp_path,
+                                                                     monkeypatch, config, what):
+    # before, the key was ignored: corollary_B ran its defaults, "6/6 passed", exit 0
+    ran = []
+    monkeypatch.setitem(SUITES, "corollary_B", lambda grid, tol: ran.append(grid) or [])
+    cfg = _write(tmp_path / "cfg.json", json.dumps(config))
+    code, out, err = run_cli(capsys, "verify", "--suite", "corollary_B", "--config", cfg)
+    assert code == 2
+    assert err.startswith(f"error: {what}: unknown suite 'quadl'; known: {sorted(SUITES)}")
+    assert "Traceback" not in err and ran == [] and out == ""
+
+
 def test_fejer_riesz_combos_from_a_config(capsys, tmp_path):
     # JSON names a family by its string value
     cfg = _write(tmp_path / "cfg.json", json.dumps({

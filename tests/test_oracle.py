@@ -192,6 +192,101 @@ def test_non_finite_sample_falls_back_to_bisection(power, expected):
     assert val == pytest.approx(expected, abs=1e-12)
 
 
+def test_non_finite_sample_below_the_table_falls_back_to_bisection():
+    # 1/(1.0001 - t) at a = 1 (t = cos theta) settles at T_2048; a NaN at one of the nodes
+    # that T_2048 adds, past the first call's table, is seen in its level's node sum
+    theta = oracle._midpoints(1024)[300]
+    bad = 0.5 * (0.0 + 2.0 * np.cos(theta))  # the oracle's t at that node, bit for bit
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.where(t == bad, np.nan, 1.0 / (1.0001 - t))
+
+    def clean(t):
+        return 1.0 / (1.0001 - t)
+
+    spec = IntegrandSpec(f, ThetaSubstituted(1.0, -1))
+    val, err = oracle.integrate(spec, tol=1e-11)
+    ref, ref_err = oracle._adaptive(oracle._theta_integrand(f, 1.0, -1), 0.0, math.pi, 1e-11)
+    assert calls[:3] == [oracle._FIRST_CALL, 512, 1024]  # T_64 ... T_512, T_1024, T_2048
+    assert (val, err) == (ref, ref_err)
+    assert oracle._periodic(oracle._theta_integrand(clean, 1.0, -1), 1e-11) is not None
+
+
+def test_finite_samples_whose_level_sum_overflows_take_bisection():
+    # 65 samples of 1e307 overflow T_64's node sum; every 15-point panel sum stays finite
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.full(t.shape, 1e307)
+
+    with np.errstate(over="ignore"):
+        val, err = oracle.integrate(IntegrandSpec(f, ThetaSubstituted(1.0, -1)), tol=1e-12)
+    ref, ref_err = oracle._adaptive(oracle._theta_integrand(f, 1.0, -1), 0.0, math.pi, 1e-12)
+    # the first call was the trapezoid table, the second bisection's tree of 31 panels
+    assert calls[:2] == [oracle._FIRST_CALL, 31 * oracle._GX.size]
+    assert (val, err) == (ref, ref_err)
+    assert val == pytest.approx(math.pi * 1e307, rel=1e-14)
+
+
+def _out_of_place(vals, w):
+    vals, w = np.asarray(vals), np.asarray(w)
+    return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
+
+
+def _scaling_cases():
+    """(the read-only arrays returned so far, evaluators by kind): evaluators whose tables
+    the oracle must scale out of place, and a writeable float64 table it scales in place."""
+    returned = []
+
+    def read_only(t):
+        out = np.exp(t)
+        out.flags.writeable = False
+        returned.append((out, out.copy()))
+        return out
+
+    return returned, {
+        "own_input": lambda t: t,
+        "read_only": read_only,
+        "int_table": lambda t: np.full((t.size, 2), [1, 3]),
+        "scalar": lambda t: 2.0,
+        "float_table": lambda t: np.exp(t)[:, None] * np.stack([np.ones_like(t), t], 1),
+    }
+
+
+@pytest.mark.parametrize("kind", ["own_input", "read_only", "int_table", "scalar", "float_table"])
+@pytest.mark.parametrize("power", [0, +1], ids=["plain_dt", "sqrt_both"])
+def test_jacobian_scaling_keeps_the_out_of_place_bits(monkeypatch, power, kind):
+    a = 0.5
+    returned, cases = _scaling_cases()
+    f = cases[kind]
+    theta = oracle._THETA
+    got = oracle._theta_integrand(f, a, power)(theta)
+    t = np.clip(0.5 * ((1.0 - a) + (1.0 + a) * np.cos(theta)), -a, 1.0)
+    want = _out_of_place(f(t), (0.5 * (1.0 + a) * np.sin(theta)) ** (power + 1))
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+    spec = IntegrandSpec(f, ThetaSubstituted(a, power))
+    value = oracle.integrate(spec, tol=1e-12)
+    monkeypatch.setattr(oracle, "_scaled", _out_of_place)
+    _outcomes_equal(value, oracle.integrate(spec, tol=1e-12))
+    assert returned or kind != "read_only"
+    for out, copy in returned:  # no read-only table was written
+        assert np.array_equal(out, copy)
+
+
+def test_a_writeable_float_table_is_scaled_in_place():
+    tables = []
+
+    def f(t):
+        tables.append(np.stack([np.ones_like(t), t]).T)  # node-contiguous columns
+        return tables[-1]
+
+    got = oracle._theta_integrand(f, 0.5, +1)(oracle._THETA)
+    assert got is tables[0] and not got.flags.c_contiguous
+
+
 def test_every_theta_integral_takes_the_periodic_rules(monkeypatch):
     taken = []
     periodic = oracle._periodic
@@ -616,6 +711,15 @@ def test_theta_table_holds_the_nested_rules_of_the_first_call():
         assert np.array_equal(np.sort(np.rint(j)), np.arange(n + 1.0))
         assert np.max(np.abs(j - np.rint(j))) <= 1e-12
         n *= 2
+
+
+def test_a_chunk_of_midpoints_is_its_slice_of_the_level():
+    # the chunks below the table build their own midpoints, on the bits of the whole level
+    n = oracle._TRAP_MAX // 2
+    level = oracle._midpoints(n)
+    for start in range(0, n, oracle._TRAP_CHUNK):
+        stop = min(n, start + oracle._TRAP_CHUNK)
+        assert np.array_equal(oracle._midpoints(n, start, stop), level[start:stop])
 
 
 def test_first_call_larger_than_the_table_reads_it_whole(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bszego.errors import ParityError, RangeError
-from bszego.poly_core import RealPolynomial, cheb_T
+from bszego.poly_core import RealPolynomial, cheb_T, power_table
 from bszego.quadrature import (
     _angle,
     corollary_eval,
@@ -679,3 +679,34 @@ class TestMonomialTables:
         ))
         got = oracle_moments(rule.spec, rule.exact_degree, tol=1e-12)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def _out_of_place(vals, w):
+    vals, w = np.asarray(vals), np.asarray(w)
+    return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
+
+
+@pytest.mark.parametrize("measure", [MeasureFactor.InvSqrtBoth, MeasureFactor.SqrtBoth,
+                                     MeasureFactor.PlainDt, MeasureFactor.SqrtRatio],
+                         ids=lambda mf: mf.value)
+@pytest.mark.parametrize("kind", ["own_input", "read_only", "int_table", "scalar", "power_table"])
+def test_weight_scaling_keeps_the_out_of_place_bits(monkeypatch, measure, kind):
+    # the weight multiplies f's table in place only when it is a writeable float64 table
+    spec = WeightSpec(3, 5, 0.5, measure_factor=measure)
+    returned = []
+
+    def read_only(t):
+        out = np.exp(t)
+        out.flags.writeable = False
+        returned.append((out, out.copy()))
+        return out
+
+    f = {"own_input": lambda t: t, "read_only": read_only,
+         "int_table": lambda t: np.full((t.size, 2), [1, 3]), "scalar": lambda t: 2.0,
+         "power_table": lambda t: power_table(t, 4)}[kind]
+    got = np.asarray(weighted_oracle_integral(spec, f, tol=1e-12))
+    monkeypatch.setattr(oracle, "_scaled", _out_of_place)
+    want = np.asarray(weighted_oracle_integral(spec, f, tol=1e-12))
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert all(np.array_equal(out, copy) for out, copy in returned)
+    assert returned or kind != "read_only"

@@ -102,15 +102,26 @@ def test_bench_layers_prints_every_layer_and_spec(tmp_path):
     pair_layers = ["matched_pair", "pick_eval", "densities", "boundary_moments",
                    "moment_match_all"]
     improper = ["arctan1(1.0)", "two_cosh_series(1.5, 0.7, 2)", "glaisher_theta(2.0)"]
-    assert list(doc["layers"]) == factor_layers + pair_layers + ["improper_integral"]
+    primitive_layers = ["rho_eval", "xi_eta_eval"]
+    assert list(doc["layers"]) == (factor_layers + pair_layers + ["improper_integral"]
+                                   + primitive_layers + ["oracle_moments"])
     points = doc["improper_integral points per call"]
     assert list(points) == improper and all(count > 0 for count in points.values())
+    # the deepest theta integral of the default sweep: T_64 ... T_131072, 2^16 + 1 nodes
+    assert doc["oracle_moments points per call"] == {"quad1(15, 1, 2.0)": 2 ** 16 + 1}
+    faults = doc["run_verify('all') minor faults"]
+    assert len(faults) == 2 and all(isinstance(count, int) and count >= 0 for count in faults)
     for layer, row in doc["layers"].items():
         if layer in factor_layers:
             assert list(row) == ["cos_plus_cosh(1, 1, 1.0)", "cos_plus_cosh(15, 17, 1.0)",
                                  "cos_plus_cosh(31, 33, 2.0)", "cosh_minus_cos_over_t(15, 16, 1.0)"]
         elif layer == "improper_integral":
             assert list(row) == improper
+        elif layer in primitive_layers:
+            assert list(row) == ["cos_plus_cosh(15, 1, 2.0) 513 points",
+                                 "cos_plus_cosh(15, 1, 2.0) 4096 points"]
+        elif layer == "oracle_moments":
+            assert list(row) == ["quad1(15, 1, 2.0)"]
         else:
             assert list(row) == [f"cos_plus_cosh({n}, {m}, 1.0)"
                                  for n, m in [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)]]
