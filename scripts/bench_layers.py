@@ -117,7 +117,7 @@ def _improper_calls():
     """(label, zero-argument call, evaluator points per call) of the improper_integral call
     each IMPROPER cell makes, caught while the cell runs once."""
     cells = {(c.theorem_id, json.dumps(c.params, sort_keys=True)): c
-             for c in suites._limiting_cells({}, None)}
+             for c in suites._limiting_cells(suites._limiting_cells.axes, None)}
     real = oracle.improper_integral
     calls = []
     for theorem_id, params in IMPROPER:

@@ -6,13 +6,16 @@ Subcommands:
     report   re-render a JSON report
 
 Exit codes: 0 all records passed, 1 at least one failure, 2 usage error
-(an unknown suite or family, an invalid grid or rule parameter, an `a` so far
-out of scale that a rule builder overflows, a config that is not a JSON
-object or whose output is not one, whose suites are not a list or whose
-output format is unknown, a tolerance that is not a finite non-negative
-number, or a config or report file that is missing or not JSON). These
-config and tolerance errors, an unknown suite id among them, are found
-before any suite runs.
+(an unknown suite or family, an invalid rule parameter, an `a` so far out of
+scale that a rule builder overflows, an invalid grid, a config that is not a
+JSON object or whose output is not one, whose suites are not a non-empty list
+or whose output format is unknown, a tolerance that is not a finite
+non-negative number, or a config or report file that is missing or not
+JSON). A grid is invalid when it names an axis its suite does not declare,
+gives an axis a value of the wrong kind, lists no cell, or lists a cell past
+the n + m <= 64 cap; `bszego.suites` declares each suite's axes once and
+checks grids from that declaration.  These config and tolerance errors, an
+unknown suite id among them, are found before any suite runs.
 The environment variable BSZEGO_SEED is reserved as a randomness seed for
 property tests; the verification suites use fixed seeds and ignore it.
 """
@@ -93,8 +96,8 @@ def _cmd_verify(args) -> int:
     if not isinstance(output, dict):
         raise ValueError(f"config and its output must be JSON objects: {args.config}")
     suites = [args.suite] if args.suite else config.get("suites", ["all"])
-    if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
-        raise ValueError(f"suites must be a list of suite ids, got {suites!r}")
+    if not (isinstance(suites, list) and suites and all(isinstance(s, str) for s in suites)):
+        raise ValueError(f"suites must be a non-empty list of suite ids, got {suites!r}")
     if suites == ["all"] or "all" in suites:
         suites = ["all"]
     unknown = [s for s in suites if s != "all" and s not in SUITES]

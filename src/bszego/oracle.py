@@ -425,7 +425,8 @@ def _periodic(g, tol):
     top = min(_table_top(), _THETA.size - 1)  # the finest rule in the table
     table = _node_major(g(_THETA[:top + 1]))
     vals = table[..., :n + 1]
-    total = vals.sum(axis=-1)
+    with np.errstate(over="ignore"):  # a sum that overflows is not finite: bisection takes it
+        total = vals.sum(axis=-1)
     if not np.all(np.isfinite(total)):
         return None
     total = total - 0.5 * (vals[..., 0] + vals[..., -1])
@@ -437,7 +438,8 @@ def _periodic(g, tol):
             chunks = (_node_major(g(_midpoints(n, start, min(n, start + _TRAP_CHUNK))))
                       for start in range(0, n, _TRAP_CHUNK))
         for vals in chunks:
-            level = vals.sum(axis=-1)
+            with np.errstate(over="ignore"):
+                level = vals.sum(axis=-1)
             if not np.all(np.isfinite(level)):
                 return None
             total = total + level

@@ -1,11 +1,13 @@
 """Registered verification suites: every closed form against the oracle.
 
 Check model.  A suite is a description: the theorem ids it checks, a default
-tolerance, a parameter grid (the acceptance configuration unless overridden
-per suite and axis) and one cell function per theorem id.  A cell is one
-record: its function gets the record's params and returns either a pair
-``(closed, got)`` with error ``|closed - got|``, or a worst error it took
-over a sub-sweep.  A record passes iff its error is within its tolerance.
+tolerance and one cell function per theorem id, listed by cell sources.  The
+sources' declarations are the one place a suite's grid axes are named, each
+with its default (the acceptance configuration), which a config's grid
+overrides; `_check_grids` reads them and `_KINDS`.  A cell is one record: its
+function gets the record's params and returns either a pair ``(closed, got)``
+with error ``|closed - got|``, or a worst error it took over a sub-sweep.  A
+record passes iff its error is within its tolerance.
 One runner does the rest: per-cell timing, the records, tolerance resolution
 (``tol_override`` > ``tolerances[suite]`` > the default), the sort and the
 dispatch.  A few checks keep a fixed tolerance; the limiting series use
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -127,24 +130,36 @@ def _run_cells(cells) -> List[VerificationRecord]:
     return records
 
 
+def _listed(sources, grid, tol):
+    """The sources' cells; each source gets the grid laid over its declared defaults."""
+    return (cell for source in sources for cell in source({**source.axes, **grid}, tol))
+
+
 def _suite(default_tol, sources):
     """A SUITES entry: each source's ``(grid, tol)`` yields cells, the runner runs them."""
 
     def suite(grid, tol):
-        tol = default_tol if tol is None else tol
-        return _run_cells(cell for source in sources for cell in source(grid, tol))
+        return _run_cells(_listed(sources, grid, default_tol if tol is None else tol))
 
     return suite
 
 
-def _product(grid, axes, keep=None, cap=None):
-    """Params dicts over the axes (grid values, else the defaults), first axis outermost.
+def _source(axes, cap=None):
+    """Decorator: declare a cell source's axes and their defaults.  n and m together
+    bring the scalar axis ``n_plus_m_max``, the n + m cap (default ``cap``, None: none)."""
 
-    ``keep(n, m)`` filters (n, m) pairs; ``cap`` bounds n + m unless the grid
-    sets ``n_plus_m_max``.
-    """
-    cap = grid.get("n_plus_m_max", cap)
-    for values in product(*(grid.get(name, default) for name, default in axes.items())):
+    def declare(source):
+        source.axes = {**axes, "n_plus_m_max": cap} if "n" in axes and "m" in axes else dict(axes)
+        return source
+
+    return declare
+
+
+def _product(grid, axes, keep=None):
+    """Params dicts over the named axes of a full grid, first axis outermost; ``keep(n, m)``
+    filters (n, m) pairs, and with n and m among the axes ``n_plus_m_max`` caps n + m."""
+    cap = grid["n_plus_m_max"] if "n" in axes and "m" in axes else None
+    for values in product(*(grid[name] for name in axes)):
         p = dict(zip(axes, values))
         if keep is not None and not keep(p["n"], p["m"]):
             continue
@@ -157,8 +172,9 @@ def _cells(theorem_id, axes, keep=None, cap=None, tol=None):
     """Decorator: the cell function, as a source of one cell per grid point (fixed ``tol``)."""
 
     def source_of(run):
+        @_source(axes, cap)
         def source(grid, suite_tol):
-            for p in _product(grid, axes, keep, cap):
+            for p in _product(grid, axes, keep):
                 yield _Cell(theorem_id, p, run, suite_tol if tol is None else tol)
 
         return source
@@ -329,8 +345,9 @@ _FACTOR_GRID = (
 )
 
 
+@_source({"combos": _FACTOR_GRID})
 def _fejer_riesz_cells(grid, tol):
-    for family, n, m, a_list in grid.get("combos", _FACTOR_GRID):
+    for family, n, m, a_list in grid["combos"]:
         for a in a_list:
             # a config's combos name the family by its string value, the default grid by member
             params = {"family": Family(family).value, "n": n, "m": m, "a": a}
@@ -390,13 +407,14 @@ def _once(build):
     return get
 
 
+@_source({"pairs": [(1, 1), (3, 3), (3, 5)]})
 def _measure3_cells(grid, tol):
     # the nine cells of an (n, m) share one matched pair, built (its spec too, so
     # listing the cells builds nothing) by the first cell that runs, and the eight
     # moment rows share one oracle pass; both live as long as this generator, one
     # run_verify call
     draws = list(product(_PHI_SET, ("measure2", "measure5")))
-    for n, m in grid.get("pairs", [(1, 1), (3, 3), (3, 5)]):
+    for n, m in grid["pairs"]:
         pair = _once(lambda n=n, m=m: matched_pair(WeightSpec(n, m, 1.0)))
         moments = _once(lambda pair=pair: moment_match_all(
             pair(), [(_PHI_SET[phi], form) for phi, form in draws], tol=1e-9))
@@ -475,16 +493,17 @@ def _theta_integral(n, m):
     return closed, got
 
 
+@_source({"n": [3, 5, 7], "R": 20})
 def _tsgf_cells(grid, tol):
-    R = grid.get("R", 20)
-    for p in _product(grid, {"n": [3, 5, 7]}):
-        yield _Cell("tsgf", p, lambda n: trig.tsgf_fourier_check(n, R), tol)
+    for n in grid["n"]:
+        yield _Cell("tsgf", {"n": n}, partial(trig.tsgf_fourier_check, R=grid["R"]), tol)
 
 
+@_source({"k": list(range(1, 9)), "c": [0.0, 0.3, 0.9]})
 def _pf_cells(grid, tol):
     rng = np.random.default_rng(_SEED)  # one stream, drawn cell after cell
-    for k in grid.get("k", list(range(1, 9))):
-        for c in grid.get("c", [0.0, 0.3, 0.9]):
+    for k in grid["k"]:
+        for c in grid["c"]:
             yield _Cell("pf_T", {"k": k, "c": c}, partial(_pf_T, rng), tol)
         yield _Cell("pf_U", {"k": k}, partial(_pf_U, rng), tol)
 
@@ -503,9 +522,10 @@ def _pf_U(rng, k):
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
+@_source({"n": list(range(1, 9)), "m": [1, 3, 5, 7, 9]})
 def _proof_ids_cells(grid, tol):
     rng = np.random.default_rng(_SEED + 5)  # one stream, drawn cell after cell
-    for p in _product(grid, {"n": list(range(1, 9)), "m": [1, 3, 5, 7, 9]}):
+    for p in _product(grid, ["n", "m"]):
         yield _Cell("proof_ids", p, partial(_proof_ids, rng), tol)
 
 
@@ -521,29 +541,30 @@ def _proof_ids(rng, n, m):
 # limiting / improper checks
 
 
+@_source({"a": _A, "k": [1, 2], "n_form1": [1, 3, 5], "n_even": [2, 4], "cmc_alpha": [0.8, 1.3],
+          "alpha": [math.pi / 6, math.pi / 4, 1.0], "two_cosh": [(1.0, 1.0), (1.5, 0.7)]})
 def _limiting_cells(grid, tol):
-    a_list = grid.get("a", _A)
-    for a in a_list:
+    for a in grid["a"]:
         yield _Cell("arctan1", {"a": a}, _arctan1, tol)
-    for k in grid.get("k", [1, 2]):
+    for k in grid["k"]:
         yield _Cell("vanishing_moment", {"k": k}, _vanishing_moment, tol)
-    for n, a in product(grid.get("n_form1", [1, 3, 5]), a_list):
+    for n, a in product(grid["n_form1"], grid["a"]):
         yield _Cell("form1", {"n": n, "a": a}, _form1, tol)
-    for n in grid.get("n_even", [2, 4]):
+    for n in grid["n_even"]:
         yield _Cell("coscosheven", {"n": n}, _coscosheven, tol)
-    for alpha in grid.get("alpha", [math.pi / 6, math.pi / 4, 1.0]):
+    for alpha in grid["alpha"]:
         yield _Cell("alpha_integral", {"alpha": alpha}, _alpha_integral, tol)
     # limiting series vs oracle integrals over R
-    for (alpha, beta), deg in product(grid.get("two_cosh", [(1.0, 1.0), (1.5, 0.7)]), range(3)):
+    for (alpha, beta), deg in product(grid["two_cosh"], range(3)):
         params = {"alpha": alpha, "beta": beta, "deg": deg}
         yield _Cell("two_cosh_series", params, _two_cosh_series, tol, relative=True)
-    for alpha in grid.get("cmc_alpha", [0.8, 1.3]):
+    for alpha in grid["cmc_alpha"]:
         yield _Cell("cmc_series_parity", {"alpha": alpha}, _cmc_series_parity, 1e-10, relative=True)
         yield _Cell("cmc_series", {"alpha": alpha}, _cmc_series, tol, relative=True)
     params = {"alpha": 1.2, "beta": 0.8}
     yield _Cell("product_cmc_series", params, _product_cmc_series, tol, relative=True)
     yield _Cell("mixed_series", {"alpha": 1.0, "beta": 1.0}, _mixed_series, tol, relative=True)
-    for a in a_list:
+    for a in grid["a"]:
         yield _Cell("glaisher_theta", {"a": a}, lambda a: trig.glaisher_pair(a, tol=1e-10), tol)
 
 
@@ -702,37 +723,37 @@ SUITES: Dict[str, Callable] = {sid: _suite(tol, src) for sid, (_, tol, src) in _
 SUITE_CRITERIA: Dict[str, int] = {sid: crit for sid, (crit, _, _) in _REGISTRY.items()}
 
 
-_SCALAR_GRID_KEYS = ("n_plus_m_max", "R")  # every other grid key is an axis: a list of values
-
-
 def _positive_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
 
 
-def _numeric_axis_values(grid):
-    """(axis, value) for every value on the grid's n, m, a and n_plus_m_max axes."""
-    for axis in ("n", "m", "a", "n_plus_m_max"):
-        if axis in grid:
-            values = grid[axis]
-            for v in [values] if axis in _SCALAR_GRID_KEYS else values:
-                yield axis, v
+def _real(v, positive=True):
+    # abs(v) <= max double is False for NaN, for +-inf and for an int too large for a double
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max and (v > 0 or not positive))
 
 
-def _bad_axis_value(name, axis, v):
-    want = "finite positive reals" if axis == "a" else "positive integers"
-    return ValueError(f"grid of suite {name!r}: axis {axis!r} needs {want}, got {v!r}")
+def _pairs_of(ok):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(ok, v))
 
 
-class _ReadAxes(dict):
-    """A grid that records the axes its cell sources read; they read them with get."""
-
-    def __init__(self, grid):
-        super().__init__(grid)
-        self.read = set()
-
-    def get(self, axis, default=None):
-        self.read.add(axis)
-        return super().get(axis, default)
+# axis name, in any suite -> (what it takes, the test of a value, whether it is one value)
+_KINDS = {
+    **dict.fromkeys(["n", "m", "k", "nu", "n_form1", "n_even"],
+                    ("positive integers", _positive_int, False)),
+    **dict.fromkeys(["n_plus_m_max", "R"], ("a positive integer", _positive_int, True)),
+    **dict.fromkeys(["a", "alpha", "cmc_alpha"], ("finite positive reals", _real, False)),
+    "c": ("finite reals", partial(_real, positive=False), False),
+    "pairs": ("[n, m] pairs of positive odd integers",
+              _pairs_of(lambda v: _positive_int(v) and v % 2 == 1), False),
+    "two_cosh": ("[alpha, beta] pairs of finite positive reals", _pairs_of(_real), False),
+    "combos": ("[family, n, m, [a, ...]] entries with a known family, positive integers n, m "
+               "and finite positive reals a",
+               lambda v: isinstance(v, (list, tuple)) and len(v) == 4
+               and (isinstance(v[0], Family) or v[0] in [f.value for f in Family])
+               and _positive_int(v[1]) and _positive_int(v[2])
+               and isinstance(v[3], (list, tuple)) and all(map(_real, v[3])), False),
+}
 
 
 def _check_suite_ids(what, by_suite):
@@ -744,64 +765,37 @@ def _check_suite_ids(what, by_suite):
 
 
 def _check_grids(grids):
-    """Reject a malformed grid before any cell runs: a key that is no suite id
-    (`_check_suite_ids`), or (ValueError names the suite and the axis,
-    and the value of a bad n, m, a or n_plus_m_max, the params of a cell past the n + m cap
-    or whose n or m alone is past it, or a suite's grid that lists no cell; listing the
-    cells runs none of them), or an axis that none of the suite's cell sources reads while
-    listing them.  A value on those axes that is not a real number is rejected before the
-    cells are listed, since listing compares it, and a real outside the axis's domain
-    after, so a grid whose non-integer n lists no cell is reported as listing none."""
+    """Reject a malformed grid before any cell runs; the ValueError names the suite.
+    It reads only the sources' declared axes and `_KINDS`: in turn, a key that is no
+    suite id, a grid that is no dict, an undeclared axis, a value of the wrong shape or
+    kind; then, on the listed cells (listing runs none), a grid that lists no cell and
+    a cell whose n, m or n + m is past the cap."""
     if not isinstance(grids, dict):
         raise ValueError(f"grids must map suite ids to grids, got {grids!r}")
     _check_suite_ids("grids", grids)
     for name, grid in grids.items():
+        where = f"grid of suite {name!r}"
         if not isinstance(grid, dict):
-            raise ValueError(f"grid of suite {name!r} must map axes to values, got {grid!r}")
+            raise ValueError(f"{where} must map axes to values, got {grid!r}")
+        sources = _REGISTRY[name][2]
+        axes = {axis for source in sources for axis in source.axes}  # as declared
         for axis, values in grid.items():
-            if axis not in _SCALAR_GRID_KEYS and not isinstance(values, (list, tuple)):
-                raise ValueError(
-                    f"grid of suite {name!r}: axis {axis!r} needs a list of values, got {values!r}"
-                )
-        for axis, v in _numeric_axis_values(grid):
-            if not isinstance(v, numbers.Real) or isinstance(v, bool):
-                raise _bad_axis_value(name, axis, v)
-    for pair in grids.get("measure3", {}).get("pairs", []):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(_positive_int(v) and v % 2 == 1 for v in pair)):
-            raise ValueError(
-                f"grid of suite 'measure3': axis 'pairs' needs [n, m] pairs of positive odd "
-                f"integers, got {pair!r}"
-            )
-    for combo in grids.get("fejer_riesz", {}).get("combos", []):
-        if not (isinstance(combo, (list, tuple)) and len(combo) == 4
-                and (isinstance(combo[0], Family) or combo[0] in [f.value for f in Family])
-                and _positive_int(combo[1]) and _positive_int(combo[2])
-                and isinstance(combo[3], (list, tuple))):
-            raise ValueError(
-                f"grid of suite 'fejer_riesz': axis 'combos' needs [family, n, m, [a, ...]] "
-                f"entries with a known family and positive integers n, m, got {combo!r}"
-            )
-    for name, grid in grids.items():
-        listed = _ReadAxes(grid)
-        params = [cell.params for source in _REGISTRY[name][2] for cell in source(listed, None)]
+            if axis not in axes:
+                raise ValueError(f"{where}: unknown axis {axis!r}; its cells read {sorted(axes)}")
+            want, ok, scalar = _KINDS[axis]
+            if not (scalar or isinstance(values, (list, tuple))):
+                raise ValueError(f"{where}: axis {axis!r} needs a list of values, got {values!r}")
+            for v in [values] if scalar else values:
+                if not ok(v):
+                    raise ValueError(f"{where}: axis {axis!r} needs {want}, got {v!r}")
+        params = [cell.params for cell in _listed(sources, grid, None)]
         if not params:
-            raise ValueError(f"grid of suite {name!r} lists no cell: {grid!r}")
-        for axis in grid:
-            if axis not in listed.read:
-                raise ValueError(f"grid of suite {name!r}: unknown axis {axis!r}; its cells "
-                                 f"read {sorted(listed.read)}")
+            raise ValueError(f"{where} lists no cell: {grid!r}")
         for p in params:
-            if "n" in p and "m" in p and p["n"] + p["m"] > _PARAM_CAP:
-                raise ValueError(f"grid of suite {name!r}: params {p!r} exceed "
-                                 f"n + m <= {_PARAM_CAP}")
-            for axis in ("n", "m"):
-                if p.get(axis, 0) > _PARAM_CAP:
-                    raise ValueError(f"grid of suite {name!r}: params {p!r} exceed "
-                                     f"{axis} <= {_PARAM_CAP}")
-        for axis, v in _numeric_axis_values(grid):
-            if not (math.isfinite(v) and v > 0 if axis == "a" else _positive_int(v)):
-                raise _bad_axis_value(name, axis, v)
+            n, m = p.get("n", 0), p.get("m", 0)
+            for bound, value in (("n", n), ("m", m), ("n + m", n + m)):
+                if value > _PARAM_CAP:
+                    raise ValueError(f"{where}: params {p!r} exceed {bound} <= {_PARAM_CAP}")
 
 
 def _check_tolerances(tolerances, tol_override):

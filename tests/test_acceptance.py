@@ -145,7 +145,8 @@ def test_c15_improper_integrals_on_the_map_are_accurate(monkeypatch):
     monkeypatch.setattr(oracle, "improper_integral",
                         lambda *args, **kwargs: calls.append(args) or improper(*args, **kwargs))
     checked = []
-    for cell in suites._limiting_cells({}, suites._REGISTRY["limiting"][1]):
+    _, tol, sources = suites._REGISTRY["limiting"]
+    for cell in suites._listed(sources, {}, tol):
         before = len(calls)
         (record,) = suites._run_cells([cell])
         if len(calls) > before:

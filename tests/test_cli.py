@@ -1,11 +1,21 @@
+import ast
 import dataclasses
+import io
 import json
 import math
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bszego import suites
 from bszego.cli import main, records_to_csv, records_to_json, records_to_text
 from bszego.suites import SUITE_CRITERIA, SUITES, VerificationRecord, run_verify
+from bszego.weight_models import Family
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +150,9 @@ USAGE_ERRORS = {
                                       "tolerances": {"corollary_B": "1e-8"}}))],
     "suites_a_string": lambda tmp: ["verify", "--config", _write(
         tmp / "cfg.json", json.dumps({"suites": "corollary_B"}))],
+    # an empty list runs no suite, so nothing would check the config's grids
+    "suites_empty": lambda tmp: ["verify", "--config", _write(
+        tmp / "cfg.json", json.dumps({"suites": [], "grids": 1}))],
     "config_not_an_object": lambda tmp: ["verify", "--config", _write(tmp / "cfg.json", "[]")],
     "output_not_an_object": lambda tmp: ["verify", "--config", _write(
         tmp / "cfg.json", json.dumps({"suites": ["corollary_B"], "output": "json"}))],
@@ -168,7 +181,7 @@ USAGE_ERRORS = {
         tmp / "cfg.json", json.dumps({"grids": {"measure3": {"pairs": [[3, 5, 7]]}}}))],
     "measure3_pair_even": lambda tmp: ["verify", "--config", _write(
         tmp / "cfg.json", json.dumps({"grids": {"measure3": {"pairs": [[2, 4]]}}}))],
-    # a grid that lists no cell: a non-integer n, or a kernel pair of even degrees
+    # a non-integer n (a bad value of n), and a kernel pair of even degrees (lists no cell)
     "grid_lists_no_cell_quad1": lambda tmp: ["verify", "--config", _write(
         tmp / "cfg.json", json.dumps({"suites": ["quad1"], "grids": {"quad1": {"n": [1.5]}}}))],
     "grid_lists_no_cell_kernel": lambda tmp: ["verify", "--config", _write(
@@ -231,9 +244,8 @@ def test_params_past_the_cap_rejected_before_any_suite_runs(capsys, tmp_path, mo
     assert ran == [] and out == ""
 
 
-@pytest.mark.parametrize("suite, grid", [("quad1", {"n": [1.5]}),
-                                         ("kernel", {"n": [2], "m": [2]})],
-                         ids=["quad1_non_integer_n", "kernel_even_pair"])
+@pytest.mark.parametrize("suite, grid", [("kernel", {"n": [2], "m": [2]})],
+                         ids=["kernel_even_pair"])
 def test_grid_that_lists_no_cell_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch,
                                                                 suite, grid):
     ran = []
@@ -252,18 +264,34 @@ def test_grid_that_lists_no_cell_rejected_before_any_suite_runs(capsys, tmp_path
     ("quad1", "n_plus_m_max", "x"),
     ("gen_fn", "n", [True]),
     ("tt", "n", [0]),
+    ("quad1", "n", [1.5]),
+    ("pf", "k", [-3]),
+    ("pf", "k", [2.5]),
+    ("pf", "c", ["x"]),
+    ("limiting", "two_cosh", [[1.0]]),
+    ("limiting", "two_cosh", [[1.0, "x"]]),
+    ("limiting", "alpha", ["x"]),
+    ("limiting", "alpha", [True]),
+    ("tsgf", "R", -1),
+    ("tsgf", "R", "x"),
+    ("fejer_riesz", "combos", [["cos_plus_cosh", 1, 1, ["x"]]]),
 ], ids=["quad1_n_a_string", "quad1_a_a_string", "quad1_cap_a_string", "gen_fn_n_bool",
-        "tt_n_zero"])
+        "tt_n_zero", "quad1_non_integer_n", "pf_k_negative", "pf_k_non_integer", "pf_c_string",
+        "limiting_two_cosh_short", "limiting_two_cosh_string", "limiting_alpha_string",
+        "limiting_alpha_bool", "tsgf_R_negative", "tsgf_R_string", "fejer_riesz_a_string"])
 def test_bad_axis_value_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch,
                                                        suite, axis, value):
     # before, the first three ended in a TypeError traceback, gen_fn in "an integer is
-    # required" and tt in "0/4 passed", all with exit 1
+    # required" and tt in "0/4 passed", all with exit 1; quad1 n [1.5] was "lists no
+    # cell"; pf k [-3] and two_cosh [[1.0]] exited 2 from numpy or an unpacking while
+    # cells ran, alpha [true] ran as 1.0 and R -1 checked no harmonic (exit 0), and the
+    # other string and non-integer values ended in a TypeError traceback, exit 1
     ran = []
     monkeypatch.setitem(SUITES, "corollary_B", lambda grid, tol: ran.append(grid) or [])
     cfg = _write(tmp_path / "cfg.json",
                  json.dumps({"suites": ["corollary_B", suite], "grids": {suite: {axis: value}}}))
     code, out, err = run_cli(capsys, "verify", "--config", cfg)
-    bad = value if axis == "n_plus_m_max" else value[0]
+    bad = value if axis in ("n_plus_m_max", "R") else value[0]
     assert code == 2
     assert err.startswith(f"error: grid of suite {suite!r}: axis {axis!r} needs ")
     assert err.rstrip().endswith(f"got {bad!r}") and "Traceback" not in err
@@ -289,10 +317,16 @@ def test_integer_n_past_the_cap_rejected_before_any_suite_runs(capsys, tmp_path,
     ("quad1", "bogus", [1]),
     ("corollary_B", "m", [3]),
     ("measure3", "a", [1.0]),
-], ids=["quad1_bogus", "corollary_B_m", "measure3_a"])
+    ("corollary_A", "n_plus_m_max", 4),
+    ("corollary_B", "n_plus_m_max", 4),
+    ("353m", "n_plus_m_max", 4),
+    ("tsgf", "n_plus_m_max", 4),
+], ids=["quad1_bogus", "corollary_B_m", "measure3_a", "corollary_A_cap", "corollary_B_cap",
+        "353m_cap", "tsgf_cap"])
 def test_unknown_axis_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch,
                                                      suite, axis, value):
-    # before, the axis was ignored: quad1 with "bogus" ran its 108 default records, exit 0
+    # before, the axis was ignored: quad1 with "bogus" ran its 108 default records, exit 0;
+    # n_plus_m_max on a suite without both n and m ended in a KeyError traceback, exit 1
     ran = []
     monkeypatch.setitem(SUITES, "tt", lambda grid, tol: ran.append(grid) or [])
     cfg = _write(tmp_path / "cfg.json",
@@ -397,6 +431,114 @@ def test_malformed_combos_rejected_before_any_suite_runs(capsys, tmp_path, monke
     assert err.startswith("error: grid of suite 'fejer_riesz': axis 'combos'")
     assert "Traceback" not in err
     assert ran == [] and out == ""
+
+
+# generated configs: known and junk suite ids and axis names, and values of every JSON
+# type, nested lists included, beside lists of small positive numbers, which reach the
+# listing of cells, its n + m cap and its filters
+_VALUES = st.one_of(
+    st.lists(st.integers(1, 40), max_size=3),
+    st.lists(st.floats(0.1, 3.0), max_size=3),
+    st.recursive(st.one_of(st.integers(-2, 70), st.integers(), st.floats(), st.booleans(),
+                           st.sampled_from(["", "x", "3", "nope"] + [f.value for f in Family])),
+                 lambda inner: st.lists(inner, max_size=3), max_leaves=8))
+
+
+def _mostly(usual, rare):
+    """usual, and one draw in eight rare."""
+    return st.integers(0, 7).flatmap(lambda k: rare if k == 0 else usual)
+
+
+def _grid_of(suite):
+    """A suite id and a grid over the axes it declares, an axis it does not, or a junk grid."""
+    sources = suites._REGISTRY[suite][2] if suite in SUITES else []
+    names = sorted({axis for source in sources for axis in source.axes} | {"bogus", "n"})
+    grid = _mostly(st.dictionaries(st.sampled_from(names), _VALUES, max_size=3), _VALUES)
+    return st.tuples(st.just(suite), grid)
+
+
+_GRIDS = st.lists(st.sampled_from(sorted(SUITES) + ["quadl"]).flatmap(_grid_of),
+                  max_size=2).map(dict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids=_mostly(_GRIDS, _VALUES),
+       suite_list=st.one_of(st.none(), st.lists(st.sampled_from(sorted(SUITES) + ["all", "nope"]),
+                                                max_size=2)))
+def test_generated_configs_exit_0_1_or_2_and_a_rejected_one_runs_no_cell(grids, suite_list):
+    config = {"grids": grids} if suite_list is None else {"grids": grids, "suites": suite_list}
+    ran = []
+    recorders = {sid: lambda grid, tol: ran.append(grid) or [] for sid in SUITES}
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(SUITES, recorders):
+        cfg = _write(Path(tmp) / "cfg.json", json.dumps(config))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--config", cfg])
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and ran == [] and out.getvalue() == ""
+    grids = grids or {}  # as run_verify reads it
+    try:
+        suites._check_grids(grids)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+        # an accepted grid lists every suite's cells without raising
+        for name, (_, tol, sources) in suites._REGISTRY.items():
+            list(suites._listed(sources, grids.get(name, {}), tol))
+    bad_list = suite_list is not None and (suite_list == [] or "nope" in suite_list)
+    assert (code == 2) == (not accepted or bad_list)
+
+
+def _grid_get_owners(source):
+    """The functions of the source that call .get on a grid."""
+    return [fn.name for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+            and ast.unparse(node.func.value) == "grid"]
+
+
+def test_grid_axes_are_read_from_the_declaration():
+    # every source is handed its declared defaults under the grid, so none reads an axis
+    # with a default of its own
+    source = Path(suites.__file__).read_text()
+    assert _grid_get_owners(source) == []
+    before = '    for k in grid["k"]:\n        for c in grid["c"]:'
+    assert source.count(before) == 1
+    mutated = source.replace(before, before.replace('grid["k"]', 'grid.get("k", [1, 2])'))
+    assert _grid_get_owners(mutated) == ["_pf_cells"]
+
+
+def _readme_table(header):
+    """The rows, as lists of cells, of the README table under the given header row."""
+    lines = Path(__file__).parent.parent.joinpath("README.md").read_text().splitlines()
+    start = lines.index(header) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split(" | ")])
+    return rows
+
+
+def test_readme_grid_axes_match_the_declarations():
+    kinds = {axis: want for names, want in _readme_table("| axis | values |")
+             for axis in re.findall(r"`(\w+)`", names)}
+    assert kinds == {axis: want for axis, (want, _, _) in suites._KINDS.items()}
+    documented = {}
+    for suite, axes in _readme_table("| suite | axes and their defaults |"):
+        pairs = (re.fullmatch(r"`(\w+)` (.*)", axis).groups() for axis in axes.split("; "))
+        documented[suite.strip("`")] = {name: json.loads(default) for name, default in pairs}
+    declared = {}
+    for name, (_, _, sources) in suites._REGISTRY.items():
+        declared[name] = {}
+        for source in sources:
+            for axis, default in source.axes.items():
+                default = json.loads(json.dumps(default, default=lambda f: f.value))
+                # a suite's sources that share an axis share its default
+                assert declared[name].setdefault(axis, default) == default
+    assert documented == declared
 
 
 class TestFaultIsolation:

@@ -231,6 +231,17 @@ def test_finite_samples_whose_level_sum_overflows_take_bisection():
     assert val == pytest.approx(math.pi * 1e307, rel=1e-14)
 
 
+def test_a_level_sum_that_overflows_warns_nothing():
+    # the case above, with warnings as errors: the handled overflow of T_64's node sum
+    # raises no RuntimeWarning, and the value is the one computed with overflow ignored
+    spec = IntegrandSpec(lambda t: np.full(t.shape, 1e307), ThetaSubstituted(1.0, -1))
+    with np.errstate(over="ignore"):
+        want = oracle.integrate(spec, tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oracle.integrate(spec, tol=1e-12) == want
+
+
 def _out_of_place(vals, w):
     vals, w = np.asarray(vals), np.asarray(w)
     return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))
