@@ -7,7 +7,6 @@ from .errors import (
     DegreeThreshold,
     DomainError,
     FactorizationResidual,
-    IllConditioned,
     NoConvergence,
     ParityError,
     PoleProximity,
@@ -40,7 +39,6 @@ from .quadrature import (
     sum_form,
     sum_form_beta,
     weighted_oracle_integral,
-    weights_from_moments,
 )
 from .pick_measures import (
     MatchedPair,

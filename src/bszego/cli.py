@@ -98,11 +98,11 @@ def _cmd_verify(args) -> int:
     suites = [args.suite] if args.suite else config.get("suites", ["all"])
     if not (isinstance(suites, list) and suites and all(isinstance(s, str) for s in suites)):
         raise ValueError(f"suites must be a non-empty list of suite ids, got {suites!r}")
-    if suites == ["all"] or "all" in suites:
-        suites = ["all"]
     unknown = [s for s in suites if s != "all" and s not in SUITES]
     if unknown:
         raise UnknownSuite(f"unknown suite {unknown[0]!r}; known: {sorted(SUITES)}")
+    if "all" in suites:
+        suites = ["all"]
     fmt = args.format or output.get("format", "text")
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown output format {fmt!r}; known: {sorted(_RENDERERS)}")

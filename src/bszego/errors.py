@@ -29,10 +29,6 @@ class ParityError(BszegoError):
     """Parameter parity combination has no closed form."""
 
 
-class IllConditioned(BszegoError):
-    """Linear solve residual exceeds tolerance."""
-
-
 class RangeError(BszegoError):
     """Integer parameter outside the admissible range."""
 

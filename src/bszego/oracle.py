@@ -26,9 +26,9 @@ integrals stop after a few refinement levels, so an integral's first call
 holds every point of its first levels, up to _FIRST_CALL points: the nodes
 of the nested trapezoid rules T_64 ... T_512, which share their nodes, or
 the complete bisection tree down to 16 panels (31 panels). The levels are
-then read from that table in turn, each checked for a node sum that is not
-finite and for convergence, so the points of a level that is never reached
-are never read; only the levels below the table call the evaluator again.
+then checked in turn, each for a node sum that is not finite and for
+convergence; a trapezoid table's node sums are all taken at once. Only the
+levels below the table call the evaluator again.
 
 Below the first call, bisection runs one depth level at a time: both halves
 of every panel still open at that depth are evaluated together, so an
@@ -402,6 +402,16 @@ def _theta_integrand(f, a, p):
     return g
 
 
+def _chunk_sums(g, n):
+    """The node sums of the n midpoints that T_2n adds, one evaluator call per chunk of
+    _TRAP_CHUNK of them, so no 2^16-point node array is built."""
+    for start in range(0, n, _TRAP_CHUNK):
+        vals = _node_major(g(_midpoints(n, start, min(n, start + _TRAP_CHUNK))))
+        with np.errstate(over="ignore", invalid="ignore"):  # see _periodic
+            level = vals.sum(axis=-1)
+        yield level
+
+
 def _periodic(g, tol):
     """Trapezoid rule on [0, pi] for an even 2pi-periodic g; returns (value, err_est) or None.
 
@@ -409,37 +419,36 @@ def _periodic(g, tol):
     midpoints.  The nodes of every rule up to _FIRST_CALL points, T_64's and
     the midpoints of each doubling to T_512 (_THETA, built at import, which a
     later change of _FIRST_CALL may shorten but not lengthen), come from one
-    evaluator call in that order, and each doubling reads its midpoints from
-    that table; later doublings call the evaluator for theirs.  Each level's
-    samples are summed pairwise along the node-major table's contiguous node
-    axis.  Accepts when
+    evaluator call in that order, and the node sums of all of the table's
+    levels are taken at once; later doublings call the evaluator for theirs,
+    a chunk at a time (_chunk_sums).  Each level's samples are summed pairwise
+    along the node-major table's contiguous node axis.  Accepts when
     max|T_2N - T_N| <= tol * (1 + max|T_2N|) and returns T_2N with that
     difference as its error estimate.  None when the node sum of a level that
     is reached (T_64's nodes, a doubling's midpoints in the table, or a chunk
     of them below it) is not finite, or no doubling up to _TRAP_MAX intervals
     is accepted.  A sum is finite only if every sample in it is, so no table
     of finiteness flags is built; finite samples whose sum overflows end in
-    bisection as well.
+    bisection as well.  Overflow and inf - inf in a node sum are such handled
+    cases and warn nothing; the evaluator is always called outside that
+    silence, so its own warnings reach the caller.
     """
     n = _TRAP_START
     top = min(_table_top(), _THETA.size - 1)  # the finest rule in the table
     table = _node_major(g(_THETA[:top + 1]))
-    vals = table[..., :n + 1]
-    with np.errstate(over="ignore"):  # a sum that overflows is not finite: bisection takes it
-        total = vals.sum(axis=-1)
-    if not np.all(np.isfinite(total)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = [table[..., :n + 1].sum(axis=-1)]
+        k = n
+        while k < top:
+            sums.append(table[..., k + 1:2 * k + 1].sum(axis=-1))
+            k *= 2
+    if not np.all(np.isfinite(sums[0])):
         return None
-    total = total - 0.5 * (vals[..., 0] + vals[..., -1])
+    total = sums[0] - 0.5 * (table[..., 0] + table[..., n])
     coarse = total * (np.pi / n)
+    table_levels = iter(sums[1:])
     while n < _TRAP_MAX:
-        if n < top:
-            chunks = [table[..., n + 1:2 * n + 1]]
-        else:  # each chunk's own midpoints, so no 2^16-point node array is built
-            chunks = (_node_major(g(_midpoints(n, start, min(n, start + _TRAP_CHUNK))))
-                      for start in range(0, n, _TRAP_CHUNK))
-        for vals in chunks:
-            with np.errstate(over="ignore"):
-                level = vals.sum(axis=-1)
+        for level in [next(table_levels)] if n < top else _chunk_sums(g, n):
             if not np.all(np.isfinite(level)):
                 return None
             total = total + level

@@ -91,10 +91,6 @@ class ChebSeries:
         out = c1 * x + c0
         return out if out.shape else out[()]
 
-    def derivative(self) -> "ChebSeries":
-        dc = np.polynomial.chebyshev.chebder(self.coeffs)  # d/dx; dx/dt = 2/(1+a)
-        return ChebSeries(dc * (2.0 / (1.0 + self.a)), self.a)
-
     def __repr__(self):
         return f"ChebSeries({self.coeffs.tolist()}, a={self.a})"
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import oracle
 from .errors import (
-    IllConditioned,
     ParityError,
     RangeError,
     SlowConvergence,
@@ -33,7 +32,6 @@ __all__ = [
     "rule_cosh_minus_cos",
     "weighted_oracle_integral",
     "oracle_moments",
-    "weights_from_moments",
     "sum_form",
     "sum_form_beta",
     "corollary_eval",
@@ -161,44 +159,6 @@ def oracle_moments(spec: WeightSpec, degree_max: int, tol: float = 1e-11) -> np.
         return power_table(t, degree_max + 1)
 
     return np.asarray(weighted_oracle_integral(spec, f, tol=tol))
-
-
-def weights_from_moments(
-    nodes: Sequence[float], spec: WeightSpec, measure_factor: MeasureFactor, tol: float = 1e-11
-) -> QuadratureRule:
-    """Interpolatory weights matching oracle moments on the given nodes.
-
-    For the sign-changing cosh-minus-cos weight the moment of order 0
-    diverges, so matching runs over t^1..t^count and the rule carries the
-    p(0) = 0 constraint.
-    """
-    nodes = list(nodes)
-    count = len(nodes)
-    if count > 24:
-        raise IllConditioned("more than 24 nodes: Vandermonde solve too ill-conditioned")
-    wspec = spec.with_measure(measure_factor)
-    constrained = spec.family is Family.CoshMinusCosOverT
-    if constrained:
-        # Moments against 1/((cosh-cos) sqrt) of t^j equal plain-measure
-        # moments of t^(j-1); j runs 1..count.
-        mu = oracle_moments(wspec, count - 1, tol=tol)
-        V = np.vander(np.asarray(nodes), count, increasing=True).T * np.asarray(nodes)
-        exact_degree = count
-    else:
-        mu = oracle_moments(wspec, count - 1, tol=tol)
-        V = np.vander(np.asarray(nodes), count, increasing=True).T
-        exact_degree = count - 1
-    w = np.linalg.solve(V, mu)
-    resid = float(np.max(np.abs(V @ w - mu)))
-    if resid > 1e-7 * max(1.0, float(np.max(np.abs(mu)))):
-        raise IllConditioned(f"moment residual {resid:.3e} above tolerance")
-    return QuadratureRule(
-        tuple(float(x) for x in nodes),
-        tuple(float(x) for x in w),
-        exact_degree,
-        wspec,
-        requires_p_zero_at_origin=constrained,
-    )
 
 
 def _alternating_rows(n: int, m: int, a: float, beta: bool = False) -> list:

@@ -38,8 +38,8 @@ from . import quadrature as quad
 from . import trig_identities as trig
 from .errors import BszegoError, NoConvergence, UnknownSuite
 from .pick_measures import PickFunction, boundary_moments, matched_pair, moment_match_all
-from .poly_core import ChebSeries, RealPolynomial, cheb_T_table, power_table
-from .szego_polys import szego_orthonormal
+from .poly_core import RealPolynomial, cheb_T_table, power_table
+from .szego_polys import kernel_eval, szego_orthonormal
 from .weight_models import (
     _PARAM_CAP,
     Family,
@@ -367,13 +367,8 @@ def _kernel(n, m, a):
     k = (n + m) // 2
     pk = szego_orthonormal(factor, k, MeasureFactor.InvSqrtBoth)
     pk1 = szego_orthonormal(factor, k + 1, MeasureFactor.InvSqrtBoth)
-    ratio = pk.leading_coeff / pk1.leading_coeff
-    # K_k(t, 0) = ratio (p_{k+1}(t) p_k(0) - p_k(t) p_{k+1}(0)) / t has degree k: divide the
-    # series by t = (1 + a)/2 (x - x(0)), not its values, which near t = 0 are rounding noise
-    num = pk(0.0) * pk1.poly.coeffs - pk1(0.0) * np.append(pk.poly.coeffs, 0.0)
-    quotient = np.polynomial.chebyshev.chebdiv(num, [(1.0 - a) / (1.0 + a), 1.0])[0]
-    kernel_at_zero = ChebSeries(ratio * 2.0 / (1.0 + a) * quotient, a)
-    return 1.0, quad.weighted_oracle_integral(spec, kernel_at_zero, tol=1e-10)
+    # reproducing property: int K_k(t, 0) dmu(t) = p_0(0) int p_0 dmu = 1
+    return 1.0, quad.weighted_oracle_integral(spec, kernel_eval(pk, pk1, 0.0), tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -733,19 +728,30 @@ def _real(v, positive=True):
             and abs(v) <= sys.float_info.max and (v > 0 or not positive))
 
 
+def _odd(v):
+    return _positive_int(v) and v % 2 == 1
+
+
+def _even(v):
+    return _positive_int(v) and v % 2 == 0
+
+
 def _pairs_of(ok):
     return lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(ok, v))
 
 
-# axis name, in any suite -> (what it takes, the test of a value, whether it is one value)
+# axis name, in any suite -> (what it takes, the test of a value, whether it is one value);
+# an axis of one suite only takes the values its closed form holds for
 _KINDS = {
-    **dict.fromkeys(["n", "m", "k", "nu", "n_form1", "n_even"],
-                    ("positive integers", _positive_int, False)),
-    **dict.fromkeys(["n_plus_m_max", "R"], ("a positive integer", _positive_int, True)),
+    **dict.fromkeys(["n", "m", "k"], ("positive integers", _positive_int, False)),
+    **dict.fromkeys(["nu", "n_even"], ("positive even integers", _even, False)),
+    "n_form1": ("positive odd integers", _odd, False),
+    "n_plus_m_max": ("a positive integer", _positive_int, True),
+    "R": (f"a positive integer at most {trig.TSGF_R_MAX}",
+          lambda v: _positive_int(v) and v <= trig.TSGF_R_MAX, True),
     **dict.fromkeys(["a", "alpha", "cmc_alpha"], ("finite positive reals", _real, False)),
-    "c": ("finite reals", partial(_real, positive=False), False),
-    "pairs": ("[n, m] pairs of positive odd integers",
-              _pairs_of(lambda v: _positive_int(v) and v % 2 == 1), False),
+    "c": ("reals in [0, 1)", lambda v: _real(v, positive=False) and trig.pf_shift_ok(v), False),
+    "pairs": ("[n, m] pairs of positive odd integers", _pairs_of(_odd), False),
     "two_cosh": ("[alpha, beta] pairs of finite positive reals", _pairs_of(_real), False),
     "combos": ("[family, n, m, [a, ...]] entries with a known family, positive integers n, m "
                "and finite positive reals a",

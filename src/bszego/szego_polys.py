@@ -44,7 +44,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .weight_models import (
     WeightSpec,
     _check_domain,
     _rung_sine,
-    build_szego_factor,
     continued_block,
     expected_rho_degree,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "explicit_family",
     "explicit_eval",
     "kernel_eval",
-    "leading_ratio_check",
 ]
 
 
@@ -307,35 +305,18 @@ def explicit_family(spec: WeightSpec) -> OrthoPoly:
     return OrthoPoly(poly=poly, weight=spec, known_roots=tuple(roots.tolist()))
 
 
-def kernel_eval(p_list: Sequence[OrthoPoly], t: float, u: float) -> float:
-    """Christoffel-Darboux kernel K_k(t, u).
+def kernel_eval(pk: OrthoPoly, pk1: OrthoPoly, u: float) -> ChebSeries:
+    """Christoffel-Darboux kernel K_k(., u), a degree-k Chebyshev series in t on [-a, 1].
 
-    Accepts either the full sequence p_0..p_k (summed directly) or the pair
-    (p_k, p_{k+1}) (two-point form). At t = u the confluent limit
-    (kappa_k/kappa_{k+1}) [p'_{k+1} p_k - p'_k p_{k+1}] is used, with exact
-    polynomial derivatives.
+    K_k(t, u) = (kappa_k/kappa_{k+1}) (p_{k+1}(t) p_k(u) - p_k(t) p_{k+1}(u))/(t - u), the sum
+    of p_j(t) p_j(u) over j <= k (Szego, Orthogonal Polynomials, AMS 1939, section 3.2).  The
+    numerator's series is divided by t - u = ((1 + a)/2)(x - x(u)), not its values, which near
+    t = u are rounding noise; K_k(u, u) is the series at u.
     """
-    degrees = [p.degree for p in p_list]
-    if len(p_list) == 2 and degrees[1] == degrees[0] + 1:
-        pk, pk1 = p_list
-        ratio = pk.leading_coeff / pk1.leading_coeff
-        if abs(t - u) < 1e-12 * (1.0 + abs(t) + abs(u)):
-            return float(
-                ratio * (pk1.poly.derivative()(t) * pk(t) - pk.poly.derivative()(t) * pk1(t))
-            )
-        return float(ratio * (pk1(t) * pk(u) - pk(t) * pk1(u)) / (t - u))
-    if degrees == list(range(len(p_list))):
-        return float(sum(p(t) * p(u) for p in p_list))
-    raise ValueError("need consecutive degrees 0..k or a (p_k, p_{k+1}) pair")
-
-
-def leading_ratio_check(spec: WeightSpec) -> float:
-    """Deviation of kappa_{k+1}/kappa_k from 4/(1+a) for odd n, m; k = (m+n)/2: kappa_k from
-    the closed form (`explicit_family`), kappa_{k+1} from h(0), which alone gives 4/(1+a)."""
-    if spec.family is not Family.CosPlusCosh or spec.n % 2 == 0 or spec.m % 2 == 0:
-        raise ParityError("leading ratio statement needs odd n, m for cos-plus-cosh")
-    k = (spec.n + spec.m) // 2
-    pk = explicit_family(spec.with_measure(MeasureFactor.InvSqrtBoth))
-    pk1 = szego_orthonormal(build_szego_factor(spec), k + 1, MeasureFactor.InvSqrtBoth)
-    ratio = pk1.leading_coeff / pk.leading_coeff
-    return abs(ratio - 4.0 / (1.0 + spec.a))
+    if pk1.degree != pk.degree + 1:
+        raise ValueError(f"need degrees k and k + 1, got {pk.degree} and {pk1.degree}")
+    a = pk.poly.a
+    ratio = pk.leading_coeff / pk1.leading_coeff
+    num = pk(u) * pk1.poly.coeffs - pk1(u) * np.append(pk.poly.coeffs, 0.0)
+    quotient = np.polynomial.chebyshev.chebdiv(num, [(1.0 - a - 2.0 * u) / (1.0 + a), 1.0])[0]
+    return ChebSeries(ratio * 2.0 / (1.0 + a) * quotient, a)

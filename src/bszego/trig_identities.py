@@ -95,6 +95,9 @@ def reciprocal_cheb_gen(n: int, theta):
     return 0.5 / _cheb_T_any(n, z)
 
 
+TSGF_R_MAX = 40  # the largest R of tsgf_fourier_check
+
+
 def tsgf_fourier_check(n: int, R: int) -> float:
     """Max error between Fourier coefficients of the generating function and S(n, 2r+1)/n.
 
@@ -104,8 +107,8 @@ def tsgf_fourier_check(n: int, R: int) -> float:
     """
     if n % 2 == 0:
         raise ParityError("generating function requires odd n")
-    if R > 40:
-        raise RangeError("R capped at 40")
+    if R > TSGF_R_MAX:
+        raise RangeError(f"R capped at {TSGF_R_MAX}")
     g = lambda th: reciprocal_cheb_gen(n, th)
     harmonics = np.arange(3, 2 * R + 2, 2)
     target = np.array([s_sum(n, int(h)) for h in harmonics]) / n
@@ -113,6 +116,11 @@ def tsgf_fourier_check(n: int, R: int) -> float:
     c_sin = oracle.fourier_coeff(lambda th: np.imag(g(th)), harmonics, "sin")
     c_cos = oracle.fourier_coeff(lambda th: np.real(g(th)), harmonics, "cos")
     return float(max(np.max(np.abs(c - target), initial=0.0) for c in (c_exp, c_sin, c_cos)))
+
+
+def pf_shift_ok(c) -> bool:
+    """Whether c is a shift pf_reciprocal_T takes: c in [0, 1)."""
+    return 0.0 <= c < 1.0
 
 
 def pf_reciprocal_T(k: int, theta, c: float = 0.0):
@@ -126,7 +134,7 @@ def pf_reciprocal_T(k: int, theta, c: float = 0.0):
     theta may be an array: lhs and rhs are then complex arrays of its shape,
     and PoleProximity is raised if any theta is near a pole.
     """
-    if not 0.0 <= c < 1.0:
+    if not pf_shift_ok(c):
         raise RangeError("c must lie in [0, 1)")
     scalar = np.ndim(theta) == 0
     # a scalar takes the array loops too, so it gets the value of its entry in an array

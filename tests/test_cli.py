@@ -275,17 +275,26 @@ def test_grid_that_lists_no_cell_rejected_before_any_suite_runs(capsys, tmp_path
     ("tsgf", "R", -1),
     ("tsgf", "R", "x"),
     ("fejer_riesz", "combos", [["cos_plus_cosh", 1, 1, ["x"]]]),
+    ("limiting", "n_even", [3]),
+    ("limiting", "n_form1", [2]),
+    ("353m", "nu", [3]),
+    ("pf", "c", [1.0]),
+    ("pf", "c", [-0.5]),
+    ("tsgf", "R", 41),
 ], ids=["quad1_n_a_string", "quad1_a_a_string", "quad1_cap_a_string", "gen_fn_n_bool",
         "tt_n_zero", "quad1_non_integer_n", "pf_k_negative", "pf_k_non_integer", "pf_c_string",
         "limiting_two_cosh_short", "limiting_two_cosh_string", "limiting_alpha_string",
-        "limiting_alpha_bool", "tsgf_R_negative", "tsgf_R_string", "fejer_riesz_a_string"])
+        "limiting_alpha_bool", "tsgf_R_negative", "tsgf_R_string", "fejer_riesz_a_string",
+        "limiting_n_even_odd", "limiting_n_form1_even", "353m_nu_odd", "pf_c_one",
+        "pf_c_negative", "tsgf_R_past_its_cap"])
 def test_bad_axis_value_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch,
                                                        suite, axis, value):
     # before, the first three ended in a TypeError traceback, gen_fn in "an integer is
     # required" and tt in "0/4 passed", all with exit 1; quad1 n [1.5] was "lists no
     # cell"; pf k [-3] and two_cosh [[1.0]] exited 2 from numpy or an unpacking while
     # cells ran, alpha [true] ran as 1.0 and R -1 checked no harmonic (exit 0), and the
-    # other string and non-integer values ended in a TypeError traceback, exit 1
+    # other string and non-integer values ended in a TypeError traceback, exit 1; the
+    # last six each gave a red record and exit 1, their closed forms not holding there
     ran = []
     monkeypatch.setitem(SUITES, "corollary_B", lambda grid, tol: ran.append(grid) or [])
     cfg = _write(tmp_path / "cfg.json",
@@ -361,10 +370,15 @@ def test_zero_tolerance_is_accepted(capsys):
     assert code in (0, 1) and err == ""
 
 
-def test_unknown_suite_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("suite_list", [["corollary_B", "nope"], ["all", "nope"]],
+                         ids=["beside_a_suite", "beside_all"])
+def test_unknown_suite_rejected_before_any_suite_runs(capsys, tmp_path, monkeypatch,
+                                                      suite_list):
+    # beside "all", "nope" was dropped and every suite ran
     ran = []
-    monkeypatch.setitem(SUITES, "corollary_B", lambda grid, tol: ran.append(grid) or [])
-    cfg = _write(tmp_path / "cfg.json", json.dumps({"suites": ["corollary_B", "nope"]}))
+    for sid in SUITES:
+        monkeypatch.setitem(SUITES, sid, lambda grid, tol: ran.append(grid) or [])
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"suites": suite_list}))
     code, out, err = run_cli(capsys, "verify", "--config", cfg)
     assert code == 2
     assert err.startswith("error: unknown suite 'nope'")

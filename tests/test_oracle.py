@@ -242,6 +242,44 @@ def test_a_level_sum_that_overflows_warns_nothing():
         assert oracle.integrate(spec, tol=1e-12) == want
 
 
+def test_a_table_level_never_reached_neither_counts_nor_warns():
+    # exp(t) settles at T_128; the midpoints T_256 adds, the table's last 128 points, are
+    # summed with the rest of the table, but +inf and -inf there (an inf - inf sum) change
+    # nothing and warn nothing
+    def clean(t):
+        return np.exp(t)
+
+    def f(t):
+        out = np.exp(t)
+        if t.size == oracle._FIRST_CALL:
+            out[129::2], out[130::2] = np.inf, -np.inf
+        return out
+
+    want = oracle.integrate(IntegrandSpec(clean, ThetaSubstituted(1.0, -1)), tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oracle.integrate(IntegrandSpec(f, ThetaSubstituted(1.0, -1)), tol=1e-12) == want
+
+
+def test_an_evaluator_overflow_warning_reaches_the_caller():
+    # the node sums are taken with overflow ignored, the evaluator calls are not: every
+    # call, the table's and each one below it (T_1024 and T_2048 here), warns once
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        np.float64(1e308) * 10.0  # the evaluator's own overflow
+        return 1.0 / (1.0001 - t)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        oracle.integrate(IntegrandSpec(f, ThetaSubstituted(1.0, -1)), tol=1e-11)
+    assert calls[:3] == [oracle._FIRST_CALL, 512, 1024]
+    overflows = [w for w in caught if "overflow" in str(w.message)]
+    assert len(overflows) == len(calls)
+    assert all(w.category is RuntimeWarning for w in overflows)
+
+
 def _out_of_place(vals, w):
     vals, w = np.asarray(vals), np.asarray(w)
     return vals * w.reshape(w.shape + (1,) * (vals.ndim - 1))

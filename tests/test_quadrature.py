@@ -17,10 +17,8 @@ from bszego.quadrature import (
     sum_form,
     sum_form_beta,
     weighted_oracle_integral,
-    weights_from_moments,
 )
 from bszego import szego_polys
-from bszego.szego_polys import explicit_family
 from bszego.weight_models import Family, MeasureFactor, WeightSpec, _rung_sine
 from bszego import oracle, suites
 
@@ -401,50 +399,7 @@ class TestApplyRule:
         assert rule_sum(rule, RealPolynomial([1.0])) == pytest.approx(math.pi / 2)
 
 
-class TestMomentWeights:
-    def test_reproduces_closed_form_rule(self):
-        ref = rule_cos_plus_cosh(3, 5, 2.0)
-        spec = WeightSpec(3, 5, 2.0)
-        rebuilt = weights_from_moments(ref.nodes, spec, MeasureFactor.InvSqrtBoth)
-        assert np.max(np.abs(np.asarray(rebuilt.weights) - np.asarray(ref.weights))) < 1e-7
-
-    def test_single_node(self):
-        spec = WeightSpec(1, 1, 1.0)
-        rule = weights_from_moments([0.0], spec, MeasureFactor.InvSqrtBoth)
-        assert rule.weights[0] == pytest.approx(math.pi / 2, abs=1e-10)
-
-    def test_product_family_nodes(self):
-        spec = WeightSpec(2, 1, 1.0, Family.ProductCosPlusCosh, MeasureFactor.SqrtBoth, m_prime=1)
-        p = explicit_family(spec)
-        rule = weights_from_moments(p.known_roots, spec, MeasureFactor.SqrtBoth)
-        mu = oracle_moments(spec, rule.exact_degree)
-        nodes = np.asarray(rule.nodes)
-        weights = np.asarray(rule.weights)
-        for j in range(rule.exact_degree + 1):
-            assert float(weights @ nodes**j) == pytest.approx(float(mu[j]), abs=1e-8)
-
-    def test_product_family_is_gaussian(self):
-        # nodes at the orthogonal-polynomial roots buy exactness well beyond
-        # count-1: check a few higher moments too
-        spec = WeightSpec(3, 3, 2.0, Family.ProductCosPlusCosh, MeasureFactor.SqrtBoth, m_prime=1)
-        p = explicit_family(spec)
-        rule = weights_from_moments(p.known_roots, spec, MeasureFactor.SqrtBoth)
-        deg_hi = 2 * p.degree - 1
-        mu = oracle_moments(spec, deg_hi)
-        nodes = np.asarray(rule.nodes)
-        weights = np.asarray(rule.weights)
-        for j in range(deg_hi + 1):
-            assert float(weights @ nodes**j) == pytest.approx(float(mu[j]), abs=2e-8)
-
-
 class TestErrorPaths:
-    def test_too_many_nodes(self):
-        from bszego.errors import IllConditioned
-
-        spec = WeightSpec(1, 1, 1.0)
-        with pytest.raises(IllConditioned):
-            weights_from_moments(list(np.linspace(-0.9, 0.9, 25)), spec, MeasureFactor.InvSqrtBoth)
-
     def test_slow_convergence(self):
         from bszego.errors import SlowConvergence
 

@@ -4,8 +4,7 @@ Every name a package module exports (its ``__all__``, or its public top-level
 defs and classes when it has none) must be used somewhere outside its own
 definition: in the package, in ``scripts/`` or in ``perfbench/``.  Tests do
 not count.  An import is not a use, so a re-export from ``__init__`` does not
-keep a name alive.  The only exceptions are the names in ``KEEP``, each
-waiting for the ROADMAP item that gives it a verification row.
+keep a name alive.
 """
 import ast
 from pathlib import Path
@@ -13,14 +12,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bszego"
 CALLERS = (ROOT / "scripts", ROOT / "perfbench")
-
-# exported name -> the ROADMAP item that gives it a caller
-KEEP = {
-    "kernel_eval": "item 2: the kernel suite evaluates K_k(t, 0) with it",
-    "leading_ratio_check": "item 4: a row of the explicit-family suite",
-    "weights_from_moments": "item 6: replaced by the oracle-side Gauss rule",
-}
-
 
 def _package_sources():
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
@@ -62,7 +53,7 @@ def unreached(package, callers):
 
 
 def test_every_exported_name_is_reached():
-    assert unreached(_package_sources(), _caller_sources()) == sorted(KEEP)
+    assert unreached(_package_sources(), _caller_sources()) == []
 
 
 def test_an_unused_exported_def_is_caught():
@@ -73,4 +64,4 @@ def test_an_unused_exported_def_is_caught():
         package["poly_core"].replace(before, before + '    "cheb_U",\n')
         + "\n\ndef cheb_U(n, x):\n    return cheb_U(n - 1, x) if n else x\n"
     )
-    assert unreached(package, _caller_sources()) == sorted([*KEEP, "cheb_U"])
+    assert unreached(package, _caller_sources()) == ["cheb_U"]

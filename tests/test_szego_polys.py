@@ -6,13 +6,12 @@ import pytest
 from bszego import szego_polys
 from bszego.errors import BszegoError, DegreeThreshold, DomainError, ParityError
 from bszego.poly_core import ChebSeries, RealPolynomial
-from bszego.quadrature import weighted_oracle_integral
+from bszego.quadrature import oracle_moments, weighted_oracle_integral
 from bszego.szego_polys import (
     OrthoPoly,
     explicit_eval,
     explicit_family,
     kernel_eval,
-    leading_ratio_check,
     szego_orthonormal,
 )
 from bszego.weight_models import (
@@ -38,14 +37,30 @@ class TestSzegoConstruction:
         p = szego_orthonormal(factor, 1, MeasureFactor.InvSqrtBoth)
         assert np.allclose(p.poly.coeffs, [0.0, 2.0 / math.sqrt(math.pi)], atol=1e-14)
 
-    def test_matches_explicit_family(self):
-        spec = spec_cpc(3, 5, 1.0)
+    @pytest.mark.parametrize("n, m, a, ratio_tol", [
+        (3, 5, 1.0, 1e-10), (3, 5, 3.0, 1e-10), (1, 3, 0.5, 1e-10), (5, 7, 2.0, 1e-10),
+        (1, 1, 1.0, 1e-14), (3, 5, 0.7, 1e-14), (7, 9, 2.0, 1e-14),
+    ])
+    def test_matches_explicit_family(self, n, m, a, ratio_tol):
+        spec = spec_cpc(n, m, a)
         factor = build_szego_factor(spec)
-        p = szego_orthonormal(factor, 4, MeasureFactor.InvSqrtBoth)
+        k = (n + m) // 2
+        p = szego_orthonormal(factor, k, MeasureFactor.InvSqrtBoth)
         q = explicit_family(spec)
-        assert p.degree == q.degree == 4
+        assert p.degree == q.degree == k
         scale = np.max(np.abs(q.poly.coeffs))
         assert np.max(np.abs(p.poly.coeffs - q.poly.coeffs)) < 1e-10 * scale
+        # kappa_{k+1}/kappa_k = 4/(1+a), kappa_k from the closed form and kappa_{k+1} from h(0)
+        p1 = szego_orthonormal(factor, k + 1, MeasureFactor.InvSqrtBoth)
+        ratio = p1.leading_coeff / q.leading_coeff
+        assert ratio == pytest.approx(4.0 / (1.0 + a), rel=ratio_tol)
+        # kappa_k and kappa_{k+1} both from h(0) would give 4/(1+a) for any h, so a wrong
+        # h(0) must move the ratio
+        c = factor.h.coeffs.copy()
+        c[0] *= 1.0 + 1e-8
+        off = SzegoFactor(spec, RealPolynomial(c), factor.relative_residual)
+        moved = szego_orthonormal(off, k + 1, MeasureFactor.InvSqrtBoth).leading_coeff
+        assert abs(moved / q.leading_coeff - ratio) >= 1e-9
 
     @pytest.mark.parametrize("spec, k", [
         (spec_cpc(3, 5, 2.0), 4),
@@ -330,105 +345,108 @@ class TestExplicitEvalDomain:
             explicit_eval(WeightSpec(3, 4, 1.0, Family.CoshMinusCosOverT), -1.5)
 
 
+def _kernel_pair(n, m, a):
+    """(p_k, p_{k+1}) of the generic route at k = (n + m)/2, as the kernel suite builds them."""
+    factor = build_szego_factor(spec_cpc(n, m, a))
+    k = (n + m) // 2
+    return tuple(szego_orthonormal(factor, j, MeasureFactor.InvSqrtBoth) for j in (k, k + 1))
+
+
+def ref_kernel_at_zero(pk, pk1):
+    """K_k(., 0) as the kernel suite wrote it inline before `kernel_eval` took it over."""
+    a = pk.poly.a
+    ratio = pk.leading_coeff / pk1.leading_coeff
+    num = pk(0.0) * pk1.poly.coeffs - pk1(0.0) * np.append(pk.poly.coeffs, 0.0)
+    quotient = np.polynomial.chebyshev.chebdiv(num, [(1.0 - a) / (1.0 + a), 1.0])[0]
+    return ChebSeries(ratio * 2.0 / (1.0 + a) * quotient, a)
+
+
+# the kernel suite's default cells and two a below 1
+_KERNEL_CELLS = [(n, m, a) for n in range(1, 12, 2) for m in range(n, 12, 2) if n + m <= 12
+                 for a in (1.0, 2.0)] + [(3, 5, 0.5), (5, 7, 0.73)]
+
+
 class TestKernel:
     def test_degree_zero_kernel_is_product(self):
-        p0 = OrthoPoly(poly=ChebSeries([math.sqrt(2 / math.pi)], 1.0), weight=spec_cpc(1, 1, 1.0))
-        assert kernel_eval([p0], 0.4, -0.3) == pytest.approx(2 / math.pi, rel=1e-14)
+        # K_0(t, u) = p_0^2 whatever p_1 is: here T_0 and T_1 scaled on [-1, 1]
+        c0 = math.sqrt(2 / math.pi)
+        p0 = OrthoPoly(poly=ChebSeries([c0], 1.0), weight=spec_cpc(1, 1, 1.0))
+        p1 = OrthoPoly(poly=ChebSeries([0.0, 1.3], 1.0), weight=spec_cpc(1, 1, 1.0))
+        for u in (-0.3, 0.0, 0.8):
+            K = kernel_eval(p0, p1, u)
+            assert K.degree == 0
+            assert K(0.4) == pytest.approx(2 / math.pi, rel=1e-14)
 
-    def test_constant_kernel(self):
-        factor = build_szego_factor(spec_cpc(1, 1, 1.0))
-        # p_0 for the constant rho has the l = 2k threshold issue; use the pair form
-        p1 = szego_orthonormal(factor, 1, MeasureFactor.InvSqrtBoth)
-        p2 = szego_orthonormal(factor, 2, MeasureFactor.InvSqrtBoth)
-        val = kernel_eval([p1, p2], 0.3, 0.1)
-        ratio = p1.leading_coeff / p2.leading_coeff
-        expected = ratio * (p2.poly(0.3) * p1.poly(0.1) - p1.poly(0.3) * p2.poly(0.1)) / 0.2
-        assert val == pytest.approx(expected, rel=1e-12)
+    def test_needs_consecutive_degrees(self):
+        pk, pk1 = _kernel_pair(3, 5, 1.0)
+        with pytest.raises(ValueError):
+            kernel_eval(pk1, pk, 0.0)
 
-    def test_pair_form_matches_direct_sum(self):
+    @pytest.mark.parametrize("t, u", [(0.3, 0.1), (-0.4, 0.7), (0.9, -0.95)])
+    def test_two_point_quotient(self, t, u):
+        pk, pk1 = _kernel_pair(1, 1, 1.0)
+        ratio = pk.leading_coeff / pk1.leading_coeff
+        expected = ratio * (pk1(t) * pk(u) - pk(t) * pk1(u)) / (t - u)
+        K = kernel_eval(pk, pk1, u)
+        assert K.degree == pk.degree
+        assert K(t) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n, m, a", _KERNEL_CELLS)
+    def test_symmetric(self, n, m, a):
+        pk, pk1 = _kernel_pair(n, m, a)
+        pts = np.linspace(-a, 1.0, 9)
+        K = np.array([kernel_eval(pk, pk1, u)(pts) for u in pts])  # K[i, j] = K_k(t_j, u_i)
+        assert np.max(np.abs(K - K.T)) <= 1e-13 * np.max(np.abs(K))
+
+    @pytest.mark.parametrize("n, m, a", _KERNEL_CELLS)
+    def test_confluent_limit(self, n, m, a):
+        # K_k(t, t) = (kappa_k/kappa_{k+1}) (p'_{k+1}(t) p_k(t) - p'_k(t) p_{k+1}(t))
+        pk, pk1 = _kernel_pair(n, m, a)
+        cheb = np.polynomial.chebyshev
+        pts = np.linspace(-a, 1.0, 7)
+        x = (2.0 * pts + a - 1.0) / (1.0 + a)
+
+        def deriv(p):
+            return cheb.chebval(x, cheb.chebder(p.poly.coeffs)) * (2.0 / (1.0 + a))
+
+        ratio = pk.leading_coeff / pk1.leading_coeff
+        want = ratio * (deriv(pk1) * pk(pts) - deriv(pk) * pk1(pts))
+        got = np.array([kernel_eval(pk, pk1, t)(t) for t in pts])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_matches_direct_sum(self):
+        # K_5(t, u) = sum_{j <= 5} p_j(t) p_j(u), with p_0..p_5 from the Cholesky factor
+        # of the oracle's Gram matrix of 1, t, ..., t^5; the generic route has no p_j below
+        # k = 3 at (3, 5)
         spec = spec_cpc(3, 5, 1.0)
         factor = build_szego_factor(spec)
-        ps = [szego_orthonormal(factor, k, MeasureFactor.InvSqrtBoth) for k in range(3, 7)]
-        # direct sum needs p_0..p_k; build the low degrees where the
-        # threshold allows (l = 5 < 2k means k >= 3)
-        k = 5
-        pair = kernel_eval([ps[2], ps[3]], 0.4, -0.2)
-        # sum form: sum_{j=0}^{5} p_j(t) p_j(u); build j = 0..2 by
-        # Gram-Schmidt against the oracle moments for reference
-        from bszego.quadrature import oracle_moments
-
+        p5, p6 = (szego_orthonormal(factor, k, MeasureFactor.InvSqrtBoth) for k in (5, 6))
         mu = oracle_moments(spec, 12)
         G = np.array([[mu[i + j] for j in range(6)] for i in range(6)])
-        L = np.linalg.cholesky(G)
-        inv = np.linalg.inv(L)
+        inv = np.linalg.inv(np.linalg.cholesky(G))
         t, u = 0.4, -0.2
-        tv = np.array([t**j for j in range(6)])
-        uv = np.array([u**j for j in range(6)])
-        direct = float((inv @ tv) @ (inv @ uv))
-        assert pair == pytest.approx(direct, rel=1e-8)
+        direct = float((inv @ t ** np.arange(6)) @ (inv @ u ** np.arange(6)))
+        assert kernel_eval(p5, p6, u)(t) == pytest.approx(direct, rel=1e-8)
 
-    def test_confluent_limit(self):
-        spec = spec_cpc(3, 5, 1.0)
-        factor = build_szego_factor(spec)
-        p4 = szego_orthonormal(factor, 4, MeasureFactor.InvSqrtBoth)
-        p5 = szego_orthonormal(factor, 5, MeasureFactor.InvSqrtBoth)
-        t0 = 0.37
-        exact = kernel_eval([p4, p5], t0, t0)
-        near = kernel_eval([p4, p5], t0, t0 + 1e-9)
-        assert exact == pytest.approx(near, rel=1e-6)
+    @pytest.mark.parametrize("n, m, a", _KERNEL_CELLS)
+    def test_at_zero_is_the_suite_series(self, n, m, a):
+        pk, pk1 = _kernel_pair(n, m, a)
+        assert np.array_equal(kernel_eval(pk, pk1, 0.0).coeffs,
+                              ref_kernel_at_zero(pk, pk1).coeffs)
 
     def test_kernel_at_origin_simplification(self):
         # with p_k(0) = 0:  K_k(t, 0) = -(kappa_k/kappa_{k+1}) p_{k+1}(0) p_k(t)/t
-        factor = build_szego_factor(spec_cpc(1, 1, 1.0))
-        pk = szego_orthonormal(factor, 1, MeasureFactor.InvSqrtBoth)
-        pk1 = szego_orthonormal(factor, 2, MeasureFactor.InvSqrtBoth)
+        pk, pk1 = _kernel_pair(1, 1, 1.0)
         ratio = pk.leading_coeff / pk1.leading_coeff
+        K = kernel_eval(pk, pk1, 0.0)
         for t in (0.7, -0.4, 0.05):
-            expected = -ratio * pk1.poly(0.0) * pk.poly(t) / t
-            assert kernel_eval([pk, pk1], t, 0.0) == pytest.approx(expected, rel=1e-11)
+            assert K(t) == pytest.approx(-ratio * pk1(0.0) * pk(t) / t, rel=1e-11)
 
     def test_reproducing_property(self):
         # int K_k(t, 0) dmu = 1 for n=3, m=5, a=1
-        spec = spec_cpc(3, 5, 1.0)
-        factor = build_szego_factor(spec)
-        pk = szego_orthonormal(factor, 4, MeasureFactor.InvSqrtBoth)
-        pk1 = szego_orthonormal(factor, 5, MeasureFactor.InvSqrtBoth)
-
-        def f(t):
-            return np.array([kernel_eval([pk, pk1], float(tt), 0.0) for tt in np.asarray(t)])
-
-        val = weighted_oracle_integral(spec, f)
+        pk, pk1 = _kernel_pair(3, 5, 1.0)
+        val = weighted_oracle_integral(spec_cpc(3, 5, 1.0), kernel_eval(pk, pk1, 0.0))
         assert val == pytest.approx(1.0, abs=1e-7)
-
-
-class TestLeadingRatio:
-    @pytest.mark.parametrize(
-        "n,m,a",
-        [(3, 5, 1.0), (3, 5, 3.0), (1, 3, 0.5), (5, 7, 2.0)],
-    )
-    def test_ratio(self, n, m, a):
-        dev = leading_ratio_check(spec_cpc(n, m, a))
-        assert dev < 1e-10 * (1.0 + 4.0 / (1.0 + a))
-
-    @pytest.mark.parametrize("n,m,a", [(1, 1, 1.0), (3, 5, 0.7), (7, 9, 2.0)])
-    def test_kappa_k_does_not_come_from_the_factor(self, n, m, a, monkeypatch):
-        # kappa_k and kappa_{k+1} both from h(0) give 4/(1+a) for any h, so a wrong
-        # h(0) must show as a deviation
-        build = szego_polys.build_szego_factor
-
-        def scaled(spec):
-            factor = build(spec)
-            c = factor.h.coeffs.copy()
-            c[0] *= 1.0 + 1e-8
-            return SzegoFactor(spec, RealPolynomial(c), factor.relative_residual)
-
-        assert leading_ratio_check(spec_cpc(n, m, a)) <= 1e-14 * 4.0 / (1.0 + a)
-        monkeypatch.setattr(szego_polys, "build_szego_factor", scaled)
-        assert leading_ratio_check(spec_cpc(n, m, a)) >= 1e-9
-
-    def test_parity_guard(self):
-        with pytest.raises(ParityError):
-            leading_ratio_check(spec_cpc(2, 4, 1.0))
 
 
 class TestInterlacing:
@@ -489,9 +507,6 @@ class TestChebyshevToPower:
             power = reference.convert(kind=np.polynomial.Polynomial).coef
             assert p.degree == len(power) - 1 == k
             assert p.leading == pytest.approx(power[-1], rel=1e-13)
-            dref = reference.deriv().coef if k else np.zeros(1)
-            assert np.allclose(p.derivative().coeffs, dref, rtol=0.0,
-                               atol=1e-12 * np.max(np.abs(dref), initial=0.0))
 
     def test_trailing_zeros_trimmed_like_numpy(self):
         # numpy's conversion drops exact trailing zeros; the series keeps every
