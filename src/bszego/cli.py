@@ -16,8 +16,6 @@ gives an axis a value of the wrong kind, lists no cell, or lists a cell past
 the n + m <= 64 cap; `bszego.suites` declares each suite's axes once and
 checks grids from that declaration.  These config and tolerance errors, an
 unknown suite id among them, are found before any suite runs.
-The environment variable BSZEGO_SEED is reserved as a randomness seed for
-property tests; the verification suites use fixed seeds and ignore it.
 """
 from __future__ import annotations
 
@@ -176,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bszego",
         description="Verification harness for explicit quadrature, orthogonality, "
         "and trigonometric-sum identities.",
-        epilog="BSZEGO_SEED is reserved as a property-test seed and is not "
-        "consumed by the verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

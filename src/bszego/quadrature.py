@@ -283,10 +283,12 @@ def limit_series(kind: str, alpha: float, beta: Optional[float], p: RealPolynomi
     1/((cos sqrt x + cosh(alpha sqrt x))(cos sqrt x + cosh(beta sqrt x))),
     "CoshMinusCosX" for (1/(4 pi^4)) x/(cosh(alpha sqrt x) - cos sqrt x)
     (variant 0/1 pick the even/odd split, both represent the same integral),
-    "ProductCoshMinusCosX2" and "MixedX" for the corresponding products.
+    "ProductCoshMinusCosX2" and "MixedX" for the corresponding products (MixedX's plus
+    block in alpha, its quotient block in beta: the weights of `weight_models.limit_rho`).
     """
-    if alpha <= 0 or (beta is not None and beta <= 0):
-        raise ValueError("alpha and beta must be positive")
+    params = (alpha,) if beta is None else (alpha, beta)
+    if not all(0.0 < v < math.inf for v in params):  # NaN fails too
+        raise ValueError(f"alpha and beta must be positive and finite, got {alpha!r}, {beta!r}")
     if kind == "TwoCoshProduct":
         s = alpha + beta
         d = alpha - beta

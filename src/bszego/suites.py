@@ -47,6 +47,7 @@ from .weight_models import (
     WeightSpec,
     build_szego_factor,
     continued_block,
+    limit_rho,
     xi_eta_eval,
 )
 
@@ -569,29 +570,6 @@ def _improper(f, two_sided=False):
     return value
 
 
-def _continued(g, at_zero=None):
-    """x -> g(x, r, cos, cosh) with r = sqrt|x|, continued to x < 0 through
-    cos(i r) = cosh(r): there g is handed (cosh, cos) for (cos, cosh).
-
-    Given ``at_zero``, the band |x| < 1e-12 takes that limit value instead.
-    """
-
-    def f(x):
-        x = np.asarray(x)
-        out = np.empty_like(x)
-        if at_zero is None:
-            pos = x >= 0
-            neg = ~pos
-        else:
-            pos, neg = x >= 1e-12, x <= -1e-12
-            out[~(pos | neg)] = at_zero
-        out[pos] = g(x[pos], np.sqrt(x[pos]), np.cos, np.cosh)
-        out[neg] = g(x[neg], np.sqrt(-x[neg]), np.cosh, np.cos)
-        return out
-
-    return f
-
-
 def _arctan1(a):
     def f(x):
         return np.sinc(x / np.pi) * trig._sinh_over_cos_cosh(x, x / a)
@@ -644,49 +622,42 @@ def _alpha_integral(alpha):
 
 
 _TWO_COSH_COEFFS = ([1.0], [0.0, 1.0], [0.3, -1.2, 0.7])  # test polynomial by degree
+_ONE = RealPolynomial([1.0])
+_CMC_P = RealPolynomial([1.0, 0.5])  # the test polynomial of the cosh-minus-cos series
+
+
+def _limit_integral(family, alpha, beta, p):
+    """Oracle integral over R of p/`limit_rho`(family, alpha, beta, .)."""
+    return _improper(lambda x: p(x) / limit_rho(family, alpha, beta, x), two_sided=True)
 
 
 def _two_cosh_series(alpha, beta, deg):
     p = RealPolynomial(_TWO_COSH_COEFFS[deg])
-    f = _continued(
-        lambda x, r, cos, cosh: p(x) / ((cos(r) + cosh(alpha * r)) * (cos(r) + cosh(beta * r)))
-    )
     series = quad.limit_series("TwoCoshProduct", alpha, beta, p)
-    return series, _improper(f, two_sided=True)
+    return series, _limit_integral(Family.ProductCosPlusCosh, alpha, beta, p)
 
 
 def _cmc_series_parity(alpha):
-    p = RealPolynomial([1.0, 0.5])
-    v0 = quad.limit_series("CoshMinusCosX", alpha, None, p, variant=0)
-    return v0, quad.limit_series("CoshMinusCosX", alpha, None, p, variant=1)
+    v0 = quad.limit_series("CoshMinusCosX", alpha, None, _CMC_P, variant=0)
+    return v0, quad.limit_series("CoshMinusCosX", alpha, None, _CMC_P, variant=1)
 
 
 def _cmc_series(alpha):
-    p = RealPolynomial([1.0, 0.5])
-    f = _continued(
-        lambda x, r, cos, cosh: x * p(x) / (cosh(alpha * r) - cos(r)),
-        at_zero=2.0 * p(0.0) / (alpha * alpha + 1.0),
-    )
-    v0 = quad.limit_series("CoshMinusCosX", alpha, None, p, variant=0)
-    return v0, _improper(f, two_sided=True) / (4.0 * math.pi ** 4)
+    v0 = quad.limit_series("CoshMinusCosX", alpha, None, _CMC_P, variant=0)
+    integral = _limit_integral(Family.CoshMinusCosOverT, alpha, None, _CMC_P)
+    return v0, integral / (4.0 * math.pi ** 4)
 
 
 def _product_cmc_series(alpha, beta):
-    f = _continued(
-        lambda x, r, cos, cosh: x ** 2 / ((cosh(alpha * r) - cos(r)) * (cosh(beta * r) - cos(r))),
-        at_zero=4.0 / ((alpha ** 2 + 1) * (beta ** 2 + 1)),
-    )
-    series = quad.limit_series("ProductCoshMinusCosX2", alpha, beta, RealPolynomial([1.0]))
-    return series, _improper(f, two_sided=True) / (2.0 * math.pi ** 6)
+    series = quad.limit_series("ProductCoshMinusCosX2", alpha, beta, _ONE)
+    integral = _limit_integral(Family.ProductCoshMinusCos, alpha, beta, _ONE)
+    return series, integral / (2.0 * math.pi ** 6)
 
 
 def _mixed_series(alpha, beta):
-    # the integrand is written out for alpha = beta = 1, the only params of this check
-    f = _continued(
-        lambda x, r, cos, cosh: x / ((cosh(r) + cos(r)) * (cosh(r) - cos(r))), at_zero=0.5
-    )
-    series = quad.limit_series("MixedX", alpha, beta, RealPolynomial([1.0]))
-    return series, _improper(f, two_sided=True) / (2.0 * math.pi ** 4)
+    series = quad.limit_series("MixedX", alpha, beta, _ONE)
+    integral = _limit_integral(Family.MixedPlusMinus, alpha, beta, _ONE)
+    return series, integral / (2.0 * math.pi ** 4)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ Negative t is always handled by the explicit real continuations
 asin(sqrt(t)) = i asinh(sqrt(-t)) and asinh(sqrt(t/a)) = i asin(sqrt(-t/a)),
 never by complex square roots.  They are written once, in `_block_angles`,
 which gives the block's trigonometric angle x and hyperbolic angle y on both
-sides of t = 0.  Every block factor is an entire function of t:
+sides of t = 0, from asin sqrt and asinh sqrt or from their n, m -> infinity
+limit sqrt (`limit_rho`).  Every block factor is an entire function of t:
 `continued_block` returns cos, sin/sqrt|t|, cosh and sinh/sqrt|t|, and the
 two quotients take their limits at t = 0, the one removable point, in
 `_sines_over_root`.  Every other closed form in the package (xi/eta, the
@@ -51,6 +52,7 @@ __all__ = [
     "WeightSpec",
     "SzegoFactor",
     "rho_eval",
+    "limit_rho",
     "xi_eta_eval",
     "continued_block",
     "expected_rho_degree",
@@ -142,26 +144,32 @@ def _check_domain(t, a):
     return np.minimum(np.maximum(t, -a), 1.0)  # np.clip, at half the cost on short arrays
 
 
-def _block_angles(t, n, m, a):
+# the finite block's angle maps: asin sqrt, of its argument clamped at 1, and asinh sqrt
+_FINITE_MAPS = (lambda s: np.arcsin(np.sqrt(np.minimum(s, 1.0))), lambda s: np.arcsinh(np.sqrt(s)))
+
+
+def _block_angles(t, n, m, a, maps=_FINITE_MAPS):
     """The block's trigonometric angle x and hyperbolic angle y, real on both sides of t = 0.
 
-    x = n asin sqrt t and y = m asinh sqrt(t/a) for t >= 0; x = m asin sqrt(-t/a) and
-    y = n asinh sqrt(-t) for t < 0.  So cos(2n asin sqrt t) + cosh(2m asinh sqrt(t/a)) is
-    cos 2x + cosh 2y on both sides, and their difference is cosh 2y - cos 2x times sign(t).
+    For the angle maps (f, g), x = n f(t) and y = m g(t/a) for t >= 0; x = m f(-t/a) and
+    y = n g(-t) for t < 0.  So cos(2n f(t)) + cosh(2m g(t/a)) is cos 2x + cosh 2y on both
+    sides, and their difference is cosh 2y - cos 2x times sign(t), for the finite maps
+    (asin sqrt, clamped at 1, and asinh sqrt) and for their limit (sqrt, sqrt) alike.
     """
+    trig, hyp = maps
     t = np.asarray(t, dtype=float)
     x, y = np.empty_like(t), np.empty_like(t)
     pos = t >= 0.0
     tp, tn = t[pos], t[~pos]
-    x[pos], y[pos] = n * np.arcsin(np.sqrt(tp)), m * np.arcsinh(np.sqrt(tp / a))
-    x[~pos] = m * np.arcsin(np.sqrt(np.minimum(-tn / a, 1.0)))
-    y[~pos] = n * np.arcsinh(np.sqrt(-tn))
+    x[pos], y[pos] = n * trig(tp), m * hyp(tp / a)
+    x[~pos], y[~pos] = m * trig(-tn / a), n * hyp(-tn)
     return x, y
 
 
 def _sines_over_root(t, x, y, n, m, a):
     """(sin x/sqrt|t|, sinh y/sqrt|t|) for the angles of `_block_angles`: entire in t, with
-    their limits n and m/sqrt(a) (those of t >= 0) taken at t = 0, the one removable point."""
+    their limits n and m/sqrt(a) (those of t >= 0) taken at t = 0, the one removable point;
+    every angle map has slope 1 in sqrt s there."""
     zero = t == 0.0
     root = np.where(zero, 1.0, np.sqrt(np.abs(t)))
     return (np.where(zero, n, np.sin(x) / root),
@@ -192,12 +200,12 @@ def _block_factors(t, angles, n, m, a):
             np.where(pos, chy, cx), np.where(pos, shy, sx))
 
 
-def _rho_block(t, n, m, a, quotient, angles=None):
+def _rho_block(t, n, m, a, quotient, angles):
     """One block of rho as a sum of squares: the plus block 2(cos^2 x + sinh^2 y), the
-    quotient block 2((sin x/sqrt|t|)^2 + (sinh y/sqrt|t|)^2), 2(n^2 + m^2/a) at t = 0.
-    `angles` are those of `_block_angles` at t, if the caller has them.  The squares and
-    their sum are taken in place, in u's array."""
-    x, y = _block_angles(t, n, m, a) if angles is None else angles
+    quotient block 2((sin x/sqrt|t|)^2 + (sinh y/sqrt|t|)^2), 2(n^2 + m^2/a) at t = 0,
+    for the `angles` (x, y) of `_block_angles` at t.  The squares and their sum are
+    taken in place, in u's array."""
+    x, y = angles
     u, v = _sines_over_root(t, x, y, n, m, a) if quotient else (np.cos(x), np.sinh(y))
     u *= u
     v *= v
@@ -206,18 +214,36 @@ def _rho_block(t, n, m, a, quotient, angles=None):
     return u
 
 
-def rho_eval(spec: WeightSpec, t):
-    """Evaluate the selected family's rho at t in [-a, 1] (scalar or array)."""
-    tt = _check_domain(t, spec.a)
-    blocks = _BLOCKS[spec.family]
+def _block_product(family, t, n, m, m_prime, a, maps):
+    """The product of the family's blocks at the float array t, on the angle maps `maps`."""
+    blocks = _BLOCKS[family]
     values = {}  # each distinct block once
     for quotient, second in set(blocks):
-        mm = spec.m_prime if second else spec.m
-        values[quotient, second] = _rho_block(tt, spec.n, mm, spec.a, quotient)
+        mm = m_prime if second else m
+        angles = _block_angles(t, n, mm, a, maps)
+        values[quotient, second] = _rho_block(t, n, mm, a, quotient, angles)
     out = values[blocks[0]]
     for block in blocks[1:]:  # a running product: the squared family's x * x, bit for bit
         out = out * values[block]
+    return out
+
+
+def rho_eval(spec: WeightSpec, t):
+    """Evaluate the selected family's rho at t in [-a, 1] (scalar or array)."""
+    tt = _check_domain(t, spec.a)
+    out = _block_product(spec.family, tt, spec.n, spec.m, spec.m_prime, spec.a, _FINITE_MAPS)
     return out if np.ndim(t) else float(out[0])
+
+
+def limit_rho(family: Family, alpha: float, beta: Optional[float], x):
+    """rho's n, m -> infinity limit on R at x = 4n^2 t, alpha = m/(n sqrt a) and
+    beta = m'/(n sqrt a) (None for one block), x a scalar or an array: the family's blocks
+    at n = 1/2, m = alpha/2, m' = beta/2, a = 1 on the maps (sqrt, sqrt), so a plus block
+    is cos sqrt x + cosh(alpha sqrt x) and a quotient block (cosh(alpha sqrt x) - cos sqrt x)/x."""
+    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    m_prime = None if beta is None else 0.5 * beta
+    out = _block_product(family, xx, 0.5, 0.5 * alpha, m_prime, 1.0, (np.sqrt, np.sqrt))
+    return out if np.ndim(x) else float(out[0])
 
 
 def xi_eta_eval(spec: WeightSpec, t):

@@ -6,8 +6,9 @@ keeps it so) and shares none of its routes:
 * the block factors come from complex asin and asinh on their principal
   branches, where the library continues them to t < 0 by hand;
 * rho's blocks come from mpmath's own Chebyshev polynomials,
-  T_n(1 - 2t) + T_m(1 + 2t/a) and their difference over t, where the library
-  sums squares of the two angles' functions;
+  T_n(1 - 2t) + T_m(1 + 2t/a) and their difference over t, and their limits on
+  R, cos sqrt x + cosh(alpha sqrt x) and the difference over x, from complex
+  sqrt, where the library sums squares of the two angles' functions;
 * the phase of a circle sample is taken at 40 digits;
 * each family's distinguished polynomial is written out on its own.
 
@@ -86,6 +87,27 @@ def rho_block(t, n, m, a, quotient):
                 out.append(plus(mpmath.mpf(tk)))
             else:
                 out.append(mpmath.diff(plus, 0) if tk == 0 else plus(mpmath.mpf(tk)) / tk)
+    return np.array([float(v) for v in out])
+
+
+def limit_block(x, alpha, quotient):
+    """cos sqrt x + cosh(alpha sqrt x), or (cosh(alpha sqrt x) - cos sqrt x)/x when quotient,
+    with mpmath's complex principal sqrt, at each x; the quotient at x = 0 is the
+    derivative there."""
+    sign = -1 if quotient else 1
+    out = []
+    with mpmath.workdps(DPS):
+        alpha_mp = mpmath.mpf(alpha)
+
+        def plus(u):
+            r = mpmath.sqrt(u)  # imaginary for u < 0
+            return mpmath.re(mpmath.cosh(alpha_mp * r) + sign * mpmath.cos(r))
+
+        for xk in np.atleast_1d(x).tolist():
+            if not quotient:
+                out.append(plus(mpmath.mpf(xk)))
+            else:
+                out.append(mpmath.diff(plus, 0) if xk == 0 else plus(mpmath.mpf(xk)) / xk)
     return np.array([float(v) for v in out])
 
 

@@ -6,7 +6,8 @@ angles' functions.  Their values, and those of xi/eta, the factor's circle
 samples and the explicit orthonormal polynomials, are checked against the
 40-digit mpmath reference of `mp_reference.py` (block factors from complex
 asin and asinh, rho from Chebyshev polynomials), on the same `PAIRS` x
-`A_VALUES` x `t_grid` inputs.  Each
+`A_VALUES` x `t_grid` inputs, and rho's n, m -> infinity limit on R
+(`limit_rho`) against the same reference's complex sqrt form.  Each
 bound is relative: to |xi| + |eta|, to |rho| or |h|, which have no zeros, or,
 for a product of block factors, which has, to the same product with each
 factor replaced by its pair's |C| + |s| or |Ch| + |sh|.  The known roots are
@@ -32,6 +33,7 @@ from bszego.weight_models import (
     WeightSpec,
     build_szego_factor,
     continued_block,
+    limit_rho,
     rho_eval,
     xi_eta_eval,
 )
@@ -74,6 +76,21 @@ def test_rho_quotient_against_reference(n, m, a):
     t = t_grid(a)
     want = ref.rho_block(t, n, m, a, True)
     assert_within(rho_eval(WeightSpec(n, m, a, Family.CoshMinusCosOverT), t), want, want, 5e-14)
+
+
+LIMIT_X = np.array([0.0] + [sign * v for v in (1e-14, 1e-11, 1e-8, 1e-4, 1.0, 10.0, 1e3)
+                             for sign in (1.0, -1.0)])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.3, 2.0])
+@pytest.mark.parametrize("family", [Family.CosPlusCosh, Family.CoshMinusCosOverT])
+def test_limit_rho_against_reference(family, alpha):
+    # each block's n, m -> infinity limit on R, next to x = 0 on both sides too, where the
+    # quotient (cosh(alpha sqrt x) - cos sqrt x)/x written out loses digits to cancellation
+    want = ref.limit_block(LIMIT_X, alpha, family is Family.CoshMinusCosOverT)
+    got = limit_rho(family, alpha, None, LIMIT_X)
+    assert_within(got, want, want, 1e-14)
+    assert [limit_rho(family, alpha, None, x) for x in LIMIT_X] == got.tolist()
 
 
 @pytest.mark.parametrize("a", A_VALUES)
@@ -418,6 +435,25 @@ def _is_sign_or_quotient_by_t(node):
             and ast.unparse(node.args[0]) in ("np.abs(t)", "np.abs(tt)"))
 
 
+def _is_continuation(node):
+    """A call on -t or -x (or on that over something), or cos or cosh handed on as a value,
+    in a call or a tuple: the two ways of continuing a block to t < 0 by hand."""
+    values = node.args if isinstance(node, ast.Call) else getattr(node, "elts", [])
+    if any(ast.unparse(value) in ("np.cos", "np.cosh", "math.cos", "math.cosh")
+           for value in values):
+        return True
+    return isinstance(node, ast.Call) and any(
+        _is_negated_variable(arg.left if isinstance(arg, ast.BinOp) else arg)
+        for arg in node.args)
+
+
+def _is_negated_variable(node):
+    """-t, -tt, -tn or -x, of a name or a subscript of one."""
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and any(isinstance(sub, ast.Name) and sub.id in ("t", "tt", "tn", "x")
+                    for sub in ast.walk(node.operand)))
+
+
 def _is_root_ladder(node):
     """sin(... pi ...) ** 2."""
     return (
@@ -455,10 +491,15 @@ def _asin_of_sqrt_sites(module):
 def test_continuation_is_written_once():
     sites = {mod.__name__: _asin_of_sqrt_sites(mod) for mod in (weight_models, szego_polys, suites)}
     assert sites == {
-        "bszego.weight_models": ["_block_angles"] * 4,
+        "bszego.weight_models": ["<lambda>", "<lambda>"],  # the finite angle maps
         "bszego.szego_polys": [],
         "bszego.suites": [],
     }
+    # the angle maps, finite or their limit, are evaluated at -t in _block_angles alone,
+    # and nothing else swaps cos and cosh at t < 0
+    assert _sites(_source(weight_models), _is_continuation) == ["_block_angles"] * 2
+    for mod in (szego_polys, suites):
+        assert _sites(_source(mod), _is_continuation) == []
     # every closed form is a product of the entire block factors: the one quotient by
     # sqrt|t|, with its limit at t = 0, is taken in _sines_over_root, and no sign(t) is left
     assert _sites(_source(weight_models), _is_sign_or_quotient_by_t) == ["_sines_over_root"]
@@ -474,6 +515,20 @@ def test_continuation_is_written_once():
     for mod in (weight_models, szego_polys, quadrature):
         assert _sites(_source(mod), _is_root_ladder) == []
     assert _sites(_source(quadrature), _is_rule_call) == []
+
+
+# the helper that continued the four limiting-series weights to x < 0 by hand, in place of
+# `limit_rho`: at x < 0 it handed g (cosh, cos) for (cos, cosh)
+_CONTINUED = """def _continued(g):
+    def f(x):
+        x = np.asarray(x)
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = g(x[pos], np.sqrt(x[pos]), np.cos, np.cosh)
+        out[~pos] = g(x[~pos], np.sqrt(-x[~pos]), np.cosh, np.cos)
+        return out
+
+    return f"""
 
 
 @pytest.mark.parametrize("module, before, after, match, owner", [
@@ -495,6 +550,15 @@ def test_continuation_is_written_once():
      _is_asin_of_sqrt, "explicit_eval"),
     (szego_polys, "(k, _rung_sine(k, N))", "(k, math.sin(math.pi * k / (2 * N)))",
      _is_rung_sine, "_ladder"),
+    (suites, "def _limit_integral(", _CONTINUED + "\n\n\ndef _limit_integral(", _is_continuation,
+     "_continued"),
+    (suites, "series = quad.limit_series(\"TwoCoshProduct\", alpha, beta, p)",
+     "r = np.sqrt(-x[x < 0])\n    series = quad.limit_series(\"TwoCoshProduct\", alpha, beta, p)",
+     _is_continuation, "_two_cosh_series"),
+    (suites, "    return _improper(lambda x: p(x) / limit_rho(",
+     "    cos, cosh = (np.cos, np.cosh) if alpha > 0 else (np.cosh, np.cos)\n"
+     "    return _improper(lambda x: p(x) / limit_rho(",
+     _is_continuation, "_limit_integral"),
     (weight_models, "_rung_sine(np.arange(1, m + 1), m) ** 2",
      "np.sin(np.pi * np.arange(1, m + 1) / (2 * m)) ** 2", _is_root_ladder, "_block_zeros"),
     (quadrature, "return _gauss_rule(spec, _tanh_over_sinh, math.pi",
@@ -509,7 +573,9 @@ def test_continuation_is_written_once():
         "quotient by t in the square suite", "quotient by t in the orthogonality rows",
         "sqrt(2/|t|) in the circle form", "sign(t) back in xi_eta_eval",
         "root ladder outside the helper", "continuation outside the helper",
-        "rung sine outside the helper", "root ladder in the winding count's zeros",
+        "rung sine outside the helper", "continuation helper back in the suites",
+        "square root of -x in a series cell", "cos and cosh swapped as values",
+        "root ladder in the winding count's zeros",
         "hand-written ladder in a rule builder",
         "signed rule built from its reflection"])
 def test_written_once_checks_catch_a_mutation(module, before, after, match, owner):

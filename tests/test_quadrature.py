@@ -19,7 +19,7 @@ from bszego.quadrature import (
     weighted_oracle_integral,
 )
 from bszego import szego_polys
-from bszego.weight_models import Family, MeasureFactor, WeightSpec, _rung_sine
+from bszego.weight_models import Family, MeasureFactor, WeightSpec, _rung_sine, limit_rho
 from bszego import oracle, suites
 
 
@@ -406,6 +406,20 @@ class TestErrorPaths:
         with pytest.raises(SlowConvergence):
             limit_series("CoshMinusCosX", 1e-4, None, RealPolynomial([1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("kind", ["TwoCoshProduct", "CoshMinusCosX",
+                                      "ProductCoshMinusCosX2", "MixedX"])
+    def test_limit_series_needs_positive_finite_params(self, kind, bad):
+        # NaN ran all 10 000 terms before SlowConvergence, and CoshMinusCosX at alpha = inf
+        # divided by zero
+        one = RealPolynomial([1.0])
+        beta = None if kind == "CoshMinusCosX" else 1.0
+        with pytest.raises(ValueError, match="positive and finite"):
+            limit_series(kind, bad, beta, one)
+        if beta is not None:
+            with pytest.raises(ValueError, match="positive and finite"):
+                limit_series(kind, 1.0, bad, one)
+
     def test_alpha_beta_nonnegative_in_range(self):
         n, m, a = 5, 4, 0.7
         for z in np.linspace(0.0, 2 * n, 23):
@@ -552,6 +566,21 @@ class TestLimitSeries:
 
         want, _ = oracle.improper_integral(f, tol=1e-9, two_sided=True)
         assert series == pytest.approx(want / (2 * math.pi**4), abs=1e-6 * (1 + abs(series)))
+
+    @pytest.mark.parametrize("alpha, beta", [(1.2, 0.8), (1.5, 0.7), (2.0, 1.0)])
+    @pytest.mark.parametrize("coeffs", [[1.0], [0.3, -1.2, 0.7]])
+    @pytest.mark.parametrize("kind, family, scale", [
+        ("MixedX", Family.MixedPlusMinus, 2 * math.pi ** 4),
+        ("ProductCoshMinusCosX2", Family.ProductCoshMinusCos, 2 * math.pi ** 6),
+    ], ids=["MixedX", "ProductCoshMinusCosX2"])
+    def test_against_oracle_over_limit_rho(self, kind, family, scale, coeffs, alpha, beta):
+        # at alpha != beta the mixed weight tells its plus block (alpha) from its quotient
+        # block (beta): with the two swapped, MixedX at (1.2, 0.8) reads 0.02843, not 0.03294
+        p = RealPolynomial(coeffs)
+        series = limit_series(kind, alpha, beta, p)
+        want, _ = oracle.improper_integral(lambda x: p(x) / limit_rho(family, alpha, beta, x),
+                                           tol=1e-12, two_sided=True)
+        assert series == pytest.approx(want / scale, abs=1e-13 * (1 + abs(series)))
 
     def test_product_cosh_minus_cos_against_oracle(self):
         alpha, beta = 1.2, 0.8
