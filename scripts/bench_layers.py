@@ -13,14 +13,14 @@ cells, tol 1e-9), as the cells call them.  Times `oracle.improper_integral` on t
 limiting cells: the call each cell makes, with its integrand and arguments, caught
 while the cell runs once (one-sided arctan1 at a = 1, two-sided two_cosh_series at
 (1.5, 0.7, 2), one-sided glaisher_theta at a = 2), with the evaluator points of one
-call.  Times the primitives `rho_eval` and `xi_eta_eval` of the quad1 cell (15, 1, 2.0)
-at 513 and 4096 points of [-a, 1] (the sizes of an oracle integral's first and of its
-deepest evaluator calls), and that cell's theta integral, `oracle_moments` to degree
-15 at tol 1e-12, which runs the doubling trapezoid rule to its deepest level of the
-default sweep, with its evaluator points.  Counts the minor page faults of two
-`run_verify("all")` sweeps in turn, before any timing, with getrusage(RUSAGE_SELF) on
-this process: the first sweep's include the first calls' set-up, the second's are the
-steady state.
+call.  Times the primitives `rho_eval`, `xi_eta_eval` and `explicit_eval` of the quad1
+cell (15, 1, 2.0) at 513 and 4096 points of [-a, 1] (the sizes of an oracle
+integral's first and of its deepest evaluator calls), and that cell's theta integral,
+`oracle_moments` to degree 15 at tol 1e-12, which runs the doubling trapezoid rule to
+its deepest level of the default sweep, with its evaluator points.  Counts the minor
+page faults of two `run_verify("all")` sweeps in turn, before any timing, with
+getrusage(RUSAGE_SELF) on this process: the first sweep's include the first calls'
+set-up, the second's are the steady state.
 
 Prints one row per layer and spec in microseconds per call, or one JSON
 document with --json.  The least of the repeats is the figure least disturbed by
@@ -49,7 +49,7 @@ from bszego.pick_measures import (  # noqa: E402
     moment_match_all,
     pick_eval,
 )
-from bszego.szego_polys import explicit_family, szego_orthonormal  # noqa: E402
+from bszego.szego_polys import explicit_eval, explicit_family, szego_orthonormal  # noqa: E402
 from bszego.weight_models import (  # noqa: E402
     Family,
     MeasureFactor,
@@ -142,10 +142,11 @@ PRIMITIVE_POINTS = (513, 4096)
 
 
 def _primitive_calls():
-    """(label, (layer name, zero-argument call)) of rho_eval and xi_eta_eval on DEEP at
-    PRIMITIVE_POINTS evenly spaced points of [-a, 1]."""
+    """(label, (layer name, zero-argument call)) of rho_eval, xi_eta_eval and explicit_eval
+    on DEEP at PRIMITIVE_POINTS evenly spaced points of [-a, 1]."""
     calls = []
-    for layer, primitive in (("rho_eval", rho_eval), ("xi_eta_eval", xi_eta_eval)):
+    for layer, primitive in (("rho_eval", rho_eval), ("xi_eta_eval", xi_eta_eval),
+                             ("explicit_eval", explicit_eval)):
         for npts in PRIMITIVE_POINTS:
             t = np.linspace(-DEEP.a, 1.0, npts)
             calls.append((f"{_label(DEEP)} {npts} points",

@@ -461,6 +461,14 @@ def _periodic(g, tol):
     return None
 
 
+def _floored_tol(tol) -> float:
+    """tol, at least 1e-14; ValueError for a NaN or infinite tol, before any evaluator call:
+    a NaN would run to the panel budget and an infinite one stop with no error control."""
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
+    return max(tol, 1e-14)
+
+
 def integrate(spec: IntegrandSpec, tol: float = 1e-10):
     """Integrate spec; returns (value, err_est).
 
@@ -474,9 +482,9 @@ def integrate(spec: IntegrandSpec, tol: float = 1e-10):
     bisection, whose err_est is the sum of the accepted panels' refinement
     changes / 15.
     err_est <= tol * (1 + |value|) on success; NoConvergence carries the best
-    estimate otherwise.
+    estimate otherwise.  A NaN or infinite tol raises ValueError.
     """
-    tol = max(tol, 1e-14)
+    tol = _floored_tol(tol)
     f, iv = spec.evaluator, spec.interval
     if isinstance(iv, ThetaSubstituted):
         g = _theta_integrand(f, iv.a, iv.weight_power)
@@ -557,6 +565,8 @@ def improper_integral(evaluator: Callable, tol: float = 1e-8, two_sided: bool = 
     (0, 1), or (-1, 1), in one adaptive pass, err_est being its estimate.  The
     Gauss nodes never touch a panel's end, so a one-sided call evaluates no
     x <= 0.  A grouped evaluator, of shape (npts, G, K), gets one outcome per
-    group, (value, err_est) or the group's NoConvergence, as from _adaptive.
+    group, (value, err_est) or the group's NoConvergence, as from _adaptive.  A NaN or
+    infinite tol raises ValueError.
     """
-    return _adaptive(RationalImage(evaluator), -1.0 if two_sided else 0.0, 1.0, max(tol, 1e-14))
+    return _adaptive(RationalImage(evaluator), -1.0 if two_sided else 0.0, 1.0,
+                     _floored_tol(tol))

@@ -5,7 +5,8 @@ Two construction routes are provided and cross-checked in the tests:
 * the generic recipe from the spectral factor h, whose Chebyshev series is
   read off h's power coefficients by one index map, and
 * closed forms whose roots are known exactly, leading_coeff * prod (t - root),
-  interpolated at the k + 1 Chebyshev points of [-a, 1].
+  interpolated at the k + 1 Chebyshev points of [-a, 1], with the leading
+  coefficient read from Szego's h(0) in closed form (`weight_models.szego_h0`).
 
 Each family's distinguished polynomial is described once (`_distinguished`):
 degrees (N, M), a factor s or C of `continued_block` at N and sh or Ch at M,
@@ -59,6 +60,7 @@ from .weight_models import (
     _rung_sine,
     continued_block,
     expected_rho_degree,
+    szego_h0,
 )
 
 __all__ = [
@@ -74,6 +76,7 @@ __all__ = [
 class OrthoPoly:
     """An orthonormal polynomial, stored as a Chebyshev series on [-a, 1].
 
+    Its coefficients and its leading coefficient are finite, the latter positive.
     known_roots, when given, are all roots, in [-a, 1], and the series must
     match leading_coeff * prod (t - root) within 1e-9 sum |c_j| at the
     Chebyshev points, where it is V c (`_cheb_grid`): far from a moved root,
@@ -93,8 +96,11 @@ class OrthoPoly:
         return self.poly.leading
 
     def __post_init__(self):
-        if not self.leading_coeff > 0:
-            raise ValueError("leading coefficient must be positive")
+        if not np.isfinite(self.poly.coeffs).all():
+            raise ValueError("coefficients must be finite")
+        if not 0.0 < self.leading_coeff < math.inf:
+            raise ValueError(f"leading coefficient must be positive and finite, got "
+                             f"{self.leading_coeff!r}")
         if self.known_roots:
             roots, a = np.asarray(self.known_roots, dtype=float), self.poly.a
             if np.any((roots < -a) | (roots > 1.0)):
@@ -268,7 +274,8 @@ def _ladder(spec: WeightSpec):
     d = _distinguished(spec)
 
     def rungs(N, M, sine, scale):
-        sines = [(k, _rung_sine(k, N)) for k in range(2 if sine else 1, N, 2)]
+        k = np.arange(2 if sine else 1, N, 2)
+        sines = zip(k.tolist(), _rung_sine(k, N).tolist())
         return [(scale * s ** 2, N, M, k, s) for k, s in sines]
 
     zero = d.sine_pos and d.sine_neg and not d.over_t
@@ -285,23 +292,19 @@ def explicit_family(spec: WeightSpec) -> OrthoPoly:
     """The distinguished orthonormal polynomial with closed-form roots.
 
     lead * prod (t - root) over the exact roots, interpolated at the k + 1
-    Chebyshev points of [-a, 1]; lead comes from one evaluation of the
-    closed form at a probe point away from every root, and sets c_k,
-    which the fit resolves only to about eps sum |c_j| (1e-4 relative at
-    high degree).  The closed form may carry either sign; lead is its modulus,
-    since the sign of a fitted c_k near eps sum |c_j| would be noise.
+    Chebyshev points of [-a, 1].  Its top coefficient is that of `szego_orthonormal`
+    in closed form, c_k = const h(0), times 2 for k >= 1 when s > 0, with (s, const)
+    of the measure's recipe and Szego's h(0) (`szego_h0`), and lead is that series'
+    leading coefficient.  c_k is set, not fitted: the fit resolves it only to about
+    eps sum |c_j| (1e-4 relative at high degree).
     """
     roots = np.sort(np.asarray(_explicit_roots(spec), dtype=float))
-    probe = 0.731579  # interior, irrational-ish, not a root of any family here
-    while np.any(np.abs(probe - roots) < 1e-3):
-        probe *= 0.93
-    lead = abs(float(explicit_eval(spec, np.asarray([probe]))[0]) / float(np.prod(probe - roots)))
-    k = len(roots)
-    poly = _chebyshev_interpolant(k, spec.a, lambda t: lead * np.prod(t[:, None] - roots, axis=1))
-    if k:
-        c = poly.coeffs.copy()
-        c[-1] = lead * 2.0 ** (1 - k) * (0.5 * (1.0 + spec.a)) ** k
-        poly = ChebSeries(c, spec.a)
+    k, a = len(roots), spec.a
+    s, const = _recipe(spec.measure_factor)
+    c_k = const(a) * szego_h0(spec) * (2.0 if s and k else 1.0)
+    lead = ChebSeries(np.append(np.zeros(k), c_k), a).leading
+    fit = _chebyshev_interpolant(k, a, lambda t: lead * np.prod(t[:, None] - roots, axis=1))
+    poly = ChebSeries(np.append(fit.coeffs[:-1], c_k), a)
     return OrthoPoly(poly=poly, weight=spec, known_roots=tuple(roots.tolist()))
 
 

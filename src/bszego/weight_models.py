@@ -17,7 +17,10 @@ its residual |h|^2 - rho is read from one real FFT of its coefficients, and it
 is certified zero-free by a winding count at the paper's known roots, not by
 root finding.  The build evaluates the block once: one `_block_angles` call on
 the FFT samples' t, the winding count's points and the residual grid, joined,
-gives the circle form on the first two sets and rho on the third.
+gives the circle form on the first two sets and rho on the third.  For every
+family, h(0) is also known in closed form, one factor per block (`szego_h0`);
+the explicit polynomials take their leading coefficients from it, while the
+factor keeps its own FFT h(0).
 
 Negative t is always handled by the explicit real continuations
 asin(sqrt(t)) = i asinh(sqrt(-t)) and asinh(sqrt(t/a)) = i asin(sqrt(-t/a)),
@@ -56,6 +59,7 @@ __all__ = [
     "xi_eta_eval",
     "continued_block",
     "expected_rho_degree",
+    "szego_h0",
     "build_szego_factor",
     "weight_base",
 ]
@@ -155,14 +159,17 @@ def _block_angles(t, n, m, a, maps=_FINITE_MAPS):
     y = n g(-t) for t < 0.  So cos(2n f(t)) + cosh(2m g(t/a)) is cos 2x + cosh 2y on both
     sides, and their difference is cosh 2y - cos 2x times sign(t), for the finite maps
     (asin sqrt, clamped at 1, and asinh sqrt) and for their limit (sqrt, sqrt) alike.
+    Each map runs once over all of t, on |t| or |t|/a as the sign of t selects.
     """
     trig, hyp = maps
     t = np.asarray(t, dtype=float)
-    x, y = np.empty_like(t), np.empty_like(t)
     pos = t >= 0.0
-    tp, tn = t[pos], t[~pos]
-    x[pos], y[pos] = n * trig(tp), m * hyp(tp / a)
-    x[~pos], y[~pos] = m * trig(-tn / a), n * hyp(-tn)
+    s = np.where(pos, t, -t)  # |t|, with the sign of a zero kept
+    s_over_a = s / a
+    x = trig(np.where(pos, s, s_over_a))
+    x *= np.where(pos, float(n), float(m))
+    y = hyp(np.where(pos, s_over_a, s))
+    y *= np.where(pos, float(m), float(n))
     return x, y
 
 
@@ -280,6 +287,25 @@ def expected_rho_degree(spec: WeightSpec) -> int:
         cancels = mm == n and a == 1.0 and n % 2 == (0 if quotient else 1)
         deg += max(mm, n) - quotient - cancels
     return deg
+
+
+def szego_h0(spec: WeightSpec) -> float:
+    """Szego's h(0) of rho in closed form: the product over its blocks.
+
+    h(0)^2 is the Mahler measure of rho in z (Szego, Orthogonal Polynomials, AMS 1939,
+    ch. X): (1+a)^(n+m)/(2a^m) for a plus block and 2(1+a)^(n+m-1)/a^m for a quotient
+    block, with m' in place of m for a second block.  Each is taken as
+    sqrt(1+a)^(n-q) sqrt(1+1/a)^m times 1/sqrt 2 or sqrt 2 (q = 1 for a quotient): both
+    bases are at least 1 and one of them at most sqrt 2, so no power underflows, and one
+    overflows only where the block's h(0) is within sqrt(2)^(n+m) of overflowing.
+    """
+    n, a = spec.n, spec.a
+    up, down = math.sqrt(1.0 + a), math.sqrt(1.0 + 1.0 / a)
+    h0 = 1.0
+    for quotient, second in _BLOCKS[spec.family]:
+        mm = spec.m_prime if second else spec.m
+        h0 *= (math.sqrt(2.0) if quotient else math.sqrt(0.5)) * up ** (n - quotient) * down ** mm
+    return h0
 
 
 @dataclass(frozen=True)

@@ -166,29 +166,25 @@ def test_explicit_eval_against_reference(a):
         assert_within(got[~pole], want[~pole], scale[~pole], 5e-14)
 
 
-def _explicit_coeffs(spec):
-    try:
-        return szego_polys.explicit_family(spec).poly.coeffs
-    except (ParityError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 @pytest.mark.parametrize("a", A_VALUES)
-def test_explicit_family_against_reference(a, monkeypatch):
-    # the coefficients come from one probe evaluation of explicit_eval, so with the
-    # reference's value at the probe they are the same up to that value's rounding
-    specs = list(explicit_specs(a))
-    got = [_explicit_coeffs(spec) for spec in specs]
-    monkeypatch.setattr(szego_polys, "explicit_eval",
-                        lambda spec, t: ref_explicit(spec, t)[0])
-    want = [_explicit_coeffs(spec) for spec in specs]
-    for g, w in zip(got, want):
-        if isinstance(w, str):
-            assert g == w
-        else:  # c_k is the lead's; the fit rounds the rest to about eps sum |c_j|
-            assert abs(g[-1] - w[-1]) <= 5e-14 * abs(w[-1])
-            assert np.max(np.abs(g - w)) <= 1e-14 * np.sum(np.abs(w))
-    assert sum(not isinstance(w, str) for w in want) > len(want) // 2
+def test_explicit_family_against_reference(a):
+    # the product form lead * prod (t - r), with the lead from h(0) in closed form, against
+    # the reference's values at the midpoints between adjacent roots, away from every root
+    built = 0
+    for spec in explicit_specs(a):
+        try:
+            p = szego_polys.explicit_family(spec)
+        except ParityError:
+            continue
+        roots = np.asarray(p.known_roots)
+        ends = np.concatenate([[-a], roots, [1.0]])
+        t = 0.5 * (ends[:-1] + ends[1:])
+        t = t[1:-1] if len(t) > 2 else t
+        want = np.abs(ref_explicit(spec, t)[0])
+        got = p.leading_coeff * np.abs(np.prod(t[:, None] - roots, axis=1))
+        assert np.max(np.abs(got - want) / want) <= 1e-13, spec
+        built += 1
+    assert built > len(list(explicit_specs(a))) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +274,31 @@ def test_explicit_roots_unchanged(a):
     ]
     assert all(new == old for new, old in outcomes)
     assert 1000 < sum(isinstance(old, bytes) for _, old in outcomes) < len(outcomes)
+
+
+def _masked_block_angles(t, n, m, a, maps):
+    """`_block_angles` as it was written with boolean-mask gathers and scatters."""
+    trig, hyp = maps
+    t = np.asarray(t, dtype=float)
+    x, y = np.empty_like(t), np.empty_like(t)
+    pos = t >= 0.0
+    tp, tn = t[pos], t[~pos]
+    x[pos], y[pos] = n * trig(tp), m * hyp(tp / a)
+    x[~pos], y[~pos] = m * trig(-tn / a), n * hyp(-tn)
+    return x, y
+
+
+@pytest.mark.parametrize("maps", [weight_models._FINITE_MAPS, (np.sqrt, np.sqrt)],
+                         ids=["finite", "limit"])
+@pytest.mark.parametrize("a", [0.2, 0.5, 1.0, 1.1434609861934242, 2.0, 5.0])
+def test_block_angles_equal_the_masked_form_bit_for_bit(a, maps):
+    rng = np.random.default_rng([34, int(a * 1e6)])
+    for size in (1, 15, 513, 4096):
+        t = np.concatenate([rng.uniform(-a, 1.0, size), [0.0, -0.0, 1.0, -a]])
+        for n, m in ((1, 1), (2, 5), (31, 33), (63, 1)):
+            got = weight_models._block_angles(t, n, m, a, maps)
+            want = _masked_block_angles(t, n, m, a, maps)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (size, n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +516,9 @@ def test_continuation_is_written_once():
         "bszego.szego_polys": [],
         "bszego.suites": [],
     }
-    # the angle maps, finite or their limit, are evaluated at -t in _block_angles alone,
-    # and nothing else swaps cos and cosh at t < 0
-    assert _sites(_source(weight_models), _is_continuation) == ["_block_angles"] * 2
+    # t is negated in _block_angles alone, once, for the angle maps, finite or their
+    # limit, at |t|; and nothing else swaps cos and cosh at t < 0
+    assert _sites(_source(weight_models), _is_continuation) == ["_block_angles"]
     for mod in (szego_polys, suites):
         assert _sites(_source(mod), _is_continuation) == []
     # every closed form is a product of the entire block factors: the one quotient by
@@ -548,7 +569,7 @@ _CONTINUED = """def _continued(g):
      _is_root_ladder, "explicit_eval"),
     (szego_polys, "tt = _check_domain(t, a)", "tt = np.arcsin(np.sqrt(_check_domain(t, a)))",
      _is_asin_of_sqrt, "explicit_eval"),
-    (szego_polys, "(k, _rung_sine(k, N))", "(k, math.sin(math.pi * k / (2 * N)))",
+    (szego_polys, "_rung_sine(k, N).tolist()", "np.sin(np.pi * k / (2 * N)).tolist()",
      _is_rung_sine, "_ladder"),
     (suites, "def _limit_integral(", _CONTINUED + "\n\n\ndef _limit_integral(", _is_continuation,
      "_continued"),

@@ -967,6 +967,21 @@ def test_malformed_interval_ends_are_rejected_up_front(make):
         _no_warnings(make)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("call", [
+    lambda g, tol: oracle.integrate(IntegrandSpec(g, ThetaSubstituted(1.0)), tol=tol),
+    lambda g, tol: oracle.integrate(IntegrandSpec(g, FiniteDirect(0.0, 1.0)), tol=tol),
+    lambda g, tol: oracle.improper_integral(g, tol=tol),
+    lambda g, tol: oracle.improper_integral(g, tol=tol, two_sided=True),
+], ids=["theta", "finite", "improper", "improper_two_sided"])
+def test_non_finite_tolerance_is_rejected_up_front(call, tol):
+    # a NaN tol ran to the panel budget and an infinite one took the first level unchecked
+    g, calls = _recording(lambda x: 1.0 / (1.0 + x * x))
+    with pytest.raises(ValueError, match="tol must be finite"):
+        call(g, tol)
+    assert calls == []
+
+
 def test_zero_width_interval_in_a_group_run():
     outcomes = _no_warnings(lambda: oracle._adaptive(_grouped(2, _GROUPS), 0.3, 0.3, 1e-12))
     assert len(outcomes) == len(_GROUPS)

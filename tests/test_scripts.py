@@ -102,7 +102,7 @@ def test_bench_layers_prints_every_layer_and_spec(tmp_path):
     pair_layers = ["matched_pair", "pick_eval", "densities", "boundary_moments",
                    "moment_match_all"]
     improper = ["arctan1(1.0)", "two_cosh_series(1.5, 0.7, 2)", "glaisher_theta(2.0)"]
-    primitive_layers = ["rho_eval", "xi_eta_eval"]
+    primitive_layers = ["rho_eval", "xi_eta_eval", "explicit_eval"]
     assert list(doc["layers"]) == (factor_layers + pair_layers + ["improper_integral"]
                                    + primitive_layers + ["oracle_moments"])
     points = doc["improper_integral points per call"]

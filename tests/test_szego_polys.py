@@ -23,6 +23,7 @@ from bszego.weight_models import (
     build_szego_factor,
     expected_rho_degree,
     rho_eval,
+    szego_h0,
     xi_eta_eval,
 )
 
@@ -199,7 +200,9 @@ class TestExplicitFamilies:
         p = explicit_family(spec)
         assert p.degree == 0 and p.known_roots == ()
         (constant,) = p.poly.coeffs
-        assert constant == explicit_eval(spec, np.asarray([0.731579]))[0]
+        # c_0 = const(a) h(0), where each quotient block has h(0)^2 = 2(1+a)/a = 3
+        assert szego_h0(spec) == pytest.approx(3.0, rel=1e-15)
+        assert constant == szego_polys._RECIPE[MeasureFactor.SqrtBoth][1](2.0) * szego_h0(spec)
         assert constant == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-14)
 
     def test_wrong_claimed_root_rejected(self):
@@ -210,6 +213,23 @@ class TestExplicitFamilies:
         roots[1] += 1e-3
         with pytest.raises(ValueError, match="claimed root"):
             OrthoPoly(p.poly, spec, known_roots=tuple(roots))
+
+    @pytest.mark.parametrize("spec", [
+        WeightSpec(22, 41, 1e-8, Family.SquaredCosPlusCosh, MeasureFactor.SqrtBoth),
+        WeightSpec(7, 57, 1e-8, Family.ProductCosPlusCosh, MeasureFactor.SqrtBoth, 57),
+        WeightSpec(40, 2, 1e8, Family.MixedPlusMinus, MeasureFactor.SqrtRatio, 2),
+    ], ids=["squared", "product", "mixed"])
+    def test_lead_outside_the_floats_is_rejected(self, spec):
+        # h(0) or the lead overflows, so no series holds the polynomial: its coefficients
+        # would be NaN and its lead infinite
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            explicit_family(spec)
+
+    def test_non_finite_series_rejected(self):
+        spec = spec_cpc(1, 1, 1.0)
+        for coeffs in ([math.nan, 1.0], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                OrthoPoly(ChebSeries(coeffs, 1.0), spec)
 
     def test_claimed_root_outside_the_interval_rejected(self):
         # t - 1.5 vanishes at its claimed root, which lies beyond t = 1
@@ -669,3 +689,94 @@ def test_explicit_eval_takes_the_limit_at_an_endpoint_root(spec):
     values = explicit_eval(spec, ends)
     assert np.all(np.abs(values - sign * p(ends)) <= 1e-9 * scale), (values, sign * p(ends))
     assert [explicit_eval(spec, t) for t in ends] == values.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the lead in closed form, c_k = const h(0) (times 2 for k >= 1 when s > 0), against the
+# closed form's own values over its product form
+
+# the measure of each family's distinguished polynomial
+_EXPLICIT_MEASURES = {
+    Family.CosPlusCosh: (MeasureFactor.InvSqrtBoth, MeasureFactor.SqrtBoth),
+    Family.SquaredCosPlusCosh: (MeasureFactor.SqrtBoth,),
+    Family.CoshMinusCosOverT: (MeasureFactor.InvSqrtBoth,),
+    Family.ProductCosPlusCosh: (MeasureFactor.SqrtBoth,),
+    Family.ProductCoshMinusCos: (MeasureFactor.SqrtBoth,),
+    Family.MixedPlusMinus: (MeasureFactor.SqrtRatio,),
+}
+_EXTREME_A = (1e-8, 1e-4, 1e4, 1e8)
+
+
+def _explicit_draws(family, a_of, count, seed):
+    """count seeded specs of the family with a distinguished polynomial, n + m <= 64 and
+    m' <= 65 - n, every third at the cap n + m >= 63; a from a_of(rng)."""
+    rng = np.random.default_rng([seed, list(Family).index(family)])
+    specs = []
+    while len(specs) < count:
+        n = int(rng.integers(1, 64))
+        if len(specs) % 3:
+            m = int(rng.integers(1, 65 - n))
+        else:
+            m = 64 - n - int(rng.integers(0, 2) if n < 63 else 0)
+        m_prime = None
+        if family in (Family.ProductCosPlusCosh, Family.ProductCoshMinusCos,
+                      Family.MixedPlusMinus):
+            m_prime = int(rng.integers(1, 65 - n))
+            m_prime += (m + m_prime) % 2
+        measures = _EXPLICIT_MEASURES[family]
+        spec = WeightSpec(n, m, a_of(rng), family,
+                          measures[int(rng.integers(len(measures)))], m_prime)
+        try:
+            szego_polys._distinguished(spec)
+        except ParityError:
+            continue
+        specs.append(spec)
+    return specs
+
+
+def _product_form_leads(spec, roots):
+    """|explicit_eval(t)/prod (t - r)| at the midpoints between adjacent roots (between the
+    roots and the ends when there are fewer than two), where it is a normal float:
+    away from every root, and from the ends, where asin sqrt near 1 is ill-conditioned."""
+    ends = np.concatenate([[-spec.a], np.sort(roots), [1.0]])
+    mids = 0.5 * (ends[:-1] + ends[1:])
+    t = mids[1:-1] if len(mids) > 2 else mids
+    with np.errstate(all="ignore"):
+        values = np.abs(explicit_eval(spec, t))
+        product = np.abs(np.prod(t[:, None] - roots, axis=1))
+        lead = values / product
+    return lead[(lead > 1e-300) & (lead < 1e300)]
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_closed_form_lead_against_the_product_form(family):
+    sample = _explicit_draws(family, lambda rng: float(np.exp(rng.uniform(np.log(0.2),
+                                                                          np.log(5.0)))), 30, 34)
+    extreme = {a: _explicit_draws(family, lambda rng, a=a: a, 8, 35) for a in _EXTREME_A}
+    compared = []
+    for spec in sample + [spec for specs in extreme.values() for spec in specs]:
+        roots = np.asarray(szego_polys._explicit_roots(spec))
+        leads = _product_form_leads(spec, roots)
+        # c_k is the lead times ((1+a)/2)^k 2^(1-k): a series holds it where that power is
+        # a float and the closed form has values to read the lead from
+        if not (leads.size and len(roots) * math.log(0.5 * (1.0 + spec.a)) < 700.0):
+            continue
+        p = explicit_family(spec)
+        assert np.max(np.abs(leads / p.leading_coeff - 1.0)) <= 1e-12, spec
+        compared.append(spec)
+    assert set(sample) <= set(compared)
+    assert {spec.a for spec in compared} >= set(_EXTREME_A)
+
+
+def test_explicit_family_evaluates_no_closed_form(monkeypatch):
+    # the lead is read from h(0), not from a probe evaluation of the closed form
+    def refuse(*args):
+        raise AssertionError("explicit_family evaluated the closed form")
+
+    specs = [spec for family in Family
+             for spec in _explicit_draws(family, lambda rng: 1.3, 3, 36)]
+    want = [explicit_family(spec).poly.coeffs for spec in specs]
+    monkeypatch.setattr(szego_polys, "explicit_eval", refuse)
+    monkeypatch.setattr(szego_polys, "continued_block", refuse)
+    assert all(np.array_equal(explicit_family(spec).poly.coeffs, w)
+               for spec, w in zip(specs, want))

@@ -2,11 +2,12 @@ import cmath
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bszego import weight_models
+from bszego import oracle, weight_models
 from bszego.errors import (BszegoError, DomainError, FactorizationResidual, ParityError, RootInDisk,
                            SymmetryViolation)
 from bszego.poly_core import RealPolynomial
@@ -18,6 +19,7 @@ from bszego.weight_models import (
     continued_block,
     expected_rho_degree,
     rho_eval,
+    szego_h0,
     xi_eta_eval,
 )
 from reference_roots import poly_roots
@@ -686,3 +688,45 @@ class TestOneBlockEvaluation:
             a = spec.a
             t = np.clip(0.5 * ((1.0 - a) + (1.0 + a) * np.cos(theta)), -a, 1.0)
             assert rho.tobytes() == rho_eval(spec, t).tobytes()
+
+
+class TestSzegoH0:
+    """h(0) in closed form, per block: (1+a)^(n+m)/(2a^m) plus, 2(1+a)^(n+m-1)/a^m quotient."""
+
+    @pytest.mark.parametrize("spec, h0_squared", [
+        (WeightSpec(1, 1, 1.0), 2.0),
+        (WeightSpec(2, 3, 0.5), 1.5 ** 5 / (2 * 0.5 ** 3)),
+        (WeightSpec(2, 3, 0.5, Family.CoshMinusCosOverT), 2 * 1.5 ** 4 / 0.5 ** 3),
+        (WeightSpec(2, 3, 0.5, Family.SquaredCosPlusCosh), (1.5 ** 5 / (2 * 0.5 ** 3)) ** 2),
+        (WeightSpec(2, 3, 2.0, Family.ProductCosPlusCosh, m_prime=5),
+         3.0 ** 5 / (2 * 2.0 ** 3) * 3.0 ** 7 / (2 * 2.0 ** 5)),
+        (WeightSpec(2, 3, 2.0, Family.ProductCoshMinusCos, m_prime=1),
+         2 * 3.0 ** 4 / 2.0 ** 3 * 2 * 3.0 ** 2 / 2.0),
+        (WeightSpec(2, 3, 2.0, Family.MixedPlusMinus, m_prime=1),
+         3.0 ** 5 / (2 * 2.0 ** 3) * 2 * 3.0 ** 2 / 2.0),
+    ], ids=lambda v: v.family.value if isinstance(v, WeightSpec) else "")
+    def test_block_products(self, spec, h0_squared):
+        assert szego_h0(spec) ** 2 == pytest.approx(h0_squared, rel=1e-14)
+
+    @pytest.mark.parametrize("spec", [WeightSpec(1, 63, 1e8), WeightSpec(2, 61, 1e-8)])
+    def test_plain_powers_out_of_range(self, spec):
+        # (1+a)^64 overflows and a^61 underflows, but h(0) itself is a float
+        n, m, a = spec.n, spec.m, mpmath.mpf(spec.a)
+        with mpmath.workdps(40):
+            want = float(mpmath.sqrt((1 + a) ** (n + m) / (2 * a ** m)))
+        assert szego_h0(spec) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("family", [Family.CosPlusCosh, Family.CoshMinusCosOverT])
+    def test_against_jensens_formula(self, family):
+        # log h(0) = (1/2 pi) int_0^pi log rho d theta for h zero-free in the disk (Szego,
+        # Orthogonal Polynomials, AMS 1939, ch. X): the oracle's mean, which reads neither
+        # the factor nor the closed form
+        rng = np.random.default_rng([34, family is Family.CosPlusCosh])
+        for _ in range(6):
+            n = int(rng.integers(1, 64))
+            spec = WeightSpec(n, int(rng.integers(1, 65 - n)),
+                              float(np.exp(rng.uniform(math.log(0.2), math.log(5.0)))), family)
+            mean, _ = oracle.integrate(oracle.IntegrandSpec(
+                lambda t: np.log(rho_eval(spec, t)), oracle.ThetaSubstituted(spec.a, -1)),
+                tol=1e-14)
+            assert szego_h0(spec) == pytest.approx(math.exp(mean / (2.0 * math.pi)), rel=1e-12)
