@@ -15,7 +15,9 @@ JSON). A grid is invalid when it names an axis its suite does not declare,
 gives an axis a value of the wrong kind, lists no cell, or lists a cell past
 the n + m <= 64 cap; `bszego.suites` declares each suite's axes once and
 checks grids from that declaration.  These config and tolerance errors, an
-unknown suite id among them, are found before any suite runs.
+unknown suite id among them, are found before any suite runs.  A config's
+suites list runs each listed suite once, and the records come sorted as
+those of one run_verify call do.
 """
 from __future__ import annotations
 
@@ -106,9 +108,9 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"unknown output format {fmt!r}; known: {sorted(_RENDERERS)}")
     grids = config.get("grids", {})
     tolerances = config.get("tolerances", {})
-    records: List[VerificationRecord] = []
-    for s in suites:
-        records.extend(run_verify(s, grids=grids, tolerances=tolerances, tol_override=args.tol))
+    records = [r for s in dict.fromkeys(suites)  # each listed suite once
+               for r in run_verify(s, grids=grids, tolerances=tolerances, tol_override=args.tol)]
+    records.sort(key=lambda r: r.sort_key())
     rendered = _RENDERERS[fmt](records)
     out_path = args.out or output.get("path")
     if out_path:
@@ -164,7 +166,7 @@ def _cmd_report(args) -> int:
         )
         for i, r in enumerate(raw)
     ]
-    records.sort(key=lambda r: (r.theorem_id, json.dumps(r.params, sort_keys=True)))
+    records.sort(key=lambda r: r.sort_key())
     sys.stdout.write(_RENDERERS[args.format](records))
     return 0 if all(r.passed for r in records) else 1
 

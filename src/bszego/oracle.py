@@ -13,30 +13,31 @@ and Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev. 56,
 2014). Such integrals take the trapezoid rule, doubled until two successive
 rules agree. So does the plain dt measure, dt = (1+a)/2 sin(theta) d(theta):
 when g carries the factor sqrt((1-t)(a+t)), as every plain-dt integrand of
-the suites does, the substituted integrand is smooth and even too. A level
-whose node sum is not finite (it holds a sample that is not finite, or finite
-samples that overflow the sum), or no agreement by _TRAP_MAX intervals,
-sends a theta integral back to adaptive bisection. So a plain-dt integrand
-that is smooth in t (an |sin(theta)| kink, on which the trapezoid converges
-like 1/N^2) costs up to _TRAP_MAX trapezoid points first, the same bound as
-the other weights. Finite intervals and infinite ranges always use bisection.
+the suites does, the substituted integrand is smooth and even too. These
+three weights, ThetaSubstituted's weight powers -1, +1 and 0, are the only
+ones it takes. A level whose node sum is not finite (it holds a sample that
+is not finite, or finite samples that overflow the sum), or no agreement by
+_TRAP_MAX intervals, sends a theta integral back to adaptive bisection. So a
+plain-dt integrand that is smooth in t (an |sin(theta)| kink, on which the
+trapezoid converges like 1/N^2) costs up to _TRAP_MAX trapezoid points
+first, the same bound as the other weights. Finite intervals and infinite
+ranges always use bisection.
 
 An evaluator call costs far more to start than per point, and most
 integrals stop after a few refinement levels, so an integral's first call
 holds every point of its first levels, up to _FIRST_CALL points: the nodes
-of the nested trapezoid rules T_64 ... T_512, which share their nodes, or
-the complete bisection tree down to 16 panels (31 panels). The levels are
-then checked in turn, each for a node sum that is not finite and for
-convergence; a trapezoid table's node sums are all taken at once. Only the
-levels below the table call the evaluator again.
+j pi/512, j = 0 ... 512, of T_512, which hold those of every coarser rule
+T_64 ... T_256 as a strided slice, or the complete bisection tree down to 16
+panels (31 panels). The levels are then checked in turn, each for a node sum
+that is not finite and for convergence; the node sums of the trapezoid
+levels a first call holds are all taken at once. Only the levels below the
+first call call the evaluator again.
 
 Below the first call, bisection runs one depth level at a time: both halves
 of every panel still open at that depth are evaluated together, so an
 evaluator is called once per level rather than once per panel. Each panel is
 still accepted or split on its own, so the accepted panels are those a
 depth-first refinement would accept, and they are summed in position order.
-A panel's 15-point sum is an elementwise product summed over its own nodes,
-so it does not depend on how many panels share the call.
 
 Evaluators may be vector-valued: an evaluator mapping an array of points of
 shape (npts,) to shape (npts,) or (npts, K) integrates K components in one
@@ -50,8 +51,9 @@ value per call is multiplied out of place.
 Every sum over nodes is taken in an order that the table's shape fixes, so
 it depends only on the values: not on the memory layout of the evaluator's
 table, and not on how many levels or panels share a call. A trapezoid
-level's samples are summed by numpy's pairwise sum along a contiguous node
-axis (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+level's samples are summed by numpy's pairwise sum along the last, node
+axis of a node-major table, or of a strided slice of it that holds one
+level (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
 sec. 4.2): the table is made node-major once per call (_node_major), which
 reads a node-contiguous table, such as the (npts, K) transpose view of K
 node rows, in place, and copies a C-ordered one, whose sum over axis 0
@@ -112,9 +114,9 @@ _TRAP_START = 64  # exact for cos(k theta), k < 128: any polynomial in t of degr
 _TRAP_MAX = 2 ** 17
 _TRAP_CHUNK = 4096  # points per evaluator call on either path, bounding (npts, K) arrays
 # Points of an integral's first evaluator call (no more than _TRAP_CHUNK): the nodes of
-# T_64 ... T_512 (513), or the complete bisection tree down to 16 panels (31 panels, 465
-# points).  A call costs far more to start than per point, so the refinement levels most
-# integrals stop at share one.
+# T_512 (513), which hold those of T_64 ... T_256, or the complete bisection tree down to
+# 16 panels (31 panels, 465 points).  A call costs far more to start than per point, so
+# the refinement levels most integrals stop at share one.
 _FIRST_CALL = 513
 _FOURIER_POINTS = 4096  # uniform samples per fourier_coeff
 
@@ -125,30 +127,10 @@ def _midpoints(n, start=0, stop=None):
     return (np.arange(start, n if stop is None else stop) + 0.5) * (np.pi / n)
 
 
-def _table_top():
-    """The finest trapezoid rule whose nodes an integral's first call holds: T_64's, or
-    each doubling's while its 2N + 1 nodes fit _FIRST_CALL points."""
-    top = _TRAP_START
-    while 2 * top + 1 <= _FIRST_CALL:
-        top *= 2
-    return top
-
-
-def _theta_table():
-    """The first call's theta nodes in table order: T_64's, then the midpoints that each
-    doubling to T_top adds, so the first N + 1 of them are T_N's nodes for every rule N
-    in the table."""
-    n, top = _TRAP_START, _table_top()
-    nodes = [np.linspace(0.0, np.pi, n + 1)]
-    while n < top:
-        nodes.append(_midpoints(n))
-        n *= 2
-    theta = np.concatenate(nodes)
-    theta.flags.writeable = False
-    return theta
-
-
-_THETA = _theta_table()  # built once, read-only
+# T_512's nodes j pi/512, built once, read-only: T_N's are its stride-(512/N) slice, and
+# the midpoints that T_2N adds the slice of that stride from 256/N
+_THETA = np.linspace(0.0, np.pi, 513)
+_THETA.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -156,8 +138,9 @@ class ThetaSubstituted:
     """Interval [-a, 1] with t = ((1-a) + (1+a) cos(theta))/2, theta in [0, pi].
 
     The integral computed is  int_{-a}^{1} g(t) * K(t) dt  with
-    K = ((1-t)(a+t))^(weight_power/2); the substitution turns K dt into a
-    smooth function of theta (weight_power -1 gives plain d(theta)).
+    K = ((1-t)(a+t))^(weight_power/2), weight_power -1, 0 or +1; the
+    substitution turns K dt into a smooth function of theta (weight_power -1
+    gives plain d(theta)).
     """
 
     a: float
@@ -166,6 +149,9 @@ class ThetaSubstituted:
     def __post_init__(self):
         if not (np.isfinite(self.a) and -self.a < 1.0):
             raise ValueError(f"ThetaSubstituted needs a finite a with -a < 1, not {self.a!r}")
+        if self.weight_power not in (-1, 0, 1):
+            raise ValueError(f"ThetaSubstituted takes weight_power -1, 0 or +1, "
+                             f"not {self.weight_power!r}")
 
 
 @dataclass(frozen=True)
@@ -268,9 +254,11 @@ def _adaptive(f, lo, hi, tol):
     every panel some group still holds are evaluated in calls of at most
     _TRAP_CHUNK points, so the evaluator is called about once per level.
     Each group's accepted panels are those of a depth-first refinement of
-    that group alone; their values and their refinement changes / 15 are
-    summed in position order, so value and err_est agree with the
-    depth-first sums to rounding, whatever the first call holds.
+    that group alone; they are kept per level as (left end, group, value,
+    refinement change), and their values and changes / 15 are summed in
+    position order, so value and err_est agree with the depth-first sums to
+    rounding, whatever the first call holds.  One group takes the same path
+    as many.
     """
     a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
     width = b[0] - a[0]
@@ -282,27 +270,22 @@ def _adaptive(f, lo, hi, tol):
         tree_lo.append(half_lo)
         tree_hi.append(half_hi)
     tree = _panels(f, np.concatenate(tree_lo), np.concatenate(tree_hi))
-    first = tree[:1]
-    grouped = first.ndim == 3
-    one = first.shape[2:] if grouped else first.shape[1:]  # one group's value
+    grouped = tree.ndim == 3
+    one = tree.shape[2:] if grouped else tree.shape[1:]  # one group's value
 
     def out(v):
         return v.reshape(one)[()]
 
-    coarse = _by_group(first)
+    coarse = _by_group(tree[:1])
     groups = coarse.shape[1]
     share = tol * np.fmax(1.0, np.abs(coarse[0]).max(axis=1))  # (G,); a NaN coarse value gives tol
-    live = True  # live[p, g]: group g still holds panel p (at first, every group every panel)
+    live = np.ones((1, groups), dtype=bool)  # live[p, g]: group g still holds panel p
     failed = {}  # NoConvergence by group
-    # accepted (panel, group) pairs as flat indices into the (panel, group) pairs of every
-    # level in turn, with their values and refinement changes; sorted once at the end
-    los, done_pair, done_val, done_diff = [], [], [], []
-    seen = accepted = 0
+    accepted, kept = [], 0  # per level, (left ends, groups, values, changes); how many in all
     place = np.zeros(1, dtype=int)  # the open panels' positions in their tree level
 
-    def accepted_pairs():
-        """The accepted pairs so far, as (panel, group)."""
-        return np.divmod(np.concatenate(done_pair), groups)
+    def joined():
+        return [np.concatenate(column) for column in zip(*accepted)]
 
     for depth in range(_MAX_DEPTH + 1):
         half_lo, half_hi = _halves(a, b)
@@ -316,13 +299,10 @@ def _adaptive(f, lo, hi, tol):
         # a panel's fraction of the width; a zero-width interval's one panel holds all of it
         frac = np.divide(b - a, width, out=np.ones_like(a), where=width != 0.0)
         budget = share * np.maximum(frac, 1e-6)[:, None]
-        if depth < _MAX_DEPTH:
-            done = diff <= 0.25 * budget
-        else:  # the last level accepts every panel
-            done = np.ones(diff.shape, dtype=bool)
-        if groups > 1:  # a single group holds every panel it has not accepted
-            done &= live
-        if depth == _MAX_DEPTH:  # ... and ends a group with a panel past its whole share
+        # a group accepts the panels it holds that bisecting hardly changed; the last level
+        # accepts all of them, and ends a group with a panel past its whole share
+        done = live & (diff <= 0.25 * budget) if depth < _MAX_DEPTH else live
+        if depth == _MAX_DEPTH:
             for p, g in zip(*np.nonzero(done & (diff > budget))):  # its first such panel first
                 if g not in failed:
                     failed[g] = NoConvergence(
@@ -330,38 +310,29 @@ def _adaptive(f, lo, hi, tol):
                         best=out(fine[p, g]),
                         err_est=diff[p, g],
                     )
-        pair = done.ravel().nonzero()[0]
-        los.append(a)
-        done_pair.append(pair + seen)
-        done_val.append(fine.reshape(-1, fine.shape[2])[pair])
-        done_diff.append(diff.ravel()[pair])
-        seen += done.size
-        accepted += pair.size
-        open_ = ~done
-        if groups > 1:
-            open_ &= live
-        if accepted + 2 * len(a) > _MAX_PANELS:  # a group may be past its panel budget
-            slot = accepted_pairs()[1]
-            counts = (np.bincount(slot, minlength=groups)
-                      + 2 * np.bincount(np.nonzero(open_)[1], minlength=groups))
+        p, g = np.nonzero(done)
+        accepted.append((a[p], g, fine[p, g], diff[done]))
+        kept += p.size
+        open_ = live & ~done
+        if kept + 2 * len(a) > _MAX_PANELS:  # a group may be past its panel budget
+            _, slot, values, changes = joined()
+            counts = np.bincount(slot, minlength=groups) + 2 * open_.sum(axis=0)
             for g in np.flatnonzero(counts > _MAX_PANELS).tolist():
                 mine, rows = slot == g, open_[:, g]
-                best = np.concatenate(done_val)[mine].sum(axis=0) + fine[rows, g].sum(axis=0)
-                err = np.concatenate(done_diff)[mine].sum() / 15.0 + diff[rows, g].sum()
+                best = values[mine].sum(axis=0) + fine[rows, g].sum(axis=0)
+                err = changes[mine].sum() / 15.0 + diff[rows, g].sum()
                 failed[g] = NoConvergence(f"more than {_MAX_PANELS} panels at depth {depth}",
                                           best=out(best), err_est=err)
                 open_[rows, g] = False
-        held = open_.any(axis=1) if groups > 1 else open_[:, 0]
+        held = open_.any(axis=1)
         if not held.any():
             break
         split = np.repeat(held, 2)
         a, b, coarse, place = half_lo[split], half_hi[split], halves[split], kids[split]
-        if groups > 1:
-            live = np.repeat(open_[held], 2, axis=0)
-    panel, slot = accepted_pairs()
-    order = np.lexsort((np.concatenate(los)[panel], slot))
-    values = np.concatenate(done_val)[order]
-    errs = np.concatenate(done_diff)[order] / 15.0
+        live = np.repeat(open_[held], 2, axis=0)
+    los, slot, values, changes = joined()
+    order = np.lexsort((los, slot))
+    values, errs = values[order], changes[order] / 15.0
     outcomes, start = [], 0
     for g, count in enumerate(np.bincount(slot, minlength=groups).tolist()):
         end = start + count
@@ -416,35 +387,32 @@ def _periodic(g, tol):
     """Trapezoid rule on [0, pi] for an even 2pi-periodic g; returns (value, err_est) or None.
 
     Starts at _TRAP_START intervals; each doubling adds only the new
-    midpoints.  The nodes of every rule up to _FIRST_CALL points, T_64's and
-    the midpoints of each doubling to T_512 (_THETA, built at import, which a
-    later change of _FIRST_CALL may shorten but not lengthen), come from one
-    evaluator call in that order, and the node sums of all of the table's
-    levels are taken at once; later doublings call the evaluator for theirs,
-    a chunk at a time (_chunk_sums).  Each level's samples are summed pairwise
-    along the node-major table's contiguous node axis.  Accepts when
-    max|T_2N - T_N| <= tol * (1 + max|T_2N|) and returns T_2N with that
-    difference as its error estimate.  None when the node sum of a level that
-    is reached (T_64's nodes, a doubling's midpoints in the table, or a chunk
-    of them below it) is not finite, or no doubling up to _TRAP_MAX intervals
-    is accepted.  A sum is finite only if every sample in it is, so no table
-    of finiteness flags is built; finite samples whose sum overflows end in
-    bisection as well.  Overflow and inf - inf in a node sum are such handled
-    cases and warn nothing; the evaluator is always called outside that
-    silence, so its own warnings reach the caller.
+    midpoints.  The first evaluator call takes the nodes of the finest rule
+    in _THETA that fits _FIRST_CALL points, T_512's, and T_64's nodes and each
+    doubling's midpoints are strided slices of them, whose node sums are all
+    taken at once; later doublings call the evaluator a chunk at a time
+    (_chunk_sums).  Accepts when max|T_2N - T_N| <= tol * (1 + max|T_2N|) and
+    returns T_2N with that difference as its error estimate.  None when the
+    node sum of a level that is reached is not finite, or no doubling up to
+    _TRAP_MAX intervals is accepted.  A sum is finite only if every sample in
+    it is, so no table of finiteness flags is built; finite samples whose sum
+    overflows end in bisection as well.  Overflow and inf - inf in a node sum
+    are such handled cases and warn nothing; the evaluator is always called
+    outside that silence, so its own warnings reach the caller.
     """
-    n = _TRAP_START
-    top = min(_table_top(), _THETA.size - 1)  # the finest rule in the table
-    table = _node_major(g(_THETA[:top + 1]))
+    top = n = _TRAP_START
+    while 2 * top + 1 <= min(_FIRST_CALL, _THETA.size):
+        top *= 2
+    table = _node_major(g(_THETA[::(_THETA.size - 1) // top]))
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = [table[..., :n + 1].sum(axis=-1)]
-        k = n
-        while k < top:
-            sums.append(table[..., k + 1:2 * k + 1].sum(axis=-1))
-            k *= 2
+        sums = [table[..., ::top // n].sum(axis=-1)]
+        step = top // n  # T_N's nodes are the stride-(top/N) slice
+        while step > 1:
+            sums.append(table[..., step // 2::step].sum(axis=-1))
+            step //= 2
     if not np.all(np.isfinite(sums[0])):
         return None
-    total = sums[0] - 0.5 * (table[..., 0] + table[..., n])
+    total = sums[0] - 0.5 * (table[..., 0] + table[..., -1])
     coarse = total * (np.pi / n)
     table_levels = iter(sums[1:])
     while n < _TRAP_MAX:
@@ -472,13 +440,13 @@ def _floored_tol(tol) -> float:
 def integrate(spec: IntegrandSpec, tol: float = 1e-10):
     """Integrate spec; returns (value, err_est).
 
-    ThetaSubstituted integrals take the doubling trapezoid rule of
-    _periodic, whose err_est is the change of the last doubling; when a
-    sample is not finite or no doubling settles by _TRAP_MAX intervals they
-    fall back to adaptive bisection, which a weight_power below -1 takes at
-    once.  The rule converges geometrically when the substituted integrand
-    is smooth: for weight_power -1 or +1 when g is smooth, for 0 when g
-    carries sqrt((1-t)(a+t)).  FiniteDirect intervals use adaptive
+    ThetaSubstituted integrals, of weight_power -1, 0 or +1, take the
+    doubling trapezoid rule of _periodic, whose err_est is the change of the
+    last doubling; when a reached level's node sum is not finite or no
+    doubling settles by _TRAP_MAX intervals they fall back to adaptive
+    bisection.  The rule converges geometrically when the substituted
+    integrand is smooth: for weight_power -1 or +1 when g is smooth, for 0
+    when g carries sqrt((1-t)(a+t)).  FiniteDirect intervals use adaptive
     bisection, whose err_est is the sum of the accepted panels' refinement
     changes / 15.
     err_est <= tol * (1 + |value|) on success; NoConvergence carries the best
@@ -488,8 +456,7 @@ def integrate(spec: IntegrandSpec, tol: float = 1e-10):
     f, iv = spec.evaluator, spec.interval
     if isinstance(iv, ThetaSubstituted):
         g = _theta_integrand(f, iv.a, iv.weight_power)
-        # the trapezoid samples theta = 0 and pi, where a weight_power below -1 makes g infinite
-        found = _periodic(g, tol) if iv.weight_power >= -1 else None
+        found = _periodic(g, tol)
         value, err = found if found is not None else _adaptive(g, 0.0, np.pi, tol)
     elif isinstance(iv, FiniteDirect):
         value, err = _adaptive(f, iv.lo, iv.hi, tol)

@@ -11,8 +11,8 @@ record passes iff its error is within its tolerance.
 One runner does the rest: per-cell timing, the records, tolerance resolution
 (``tol_override`` > ``tolerances[suite]`` > the default), the sort and the
 dispatch.  A few checks keep a fixed tolerance; the limiting series use
-``tol * (1 + |series|)``.  Random sampling is seeded, so a configuration
-always gives the same records.
+``tol * (1 + |series|)``.  Random sampling is seeded, each cell from its own
+params, so a record does not depend on the other cells a grid lists.
 
 Fault isolation.  A cell that raises a BszegoError yields one failed record
 (closed_form 0, oracle_value and abs_error inf, the cell's tolerance) whose
@@ -67,6 +67,10 @@ class VerificationRecord:
     passed: bool
     runtime_ms: int
     error: Optional[str] = None  # exception class of a cell that raised
+
+    def sort_key(self):
+        """The order of records in a run and in a report: theorem id, then params."""
+        return self.theorem_id, json.dumps(self.params, sort_keys=True)
 
     def core_dict(self) -> dict:
         """The fields that repeat exactly from run to run, in field order."""
@@ -338,7 +342,7 @@ def _gen_fn_beta(n, m, a):
 # cancellation of the inverse transform pushed a near-circle root pair inside
 # the disk there.  The winding-number certificate accepts it now, but adding
 # it changes the sweep's pinned records, so it waits for a widening of the grid.
-_PLUS, _MINUS = Family.CosPlusCosh, Family.CoshMinusCosOverT
+_PLUS, _MINUS = Family.CosPlusCosh.value, Family.CoshMinusCosOverT.value
 _FACTOR_GRID = (
     [(_PLUS, n, m, _A) for n, m in [(1, 1), (1, 3), (3, 5), (2, 4), (5, 2), (3, 3), (7, 9)]]
     + [(_PLUS, 15, 17, _A), (_PLUS, 29, 31, [0.5]), (_PLUS, 31, 33, [1.0, 2.0])]
@@ -350,8 +354,7 @@ _FACTOR_GRID = (
 def _fejer_riesz_cells(grid, tol):
     for family, n, m, a_list in grid["combos"]:
         for a in a_list:
-            # a config's combos name the family by its string value, the default grid by member
-            params = {"family": Family(family).value, "n": n, "m": m, "a": a}
+            params = {"family": family, "n": n, "m": m, "a": a}
             yield _Cell("fejer_riesz", params, _fejer_riesz, tol)
 
 
@@ -495,21 +498,16 @@ def _tsgf_cells(grid, tol):
         yield _Cell("tsgf", {"n": n}, partial(trig.tsgf_fourier_check, R=grid["R"]), tol)
 
 
-@_source({"k": list(range(1, 9)), "c": [0.0, 0.3, 0.9]})
-def _pf_cells(grid, tol):
-    rng = np.random.default_rng(_SEED)  # one stream, drawn cell after cell
-    for k in grid["k"]:
-        for c in grid["c"]:
-            yield _Cell("pf_T", {"k": k, "c": c}, partial(_pf_T, rng), tol)
-        yield _Cell("pf_U", {"k": k}, partial(_pf_U, rng), tol)
-
-
-def _pf_T(rng, k, c):
-    lhs, rhs = trig.pf_reciprocal_T(k, rng.uniform(0.0, math.pi, 100), c)
+@_cells("pf_T", {"k": list(range(1, 9)), "c": [0.0, 0.3, 0.9]})
+def _pf_T(k, c):
+    theta = np.random.default_rng(_SEED + 23 * k).uniform(0.0, math.pi, 100)  # every c of a k
+    lhs, rhs = trig.pf_reciprocal_T(k, theta, c)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _pf_U(rng, k):
+@_cells("pf_U", {"k": list(range(1, 9))})
+def _pf_U(k):
+    rng = np.random.default_rng(_SEED + 23 * k + 1)
     draws = rng.uniform([-2.0, -1.5], [2.0, 1.5], size=(100, 2))  # 100 (Re z, Im z) pairs
     z = draws[:, 0] + 1j * draws[:, 1]
     poles = np.cos(np.pi * np.arange(1, 2 * k + 1) / k)
@@ -518,14 +516,9 @@ def _pf_U(rng, k):
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
-@_source({"n": list(range(1, 9)), "m": [1, 3, 5, 7, 9]})
-def _proof_ids_cells(grid, tol):
-    rng = np.random.default_rng(_SEED + 5)  # one stream, drawn cell after cell
-    for p in _product(grid, ["n", "m"]):
-        yield _Cell("proof_ids", p, partial(_proof_ids, rng), tol)
-
-
-def _proof_ids(rng, n, m):
+@_cells("proof_ids", {"n": list(range(1, 9)), "m": [1, 3, 5, 7, 9]})
+def _proof_ids(n, m):
+    rng = np.random.default_rng(_SEED + 17 * n + m)
     worst = 0.0
     for u in range(-n + 1, n):
         z = float(rng.uniform(0.05, 2.5))
@@ -680,9 +673,9 @@ _REGISTRY = {
     "353m": (12, 1e-8, [_ramanujan_353, _q_f_symmetry]),
     "tt": (13, 1e-8, [_theta_integral]),
     "tsgf": (13, 1e-7, [_tsgf_cells]),
-    "pf": (14, 1e-10, [_pf_cells]),
+    "pf": (14, 1e-10, [_pf_T, _pf_U]),
     "limiting": (15, 1e-6, [_limiting_cells]),
-    "proof_ids": (16, 1e-12, [_proof_ids_cells]),
+    "proof_ids": (16, 1e-12, [_proof_ids]),
 }
 SUITES: Dict[str, Callable] = {sid: _suite(tol, src) for sid, (_, tol, src) in _REGISTRY.items()}
 # acceptance-criterion coverage (criterion index by suite)
@@ -717,7 +710,7 @@ _KINDS = {
     **dict.fromkeys(["n", "m", "k"], ("positive integers", _positive_int, False)),
     **dict.fromkeys(["nu", "n_even"], ("positive even integers", _even, False)),
     "n_form1": ("positive odd integers", _odd, False),
-    "n_plus_m_max": ("a positive integer", _positive_int, True),
+    "n_plus_m_max": ("a positive integer or null", lambda v: v is None or _positive_int(v), True),
     "R": (f"a positive integer at most {trig.TSGF_R_MAX}",
           lambda v: _positive_int(v) and v <= trig.TSGF_R_MAX, True),
     **dict.fromkeys(["a", "alpha", "cmc_alpha"], ("finite positive reals", _real, False)),
@@ -727,7 +720,7 @@ _KINDS = {
     "combos": ("[family, n, m, [a, ...]] entries with a known family, positive integers n, m "
                "and finite positive reals a",
                lambda v: isinstance(v, (list, tuple)) and len(v) == 4
-               and (isinstance(v[0], Family) or v[0] in [f.value for f in Family])
+               and v[0] in [f.value for f in Family]
                and _positive_int(v[1]) and _positive_int(v[2])
                and isinstance(v[3], (list, tuple)) and all(map(_real, v[3])), False),
 }
@@ -813,5 +806,5 @@ def run_verify(
     for name in names:
         tol = tol_override if tol_override is not None else tolerances.get(name)
         records.extend(SUITES[name](grids.get(name, {}), tol))
-    records.sort(key=lambda r: (r.theorem_id, json.dumps(r.params, sort_keys=True)))
+    records.sort(key=lambda r: r.sort_key())
     return records

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bszego import suites
+from bszego import cli, suites
 from bszego.cli import main, records_to_csv, records_to_json, records_to_text
 from bszego.suites import SUITE_CRITERIA, SUITES, VerificationRecord, run_verify
 from bszego.weight_models import Family
@@ -518,10 +518,10 @@ def test_grid_axes_are_read_from_the_declaration():
     # with a default of its own
     source = Path(suites.__file__).read_text()
     assert _grid_get_owners(source) == []
-    before = '    for k in grid["k"]:\n        for c in grid["c"]:'
+    before = '    for k in grid["k"]:\n        yield _Cell("vanishing_moment"'
     assert source.count(before) == 1
     mutated = source.replace(before, before.replace('grid["k"]', 'grid.get("k", [1, 2])'))
-    assert _grid_get_owners(mutated) == ["_pf_cells"]
+    assert _grid_get_owners(mutated) == ["_limiting_cells"]
 
 
 def _readme_table(header):
@@ -549,10 +549,74 @@ def test_readme_grid_axes_match_the_declarations():
         declared[name] = {}
         for source in sources:
             for axis, default in source.axes.items():
-                default = json.loads(json.dumps(default, default=lambda f: f.value))
+                default = json.loads(json.dumps(default))
                 # a suite's sources that share an axis share its default
                 assert declared[name].setdefault(axis, default) == default
     assert documented == declared
+
+
+def _listed_cells(suite, grid):
+    return [(cell.theorem_id, cell.params)
+            for cell in suites._listed(suites._REGISTRY[suite][2], grid, None)]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_the_declared_defaults_as_a_config_grid_list_the_default_cells(suite):
+    # each suite's declared axes, written to JSON as a config would (n_plus_m_max null
+    # among them), pass the grid check and list the cells of the default run
+    grid = json.loads(json.dumps({axis: default for source in suites._REGISTRY[suite][2]
+                                  for axis, default in source.axes.items()}))
+    suites._check_grids({suite: grid})
+    assert _listed_cells(suite, grid) == _listed_cells(suite, {})
+
+
+def test_a_null_cap_in_a_config_means_no_bound(capsys, tmp_path):
+    # before, null, the default of eight suites' n_plus_m_max, was rejected with exit 2
+    cfg = _write(tmp_path / "cfg.json", json.dumps({
+        "suites": ["tt"], "grids": {"tt": {"n": [3], "m": [3, 5], "n_plus_m_max": None}}}))
+    code, out, _ = run_cli(capsys, "verify", "--config", cfg, "--format", "text")
+    assert code == 0 and "2/2 passed" in out
+
+
+def test_listed_suites_run_once_each_and_their_records_come_sorted(capsys, tmp_path):
+    # before, a suite listed twice ran twice ("2/2 passed" for one cell), and records
+    # came in list order
+    grids = {"tt": {"n": [3], "m": [3, 5]}, "353m": {"n": [2], "k": [1], "nu": [2]}}
+    cfg = _write(tmp_path / "twice.json", json.dumps({
+        "suites": ["tt", "tt"], "grids": {"tt": {"n": [3], "m": [3]}}}))
+    code, out, _ = run_cli(capsys, "verify", "--config", cfg, "--format", "text")
+    assert code == 0 and out.endswith("\n1/1 passed\n")
+    cfg = _write(tmp_path / "mixed.json", json.dumps({"suites": ["tt", "353m", "tt"],
+                                                      "grids": grids}))
+    code, out, _ = run_cli(capsys, "verify", "--config", cfg, "--format", "json")
+    records = [r for s in ("353m", "tt") for r in run_verify(s, grids=grids)]
+    assert [r.theorem_id for r in records] == ["353m", "353m_qf", "tt", "tt"]
+    assert code == 0 and json.loads(out)["records"] == [r.core_dict() for r in records]
+
+
+def test_records_sort_by_their_own_key_when_the_class_name_is_rebound(capsys, monkeypatch):
+    # a caller may rebind VerificationRecord in the package's modules to a stamping
+    # constructor wrapper, as perfbench's sweep does; sorting reads each record's method
+    def stamped(*args, **kwargs):
+        return VerificationRecord(*args, **kwargs)
+
+    for module in (suites, cli):
+        monkeypatch.setattr(module, "VerificationRecord", stamped)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "corollary_B", "--format", "text")
+    assert code == 0 and "6/6 passed" in out
+
+
+@pytest.mark.parametrize("suite", ["pf", "proof_ids"])
+def test_a_cell_run_alone_gives_its_record_of_the_default_run(suite):
+    # each cell draws from a stream seeded by its own params; before, one stream ran
+    # through the grid, so a record moved with the cells listed before it
+    for record in run_verify(suite):
+        grid = {axis: [value] for axis, value in record.params.items()}
+        if record.theorem_id == "pf_U":
+            grid["c"] = []  # no pf_T cell beside it
+        alone = [r for r in run_verify(suite, grids={suite: grid})
+                 if r.sort_key() == record.sort_key()]
+        assert [r.core_dict() for r in alone] == [record.core_dict()]
 
 
 class TestFaultIsolation:

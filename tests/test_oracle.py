@@ -243,16 +243,16 @@ def test_a_level_sum_that_overflows_warns_nothing():
 
 
 def test_a_table_level_never_reached_neither_counts_nor_warns():
-    # exp(t) settles at T_128; the midpoints T_256 adds, the table's last 128 points, are
-    # summed with the rest of the table, but +inf and -inf there (an inf - inf sum) change
-    # nothing and warn nothing
+    # exp(t) settles at T_128; the midpoints that T_256 and T_512 add, the first call's
+    # nodes j pi/512 with j not a multiple of 4, are summed with the rest of the table,
+    # but +inf and -inf there (an inf - inf sum) change nothing and warn nothing
     def clean(t):
         return np.exp(t)
 
     def f(t):
         out = np.exp(t)
         if t.size == oracle._FIRST_CALL:
-            out[129::2], out[130::2] = np.inf, -np.inf
+            out[1::2], out[2::4] = np.inf, -np.inf
         return out
 
     want = oracle.integrate(IntegrandSpec(clean, ThetaSubstituted(1.0, -1)), tol=1e-12)
@@ -350,16 +350,11 @@ def test_every_theta_integral_takes_the_periodic_rules(monkeypatch):
     assert len(taken) == 3
 
 
-def test_weight_power_below_minus_one_takes_bisection():
-    # the periodic rules sample theta = 0, where ((1-t)(1+t))^(-1) is infinite
-    def f(t):
-        t = np.asarray(t)
-        return 1.0 - t * t
-
-    spec = IntegrandSpec(f, ThetaSubstituted(1.0, weight_power=-2))
-    val, err = _no_warnings(lambda: oracle.integrate(spec, tol=1e-12))
-    assert (val, err) == oracle._adaptive(oracle._theta_integrand(f, 1.0, -2), 0.0, math.pi, 1e-12)
-    assert val == pytest.approx(2.0, abs=1e-12)
+@pytest.mark.parametrize("power", [-3, -2, 2, 0.5])
+def test_weight_power_other_than_minus_one_zero_or_one_is_rejected(power):
+    # the three weights the periodic rules take; -2 would make g infinite at theta = 0
+    with pytest.raises(ValueError, match="weight_power"):
+        ThetaSubstituted(1.0, weight_power=power)
 
 
 def test_plain_dt_with_a_square_root_factor_settles_through_the_trapezoid():
@@ -745,20 +740,26 @@ def test_trapezoid_first_call_equals_one_level_per_call(monkeypatch, g):
     ref_value, ref_err = _one_level_per_call(monkeypatch, lambda: oracle._periodic(h, 1e-13))
     assert np.array_equal(value, ref_value) and err == ref_err
     assert batched[0].size == oracle._FIRST_CALL and reference[0].size == oracle._TRAP_START + 1
-    # the first call starts with the nodes the reference takes in its first four calls
-    first = np.concatenate(reference[:4])
-    assert np.array_equal(batched[0][:first.size], first)
+    # the first call holds, as strided slices, the nodes the reference takes in its first
+    # four calls: T_64's, then the midpoints that each doubling to T_512 adds
+    step = (oracle._FIRST_CALL - 1) // oracle._TRAP_START
+    assert np.array_equal(batched[0][::step], reference[0])
+    for call in reference[1:4]:
+        assert np.array_equal(batched[0][step // 2::step], call)
+        step //= 2
     assert [c.size for c in batched[1:]] == [c.size for c in reference[4:]]
 
 
 def test_theta_table_holds_the_nested_rules_of_the_first_call():
     theta = oracle._THETA
     assert theta.size == oracle._FIRST_CALL and not theta.flags.writeable
-    n = oracle._TRAP_START
-    while n + 1 <= theta.size:
-        j = theta[:n + 1] * (n / math.pi)  # T_n's nodes are j pi/n, j = 0..n, in table order
-        assert np.array_equal(np.sort(np.rint(j)), np.arange(n + 1.0))
+    top, n = theta.size - 1, oracle._TRAP_START
+    while n <= top:
+        j = theta[::top // n] * (n / math.pi)  # T_n's nodes are j pi/n, j = 0..n, in order
+        assert np.array_equal(np.rint(j), np.arange(n + 1.0))
         assert np.max(np.abs(j - np.rint(j))) <= 1e-12
+        if n < top:  # the midpoints T_2n adds, bit for bit those of a call below the table
+            assert np.array_equal(theta[top // (2 * n)::top // n], oracle._midpoints(n))
         n *= 2
 
 
@@ -857,20 +858,22 @@ def test_integrate_does_not_depend_on_the_layout(interval):
 def test_nan_beyond_the_reached_rules_changes_nothing():
     # exp(cos theta) settles at T_128, and a panel polynomial at the first bisection;
     # NaN at every node that only an unreached finer rule or panel holds is never read
-    def poisoned(f, size, clean):
+    def poisoned(f, size, reached):
         def g(x):
             out = np.array(f(x), dtype=float)
             if x.size == size:
-                out[clean:] = np.nan
+                unreached = np.ones(out.shape, dtype=bool)
+                unreached[reached] = False
+                out[unreached] = np.nan
             return out
         return _recording(g)
 
     smooth = lambda theta: np.exp(np.cos(theta))  # noqa: E731
-    g, calls = poisoned(smooth, oracle._FIRST_CALL, 2 * 128 + 1)  # T_512's own nodes
+    g, calls = poisoned(smooth, oracle._FIRST_CALL, slice(None, None, 4))  # T_128's nodes
     assert oracle._periodic(g, 1e-12) == oracle._periodic(smooth, 1e-12)
     assert len(calls) == 1
     cubic = lambda x: x ** 3 - x  # noqa: E731
-    g, calls = poisoned(cubic, oracle._GX.size * 31, oracle._GX.size * 3)  # levels 2 to 4
+    g, calls = poisoned(cubic, oracle._GX.size * 31, slice(oracle._GX.size * 3))  # levels 0 and 1
     assert oracle._adaptive(g, 0.0, 1.0, 1e-12) == oracle._adaptive(cubic, 0.0, 1.0, 1e-12)
     assert len(calls) == 1
 
