@@ -245,14 +245,16 @@ def test_a_level_sum_that_overflows_warns_nothing():
 def test_a_table_level_never_reached_neither_counts_nor_warns():
     # exp(t) settles at T_128; the midpoints that T_256 and T_512 add, the first call's
     # nodes j pi/512 with j not a multiple of 4, are summed with the rest of the table,
-    # but +inf and -inf there (an inf - inf sum) change nothing and warn nothing
+    # but +inf and -inf inside each of the two levels (an inf - inf sum, each) change
+    # nothing and warn nothing
     def clean(t):
         return np.exp(t)
 
     def f(t):
         out = np.exp(t)
         if t.size == oracle._FIRST_CALL:
-            out[1::2], out[2::4] = np.inf, -np.inf
+            out[1::4], out[3::4] = np.inf, -np.inf  # T_512's midpoints
+            out[2::8], out[6::8] = np.inf, -np.inf  # T_256's midpoints
         return out
 
     want = oracle.integrate(IntegrandSpec(clean, ThetaSubstituted(1.0, -1)), tol=1e-12)
