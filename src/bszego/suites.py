@@ -580,11 +580,10 @@ def _vanishing_moment(k):
 def _form1(n, a):
     def f(psi):
         t = np.sin(psi)
-        A = n * np.arcsin(t)
-        B = n * np.arcsinh(t / a)
-        return np.sin(A) * np.sinh(B) / (
-            (np.cos(2 * A) + np.cosh(2 * B)) * t * np.sqrt(1 + t * t / (a * a))
-        )
+        C, s, Ch, sh = continued_block(t * t, n, n, a * a)
+        xi, eta = C * Ch, t * t * s * sh
+        # eta/sin psi is t s sh, with no 0/0 at psi = 0
+        return t * s * sh / (2.0 * (xi * xi + eta * eta) * np.sqrt(1 + t * t / (a * a)))
 
     spec = oracle.IntegrandSpec(f, oracle.FiniteDirect(0.0, math.pi / 2))
     return math.atan(a) / 2.0, oracle.integrate(spec, tol=1e-10)[0]
@@ -593,9 +592,9 @@ def _form1(n, a):
 def _coscosheven(n):
     def f(psi):
         t = np.sin(psi)
-        A = n * np.arcsin(t)
-        B = n * np.arcsinh(t)
-        return np.cos(A) * np.cosh(B) / (np.cos(2 * A) + np.cosh(2 * B)) * t / np.sqrt(1 + t * t)
+        C, s, Ch, sh = continued_block(t * t, n, n, 1.0)
+        xi, eta = C * Ch, t * t * s * sh
+        return xi / (2.0 * (xi * xi + eta * eta)) * t / np.sqrt(1 + t * t)
 
     spec = oracle.IntegrandSpec(f, oracle.FiniteDirect(0.0, math.pi / 2))
     return 0.0, oracle.integrate(spec, tol=1e-10)[0]

@@ -11,7 +11,9 @@ for odd n,
 
 The identity asin(sqrt(sin theta)) + i asinh(sqrt(sin theta)) = acos(e^{-i theta})
 (theta in [0, pi/2]) links this to the sin*sinh/(cos+cosh) quotients, which are
-exactly Im and Re of the left side.
+exactly Im and Re of the left side.  Those quotients are eta/rho and xi/rho of
+the weight block at (n, n, 1), and the finite integrands read them from
+`weight_models.continued_block`, with rho = 2(xi^2 + eta^2).
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import numpy as np
 from . import oracle
 from .errors import ParityError, PoleProximity, RangeError
 from .oracle import FiniteDirect, IntegrandSpec
+from .weight_models import continued_block
 
 __all__ = [
     "s_sum",
@@ -37,18 +40,6 @@ __all__ = [
     "proof_identities_check",
     "glaisher_pair",
 ]
-
-
-def _cheb_T_any(n: int, z):
-    """T_n by three-term recurrence; valid for real or complex arguments."""
-    z = np.asarray(z)
-    pm1 = np.ones_like(z)
-    if n == 0:
-        return pm1
-    p = z.copy()
-    for _ in range(n - 1):
-        pm1, p = p, 2.0 * z * p - pm1
-    return p
 
 
 def s_sum(n: int, m: int) -> float:
@@ -74,11 +65,10 @@ def theta_integral(n: int, m: int, tol: float = 1e-10):
         raise ParityError("closed form needs odd n and odd m > 1")
 
     def f(psi):
-        s = np.sin(psi)
-        A = n * np.arcsin(np.sqrt(s))
-        B = n * np.arcsinh(np.sqrt(s))
-        quot = np.sin(A) * np.sinh(B) / (np.cos(2 * A) + np.cosh(2 * B))
-        return quot * np.sin(m * psi)
+        t = np.sin(psi)
+        C, s, Ch, sh = continued_block(t, n, n, 1.0)
+        xi, eta = C * Ch, t * s * sh
+        return eta / (2.0 * (xi * xi + eta * eta)) * np.sin(m * psi)
 
     val, _ = oracle.integrate(IntegrandSpec(f, FiniteDirect(0.0, math.pi / 2.0)), tol=tol)
     return val, math.pi / (4.0 * n) * s_sum(n, m)
@@ -92,7 +82,7 @@ def reciprocal_cheb_gen(n: int, theta):
     and the matching cos*cosh quotient.
     """
     z = np.exp(-1j * np.asarray(theta, dtype=float))
-    return 0.5 / _cheb_T_any(n, z)
+    return 0.5 / np.polynomial.chebyshev.chebval(z, np.eye(n + 1)[n])
 
 
 TSGF_R_MAX = 40  # the largest R of tsgf_fourier_check
@@ -194,15 +184,16 @@ def ramanujan_353_finite(n: int, k: int, tol: float = 1e-10):
 
     n even, k odd.  With t = sin(psi) the integrand is smooth on [0, pi/2]
     and tends to kn/2 as psi -> 0; the Gauss nodes never evaluate psi = 0.
+    Its denominator is sin(psi) times rho of the block at (n/2, n/2, 1) at sin^2 psi.
     """
     if n % 2 == 1 or k % 2 == 0 or n < 2 or k < 1:
         raise ParityError("finite analog needs even n and odd k")
 
     def f(psi):
         s = np.sin(psi)
-        num = np.sin(k * n * psi) * np.cos(psi)
-        den = (np.cos(n * psi) + np.cosh(n * np.arcsinh(s))) * s
-        return num / den
+        C, r, Ch, sh = continued_block(s * s, n // 2, n // 2, 1.0)
+        xi, eta = C * Ch, s * s * r * sh
+        return np.sin(k * n * psi) * np.cos(psi) / (2.0 * (xi * xi + eta * eta) * s)
 
     val, _ = oracle.integrate(IntegrandSpec(f, FiniteDirect(0.0, math.pi / 2.0)), tol=tol)
     return val, math.pi / 4.0

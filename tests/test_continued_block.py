@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import mp_reference as ref
-from bszego import quadrature, suites, szego_polys, weight_models
+from bszego import quadrature, suites, szego_polys, trig_identities, weight_models
 from bszego.errors import FactorizationResidual, ParityError
 from bszego.szego_polys import explicit_eval
 from bszego.weight_models import (
@@ -505,26 +505,36 @@ def _source(module):
     return Path(module.__file__).read_text()
 
 
-def _asin_of_sqrt_sites(module):
-    return _sites(_source(module), _is_asin_of_sqrt)
+def _is_angle_map(node):
+    """Any call of asin or asinh, on any argument."""
+    return isinstance(node, ast.Call) and ast.unparse(node.func) in (
+        "np.arcsin", "np.arcsinh", "math.asin", "math.asinh")
 
 
 def test_continuation_is_written_once():
-    sites = {mod.__name__: _asin_of_sqrt_sites(mod) for mod in (weight_models, szego_polys, suites)}
+    sites = {mod.__name__: _sites(_source(mod), _is_asin_of_sqrt)
+             for mod in (weight_models, szego_polys)}
     assert sites == {
         "bszego.weight_models": ["<lambda>", "<lambda>"],  # the finite angle maps
         "bszego.szego_polys": [],
+    }
+    # the oracle integrands in suites and trig_identities read the block from
+    # continued_block and call no angle map at all; pf_reciprocal_T's W is the complex acos
+    # of the shifted partial-fraction identity, not a block
+    sites = {mod.__name__: _sites(_source(mod), _is_angle_map) for mod in (suites, trig_identities)}
+    assert sites == {
         "bszego.suites": [],
+        "bszego.trig_identities": ["pf_reciprocal_T", "pf_reciprocal_T"],
     }
     # t is negated in _block_angles alone, once, for the angle maps, finite or their
     # limit, at |t|; and nothing else swaps cos and cosh at t < 0
     assert _sites(_source(weight_models), _is_continuation) == ["_block_angles"]
-    for mod in (szego_polys, suites):
+    for mod in (szego_polys, suites, trig_identities):
         assert _sites(_source(mod), _is_continuation) == []
     # every closed form is a product of the entire block factors: the one quotient by
     # sqrt|t|, with its limit at t = 0, is taken in _sines_over_root, and no sign(t) is left
     assert _sites(_source(weight_models), _is_sign_or_quotient_by_t) == ["_sines_over_root"]
-    for mod in (szego_polys, suites):
+    for mod in (szego_polys, suites, trig_identities):
         assert _sites(_source(mod), _is_sign_or_quotient_by_t) == []
     # the root ladders are written once too
     # the ladder's sine is written once, in weight_models; the known roots, the
@@ -550,6 +560,31 @@ _CONTINUED = """def _continued(g):
         return out
 
     return f"""
+
+# the block written out by hand in the theta-sum, Ramanujan-353 and form1 integrands, in
+# place of continued_block
+_THETA_BLOCK = """C, s, Ch, sh = continued_block(t, n, n, 1.0)
+        xi, eta = C * Ch, t * s * sh
+        return eta / (2.0 * (xi * xi + eta * eta)) * np.sin(m * psi)"""
+_THETA_BY_HAND = """A = n * np.arcsin(np.sqrt(t))
+        B = n * np.arcsinh(np.sqrt(t))
+        quot = np.sin(A) * np.sinh(B) / (np.cos(2 * A) + np.cosh(2 * B))
+        return quot * np.sin(m * psi)"""
+_RAMANUJAN_BLOCK = """C, r, Ch, sh = continued_block(s * s, n // 2, n // 2, 1.0)
+        xi, eta = C * Ch, s * s * r * sh
+        return np.sin(k * n * psi) * np.cos(psi) / (2.0 * (xi * xi + eta * eta) * s)"""
+_RAMANUJAN_BY_HAND = """num = np.sin(k * n * psi) * np.cos(psi)
+        den = (np.cos(n * psi) + np.cosh(n * np.arcsinh(s))) * s
+        return num / den"""
+_FORM1_BLOCK = """C, s, Ch, sh = continued_block(t * t, n, n, a * a)
+        xi, eta = C * Ch, t * t * s * sh
+        # eta/sin psi is t s sh, with no 0/0 at psi = 0
+        return t * s * sh / (2.0 * (xi * xi + eta * eta) * np.sqrt(1 + t * t / (a * a)))"""
+_FORM1_BY_HAND = """A = n * np.arcsin(t)
+        B = n * np.arcsinh(t / a)
+        return np.sin(A) * np.sinh(B) / (
+            (np.cos(2 * A) + np.cosh(2 * B)) * t * np.sqrt(1 + t * t / (a * a))
+        )"""
 
 
 @pytest.mark.parametrize("module, before, after, match, owner", [
@@ -590,6 +625,10 @@ _CONTINUED = """def _continued(g):
      "reflected = n % 2 == 0 and rule_cosh_minus_cos(m, n, 1.0 / a)\n"
      "    spec = WeightSpec(n, m, a, Family.CoshMinusCosOverT",
      _is_rule_call, "rule_cosh_minus_cos"),
+    (trig_identities, _THETA_BLOCK, _THETA_BY_HAND, _is_angle_map, "theta_integral"),
+    (trig_identities, _RAMANUJAN_BLOCK, _RAMANUJAN_BY_HAND, _is_angle_map,
+     "ramanujan_353_finite"),
+    (suites, _FORM1_BLOCK, _FORM1_BY_HAND, _is_angle_map, "_form1"),
 ], ids=["sign(t) back in explicit_eval", "sqrt|t| quotient in explicit_eval",
         "quotient by t in the square suite", "quotient by t in the orthogonality rows",
         "sqrt(2/|t|) in the circle form", "sign(t) back in xi_eta_eval",
@@ -598,7 +637,8 @@ _CONTINUED = """def _continued(g):
         "square root of -x in a series cell", "cos and cosh swapped as values",
         "root ladder in the winding count's zeros",
         "hand-written ladder in a rule builder",
-        "signed rule built from its reflection"])
+        "signed rule built from its reflection", "block by hand in the theta-sum integral",
+        "block by hand in the Ramanujan-353 integral", "block by hand in form1"])
 def test_written_once_checks_catch_a_mutation(module, before, after, match, owner):
     source = _source(module)
     assert source.count(before) == 1

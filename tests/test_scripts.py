@@ -15,21 +15,6 @@ def _run(script, *args, cwd):
     )
 
 
-def test_run_full_verification_help(tmp_path):
-    proc = _run("run_full_verification.py", "--help", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert "--out-dir" in proc.stdout
-
-
-def test_export_rule_tables_writes_csvs(tmp_path):
-    out = tmp_path / "tables"
-    proc = _run("export_rule_tables.py", "--out-dir", str(out), cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    tables = sorted(out.glob("*.csv"))
-    assert len(tables) == 33
-    assert tables[0].read_text().startswith("node,weight\n")
-
-
 def test_compare_reports_help(tmp_path):
     proc = _run("compare_reports.py", "--help", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -192,7 +192,7 @@ class TestXiEta:
     @given(
         st.integers(1, 8),
         st.integers(1, 8),
-        st.sampled_from([0.5, 1.0, 2.0]),
+        st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
         st.floats(0.0, 1.0),
     )
     def test_identity_property(self, n, m, a, frac):
