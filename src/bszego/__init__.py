@@ -16,7 +16,7 @@ from .errors import (
     SymmetryViolation,
     UnknownSuite,
 )
-from .poly_core import ChebSeries, RealPolynomial, cheb_T
+from .poly_core import ChebSeries, RealPolynomial
 from .weight_models import (
     Family,
     MeasureFactor,

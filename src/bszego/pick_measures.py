@@ -43,7 +43,7 @@ import numpy as np
 
 from . import oracle
 from .errors import DegreeThreshold
-from .poly_core import power_table
+from .poly_core import ChebSeries, power_table
 from .quadrature import oracle_moments
 from .szego_polys import OrthoPoly, explicit_family, szego_orthonormal
 from .weight_models import (
@@ -53,7 +53,6 @@ from .weight_models import (
     build_szego_factor,
     expected_rho_degree,
 )
-from .poly_core import ChebSeries
 
 __all__ = [
     "PickFunction",

@@ -21,9 +21,9 @@ from .errors import (
     RangeError,
     SlowConvergence,
 )
-from .poly_core import RealPolynomial, cheb_T, power_table
+from .poly_core import RealPolynomial, power_table
 from .szego_polys import _ladder
-from .weight_models import Family, MeasureFactor, WeightSpec, _rung_sine, weight_base
+from .weight_models import Family, MeasureFactor, WeightSpec, _rung_sine, continued_block, weight_base
 
 __all__ = [
     "QuadratureRule",
@@ -213,12 +213,21 @@ def sum_form_beta(n: int, m: int, a: float, u: int, rows=None) -> float:
 
 def corollary_eval(which: str, n: int, m: Optional[int] = None, a: Optional[float] = None,
                    tol: float = 1e-10):
-    """Closed form and oracle value for the three corollary integrals."""
+    """Closed form and oracle value for the three corollary integrals.  Their denominators
+    are blocks rho(k, 1, a) = 2(xi^2 + eta^2) = 1 + 2t/a + T_k(1 - 2t) (`continued_block`)."""
+    if n < 1:
+        raise RangeError(f"n = {n} must be at least 1")
+
+    def rho(t, k, aa):
+        C, s, Ch, sh = continued_block(t, k, 1, aa)
+        xi, eta = C * Ch, t * s * sh
+        return 2.0 * (xi * xi + eta * eta)
+
     if which == "A":
         aa = 1.0 if a is None else a
 
         def g(t):
-            return 1.0 / (aa + 2.0 * t + aa * cheb_T(n, 1.0 - 2.0 * t))
+            return 1.0 / (aa * rho(t, n, aa))
 
         val, _ = oracle.integrate(
             oracle.IntegrandSpec(g, oracle.ThetaSubstituted(aa, weight_power=+1)), tol=tol
@@ -226,7 +235,7 @@ def corollary_eval(which: str, n: int, m: Optional[int] = None, a: Optional[floa
         return math.pi / 4.0, val
     if which == "B":
         def g(t):
-            return 1.0 / (1.0 + 2.0 * t + cheb_T(n, 1.0 - 2.0 * t))
+            return 1.0 / rho(t, n, 1.0)
 
         val, _ = oracle.integrate(
             oracle.IntegrandSpec(g, oracle.ThetaSubstituted(1.0, weight_power=-1)), tol=tol
@@ -236,12 +245,11 @@ def corollary_eval(which: str, n: int, m: Optional[int] = None, a: Optional[floa
     if which == "C":
         if m is None or (n - m) % 2 != 0:
             raise ParityError("corollary C needs n and m of the same parity")
+        if m < 1:
+            raise RangeError(f"m = {m} must be at least 1")
 
         def g(t):
-            return 1.0 / (
-                (1.0 + 2.0 * t + cheb_T(n, 1.0 - 2.0 * t))
-                * (1.0 + 2.0 * t + cheb_T(m, 1.0 - 2.0 * t))
-            )
+            return 1.0 / (rho(t, n, 1.0) * rho(t, m, 1.0))
 
         val, _ = oracle.integrate(
             oracle.IntegrandSpec(g, oracle.ThetaSubstituted(1.0, weight_power=+1)), tol=tol

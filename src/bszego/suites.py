@@ -38,7 +38,7 @@ from . import quadrature as quad
 from . import trig_identities as trig
 from .errors import BszegoError, NoConvergence, UnknownSuite
 from .pick_measures import PickFunction, boundary_moments, matched_pair, moment_match_all
-from .poly_core import RealPolynomial, cheb_T_table, power_table
+from .poly_core import RealPolynomial, power_table
 from .szego_polys import kernel_eval, szego_orthonormal
 from .weight_models import (
     _PARAM_CAP,
@@ -322,7 +322,7 @@ _NMA7 = {"n": list(range(1, 8)), "m": list(range(1, 8)), "a": _A}
 @_cells("gen_fn", _NMA7)
 def _gen_fn(n, m, a):
     def f(t):
-        return cheb_T_table(1.0 - 2.0 * np.asarray(t), n)
+        return np.polynomial.chebyshev.chebvander(1.0 - 2.0 * np.asarray(t), n - 1)
 
     mu = np.atleast_1d(np.asarray(quad.weighted_oracle_integral(WeightSpec(n, m, a), f, tol=1e-11)))
     rows = quad._alternating_rows(n, m, a)  # one rung table for every u

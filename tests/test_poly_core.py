@@ -1,12 +1,12 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bszego import oracle
 from bszego.errors import NoConvergence, SymmetryViolation
-from bszego.poly_core import RealPolynomial, cheb_T, cheb_T_table, power_table
+from bszego.poly_core import RealPolynomial, power_table
 from reference_roots import poly_roots
 
 
@@ -29,50 +29,6 @@ def poly_from_circle_samples(values, degree):
     return RealPolynomial(coeffs[: degree + 1].real)
 
 
-class TestChebT:
-    def test_degree_zero(self):
-        assert cheb_T(0, 0.7) == 1.0
-
-    def test_cubic_at_half(self):
-        assert cheb_T(3, 0.5) == pytest.approx(-1.0, abs=1e-14)
-
-    def test_defining_identity(self):
-        assert cheb_T(5, math.cos(0.3)) == pytest.approx(math.cos(1.5), abs=1e-13)
-
-    def test_outside_interval(self):
-        # T_3(x) = 4x^3 - 3x at x = 2 and x = -2
-        assert cheb_T(3, 2.0) == pytest.approx(26.0, rel=1e-14)
-        assert cheb_T(3, -2.0) == pytest.approx(-26.0, rel=1e-14)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 30), st.floats(-1.0, 1.0))
-    def test_matches_cosine_form(self, n, x):
-        assert abs(cheb_T(n, x) - math.cos(n * math.acos(x))) <= 1e-12
-
-    def test_array_input(self):
-        x = np.linspace(-3, 3, 41)
-        direct = 4 * x**3 - 3 * x
-        assert np.max(np.abs(cheb_T(3, x) - direct)) < 1e-11
-
-    def test_nan_gives_nan(self):
-        # every x that none of the three forms takes must come out NaN, not whatever
-        # the output buffer held
-        out = cheb_T(3, [math.nan] * 8 + [0.5])
-        assert np.isnan(out[:8]).all() and out[8] == cheb_T(3, 0.5)
-
-    def test_degree_zero_is_one_at_infinity(self):
-        # cosh(0 * arccosh(inf)) would be cosh(NaN): T_0 takes no form
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cheb_T(0, [math.inf, -math.inf, 2.0]).tolist() == [1.0, 1.0, 1.0]
-            assert cheb_T(0, -math.inf) == 1.0
-
-    def test_degree_zero_is_nan_at_nan(self):
-        out = cheb_T(0, [math.nan, 0.5])
-        assert math.isnan(out[0]) and out[1] == 1.0
-        assert math.isnan(cheb_T(0, math.nan))
-
-
 def _bits(a):
     """a's shape and its values' bytes in C order: signed zeros and NaN compare bit for bit."""
     return a.shape, np.ascontiguousarray(a).tobytes()
@@ -80,7 +36,7 @@ def _bits(a):
 
 class TestNodeMajorTables:
     """The oracle's integrand tables: (npts, K) transpose views of K node-contiguous rows,
-    with the values of np.vander and of cheb_T bit for bit."""
+    power_table's with the values of np.vander bit for bit."""
 
     @pytest.mark.parametrize("t", [
         np.random.default_rng(5).uniform(-3.0, 3.0, 300),
@@ -94,38 +50,16 @@ class TestNodeMajorTables:
             assert _bits(table) == _bits(np.vander(t, count, increasing=True)), count
             assert table.T.flags.c_contiguous
 
-    def test_cheb_table_rows_are_cheb_T(self):
-        x = np.concatenate([np.random.default_rng(6).uniform(-3.0, 3.0, 300),
-                            np.linspace(-3.0, 3.0, 25), [1.0, -1.0, math.nan, -0.0]])
-        assert {1.0, -1.0, 0.0} <= set(x.tolist())
-        finite = x[np.isfinite(x)]  # below: one form takes every point
-        for x_n in (x, np.clip(finite, -1.0, 1.0), np.abs(finite) + 1.5, -np.abs(finite) - 1.5):
-            for n in range(0, 65):
-                table = cheb_T_table(x_n, n)
-                rows = np.array([cheb_T(u, x_n) for u in range(n)]).reshape(n, x_n.size)
-                assert _bits(table.T) == _bits(rows), n
-                assert table.shape == (x_n.size, n) and table.T.flags.c_contiguous
-
-    def test_cheb_table_degree_zero_at_infinity(self):
-        x = np.array([math.inf, -math.inf, math.nan, 3.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = cheb_T_table(x, 4)
-        assert _bits(table[:, 0]) == _bits(cheb_T(0, x))
-        assert table[:2, 0].tolist() == [1.0, 1.0] and math.isnan(table[2, 0])
-        assert table[0, 1:].tolist() == [math.inf] * 3
-        assert table[1, 1:].tolist() == [-math.inf, math.inf, -math.inf]
-        assert math.isnan(cheb_T(4, math.nan))
-
-    def test_nan_leaves_the_other_values_alone(self):
-        x = np.linspace(-3, 3, 61)
-        mixed = x.copy()
-        mixed[::4] = np.nan
-        for n in (0, 1, 5, 12):
-            out = cheb_T(n, mixed)
-            assert np.isnan(out[::4]).all()
-            keep = ~np.isnan(mixed)
-            assert np.array_equal(out[keep], cheb_T(n, x[keep]))
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_chebvander_is_node_major(self, n):
+        # gen_fn's T_0..T_(n-1)(1 - 2t) table: the oracle reads it in place and the
+        # weight scales it in place
+        t = np.random.default_rng(6).uniform(-3.0, 1.0, 300)
+        table = np.polynomial.chebyshev.chebvander(1.0 - 2.0 * t, n - 1)
+        assert table.shape == (t.size, n) and table.T.flags.c_contiguous
+        assert table.flags.writeable
+        assert np.shares_memory(oracle._node_major(table), table)
+        assert oracle._scaled(table, np.full(t.size, 0.5)) is table
 
 
 class TestRealPolynomial:

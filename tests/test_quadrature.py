@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bszego.errors import ParityError, RangeError
-from bszego.poly_core import RealPolynomial, cheb_T, power_table
+from bszego.poly_core import RealPolynomial, power_table
 from bszego.quadrature import (
     _angle,
     corollary_eval,
@@ -440,7 +440,9 @@ class TestSumForm:
     def test_against_oracle(self, n, m, a, u):
         spec = WeightSpec(n, m, a)
         got = sum_form(n, m, a, u)
-        want = weighted_oracle_integral(spec, lambda t: cheb_T(abs(u), 1.0 - 2.0 * np.asarray(t)))
+        T_u = np.eye(abs(u) + 1)[abs(u)]  # T_|u| in numpy's Chebyshev basis
+        want = weighted_oracle_integral(
+            spec, lambda t: np.polynomial.chebyshev.chebval(1.0 - 2.0 * np.asarray(t), T_u))
         assert got == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("n,m,a", [(3, 5, 1.0), (5, 3, 2.0), (4, 6, 0.5)])
@@ -478,6 +480,27 @@ class TestCorollaries:
     def test_corollary_c_parity(self):
         with pytest.raises(ParityError):
             corollary_eval("C", 2, m=3)
+
+    @pytest.mark.parametrize("which, n, m", [
+        ("A", 0, None), ("B", 0, None), ("A", -1, None), ("B", -2, None),
+        ("C", 0, 2), ("C", -1, 1), ("C", 2, 0), ("C", 1, -1),
+    ])
+    def test_degree_below_one_is_rejected_before_any_integral(self, monkeypatch, which, n, m):
+        # ("A", 0) returned (pi/4, pi/2), ("B", 0) ran out of panels, and ("B", -2)
+        # integrated a negative degree's block to (-1.178, 1.178)
+        monkeypatch.setattr(oracle, "integrate", lambda *args, **kwargs: pytest.fail("integrated"))
+        with pytest.raises(RangeError, match="must be at least 1"):
+            corollary_eval(which, n, m=m)
+
+    def test_degree_past_the_spec_cap_runs(self):
+        # no WeightSpec is built: its n + m <= 64 cap would reject n = 64 with m = 1
+        records = (
+            suites.run_verify("corollary_A", grids={"corollary_A": {"n": [64], "a": [0.5]}})
+            + suites.run_verify("corollary_B", grids={"corollary_B": {"n": [64]}})
+        )
+        assert [(r.theorem_id, r.params) for r in records] == [
+            ("corollary_A", {"n": 64, "a": 0.5}), ("corollary_B", {"n": 64})]
+        assert all(r.passed for r in records)
 
 
 class TestLimitSeries:
@@ -673,7 +696,8 @@ def _out_of_place(vals, w):
 @pytest.mark.parametrize("measure", [MeasureFactor.InvSqrtBoth, MeasureFactor.SqrtBoth,
                                      MeasureFactor.PlainDt, MeasureFactor.SqrtRatio],
                          ids=lambda mf: mf.value)
-@pytest.mark.parametrize("kind", ["own_input", "read_only", "int_table", "scalar", "power_table"])
+@pytest.mark.parametrize("kind", ["own_input", "read_only", "int_table", "scalar", "power_table",
+                                  "chebvander"])
 def test_weight_scaling_keeps_the_out_of_place_bits(monkeypatch, measure, kind):
     # the weight multiplies f's table in place only when it is a writeable float64 table
     spec = WeightSpec(3, 5, 0.5, measure_factor=measure)
@@ -687,7 +711,8 @@ def test_weight_scaling_keeps_the_out_of_place_bits(monkeypatch, measure, kind):
 
     f = {"own_input": lambda t: t, "read_only": read_only,
          "int_table": lambda t: np.full((t.size, 2), [1, 3]), "scalar": lambda t: 2.0,
-         "power_table": lambda t: power_table(t, 4)}[kind]
+         "power_table": lambda t: power_table(t, 4),
+         "chebvander": lambda t: np.polynomial.chebyshev.chebvander(1.0 - 2.0 * t, 3)}[kind]
     got = np.asarray(weighted_oracle_integral(spec, f, tol=1e-12))
     monkeypatch.setattr(oracle, "_scaled", _out_of_place)
     want = np.asarray(weighted_oracle_integral(spec, f, tol=1e-12))
